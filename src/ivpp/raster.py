@@ -3,11 +3,15 @@
 Two layers per raster:
 
 * ``period``     raw per-cell minimal period from the grid kernel
-                 (0 none, -1 the orbit left the finite chart);
+                 (0 none, -1 the orbit left the finite chart), computed on
+                 first read and cached, so outputs that never read it (the
+                 component PGM) never run the kernel;
 * ``component``  for branch rasters, the component index of cells lying in
                  a band around the branch variety, verified by snapping the
                  cell to the variety (same x, y = rho/x) and demanding the
-                 snapped point close after exactly n steps.
+                 snapped point close after exactly n steps.  The snapped
+                 point depends only on the cell's column, so the check runs
+                 once per column that has band cells.
 
 Cells are independent and the output is deterministic for fixed inputs;
 IVPP_THREADS caps the row-parallel kernel work.
@@ -16,7 +20,8 @@ IVPP_THREADS caps the row-parallel kernel work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from .lv3d import lv_discriminant
 
 RASTER_TOL = 1e-6  # default chordal tolerance of the raw period layer
 EXACT_TOL = 1e-9  # closure tolerance for snapped on-variety points
+PERIOD_MAX = int(np.iinfo(np.int16).max)  # the period layer is int16
 
 
 @dataclass
@@ -36,9 +42,14 @@ class TilingRaster:
     window: Tuple[float, float, float, float]
     width: int
     height: int
-    period: np.ndarray  # int16 (h, w)
+    period_layer: Callable[[], np.ndarray] = field(repr=False)  # computes ``period``
     component: np.ndarray  # int16 (h, w); 0 = unclassified
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def period(self) -> np.ndarray:
+        """int16 (h, w) period layer, computed on first read and cached."""
+        return self.period_layer()
 
     def cells(self) -> Tuple[np.ndarray, np.ndarray]:
         return cell_centers(self.window, (self.width, self.height))
@@ -82,12 +93,17 @@ def raster(
     A cell joins the component layer when the local level value x*y falls
     within ``band_cells`` cell-widths of the branch level rho and the
     snapped point (x, rho/x) has minimal period exactly n (tol 1e-9).
+    The period layer is deferred until ``.period`` is read; on branch
+    rasters it reads n on every classified cell.
     """
     w, h = resolution
     if w * h > 4096 * 4096:
         raise ValueError("resolution capped at 4096 x 4096")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not 1 <= n_max <= PERIOD_MAX:
+        raise ValueError(f"n_max must be in 1..{PERIOD_MAX}, got {n_max}")
     xs, ys = cell_centers(window, resolution)
-    period = kernel.period_grid(m, xs, ys, n_max, tol, threads=threads)
     component = np.zeros((h, w), dtype=np.int16)
     meta = {
         "map": m.name or "user",
@@ -96,21 +112,34 @@ def raster(
         "backend": kernel.BACKEND,
     }
 
+    def period_layer() -> np.ndarray:
+        raw = kernel.period_grid(m, xs, ys, n_max, tol, threads=threads)
+        if branch is None:
+            return raw
+        return np.where(component > 0, np.int16(branch.n), raw)
+
     if decomp is not None and branch is not None:
-        X, Y = np.meshgrid(xs, ys)
+        X, Y = xs[np.newaxis, :], ys[:, np.newaxis]
         cell = max((window[1] - window[0]) / w, (window[3] - window[2]) / h)
         band = band_cells * cell * (np.abs(X) + np.abs(Y) + 1.0)
         on_branch = np.abs(X * Y - branch.rho) <= band
         on_branch &= np.abs(X) > cell  # parametrization pole at x = 0
-        idx = np.nonzero(on_branch)
-        for i, j in zip(*idx):
-            x = float(X[i, j])
+        columns = np.nonzero(on_branch.any(axis=0))[0]
+        for j in columns:
+            x = float(xs[j])
             if _snapped_period_is(m, branch, x, branch.n):
-                component[i, j] = decomp.classify(x)
-        period = np.where(component > 0, np.int16(branch.n), period)
-        meta.update({"period_n": branch.n, "branch": branch.label, "band_cells": band_cells})
+                component[on_branch[:, j], j] = decomp.classify(x)
+        meta.update(
+            {
+                "period_n": branch.n,
+                "branch": branch.label,
+                "band_cells": band_cells,
+                "snap_checks": int(columns.size),
+                "classified": int(np.count_nonzero(component)),
+            }
+        )
 
-    return TilingRaster(tuple(window), w, h, period, component, meta)
+    return TilingRaster(tuple(window), w, h, period_layer, component, meta)
 
 
 def _snapped_period_is(m: RationalMap, branch: IvppBranch, x: float, n: int) -> bool:
@@ -140,7 +169,6 @@ def lv_raster(
     w, h = resolution
     xs, rs = cell_centers(window, resolution)
     component = np.zeros((h, w), dtype=np.int16)
-    period = np.zeros((h, w), dtype=np.int16)
     decomp = lv_decompose_period2(0.0, sign)
     fin = np.asarray(decomp.finite_boundaries())
     classes = (np.searchsorted(fin, xs, side="left") + 1).astype(np.int16)
@@ -152,12 +180,11 @@ def lv_raster(
             continue
         mask = (lv_discriminant(xs, float(r_level)) >= 0) & (xs != 0.0) & (xs != 1.0)
         component[i, mask] = classes[mask]
-        period[i, mask] = 2
     return TilingRaster(
         tuple(window),
         w,
         h,
-        period,
+        lambda: np.where(component > 0, np.int16(2), np.int16(0)),
         component,
         {
             "map": "f3d",
@@ -166,17 +193,4 @@ def lv_raster(
             "stripe_half_width": stripe_half_width,
             "plane": "(x, r)",
         },
-    )
-
-
-def denom_raster(first_pole_depth: np.ndarray, window, resolution) -> TilingRaster:
-    """Wrap a first-pole-depth grid as a raster (byte = depth k, 0 = none)."""
-    w, h = resolution
-    return TilingRaster(
-        tuple(window),
-        w,
-        h,
-        first_pole_depth.astype(np.int16),
-        first_pole_depth.astype(np.int16),
-        {"layer": "first-pole-depth"},
     )

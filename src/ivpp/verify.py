@@ -308,21 +308,19 @@ def check_raster_period3() -> Tuple[bool, str]:
     if mask.sum() < 1000:
         return False, f"only {mask.sum()} classified cells"
     xs, _ = R.cells()
+    sigma = np.asarray(d.sigma)
     ok = bad = 0
-    for i, j in zip(*np.nonzero(mask)):
-        x = float(xs[j])
-        comp = int(R.component[i, j])
+    for j in np.nonzero(mask.any(axis=0))[0]:  # cells of one column share x
         try:
-            img = m.apply(b.point(x))
+            cx = m.apply(b.point(float(xs[j])))[0]
         except Indeterminate:
             continue
-        cx = img[0]
         if cx.is_infinite:
-            continue  # pole cell, excluded
-        if d.classify(cx.value.real) == d.sigma[comp - 1]:
-            ok += 1
-        else:
-            bad += 1
+            continue  # pole column, excluded
+        comps = R.component[mask[:, j], j]
+        good = int(np.count_nonzero(sigma[comps - 1] == d.classify(cx.value.real)))
+        ok += good
+        bad += comps.size - good
     frac = ok / max(1, ok + bad)
     passed = frac >= 0.999 and elapsed < 60.0
     return passed, f"{mask.sum()} cells, successor {frac:.5f}, {elapsed:.1f}s (< 60s)"

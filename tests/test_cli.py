@@ -210,6 +210,19 @@ def test_usage_errors_exit_2(argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--mode", "period", "--tol", "-1"], ["--n-max", "0"], ["--n-max", "40000"]],
+)
+def test_raster_refuses_out_of_contract_input(tmp_path, extra):
+    out = tmp_path / "r.pgm"
+    argv = ["raster", "--period", "3", "--window=-1,1,-1,1", "--res", "8x8", "-o", str(out)]
+    code, _, err = run_captured(argv + extra)
+    assert code == 2
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
 def test_user_2d_maps_cannot_borrow_builtin_branches(tmp_path):
     src = tmp_path / "other.rmap"
     src.write_text("dim 2; x' = (x + y)/(1 - x); y' = y;\n")

@@ -184,6 +184,74 @@ def test_resolution_guard():
         raster(f2d(), (-1, 1, -1, 1), (5000, 5000), n_max=2)
 
 
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"n_max": 0}, {"n_max": 40000}])
+@pytest.mark.parametrize("with_branch", [False, True])
+def test_out_of_contract_input_is_refused_on_entry(kwargs, with_branch):
+    """A component raster, whose period layer is deferred, refuses what a period raster does."""
+    b = branches(3)[0]
+    extra = {"decomp": decompose(b), "branch": b} if with_branch else {}
+    args = {"n_max": 4, **kwargs, **extra}
+    with pytest.raises(ValueError):
+        raster(f2d(), (-1, 1, -1, 1), (8, 8), **args)
+
+
+def test_branch_raster_runs_the_kernel_only_when_period_is_read(monkeypatch):
+    from ivpp import kernel
+
+    calls = []
+    original = kernel.period_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "period_grid", counting)
+    b = branches(3)[0]
+    R = raster(f2d(), (-4, 4, -4, 4), (120, 120), n_max=4, decomp=decompose(b), branch=b)
+    R.to_pgm_bytes("component")
+    assert calls == []
+    first = R.period
+    assert len(calls) == 1
+    assert R.period is first  # cached
+    assert len(calls) == 1
+
+
+def test_lazy_period_layer_matches_the_direct_override():
+    from ivpp import kernel
+
+    b = branches(5)[1]
+    window, res = (-12, 12, -12, 12), (150, 150)
+    R = raster(f2d(), window, res, n_max=6, decomp=decompose(b), branch=b)
+    xs, ys = R.cells()
+    raw = kernel.period_grid(f2d(), xs, ys, 6, 1e-6)
+    want = np.where(R.component > 0, np.int16(5), raw)
+    assert R.period.dtype == np.int16
+    assert np.array_equal(R.period, want)
+    plain = raster(f2d(), window, res, n_max=6)
+    assert np.array_equal(plain.period, raw)
+
+
+def test_snapped_check_runs_once_per_band_column(monkeypatch):
+    from ivpp.core import RationalMap
+
+    checked = []
+    original = RationalMap.detect_period
+
+    def recording(self, p, *args, **kwargs):
+        checked.append(p)
+        return original(self, p, *args, **kwargs)
+
+    monkeypatch.setattr(RationalMap, "detect_period", recording)
+    b = branches(3)[0]
+    R = raster(f2d(), (-4, 4, -4, 4), (200, 200), n_max=4, decomp=decompose(b), branch=b)
+    xs, _ = R.cells()
+    snapped = {b.point(float(x)) for x in xs[(R.component > 0).any(axis=0)]}
+    assert len(checked) == len(set(checked)) == R.meta["snap_checks"]
+    assert snapped <= set(checked)
+    assert len(checked) < int((R.component > 0).sum())
+    assert R.meta["classified"] == int((R.component > 0).sum())
+
+
 # -- the striped 3d raster ------------------------------------------------------------
 
 
