@@ -31,6 +31,8 @@ from .ivpp2d import DegenerateBranch, branches, gamma_poly
 from .lv3d import UnsupportedPeriod, lv_decompose_period2, lv_gamma
 from .maps import BUILTIN_NAMES, get_map
 
+MAX_ORBIT_STEPS = 100_000
+
 
 class UsageError(ValueError):
     pass
@@ -98,6 +100,8 @@ def _pick_branch(n: int, selector: str):
 
 
 def _cmd_orbit(args) -> int:
+    if not 1 <= args.steps <= MAX_ORBIT_STEPS:
+        raise UsageError(f"--steps must be 1..{MAX_ORBIT_STEPS}")
     m = _load_map(args.map, r=args.r)
     start = _parse_start(args.start, m.dim)
     trace = m.iterate(start, args.steps, tol=args.tol)
@@ -278,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate a map and print the trace as JSON")
     add_common(p)
     p.add_argument("--start", required=True, help="comma-separated coordinates")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=int, required=True, help=f"1..{MAX_ORBIT_STEPS}")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--r", type=float, default=None, help="level for f2d-reduced")
     p.set_defaults(fn=_cmd_orbit)

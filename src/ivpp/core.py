@@ -382,18 +382,3 @@ class RationalMap:
         tag = self.name or f"{self.dim}d map"
         return f"RationalMap<{tag}>"
 
-
-def apply(m: RationalMap, p: Point) -> Point:
-    return m.apply(p)
-
-
-def iterate(m: RationalMap, p: Point, k: int, tol: float = TOL_EQ) -> OrbitTrace:
-    return m.iterate(p, k, tol)
-
-
-def detect_period(m: RationalMap, p: Point, n_max: int, tol: float = TOL_EQ) -> Optional[int]:
-    return m.detect_period(p, n_max, tol)
-
-
-def invariant_values(m: RationalMap, p: Point) -> List[complex]:
-    return m.invariant_values(p)

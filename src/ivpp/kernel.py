@@ -1,67 +1,59 @@
-"""Backend dispatch for the grid kernels.
+"""Numpy grid kernel: the per-cell minimal period of a 2d map on a raster.
 
-The compiled extension (ivpp._kernel, Cython) is preferred; the numpy
-fallback (ivpp._kernel_py) is used when the extension is missing or when
-IVPP_PURE_PYTHON is set in the environment.  Both export the same
-``period_grid`` contract; ``load_backend`` fetches either one explicitly
-(the benchmark uses that to compare them).
+Each cell (x, y) is iterated up to n_max steps in double precision; its
+value is the first k whose iterate is within tol of the start under the
+chordal metric, 0 when there is none, and -1 when the orbit leaves the
+finite chart first (0/0 or a pole transit).  The map's four component
+polynomials are evaluated with ``Polynomial.eval_grid``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Tuple
 
 import numpy as np
 
 from .core import RationalMap
 
-
-def load_backend(name: str | None = None):
-    """Return the kernel module: 'cython', 'python', or best available."""
-    if name in (None, "cython"):
-        if not os.environ.get("IVPP_PURE_PYTHON"):
-            try:
-                from . import _kernel  # compiled extension
-
-                return _kernel
-            except ImportError:
-                if name == "cython":
-                    raise
-        elif name == "cython":
-            raise ImportError("IVPP_PURE_PYTHON is set")
-    if name not in (None, "cython", "python"):
-        raise ValueError(f"unknown backend {name!r}")
-    from . import _kernel_py
-
-    return _kernel_py
+BACKEND = "python"
 
 
-_impl = load_backend()
-BACKEND = _impl.BACKEND_NAME
+def _homogeneous(a):
+    """Normalized homogeneous pair (u, v) of a on the real projective line."""
+    small = np.abs(a) <= 1.0
+    with np.errstate(all="ignore"):
+        h1 = np.sqrt(1.0 + a * a)
+        w = np.where(small, 0.0, 1.0 / a)  # inf -> 0 in the inverse chart
+        h2 = np.sqrt(1.0 + w * w)
+        u = np.where(small, a / h1, 1.0 / h2)
+        v = np.where(small, 1.0 / h1, w / h2)
+    return u, v
 
 
-def pack_map(m: RationalMap) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten a 2d map with real coefficients into kernel term tables."""
-    if m.dim != 2:
-        raise ValueError("grid kernels support 2d maps")
-    coefs: List[float] = []
-    exps: List[Tuple[int, int]] = []
-    offs = [0]
-    polys = [p for pair in m.components for p in pair]  # num_x, den_x, num_y, den_y
-    for p in polys:
-        for e, c in sorted(p.terms.items()):
-            cc = complex(c)
-            if cc.imag != 0:
-                raise ValueError("grid kernels need real coefficients")
-            coefs.append(cc.real)
-            exps.append(e)
-        offs.append(len(coefs))
-    return (
-        np.asarray(coefs, dtype=np.float64),
-        np.asarray(exps, dtype=np.int32).reshape(len(coefs), 2),
-        np.asarray(offs, dtype=np.int32),
-    )
+def _chord_grid(a, b):
+    """Chordal distance |u1 v2 - u2 v1| on arrays; handles inf, propagates nan."""
+    u1, v1 = _homogeneous(a)
+    u2, v2 = _homogeneous(b)
+    return np.abs(u1 * v2 - u2 * v1)
+
+
+def _rows(polys, xs, ys, n_max, tol, out, row_lo, row_hi):
+    """Fill out[row_lo:row_hi, :] for the polynomials (num_x, den_x, num_y, den_y)."""
+    num_x, den_x, num_y, den_y = polys
+    x0, y0 = np.meshgrid(xs, ys[row_lo:row_hi])
+    cx, cy = x0, y0
+    period = np.zeros(x0.shape, dtype=np.int16)
+    dead = np.zeros(x0.shape, dtype=bool)
+    for k in range(1, n_max + 1):
+        with np.errstate(all="ignore"):
+            nx = num_x.eval_grid((cx, cy)) / den_x.eval_grid((cx, cy))
+            ny = num_y.eval_grid((cx, cy)) / den_y.eval_grid((cx, cy))
+            dead |= (np.isnan(nx) | np.isnan(ny)) & (period == 0)
+            cx, cy = nx, ny
+            dist = np.maximum(_chord_grid(cx, x0), _chord_grid(cy, y0))
+        period[(period == 0) & ~dead & (dist < tol)] = k
+    period[dead] = -1
+    out[row_lo:row_hi, :] = period
 
 
 def period_grid(
@@ -71,7 +63,6 @@ def period_grid(
     n_max: int,
     tol: float,
     threads: int | None = None,
-    backend=None,
 ) -> np.ndarray:
     """Per-cell minimal period (int16): 0 none, -1 left the finite chart.
 
@@ -79,25 +70,26 @@ def period_grid(
     cells are independent and writes disjoint, so the result does not
     depend on the execution order.
     """
-    impl = backend or _impl
-    coefs, exps, offs = pack_map(m)
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    if m.dim != 2:
+        raise ValueError("grid kernels support 2d maps")
+    polys = [p for pair in m.components for p in pair]
+    if any(complex(c).imag != 0 for p in polys for c in p.terms.values()):
+        raise ValueError("grid kernels need real coefficients")
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((ys.shape[0], xs.shape[0]), dtype=np.int16)
     if threads is None:
         threads = int(os.environ.get("IVPP_THREADS", "1"))
     threads = max(1, min(threads, ys.shape[0]))
     if threads == 1:
-        impl.period_grid(coefs, exps, offs, xs, ys, n_max, tol, out, 0, ys.shape[0])
+        _rows(polys, xs, ys, n_max, tol, out, 0, ys.shape[0])
         return out
     from concurrent.futures import ThreadPoolExecutor
 
     edges = np.linspace(0, ys.shape[0], threads + 1, dtype=int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [
-            pool.submit(
-                impl.period_grid, coefs, exps, offs, xs, ys, n_max, tol, out, int(a), int(b)
-            )
+            pool.submit(_rows, polys, xs, ys, n_max, tol, out, int(a), int(b))
             for a, b in zip(edges[:-1], edges[1:])
             if b > a
         ]

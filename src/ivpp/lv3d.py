@@ -89,10 +89,6 @@ def lv_period2_param(x: float, r: float, sign: str = "+") -> Point:
     return Point([x, a / (x - 1), b / (x - 1)])
 
 
-def lv_is_real_branch(x: float, r: float) -> bool:
-    return lv_discriminant(x, r) >= 0
-
-
 def lv_decompose_period2(r: float, sign: str = "+") -> ComponentDecomposition:
     """x-direction intervals (-inf, 0], (0, 1], (1, inf] with the sheet pairing.
 

@@ -72,17 +72,6 @@ class Mobius:
     def matrix(self) -> Tuple[Tuple[complex, complex], Tuple[complex, complex]]:
         return ((self.a, self.b), (self.c, self.d))
 
-    def projectively_close(self, other: "Mobius", tol: float = 1e-9, samples: int = 20) -> bool:
-        """Same action on the projective line, up to an overall scalar."""
-        import random
-
-        rng = random.Random(1234)
-        for _ in range(samples):
-            x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            if self(x).chordal(other(x)) > tol:
-                return False
-        return True
-
 
 def level_matrix(r: complex) -> Mobius:
     """The reduced-map matrix [[1, -r], [-1, 1]] on the level x*y = r."""

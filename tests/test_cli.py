@@ -202,6 +202,8 @@ def test_denoms_pgm(tmp_path):
         ["orbit", "--map", "f2d-reduced", "--start", "1", "--steps", "2"],
         ["ivpp", "--map", "f3d", "--period", "2"],
         ["decompose", "--map", "f3d", "--period", "3"],
+        ["orbit", "--map", "f2d", "--start", "2,-1.5", "--steps", "0"],
+        ["orbit", "--map", "f2d", "--start", "2,-1.5", "--steps", "100001"],
     ],
 )
 def test_usage_errors_exit_2(argv):

@@ -1,70 +1,13 @@
-import os
-import subprocess
-import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ivpp.kernel as kernel
-from ivpp.core import chordal
+from ivpp.core import Point, RationalMap, chordal
 from ivpp.dsl import parse_map
 from ivpp.maps import f2d, f2d_reduced
-
-
-def test_a_backend_is_selected():
-    assert kernel.BACKEND in ("cython", "python")
-
-
-def test_both_backends_load_explicitly():
-    py = kernel.load_backend("python")
-    assert py.BACKEND_NAME == "python"
-    try:
-        cy = kernel.load_backend("cython")
-    except ImportError:
-        pytest.skip("extension not built")
-    assert cy.BACKEND_NAME == "cython"
-
-
-def test_pure_python_env_override():
-    code = (
-        "import ivpp.kernel as k; print(k.BACKEND)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "IVPP_PURE_PYTHON": "1"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-def test_backends_agree_on_f2d():
-    try:
-        cy = kernel.load_backend("cython")
-    except ImportError:
-        pytest.skip("extension not built")
-    py = kernel.load_backend("python")
-    xs = np.linspace(-4, 4, 301)
-    ys = np.linspace(-4, 4, 301)
-    g1 = kernel.period_grid(f2d(), xs, ys, 8, 1e-6, backend=cy)
-    g2 = kernel.period_grid(f2d(), xs, ys, 8, 1e-6, backend=py)
-    assert np.array_equal(g1, g2)
-
-
-def test_backends_agree_on_a_dsl_map_with_powers():
-    try:
-        cy = kernel.load_backend("cython")
-    except ImportError:
-        pytest.skip("extension not built")
-    py = kernel.load_backend("python")
-    m = parse_map("dim 2; x' = (x^2 - y)/(1 - x); y' = (y^2 + x)/(1 + y);")
-    xs = np.linspace(-2, 2, 201)
-    ys = np.linspace(-2, 2, 201)
-    g1 = kernel.period_grid(m, xs, ys, 6, 1e-6, backend=cy)
-    g2 = kernel.period_grid(m, xs, ys, 6, 1e-6, backend=py)
-    # power evaluation may differ in the last ulp between backends
-    assert (g1 == g2).mean() > 0.999
+from ivpp.poly import Polynomial
 
 
 def test_kernel_finds_the_fixed_line():
@@ -100,18 +43,50 @@ def test_thread_count_from_the_environment(monkeypatch):
     assert np.array_equal(g_env, g_serial)
 
 
-def test_pack_map_rejects_non_2d():
-    with pytest.raises(ValueError):
-        kernel.pack_map(f2d_reduced(-3))
+def test_period_grid_rejects_non_2d_maps():
+    xs = np.linspace(-1, 1, 3)
+    with pytest.raises(ValueError, match="2d"):
+        kernel.period_grid(f2d_reduced(-3), xs, xs, 4, 1e-9)
+
+
+def test_period_grid_rejects_complex_coefficients():
+    x, y = Polynomial.var(0, 2), Polynomial.var(1, 2)
+    one = Polynomial.const(1, 2)
+    m = RationalMap([(x.scale(1j), one), (y, one)])
+    xs = np.linspace(-1, 1, 3)
+    with pytest.raises(ValueError, match="real coefficients"):
+        kernel.period_grid(m, xs, xs, 4, 1e-9)
+
+
+LYNESS = parse_map((Path(__file__).parents[1] / "perfbench" / "lyness.rmap").read_text())
+POWERS = parse_map("dim 2; x' = (x^2 - y)/(1 - x); y' = (y^2 + x)/(1 + y);")
+
+
+@pytest.mark.parametrize(
+    "m, lo, hi, n_max",
+    [(f2d(), -2.0, 2.0, 6), (LYNESS, -3.0, 3.0, 8), (POWERS, -2.0, 2.0, 6)],
+    ids=["f2d", "lyness", "powers"],
+)
+def test_kernel_matches_scalar_detect_period(m, lo, hi, n_max):
+    xs = np.linspace(lo, hi, 41)
+    tol = 1e-6
+    g = kernel.period_grid(m, xs, xs, n_max, tol)
+    checked = 0
+    for i, y in enumerate(xs):
+        for j, x in enumerate(xs):
+            if g[i, j] < 0:
+                continue
+            want = m.detect_period(Point([float(x), float(y)]), n_max, tol)
+            assert g[i, j] == (want or 0), (x, y)
+            checked += 1
+    assert checked > 0.9 * g.size
 
 
 def test_python_chordal_helper_matches_core():
-    from ivpp._kernel_py import _chord_grid
-
     vals = np.asarray([0.0, 1.0, -1.0, 3.5, 1e120, np.inf, -np.inf, 1e-30])
     for a in vals:
         for b in vals:
-            got = float(_chord_grid(np.asarray([a]), np.asarray([b]))[0])
+            got = float(kernel._chord_grid(np.asarray([a]), np.asarray([b]))[0])
             aa = np.inf if np.isinf(a) else float(a)
             bb = np.inf if np.isinf(b) else float(b)
             want = chordal(
