@@ -131,7 +131,7 @@ def _cmd_ivpp(args) -> int:
         "map": "f2d",
         "period": args.period,
         "monic": list(g.monic),
-        "scaled": list(g.scaled) if g.scaled else None,
+        "scaled": list(g.scaled),
         "scale": g.scale,
         "branches": [{"m": b.m, "rho": b.rho, "label": b.label} for b in branches(args.period)],
     }

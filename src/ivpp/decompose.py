@@ -13,10 +13,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import Indeterminate, OrbitTrace, Point, RationalMap
 from .ivpp2d import IvppBranch
+from .kernel import step
 from .maps import f2d
 from .mobius import boundary_cs
 
@@ -192,52 +195,23 @@ def boundaries_analytic(branch: IvppBranch, tol_imag: float = 1e-9) -> List[floa
 _HUGE = 1e8
 
 
-def _coerce_coords(vals) -> Tuple[complex, ...]:
-    if isinstance(vals, Point):
-        return tuple(c.value if c.is_finite else complex(math.inf, 0) for c in vals.coords)
-    return tuple(complex(v) for v in vals)
+def _flow_x(m: RationalMap, coords: List[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """x-coordinates of the points 0..n-1 of the flow from arrays of starts.
+
+    An orbit is dead, and reads nan from then on, once a step gives 0/0.
+    """
+    alive = np.ones(coords[0].shape, dtype=bool)
+    for k in range(n):
+        if k:
+            _, coords = step(m, coords)
+            for c in coords:
+                alive &= ~np.isnan(c)
+        yield np.where(alive, coords[0], np.nan)
 
 
-def _flow_x_coords(
-    m: RationalMap, param: Callable[[float], Sequence[complex]], x: float, n: int
-) -> List[float]:
-    """Real x-coordinates of the n-step flow; inf on blowups, nan on dead orbits."""
-    try:
-        coords = _coerce_coords(param(x))
-    except ZeroDivisionError:
-        coords = None
-    out = []
-    for _ in range(n):
-        if coords is None:
-            out.append(math.nan)
-            continue
-        out.append(coords[0].real if not _bad(coords[0]) else math.inf)
-        nxt = m.eval_raw(coords)
-        if any(_nan(c) for c in nxt):
-            coords = None
-        else:
-            coords = nxt
-    return out
-
-
-def _bad(c: complex) -> bool:
-    return math.isinf(c.real) or math.isinf(c.imag)
-
-
-def _nan(c: complex) -> bool:
-    return math.isnan(c.real) or math.isnan(c.imag)
-
-
-def _signature(xs: List[float]) -> Tuple[int, ...]:
-    sig = []
-    for v in xs:
-        if math.isnan(v):
-            sig.append(9)
-        elif math.isinf(v):
-            sig.append(5)
-        else:
-            sig.append(1 if v > 0 else (-1 if v < 0 else 0))
-    return tuple(sig)
+def _digits(x: np.ndarray) -> np.ndarray:
+    """One signature digit per orbit: the sign of x, 5 at infinity, 9 when dead."""
+    return np.where(np.isnan(x), 9.0, np.where(np.isinf(x), 5.0, np.sign(x)))
 
 
 def boundaries_empirical(
@@ -256,23 +230,27 @@ def boundaries_empirical(
     plain zero crossings.  The point at infinity is probed through the
     u = 1/x chart: it is a boundary when the signatures on the two sides
     of u = 0 disagree, which for the parameter-is-x flows used here they
-    always do.
+    always do.  ``param`` gives real coordinates, and each stage pushes all
+    its points through one vector flow.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError("empty window")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
 
-    def sig_at(x: float) -> Tuple[int, ...]:
-        return _signature(_flow_x_coords(m, param, x, n))
+    def point(x: float) -> Point:
+        vals = param(x)
+        return vals if isinstance(vals, Point) else Point(list(vals))
 
     # closure pre-check on a few generic interior points
     probes = [lo + (hi - lo) * t for t in (0.137, 0.411, 0.739)]
     closed_any = False
     for x in probes:
         try:
-            vals = param(x)
-            p = vals if isinstance(vals, Point) else Point(list(vals))
-            if m.iterate(p, n).closed:
+            if m.iterate(point(x), n).closed:
                 closed_any = True
                 break
         except (Indeterminate, ZeroDivisionError, ValueError):
@@ -280,27 +258,42 @@ def boundaries_empirical(
     if not closed_any:
         raise NoClosure(f"sampled points do not return after {n} steps")
 
-    xs = [lo + (hi - lo) * i / samples for i in range(samples + 1)]
-    sigs = [sig_at(x) for x in xs]
-    found: List[float] = []
-    for i in range(samples):
-        if sigs[i] == sigs[i + 1]:
-            continue
-        a, b = xs[i], xs[i + 1]
-        sa = sigs[i]
-        while b - a > tol * 0.01:
-            mid = 0.5 * (a + b)
-            if sig_at(mid) == sa:
-                a = mid
-            else:
-                b = mid
-        x_star = 0.5 * (a + b)
-        # keep only pole crossings: near a boundary some iterate is huge
-        flow = _flow_x_coords(m, param, x_star, n)
-        if any(math.isinf(v) or (not math.isnan(v) and abs(v) > _HUGE) for v in flow):
-            found.append(x_star)
-    out = _dedup_sorted(found, tol=10 * tol)
-    if sig_at(1.0 / 1e-9) != sig_at(-1.0 / 1e-9):  # the u = 1/x chart around u = 0
+    def starts(xs: np.ndarray) -> List[np.ndarray]:
+        """float64 coordinate arrays of param at xs; nan where param has a pole."""
+        rows = np.full((xs.size, m.dim), np.nan)
+        for i, x in enumerate(xs.tolist()):
+            try:
+                rows[i] = [c.value.real if c.is_finite else math.inf for c in point(x).coords]
+            except ZeroDivisionError:
+                pass
+        return list(rows.T)
+
+    # the samples, then the two sides of u = 1/x = 0
+    xs = np.append(lo + (hi - lo) * np.arange(samples + 1) / samples, [1.0 / 1e-9, -1.0 / 1e-9])
+    change = np.zeros(xs.size - 1, dtype=bool)
+    for x in _flow_x(m, starts(xs), n):
+        change |= np.diff(_digits(x)) != 0
+
+    # bisect every discontinuity in lockstep against its left sample's signature
+    i = np.flatnonzero(change[:samples])
+    a, b = xs[i], xs[i + 1]
+    left = starts(a)
+    while (act := np.flatnonzero(b - a > tol * 0.01)).size:
+        mid = 0.5 * (a[act] + b[act])
+        same = np.ones(act.size, dtype=bool)
+        for x in _flow_x(m, [np.append(l[act], s) for l, s in zip(left, starts(mid))], n):
+            d = _digits(x)
+            same &= d[: act.size] == d[act.size :]
+        a[act[same]] = mid[same]
+        b[act[~same]] = mid[~same]
+
+    # keep only pole crossings: near a boundary some iterate is huge
+    x_star = 0.5 * (a + b)
+    pole = np.zeros(x_star.size, dtype=bool)
+    for x in _flow_x(m, starts(x_star), n):
+        pole |= np.abs(x) > _HUGE
+    out = _dedup_sorted(x_star[pole].tolist(), tol=10 * tol)
+    if change[-1]:
         out.append(INF_F)
     return out
 

@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import RationalMap
+from .kernel import step
 from .poly import Polynomial
 
 
@@ -46,6 +47,8 @@ class DenominatorZeroSet:
 
 def cell_centers(window, resolution) -> Tuple[np.ndarray, np.ndarray]:
     x0, x1, y0, y1 = window
+    if not (np.isfinite(x1 - x0) and np.isfinite(y1 - y0)):
+        raise ValueError("window bounds and widths must be finite")
     w, h = resolution
     dx, dy = (x1 - x0) / w, (y1 - y0) / h
     xs = x0 + dx * (np.arange(w) + 0.5)
@@ -75,37 +78,27 @@ def denominator_zero_curves(
         raise ValueError("the window scan supports 2d maps; use the exact k=1 list instead")
 
     xs, ys = cell_centers(window, resolution)
-    X, Y = np.meshgrid(xs, ys)
-    cur = [X.astype(np.float64), Y.astype(np.float64)]
-    alive = np.ones(X.shape, dtype=bool)
-    first_pole = np.zeros(X.shape, dtype=np.int16)
+    coords = np.meshgrid(xs, ys)
+    shape = coords[0].shape
+    alive = np.ones(shape, dtype=bool)
+    first_pole = np.zeros(shape, dtype=np.int16)
     curves: List[DenominatorCurve] = []
     for k in range(1, k_max + 1):
-        step_cross = np.zeros(X.shape, dtype=bool)
-        den_vals = []
-        for j, (_, den) in enumerate(m.components):
-            with np.errstate(all="ignore"):
-                D = den.eval_grid(cur)
-            D = np.where(alive, D, np.nan)
-            cross = np.zeros(X.shape, dtype=bool)
+        # images of dead cells are fed back unmasked: every output masks them by ``alive``
+        den_vals, coords = step(m, coords)
+        step_cross = np.zeros(shape, dtype=bool)
+        for j, D in enumerate(den_vals):
+            D[~alive] = np.nan
+            cross = np.zeros(shape, dtype=bool)
             s = np.sign(D)
             cross[:, :-1] |= (s[:, :-1] * s[:, 1:]) < 0
             cross[:-1, :] |= (s[:-1, :] * s[1:, :]) < 0
             cross &= alive
             curves.append(DenominatorCurve(k, j, D, cross))
             step_cross |= cross
-            den_vals.append(D)
-        newly = step_cross & (first_pole == 0)
-        first_pole[newly] = k
-        with np.errstate(all="ignore"):
-            nxt = []
-            for j, (num, den) in enumerate(m.components):
-                nxt.append(num.eval_grid(cur) / den_vals[j])
-            bad = np.zeros(X.shape, dtype=bool)
-            for arr in nxt:
-                bad |= ~np.isfinite(arr)
-        alive &= ~bad
-        cur = [np.where(alive, arr, np.nan) for arr in nxt]
+        first_pole[step_cross & (first_pole == 0)] = k
+        for arr in coords:
+            alive &= np.isfinite(arr)
     return DenominatorZeroSet(k_max, tuple(window), tuple(resolution), dens, tuple(curves), first_pole)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm
 from typing import List, Optional, Tuple
 
 from .core import InfiniteCoordinate, Point
@@ -82,8 +82,8 @@ class GammaPolynomial:
 
     n: int
     monic: Tuple[float, ...]  # ascending-degree coefficients, leading 1.0
-    scaled: Optional[Tuple[int, ...]]  # integer-scaled form, when recognizable
-    scale: Optional[int]
+    scaled: Tuple[int, ...]  # the same polynomial times ``scale``: integers, content 1
+    scale: int
 
     @property
     def degree(self) -> int:
@@ -96,33 +96,46 @@ class GammaPolynomial:
         return acc
 
 
-def gamma_poly(n: int) -> GammaPolynomial:
-    """Monic period-n polynomial in r, plus its integer-scaled form."""
-    roots = [math.tan(math.pi * m / n) ** 2 for m in admissible_m(n)]
-    coeffs = [1.0]
-    for t in roots:  # multiply running polynomial by (r + t)
-        nxt = [0.0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] += c * t
-        coeffs = nxt
-    monic = tuple(coeffs)
+def _all_m_poly(n: int) -> List[Fraction]:
+    """Monic prod of (r + tan^2(pi*m/n)) over every m with 1 <= m < n/2, ascending.
 
-    fracs = []
-    ok = True
-    for c in monic:
-        f = Fraction(c).limit_denominator(10**7)
-        if abs(float(f) - c) > 1e-9 * max(1.0, abs(c)):
-            ok = False
-            break
-        fracs.append(f)
-    if ok:
-        scale = 1
-        for f in fracs:
-            scale = scale * f.denominator // gcd(scale, f.denominator)
-        scaled = tuple(int(f * scale) for f in fracs)
-        return GammaPolynomial(n, monic, scaled, scale)
-    return GammaPolynomial(n, monic, None, None)
+    tan(n t) vanishes at t = pi*m/n, and with r = -tan^2(t) the numerator of
+    its multiple-angle formula is tan(t) * sum_k C(n, 2k+1) r^k.
+    """
+    coeffs = [Fraction(comb(n, 2 * k + 1)) for k in range((n + 1) // 2)]
+    return [c / coeffs[-1] for c in coeffs]
+
+
+def _divide(num: List[Fraction], den: List[Fraction]) -> List[Fraction]:
+    """Exact quotient of ascending coefficient lists by a monic divisor."""
+    num = list(num)
+    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    for i in reversed(range(len(out))):
+        out[i] = num[i + len(den) - 1]
+        for j, c in enumerate(den):
+            num[i + j] -= out[i] * c
+    return out
+
+
+def gamma_poly(n: int) -> GammaPolynomial:
+    """Monic period-n polynomial in r, plus its integer form, computed exactly.
+
+    Each m < n/2 has the reduced period d = n / gcd(m, n) > 2, so the
+    all-m product of period n is the product of gamma_d over the divisors
+    d > 2 of n; gamma_n is what is left after dividing out the others.
+    """
+    _check_n(n)
+    gammas = {}
+    for d in range(3, n + 1):
+        if n % d == 0:
+            q = _all_m_poly(d)
+            for e, g in gammas.items():
+                if d % e == 0:
+                    q = _divide(q, g)
+            gammas[d] = q
+    exact = gammas[n]
+    scale = lcm(*(c.denominator for c in exact))
+    return GammaPolynomial(n, tuple(float(c) for c in exact), tuple(int(c * scale) for c in exact), scale)
 
 
 def on_ivpp(n: int, p: Point, tol: float = 1e-9) -> Optional[int]:

@@ -1,21 +1,33 @@
-"""Numpy grid kernel: the per-cell minimal period of a 2d map on a raster.
+"""Numpy orbit step and grid kernel.
 
-Each cell (x, y) is iterated up to n_max steps in double precision; its
-value is the first k whose iterate is within tol of the start under the
-chordal metric, 0 when there is none, and -1 when the orbit leaves the
-finite chart first (0/0 or a pole transit).  The map's four component
-polynomials are evaluated with ``Polynomial.eval_grid``.
+``step`` applies a map of any dimension to arrays of points with IEEE
+semantics (inf on a pole, nan on 0/0) and also returns the denominators
+it evaluated.  The period grid, the pole-depth layers and the empirical
+boundary scan all iterate through it.  ``period_grid`` gives each cell of
+a 2d map's raster the first k <= n_max whose iterate is within tol of the
+start under the chordal metric, 0 when there is none, and -1 when the
+orbit leaves the finite chart first (0/0 or a pole transit).
 """
 
 from __future__ import annotations
 
 import os
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .core import RationalMap
 
 BACKEND = "python"
+
+
+def step(m: RationalMap, coords: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """(denominators, images) of m at arrays of one shape, one per variable;
+    both are lists of new arrays of that shape, one per component."""
+    with np.errstate(all="ignore"):
+        dens = [den.eval_grid(coords) for _, den in m.components]
+        images = [num.eval_grid(coords) / d for (num, _), d in zip(m.components, dens)]
+    return dens, images
 
 
 def _homogeneous(a):
@@ -37,19 +49,15 @@ def _chord_grid(a, b):
     return np.abs(u1 * v2 - u2 * v1)
 
 
-def _rows(polys, xs, ys, n_max, tol, out, row_lo, row_hi):
-    """Fill out[row_lo:row_hi, :] for the polynomials (num_x, den_x, num_y, den_y)."""
-    num_x, den_x, num_y, den_y = polys
-    x0, y0 = np.meshgrid(xs, ys[row_lo:row_hi])
-    cx, cy = x0, y0
+def _rows(m, xs, ys, n_max, tol, out, row_lo, row_hi):
+    """Fill out[row_lo:row_hi, :] with the minimal periods of the 2d map m."""
+    cx, cy = x0, y0 = np.meshgrid(xs, ys[row_lo:row_hi])
     period = np.zeros(x0.shape, dtype=np.int16)
     dead = np.zeros(x0.shape, dtype=bool)
     for k in range(1, n_max + 1):
+        _, (cx, cy) = step(m, (cx, cy))
         with np.errstate(all="ignore"):
-            nx = num_x.eval_grid((cx, cy)) / den_x.eval_grid((cx, cy))
-            ny = num_y.eval_grid((cx, cy)) / den_y.eval_grid((cx, cy))
-            dead |= (np.isnan(nx) | np.isnan(ny)) & (period == 0)
-            cx, cy = nx, ny
+            dead |= (np.isnan(cx) | np.isnan(cy)) & (period == 0)
             dist = np.maximum(_chord_grid(cx, x0), _chord_grid(cy, y0))
         period[(period == 0) & ~dead & (dist < tol)] = k
     period[dead] = -1
@@ -82,14 +90,14 @@ def period_grid(
         threads = int(os.environ.get("IVPP_THREADS", "1"))
     threads = max(1, min(threads, ys.shape[0]))
     if threads == 1:
-        _rows(polys, xs, ys, n_max, tol, out, 0, ys.shape[0])
+        _rows(m, xs, ys, n_max, tol, out, 0, ys.shape[0])
         return out
     from concurrent.futures import ThreadPoolExecutor
 
     edges = np.linspace(0, ys.shape[0], threads + 1, dtype=int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [
-            pool.submit(_rows, polys, xs, ys, n_max, tol, out, int(a), int(b))
+            pool.submit(_rows, m, xs, ys, n_max, tol, out, int(a), int(b))
             for a, b in zip(edges[:-1], edges[1:])
             if b > a
         ]

@@ -173,7 +173,7 @@ class Polynomial:
         return acc
 
     def eval_grid(self, arrays):
-        """Evaluate on broadcastable numpy arrays, one per variable."""
+        """Evaluate on broadcastable numpy arrays, one per variable; returns an array."""
         acc = None
         for exps, c in self._compiled():
             term = c.real if c.imag == 0 else c
@@ -181,10 +181,10 @@ class Polynomial:
                 if e:
                     term = term * arr**e
             acc = term if acc is None else acc + term
-        if acc is None:
+        if not hasattr(acc, "shape"):  # zero or constant: one array of the common shape
             import numpy as np
 
-            return np.zeros_like(arrays[0])
+            return np.full(np.broadcast(*arrays).shape, 0.0 if acc is None else acc)
         return acc
 
     def partial_eval(self, values: Dict[int, complex]) -> "Polynomial":

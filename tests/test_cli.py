@@ -204,6 +204,10 @@ def test_denoms_pgm(tmp_path):
         ["decompose", "--map", "f3d", "--period", "3"],
         ["orbit", "--map", "f2d", "--start", "2,-1.5", "--steps", "0"],
         ["orbit", "--map", "f2d", "--start", "2,-1.5", "--steps", "100001"],
+        ["raster", "--mode", "period", "--window=-inf,inf,-1,1", "--res", "4x4", "-o", "/tmp/x.pgm"],
+        ["raster", "--mode", "period", "--window=-1e308,1e308,-1,1", "--res", "4x4", "-o", "/tmp/x.pgm"],
+        ["denoms", "--window=-inf,inf,-1,1", "--res", "4x4", "-o", "/tmp/x.pgm"],
+        ["denoms", "--window=-1e308,1e308,-1,1", "--res", "4x4", "-o", "/tmp/x.pgm"],
     ],
 )
 def test_usage_errors_exit_2(argv):

@@ -94,17 +94,24 @@ def test_non_real_boundary_guard(monkeypatch):
 # -- empirical boundaries ------------------------------------------------------------
 
 
+# every (n, m) of n = 3..16 on which the empirical scan finds all analytic cuts
+EMPIRICAL_BRANCHES = [
+    (3, 1), (4, 1), (5, 1), (5, 2), (6, 1), (7, 1), (7, 2), (9, 1), (9, 2), (11, 1),
+    (11, 2), (11, 3), (13, 1), (13, 2), (13, 3), (13, 4), (15, 1), (15, 2), (15, 4),
+]
+
+
 def test_empirical_agrees_with_analytic_everywhere():
-    for n in (3, 4, 5, 6):
-        for b in branches(n):
-            ana = boundaries_analytic(b)
-            emp = boundaries_empirical(f2d(), b.point, n)
-            assert len(ana) == len(emp)
-            for u, v in zip(ana, emp):
-                if math.isinf(u):
-                    assert math.isinf(v)
-                else:
-                    assert abs(u - v) < 1e-7
+    for n, m in EMPIRICAL_BRANCHES:
+        (b,) = [b for b in branches(n) if b.m == m]
+        ana = boundaries_analytic(b)
+        emp = boundaries_empirical(f2d(), b.point, n)
+        assert len(ana) == len(emp), (n, m)
+        for u, v in zip(ana, emp):
+            if math.isinf(u):
+                assert math.isinf(v)
+            else:
+                assert abs(u - v) < 1e-7, (n, m)
 
 
 def test_empirical_on_the_1d_recurrence():
@@ -113,6 +120,12 @@ def test_empirical_on_the_1d_recurrence():
     assert len(got) == 2
     assert got[0] == pytest.approx(1.0, abs=1e-7)
     assert math.isinf(got[1])
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-9}, {"samples": 0}])
+def test_empirical_refuses_out_of_contract_input(kwargs):
+    with pytest.raises(ValueError):
+        boundaries_empirical(f2d(), branches(3)[0].point, 3, **kwargs)
 
 
 def test_empirical_no_closure_on_a_wrong_period():

@@ -3,6 +3,7 @@ import pytest
 
 from ivpp.decompose import decompose
 from ivpp.denoms import denominator_zero_curves
+from ivpp.dsl import parse_map
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d, f3d
 from ivpp.poly import Polynomial
@@ -48,6 +49,16 @@ def test_depth_guard_and_dimension_guard():
         denominator_zero_curves(f2d(), 7)
     with pytest.raises(ValueError):
         denominator_zero_curves(f3d(), 2, (-1, 1, -1, 1), (10, 10))
+
+
+def test_pole_depths_of_a_map_with_a_constant_denominator():
+    m = parse_map("dim 2; x' = y; y' = (1 + y)/x;")  # Lyness: den_x is 1
+    zs = denominator_zero_curves(m, 2, (-1, 1, -1, 1), (20, 20))
+    const = [c for c in zs.curves if c.component == 0]
+    assert [c.values.shape for c in const] == [(20, 20), (20, 20)]
+    assert (const[0].values == 1.0).all()
+    assert not any(c.crossing.any() for c in const)
+    assert zs.layer(1)[:, 9].all()  # the pole line x = 0 runs between columns 9 and 10
 
 
 def test_depth2_layer_marks_preimages_of_the_pole_line():

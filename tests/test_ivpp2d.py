@@ -1,6 +1,8 @@
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -75,20 +77,29 @@ def test_gamma_poly_printed_forms(n, expected):
     assert g.degree == len(branches(n))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 12])
+@pytest.mark.parametrize("n", [*range(3, 61), 210])
 def test_gamma_poly_against_sympy_minimal_polynomials(n):
-    """Exact oracle: expand prod(r + tan^2(pi m/n)) in sympy."""
-    r = sympy.Symbol("r")
-    prod = sympy.Integer(1)
-    for m in range(1, (n + 1) // 2):
-        if math.gcd(m, n) == 1:
-            prod *= r + sympy.tan(sympy.pi * m / n) ** 2
-    exact = sympy.Poly(sympy.expand(sympy.radsimp(sympy.simplify(prod))), r)
-    exact_coeffs = [float(c) for c in reversed(exact.all_coeffs())]
+    """Oracles: sympy's exact minimal polynomial of -tan^2(pi/n) up to n = 12, and for
+    every n the product of (r + tan^2(pi m/n)) and its roots at 100 digits."""
     g = gamma_poly(n)
-    assert len(g.monic) == len(exact_coeffs)
-    for got, want in zip(g.monic, exact_coeffs):
-        assert got == pytest.approx(want, abs=1e-9, rel=1e-9)
+    assert g.degree == sympy.totient(n) // 2
+    assert math.gcd(*g.scaled) == 1 and g.scaled[-1] == g.scale > 0
+    assert g.monic == tuple(float(Fraction(c, g.scale)) for c in g.scaled)
+    with mpmath.workdps(100):
+        tiny = mpmath.mpf(10) ** -80
+        roots = [mpmath.tan(mpmath.pi * b.m / n) ** 2 for b in branches(n)]
+        product = [mpmath.mpf(1)]
+        for t in roots:  # multiply by (r + t)
+            product = [a + t * c for a, c in zip([0, *product], [*product, 0])]
+        for c, want in zip(g.scaled, product):
+            assert abs(mpmath.mpf(c) / g.scale - want) <= tiny * want
+        for t in roots:
+            terms = [c * (-t) ** k for k, c in enumerate(g.scaled)]
+            assert abs(mpmath.fsum(terms)) <= tiny * mpmath.fsum(abs(v) for v in terms)
+    if n <= 12:
+        r = sympy.Symbol("r")
+        exact = sympy.Poly(sympy.minimal_polynomial(-sympy.tan(sympy.pi / n) ** 2, r), r)
+        assert [int(c) for c in reversed(exact.all_coeffs())] == list(g.scaled)
 
 
 def test_root_agreement():

@@ -6,7 +6,7 @@ import pytest
 import ivpp.kernel as kernel
 from ivpp.core import Point, RationalMap, chordal
 from ivpp.dsl import parse_map
-from ivpp.maps import f2d, f2d_reduced
+from ivpp.maps import f2d, f2d_reduced, lv_recurrence_map
 from ivpp.poly import Polynomial
 
 
@@ -24,6 +24,27 @@ def test_kernel_marks_pole_transits_undefined():
     ys = np.asarray([2.0])
     g = kernel.period_grid(f2d(), xs, ys, 4, 1e-9)
     assert g[0, 0] == -1
+
+
+def test_step_at_the_exact_pole_of_f2d():
+    xs, ys = np.asarray([1.0, 1.0, 2.0]), np.asarray([2.0, 1.0, -1.5])
+    dens, (nx, ny) = kernel.step(f2d(), (xs, ys))
+    assert dens[0].tolist() == [0.0, 0.0, 1.0]  # den_x = x - 1
+    assert dens[1].tolist() == [1.0, 0.0, -2.5]  # den_y = y - 1
+    assert nx[0] == np.inf and ny[0] == 0.0  # (1, 2) -> (1/0, 0/1)
+    assert np.isnan(nx[1]) and np.isnan(ny[1])  # (1, 1) is 0/0
+    assert (nx[2], ny[2]) == pytest.approx((-5.0, 0.6))
+
+
+def test_step_on_a_1d_map():
+    m = lv_recurrence_map()  # x -> -x/(1 - x)
+    xs = np.asarray([1.0, 0.0, 2.0, -3.0, np.inf])
+    dens, (images,) = kernel.step(m, (xs,))
+    assert dens[0].tolist() == [0.0, -1.0, 1.0, -4.0, np.inf]
+    assert images[0] == np.inf and images[1] == 0.0
+    assert images[2] == m.eval_raw((2.0,))[0].real == 2.0
+    assert images[3] == m.eval_raw((-3.0,))[0].real
+    assert np.isnan(images[4])  # inf/inf
 
 
 def test_kernel_thread_split_matches_serial():
