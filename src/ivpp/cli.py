@@ -236,13 +236,10 @@ def _cmd_denoms(args) -> int:
         fh.write(header + np.clip(depth, 0, 255).astype(np.uint8)[::-1, :].tobytes())
     if args.csv:
         from .denoms import cell_centers
+        from .raster import write_csv
 
         xs, ys = cell_centers(window, res)
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("x,y,first_pole_k\n")
-            for i in range(res[1]):
-                for j in range(res[0]):
-                    fh.write(f"{xs[j]:.17g},{ys[i]:.17g},{int(depth[i, j])}\n")
+        write_csv(args.csv, "x,y,first_pole_k", xs, ys, (depth,))
     return 0
 
 

@@ -50,6 +50,8 @@ def cell_centers(window, resolution) -> Tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(x1 - x0) and np.isfinite(y1 - y0)):
         raise ValueError("window bounds and widths must be finite")
     w, h = resolution
+    if w * h > 4096 * 4096:  # every grid command allocates from these centres
+        raise ValueError("resolution capped at 4096 x 4096")
     dx, dy = (x1 - x0) / w, (y1 - y0) / h
     xs = x0 + dx * (np.arange(w) + 0.5)
     ys = y0 + dy * (np.arange(h) + 0.5)

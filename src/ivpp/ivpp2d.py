@@ -134,8 +134,12 @@ def gamma_poly(n: int) -> GammaPolynomial:
                     q = _divide(q, g)
             gammas[d] = q
     exact = gammas[n]
+    try:
+        monic = tuple(float(c) for c in exact)
+    except OverflowError:
+        raise ValueError(f"period {n}: gamma coefficients exceed the float range") from None
     scale = lcm(*(c.denominator for c in exact))
-    return GammaPolynomial(n, tuple(float(c) for c in exact), tuple(int(c * scale) for c in exact), scale)
+    return GammaPolynomial(n, monic, tuple(int(c * scale) for c in exact), scale)
 
 
 def on_ivpp(n: int, p: Point, tol: float = 1e-9) -> Optional[int]:

@@ -42,23 +42,25 @@ def _homogeneous(a):
     return u, v
 
 
-def _chord_grid(a, b):
-    """Chordal distance |u1 v2 - u2 v1| on arrays; handles inf, propagates nan."""
+def _chord_grid(a, uv):
+    """Chordal distance |u1 v2 - u2 v1| from a to b, given uv = _homogeneous(b);
+    on arrays, handles inf, propagates nan."""
     u1, v1 = _homogeneous(a)
-    u2, v2 = _homogeneous(b)
+    u2, v2 = uv
     return np.abs(u1 * v2 - u2 * v1)
 
 
 def _rows(m, xs, ys, n_max, tol, out, row_lo, row_hi):
     """Fill out[row_lo:row_hi, :] with the minimal periods of the 2d map m."""
     cx, cy = x0, y0 = np.meshgrid(xs, ys[row_lo:row_hi])
+    start = _homogeneous(x0), _homogeneous(y0)  # projected once, compared at every step
     period = np.zeros(x0.shape, dtype=np.int16)
     dead = np.zeros(x0.shape, dtype=bool)
     for k in range(1, n_max + 1):
         _, (cx, cy) = step(m, (cx, cy))
         with np.errstate(all="ignore"):
             dead |= (np.isnan(cx) | np.isnan(cy)) & (period == 0)
-            dist = np.maximum(_chord_grid(cx, x0), _chord_grid(cy, y0))
+            dist = np.maximum(_chord_grid(cx, start[0]), _chord_grid(cy, start[1]))
         period[(period == 0) & ~dead & (dist < tol)] = k
     period[dead] = -1
     out[row_lo:row_hi, :] = period

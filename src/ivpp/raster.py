@@ -67,14 +67,19 @@ class TilingRaster:
 
     def to_csv(self, path: str) -> None:
         xs, ys = self.cells()
-        with open(path, "w") as fh:
-            fh.write("x,y,period,component\n")
-            for i in range(self.height):
-                for j in range(self.width):
-                    fh.write(
-                        f"{xs[j]:.17g},{ys[i]:.17g},"
-                        f"{int(self.period[i, j])},{int(self.component[i, j])}\n"
-                    )
+        write_csv(path, "x,y,period,component", xs, ys, (self.period, self.component))
+
+
+def write_csv(path: str, header: str, xs, ys, layers) -> None:
+    """One line per cell, rows from the smallest y: x and y (%.17g), then each integer layer.
+
+    Coordinates are formatted once and each row is written with one join: O(width) memory."""
+    xcol = [f"{x:.17g}," for x in xs.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i, y in enumerate(ys.tolist()):
+            row = ("{}" + f"{y:.17g}" + ",{}" * len(layers) + "\n").format
+            fh.write("".join(map(row, xcol, *(layer[i].tolist() for layer in layers))))
 
 
 def raster(
@@ -97,8 +102,6 @@ def raster(
     rasters it reads n on every classified cell.
     """
     w, h = resolution
-    if w * h > 4096 * 4096:
-        raise ValueError("resolution capped at 4096 x 4096")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not 1 <= n_max <= PERIOD_MAX:

@@ -27,6 +27,20 @@ def reduced_exact(r: Fraction, x: Fraction) -> Fraction:
     return (x - r) / (1 - x)
 
 
+# a window whose cell centres are not round numbers, so every digit of %.17g shows
+JITTERED_WINDOW = (-4.0 + 0.0123456789, 4.0 + 0.0123456789, -3.0 - 0.00987654321, 5.0 - 0.00987654321)
+
+
+def csv_per_cell(header: str, xs, ys, layers) -> bytes:
+    """Reference CSV text of the grid outputs, formatted one cell at a time."""
+    lines = [header]
+    for i in range(len(ys)):
+        for j in range(len(xs)):
+            values = "".join(f",{int(layer[i, j])}" for layer in layers)
+            lines.append(f"{xs[j]:.17g},{ys[i]:.17g}{values}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 @pytest.fixture(scope="session")
 def exact_period3_orbit():
     """The rational period-3 orbit through (2, -3/2), iterated exactly."""

@@ -3,7 +3,13 @@ import math
 
 import pytest
 
+from conftest import JITTERED_WINDOW, csv_per_cell
 from ivpp.cli import run_captured
+from ivpp.decompose import decompose
+from ivpp.denoms import cell_centers, denominator_zero_curves
+from ivpp.ivpp2d import branches
+from ivpp.maps import f2d
+from ivpp.raster import raster
 
 
 def test_orbit_json_closed_period3():
@@ -192,6 +198,29 @@ def test_denoms_pgm(tmp_path):
     assert len(lines) == 1 + 50 * 50
 
 
+def test_raster_csv_bytes_match_the_per_cell_reference(tmp_path):
+    b = branches(3)[0]
+    R = raster(f2d(), JITTERED_WINDOW, (37, 23), n_max=8, decomp=decompose(b), branch=b)
+    window = "--window=" + ",".join(repr(v) for v in JITTERED_WINDOW)
+    argv = ["raster", "--period", "3", window, "--res", "37x23", "-o", str(tmp_path / "r.pgm")]
+    code, _, err = run_captured(argv + ["--csv", str(tmp_path / "r.csv")])
+    assert code == 0, err
+    xs, ys = R.cells()
+    want = csv_per_cell("x,y,period,component", xs, ys, (R.period, R.component))
+    assert (tmp_path / "r.csv").read_bytes() == want
+
+
+def test_denoms_csv_bytes_match_the_per_cell_reference(tmp_path):
+    zs = denominator_zero_curves(f2d(), 4, JITTERED_WINDOW, (29, 41))
+    window = "--window=" + ",".join(repr(v) for v in JITTERED_WINDOW)
+    argv = ["denoms", "--k-max", "4", window, "--res", "29x41", "-o", str(tmp_path / "d.pgm")]
+    code, _, err = run_captured(argv + ["--csv", str(tmp_path / "d.csv")])
+    assert code == 0, err
+    xs, ys = cell_centers(JITTERED_WINDOW, (29, 41))
+    want = csv_per_cell("x,y,first_pole_k", xs, ys, (zs.first_pole_depth,))
+    assert (tmp_path / "d.csv").read_bytes() == want
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -208,6 +237,10 @@ def test_denoms_pgm(tmp_path):
         ["raster", "--mode", "period", "--window=-1e308,1e308,-1,1", "--res", "4x4", "-o", "/tmp/x.pgm"],
         ["denoms", "--window=-inf,inf,-1,1", "--res", "4x4", "-o", "/tmp/x.pgm"],
         ["denoms", "--window=-1e308,1e308,-1,1", "--res", "4x4", "-o", "/tmp/x.pgm"],
+        ["denoms", "--window=-1,1,-1,1", "--res", "5000x5000", "-o", "/tmp/x.pgm"],
+        ["raster", "--map", "f3d", "--period", "2", "--window=-1,1,-1,1", "--res", "5000x5000",
+         "-o", "/tmp/x.pgm"],
+        ["ivpp", "--map", "f2d", "--period", "1031"],
     ],
 )
 def test_usage_errors_exit_2(argv):

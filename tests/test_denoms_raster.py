@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import JITTERED_WINDOW, csv_per_cell
 from ivpp.decompose import decompose
-from ivpp.denoms import denominator_zero_curves
+from ivpp.denoms import cell_centers, denominator_zero_curves
 from ivpp.dsl import parse_map
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d, f3d
 from ivpp.poly import Polynomial
-from ivpp.raster import lv_raster, raster
+from ivpp.raster import lv_raster, raster, write_csv
 
 
 # -- denominator zero sets -------------------------------------------------------
@@ -142,6 +145,23 @@ def test_raster_csv(tmp_path, small_period3_raster):
     assert len(lines) == 1 + 200 * 200
 
 
+LAYER_VALUES = np.array([-1, 0, 7, 12, 327, 32767, -32768], dtype=np.int16)
+
+
+@pytest.mark.parametrize("resolution", [(1, 1), (7, 3), (3, 8)])
+@pytest.mark.parametrize("header", ["x,y,period,component", "x,y,first_pole_k"])
+def test_csv_writer_matches_the_per_cell_reference(tmp_path, resolution, header):
+    w, h = resolution
+    xs, ys = cell_centers(JITTERED_WINDOW, resolution)
+    layers = [
+        np.roll(np.resize(LAYER_VALUES, w * h), shift).reshape(h, w)
+        for shift in range(header.count(",") - 1)
+    ]
+    path = tmp_path / "out.csv"
+    write_csv(str(path), header, xs, ys, layers)
+    assert path.read_bytes() == csv_per_cell(header, xs, ys, layers)
+
+
 def test_period_layer_band_mode():
     """With a cell-sized tolerance the raw period layer shows the variety band;
     at the strict default tolerance off-variety cells stay empty."""
@@ -191,8 +211,19 @@ def test_raster_threads_are_equivalent():
 
 
 def test_resolution_guard():
-    with pytest.raises(ValueError):
-        raster(f2d(), (-1, 1, -1, 1), (5000, 5000), n_max=2)
+    """Every grid path refuses more than 4096^2 cells before it allocates a grid."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="4096"):
+            raster(f2d(), (-1, 1, -1, 1), (5000, 5000), n_max=2)
+        with pytest.raises(ValueError, match="4096"):
+            lv_raster((-1, 1, -1, 1), (5000, 5000))
+        with pytest.raises(ValueError, match="4096"):
+            denominator_zero_curves(f2d(), 2, (-1, 1, -1, 1), (5000, 5000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one 5000-cell row of float64 is 40 kB, the grid 200 MB
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"n_max": 0}, {"n_max": 40000}])

@@ -102,6 +102,11 @@ def test_gamma_poly_against_sympy_minimal_polynomials(n):
         assert [int(c) for c in reversed(exact.all_coeffs())] == list(g.scaled)
 
 
+def test_gamma_poly_refuses_periods_whose_coefficients_overflow_a_float():
+    with pytest.raises(ValueError, match="period 1031"):
+        gamma_poly(1031)
+
+
 def test_root_agreement():
     for n in (3, 4, 5, 6):
         g = gamma_poly(n)

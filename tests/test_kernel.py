@@ -107,7 +107,7 @@ def test_python_chordal_helper_matches_core():
     vals = np.asarray([0.0, 1.0, -1.0, 3.5, 1e120, np.inf, -np.inf, 1e-30])
     for a in vals:
         for b in vals:
-            got = float(kernel._chord_grid(np.asarray([a]), np.asarray([b]))[0])
+            got = float(kernel._chord_grid(np.asarray([a]), kernel._homogeneous(np.asarray([b])))[0])
             aa = np.inf if np.isinf(a) else float(a)
             bb = np.inf if np.isinf(b) else float(b)
             want = chordal(
