@@ -18,12 +18,14 @@ from typing import List, Optional, Tuple
 from . import serialize
 from .core import Indeterminate, InfiniteCoordinate, Point, RationalMap
 from .decompose import (
+    BOUNDARY_TOL,
     NoClosure,
     NonRealBoundary,
     NotACycle,
     PoleHit,
     boundaries_analytic,
     boundaries_empirical,
+    compare_boundaries,
     decompose,
 )
 from .dsl import ParseDiagnostic, SemanticError, format_map, maps_equal, parse_map
@@ -176,21 +178,24 @@ def _cmd_boundaries(args) -> int:
         emp = boundaries_empirical(m, lambda x: (x,), args.period)
     else:
         raise UsageError("boundaries supports 1d and 2d maps")
-    lines = []
     if ana is None:
-        lines.append("#   empirical")
-        for i, v in enumerate(emp):
-            lines.append(f"{i:<3d} {v:.15g}")
-    else:
-        lines.append("#   analytic              empirical             |diff|")
-        worst = 0.0
-        for i, (u, v) in enumerate(zip(ana, emp)):
-            diff = 0.0 if (math.isinf(u) and math.isinf(v)) else abs(u - v)
-            worst = max(worst, diff)
-            lines.append(f"{i:<3d} {u:<21.15g} {v:<21.15g} {diff:.2e}")
-        lines.append(f"max |diff| = {worst:.3e}")
+        lines = ["#   empirical"] + [f"{i:<3d} {v:.15g}" for i, v in enumerate(emp)]
+        _emit("\n".join(lines) + "\n", args.output)
+        return 0
+    rows, worst = compare_boundaries(ana, emp)
+    lines = ["#   analytic              empirical             |diff|"]
+    for i, (u, v, diff) in enumerate(rows):
+        cells = ("" if c is None else format(c, ".15g") for c in (u, v))
+        lines.append(f"{i:<3d} " + "".join(f"{c:<21} " for c in cells) + f"{diff:.2e}")
+    lines.append(f"max |diff| = {worst:.3e}")
     _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    if worst < BOUNDARY_TOL:
+        return 0
+    sys.stderr.write(
+        f"error: {len(emp)} empirical vs {len(ana)} analytic boundaries, "
+        f"max |diff| {worst:.3e} not below {BOUNDARY_TOL:g}\n"
+    )
+    return 1
 
 
 def _cmd_raster(args) -> int:
@@ -213,31 +218,23 @@ def _cmd_raster(args) -> int:
             R = raster(m, window, res, n_max=args.n_max, tol=args.tol, decomp=d, branch=b)
         else:
             R = raster(m, window, res, n_max=args.n_max, tol=args.tol)
-    layer = "component" if args.mode == "component" else "period"
-    with open(args.output, "wb") as fh:
-        fh.write(R.to_pgm_bytes(layer))
+    R.to_pgm(args.output, "component" if args.mode == "component" else "period")
     if args.csv:
         R.to_csv(args.csv)
     return 0
 
 
 def _cmd_denoms(args) -> int:
-    from .denoms import denominator_zero_curves
+    from .denoms import cell_centers, denominator_zero_curves
+    from .raster import pgm_bytes, write_csv
 
     m = _load_map(args.map)
     window = _parse_window(args.window)
     res = _parse_resolution(args.resolution)
-    zs = denominator_zero_curves(m, args.k_max, window, res)
-    depth = zs.first_pole_depth
-    header = f"P5\n{res[0]} {res[1]}\n255\n".encode()
-    import numpy as np
-
+    depth = denominator_zero_curves(m, args.k_max, window, res).first_pole_depth
     with open(args.output, "wb") as fh:
-        fh.write(header + np.clip(depth, 0, 255).astype(np.uint8)[::-1, :].tobytes())
+        fh.write(pgm_bytes(depth))
     if args.csv:
-        from .denoms import cell_centers
-        from .raster import write_csv
-
         xs, ys = cell_centers(window, res)
         write_csv(args.csv, "x,y,first_pole_k", xs, ys, (depth,))
     return 0

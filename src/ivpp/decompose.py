@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -296,6 +297,24 @@ def boundaries_empirical(
     if change[-1]:
         out.append(INF_F)
     return out
+
+
+BOUNDARY_TOL = 1e-7  # the routes agree when every paired |analytic - empirical| is below this
+
+
+def compare_boundaries(
+    analytic: Sequence[float], empirical: Sequence[float]
+) -> Tuple[List[Tuple[Optional[float], Optional[float], float]], float]:
+    """Rows (analytic, empirical, |diff|) over the longer list, and the largest |diff|.
+
+    A list shorter than the other reads None in its cell and |diff| inf, so
+    differing counts never agree; equal infinities differ by 0.
+    """
+    rows = [
+        (u, v, math.inf if u is None or v is None else 0.0 if u == v else abs(u - v))
+        for u, v in zip_longest(analytic, empirical)
+    ]
+    return rows, max((d for _, _, d in rows), default=0.0)
 
 
 # -- decomposition ------------------------------------------------------------

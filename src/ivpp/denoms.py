@@ -3,18 +3,20 @@
 Component boundaries of a period-n variety sit on the intersection of the
 variety with the locus where some iterate hits a pole; the k-th layer here
 marks, per grid cell, a sign change of a component denominator evaluated
-along the orbit at depth k (the orbit's first pole).
+along the orbit at depth k (the orbit's first pole).  The orbits run in
+the kernel's row blocks; only int8 signs and bool masks are kept per
+(depth, component), never the float denominators themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import RationalMap
-from .kernel import step
+from .kernel import blocks, step
 from .poly import Polynomial
 
 
@@ -24,7 +26,7 @@ class DenominatorCurve:
 
     depth: int  # k: the application at which the pole occurs
     component: int  # j: which component's denominator
-    values: np.ndarray  # signed samples (nan where the orbit died earlier)
+    values: np.ndarray  # int8 sign of the denominator (0 where the orbit died earlier)
     crossing: np.ndarray  # bool: sign change toward the right/down neighbor
 
 
@@ -80,27 +82,34 @@ def denominator_zero_curves(
         raise ValueError("the window scan supports 2d maps; use the exact k=1 list instead")
 
     xs, ys = cell_centers(window, resolution)
-    coords = np.meshgrid(xs, ys)
-    shape = coords[0].shape
-    alive = np.ones(shape, dtype=bool)
-    first_pole = np.zeros(shape, dtype=np.int16)
-    curves: List[DenominatorCurve] = []
-    for k in range(1, k_max + 1):
-        # images of dead cells are fed back unmasked: every output masks them by ``alive``
-        den_vals, coords = step(m, coords)
-        step_cross = np.zeros(shape, dtype=bool)
-        for j, D in enumerate(den_vals):
-            D[~alive] = np.nan
-            cross = np.zeros(shape, dtype=bool)
-            s = np.sign(D)
-            cross[:, :-1] |= (s[:, :-1] * s[:, 1:]) < 0
-            cross[:-1, :] |= (s[:-1, :] * s[1:, :]) < 0
-            cross &= alive
-            curves.append(DenominatorCurve(k, j, D, cross))
-            step_cross |= cross
-        first_pole[step_cross & (first_pole == 0)] = k
-        for arr in coords:
-            alive &= np.isfinite(arr)
-    return DenominatorZeroSet(k_max, tuple(window), tuple(resolution), dens, tuple(curves), first_pole)
-
-
+    w, h = resolution
+    curves = tuple(
+        DenominatorCurve(k, j, np.zeros((h, w), dtype=np.int8), np.zeros((h, w), dtype=bool))
+        for k in range(1, k_max + 1)
+        for j in range(len(dens))
+    )
+    first_pole = np.zeros((h, w), dtype=np.int16)
+    for lo, hi in blocks(w, h):
+        # one halo row below the block feeds the vertical sign-change test of row hi - 1
+        coords = np.meshgrid(xs, ys[lo : min(hi + 1, h)])
+        alive = np.ones(coords[0].shape, dtype=bool)
+        depth = first_pole[lo:hi]
+        for k in range(1, k_max + 1):
+            # images of dead cells are fed back unmasked: the signs mask them by ``alive``
+            den_vals, coords = step(m, coords)
+            step_cross = np.zeros(depth.shape, dtype=bool)
+            for j, D in enumerate(den_vals):
+                s = np.zeros(D.shape, dtype=np.int8)
+                s[alive & (D > 0)] = 1
+                s[alive & (D < 0)] = -1
+                cross = np.zeros(D.shape, dtype=bool)
+                cross[:, :-1] |= (s[:, :-1] * s[:, 1:]) < 0
+                cross[:-1, :] |= (s[:-1, :] * s[1:, :]) < 0
+                curve = curves[(k - 1) * len(dens) + j]
+                curve.values[lo:hi] = s[: hi - lo]
+                curve.crossing[lo:hi] = cross[: hi - lo]
+                step_cross |= cross[: hi - lo]
+            depth[step_cross & (depth == 0)] = k
+            for arr in coords:
+                alive &= np.isfinite(arr)
+    return DenominatorZeroSet(k_max, tuple(window), tuple(resolution), dens, curves, first_pole)

@@ -6,7 +6,9 @@ it evaluated.  The period grid, the pole-depth layers and the empirical
 boundary scan all iterate through it.  ``period_grid`` gives each cell of
 a 2d map's raster the first k <= n_max whose iterate is within tol of the
 start under the chordal metric, 0 when there is none, and -1 when the
-orbit leaves the finite chart first (0/0 or a pole transit).
+orbit leaves the finite chart first (0/0 or a pole transit).  Both grid
+layers run in the row blocks of ``blocks``, so their float temporaries
+are bounded by ``BLOCK_CELLS`` cells whatever the grid's size.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ import numpy as np
 from .core import RationalMap
 
 BACKEND = "python"
+BLOCK_CELLS = 1 << 15  # cells per row block of the grid layers
+
+
+def blocks(w: int, h: int) -> List[Tuple[int, int]]:
+    """Row ranges [lo, hi) covering h rows of width w, about BLOCK_CELLS cells each."""
+    rows = max(1, BLOCK_CELLS // max(w, 1))
+    return [(lo, min(lo + rows, h)) for lo in range(0, h, rows)]
 
 
 def step(m: RationalMap, coords: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
@@ -76,9 +85,9 @@ def period_grid(
 ) -> np.ndarray:
     """Per-cell minimal period (int16): 0 none, -1 left the finite chart.
 
-    Rows are split across ``threads`` workers (IVPP_THREADS by default);
-    cells are independent and writes disjoint, so the result does not
-    depend on the execution order.
+    The row blocks are shared among ``threads`` workers (IVPP_THREADS by
+    default); cells are independent and writes disjoint, so the result
+    does not depend on the execution order.
     """
     if m.dim != 2:
         raise ValueError("grid kernels support 2d maps")
@@ -88,21 +97,20 @@ def period_grid(
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((ys.shape[0], xs.shape[0]), dtype=np.int16)
+    spans = blocks(xs.shape[0], ys.shape[0])
+
+    def fill(span: Tuple[int, int]) -> None:
+        _rows(m, xs, ys, n_max, tol, out, *span)
+
     if threads is None:
         threads = int(os.environ.get("IVPP_THREADS", "1"))
-    threads = max(1, min(threads, ys.shape[0]))
+    threads = max(1, min(threads, len(spans)))
     if threads == 1:
-        _rows(m, xs, ys, n_max, tol, out, 0, ys.shape[0])
+        for span in spans:
+            fill(span)
         return out
     from concurrent.futures import ThreadPoolExecutor
 
-    edges = np.linspace(0, ys.shape[0], threads + 1, dtype=int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_rows, m, xs, ys, n_max, tol, out, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
-        ]
-        for f in futures:
-            f.result()
+        list(pool.map(fill, spans))
     return out

@@ -56,10 +56,7 @@ class TilingRaster:
 
     def to_pgm_bytes(self, layer: str = "component") -> bytes:
         """Binary PGM (P5); byte = zero-based class index + 1, 0 = unclassified."""
-        grid = getattr(self, layer)
-        data = np.clip(grid, 0, 255).astype(np.uint8)
-        header = f"P5\n{self.width} {self.height}\n255\n".encode()
-        return header + data[::-1, :].tobytes()  # top row = largest y
+        return pgm_bytes(getattr(self, layer))
 
     def to_pgm(self, path: str, layer: str = "component") -> None:
         with open(path, "wb") as fh:
@@ -68,6 +65,13 @@ class TilingRaster:
     def to_csv(self, path: str) -> None:
         xs, ys = self.cells()
         write_csv(path, "x,y,period,component", xs, ys, (self.period, self.component))
+
+
+def pgm_bytes(grid: np.ndarray) -> bytes:
+    """Binary PGM (P5) of an (h, w) integer layer: clipped to 0..255, top row = largest y."""
+    h, w = grid.shape
+    data = np.clip(grid, 0, 255).astype(np.uint8)[::-1, :]
+    return f"P5\n{w} {h}\n255\n".encode() + data.tobytes()
 
 
 def write_csv(path: str, header: str, xs, ys, layers) -> None:

@@ -15,7 +15,13 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .core import INF, ExtendedComplex, Indeterminate, Point
-from .decompose import boundaries_analytic, boundaries_empirical, decompose
+from .decompose import (
+    BOUNDARY_TOL,
+    boundaries_analytic,
+    boundaries_empirical,
+    compare_boundaries,
+    decompose,
+)
 from .ivpp2d import branches, gamma_poly
 from .lv3d import (
     lv_decompose_period2,
@@ -187,11 +193,9 @@ def check_boundary_agreement() -> Tuple[bool, str]:
             emp = boundaries_empirical(f2d(), b.point, n)
             if len(ana) != len(emp):
                 return False, f"n={n} m={b.m}: {len(emp)} empirical vs {len(ana)} analytic"
-            for u, v in zip(ana, emp):
-                if math.isfinite(u) or math.isfinite(v):
-                    worst = max(worst, abs(u - v))
+            worst = max(worst, compare_boundaries(ana, emp)[1])
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-7 and elapsed < 30.0
+    ok = worst < BOUNDARY_TOL and elapsed < 30.0
     return ok, f"max disagreement {worst:.2e}, {elapsed:.1f}s (< 30s)"
 
 

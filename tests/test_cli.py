@@ -102,6 +102,17 @@ def test_boundaries_table():
     assert worst < 1e-7
 
 
+def test_boundaries_disagreement_exits_1():
+    """n = 8: the scan finds 6 of the 8 cuts; every row of both lists is printed."""
+    code, out, err = run_captured(["boundaries", "--map", "f2d", "--period", "8"])
+    assert code == 1
+    rows = out.strip().splitlines()[1:-1]
+    assert len(rows) == 8
+    assert rows[-1].split() == ["7", "inf", "inf"]  # analytic infinity, blank empirical cell, |diff|
+    assert out.strip().endswith("max |diff| = inf")
+    assert "6 empirical vs 8 analytic" in err
+
+
 def test_boundaries_1d_map():
     code, out, err = run_captured(["boundaries", "--map", "lv-recurrence", "--period", "2"])
     assert code == 0, err
@@ -208,6 +219,28 @@ def test_raster_csv_bytes_match_the_per_cell_reference(tmp_path):
     xs, ys = R.cells()
     want = csv_per_cell("x,y,period,component", xs, ys, (R.period, R.component))
     assert (tmp_path / "r.csv").read_bytes() == want
+
+
+def _pgm_per_cell(grid) -> bytes:
+    h, w = grid.shape
+    body = bytes(min(255, max(0, int(grid[i, j]))) for i in reversed(range(h)) for j in range(w))
+    return f"P5\n{w} {h}\n255\n".encode() + body
+
+
+def test_pgm_bytes_match_the_per_cell_reference(tmp_path):
+    """Both commands write their PGM through raster.pgm_bytes, with the top row at the largest y."""
+    window = "--window=" + ",".join(repr(v) for v in JITTERED_WINDOW)
+    zs = denominator_zero_curves(f2d(), 4, JITTERED_WINDOW, (29, 41))
+    argv = ["denoms", "--k-max", "4", window, "--res", "29x41", "-o", str(tmp_path / "d.pgm")]
+    code, _, err = run_captured(argv)
+    assert code == 0, err
+    assert (tmp_path / "d.pgm").read_bytes() == _pgm_per_cell(zs.first_pole_depth)
+    R = raster(f2d(), JITTERED_WINDOW, (37, 23), n_max=8, tol=0.05)
+    argv = ["raster", "--mode", "period", "--tol", "0.05", window, "--res", "37x23"]
+    code, _, err = run_captured(argv + ["-o", str(tmp_path / "p.pgm")])
+    assert code == 0, err
+    assert (tmp_path / "p.pgm").read_bytes() == _pgm_per_cell(R.period)
+    assert len(set(R.period.flat)) > 2  # the band tolerance gives a layer of several periods
 
 
 def test_denoms_csv_bytes_match_the_per_cell_reference(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from ivpp import serialize
 from ivpp.decompose import (
+    BOUNDARY_TOL,
     ComponentDecomposition,
     NoClosure,
     NonRealBoundary,
@@ -16,6 +17,7 @@ from ivpp.decompose import (
     boundaries_analytic,
     boundaries_empirical,
     classify,
+    compare_boundaries,
     decompose,
     trace_flow,
 )
@@ -126,6 +128,26 @@ def test_empirical_on_the_1d_recurrence():
 def test_empirical_refuses_out_of_contract_input(kwargs):
     with pytest.raises(ValueError):
         boundaries_empirical(f2d(), branches(3)[0].point, 3, **kwargs)
+
+
+def test_compare_boundaries_flags_a_wrong_cut_list():
+    ana = boundaries_analytic(branches(5)[0])  # -1, -0.236..., 0.236..., 1, inf
+    rows, worst = compare_boundaries(ana, ana)
+    assert worst == 0.0 and [(u, v) for u, v, _ in rows] == list(zip(ana, ana))
+
+    shifted = ana[:1] + [ana[1] + 1e-6] + ana[2:]  # one cut off by more than the tolerance
+    rows, worst = compare_boundaries(ana, shifted)
+    assert worst == pytest.approx(1e-6) and worst > BOUNDARY_TOL
+    assert [d for _, _, d in rows].index(worst) == 1
+
+    missing = ana[:2] + ana[3:]  # a cut the scan did not find: every row is printed
+    rows, worst = compare_boundaries(ana, missing)
+    assert len(rows) == len(ana) and rows[-1] == (math.inf, None, math.inf)
+    assert worst == math.inf
+
+    rows, worst = compare_boundaries(ana[:-1], ana)  # the longer list is the empirical one
+    assert rows[-1] == (None, math.inf, math.inf) and worst == math.inf
+    assert compare_boundaries(ana[:-1] + [-math.inf], ana)[1] == math.inf
 
 
 def test_empirical_no_closure_on_a_wrong_period():

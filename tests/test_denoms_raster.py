@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import JITTERED_WINDOW, csv_per_cell
+from ivpp import kernel
 from ivpp.decompose import decompose
 from ivpp.denoms import cell_centers, denominator_zero_curves
 from ivpp.dsl import parse_map
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d, f3d
 from ivpp.poly import Polynomial
-from ivpp.raster import lv_raster, raster, write_csv
+from ivpp.raster import lv_raster, pgm_bytes, raster, write_csv
 
 
 # -- denominator zero sets -------------------------------------------------------
@@ -58,10 +59,45 @@ def test_pole_depths_of_a_map_with_a_constant_denominator():
     m = parse_map("dim 2; x' = y; y' = (1 + y)/x;")  # Lyness: den_x is 1
     zs = denominator_zero_curves(m, 2, (-1, 1, -1, 1), (20, 20))
     const = [c for c in zs.curves if c.component == 0]
-    assert [c.values.shape for c in const] == [(20, 20), (20, 20)]
-    assert (const[0].values == 1.0).all()
+    assert [(c.values.shape, c.values.dtype) for c in const] == [((20, 20), np.int8)] * 2
+    assert (const[0].values == 1).all()  # the sign of den_x on every cell
     assert not any(c.crossing.any() for c in const)
     assert zs.layer(1)[:, 9].all()  # the pole line x = 0 runs between columns 9 and 10
+
+
+def _same_pole_depths(a, b):
+    assert np.array_equal(a.first_pole_depth, b.first_pole_depth)
+    assert all(np.array_equal(a.layer(k), b.layer(k)) for k in range(1, a.k_max + 1))
+    assert [(c.depth, c.component) for c in a.curves] == [(c.depth, c.component) for c in b.curves]
+    for c, d in zip(a.curves, b.curves):
+        assert np.array_equal(c.values, d.values) and np.array_equal(c.crossing, d.crossing)
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["one-row-blocks", "three-row-blocks"])
+@pytest.mark.parametrize("resolution", [(31, 23), (1, 23), (23, 1)])
+def test_pole_depths_in_blocks_equal_a_single_block(monkeypatch, rows, resolution):
+    whole = denominator_zero_curves(f2d(), 4, JITTERED_WINDOW, resolution)
+    assert kernel.blocks(*resolution) == [(0, resolution[1])]
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * resolution[0])  # 23 rows do not split into threes
+    _same_pole_depths(denominator_zero_curves(f2d(), 4, JITTERED_WINDOW, resolution), whole)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_a_pole_line_on_a_block_seam(monkeypatch, rows):
+    """y = 1 lies between rows 14 and 15 of this grid, and row 15 starts a block:
+    the halo row carries the sign change of den_y = y - 1 across the seam."""
+    window, res = (-2.0, 2.0, -2.0, 2.0), (17, 20)
+    whole = denominator_zero_curves(f2d(), 3, window, res)
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * res[0])
+    assert 15 in [lo for lo, _ in kernel.blocks(*res)]
+    blocked = denominator_zero_curves(f2d(), 3, window, res)
+    _same_pole_depths(blocked, whole)
+    _, ys = cell_centers(window, res)
+    assert ys[14] < 1.0 < ys[15]
+    den_y = blocked.curves[1]
+    assert (den_y.values[14] == -1).all() and (den_y.values[15] == 1).all()
+    assert den_y.crossing[14].all() and not den_y.crossing[15].any()
+    assert (blocked.first_pole_depth[14] == 1).all()
 
 
 def test_depth2_layer_marks_preimages_of_the_pole_line():
@@ -143,6 +179,11 @@ def test_raster_csv(tmp_path, small_period3_raster):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,period,component"
     assert len(lines) == 1 + 200 * 200
+
+
+def test_pgm_bytes_clip_and_flip():
+    grid = np.array([[-1, 0, 300], [5, 255, 256]], dtype=np.int16)  # row 0 = smallest y
+    assert pgm_bytes(grid) == b"P5\n3 2\n255\n" + bytes([5, 255, 255, 0, 0, 255])
 
 
 LAYER_VALUES = np.array([-1, 0, 7, 12, 327, 32767, -32768], dtype=np.int16)
@@ -238,8 +279,6 @@ def test_out_of_contract_input_is_refused_on_entry(kwargs, with_branch):
 
 
 def test_branch_raster_runs_the_kernel_only_when_period_is_read(monkeypatch):
-    from ivpp import kernel
-
     calls = []
     original = kernel.period_grid
 
@@ -259,8 +298,6 @@ def test_branch_raster_runs_the_kernel_only_when_period_is_read(monkeypatch):
 
 
 def test_lazy_period_layer_matches_the_direct_override():
-    from ivpp import kernel
-
     b = branches(5)[1]
     window, res = (-12, 12, -12, 12), (150, 150)
     R = raster(f2d(), window, res, n_max=6, decomp=decompose(b), branch=b)

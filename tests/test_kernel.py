@@ -64,6 +64,48 @@ def test_thread_count_from_the_environment(monkeypatch):
     assert np.array_equal(g_env, g_serial)
 
 
+def test_blocks_cover_the_rows_in_order(monkeypatch):
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", 30)
+    assert kernel.blocks(10, 7) == [(0, 3), (3, 6), (6, 7)]
+    assert kernel.blocks(31, 2) == [(0, 1), (1, 2)]  # a row wider than a block is one block
+    assert kernel.blocks(1, 65) == [(0, 30), (30, 60), (60, 65)]
+    assert kernel.blocks(5, 0) == []
+
+
+def _seam_grid(w, h):
+    """Cell centres of a jittered window whose cells are not symmetric about 0."""
+    return np.linspace(-2.9, 3.1, w) + 0.0123, np.linspace(-3.1, 2.9, h) - 0.0099
+
+
+BAND_TOL = 0.05  # wide enough that the layers show several periods, not one value
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["one-row-blocks", "three-row-blocks"])
+@pytest.mark.parametrize("w, h", [(13, 17), (1, 23), (23, 1)])
+@pytest.mark.parametrize("name", ["f2d", "lyness"])
+def test_period_grid_in_blocks_equals_a_single_block(monkeypatch, rows, w, h, name):
+    m = f2d() if name == "f2d" else LYNESS
+    xs, ys = _seam_grid(w, h)
+    whole = kernel.period_grid(m, xs, ys, 8, BAND_TOL)
+    assert kernel.blocks(w, h) == [(0, h)]  # the default block holds these grids whole
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * w)  # 17 and 23 rows do not split into threes
+    assert len(kernel.blocks(w, h)) == -(-h // rows)
+    assert np.array_equal(kernel.period_grid(m, xs, ys, 8, BAND_TOL), whole)
+
+
+@pytest.mark.parametrize("name", ["f2d", "lyness"])
+def test_two_threads_share_the_blocks_of_one(monkeypatch, name):
+    m = f2d() if name == "f2d" else LYNESS
+    xs, ys = _seam_grid(40, 29)
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", 3 * 40)
+    monkeypatch.setenv("IVPP_THREADS", "2")
+    g2 = kernel.period_grid(m, xs, ys, 8, BAND_TOL)
+    monkeypatch.setenv("IVPP_THREADS", "1")
+    g1 = kernel.period_grid(m, xs, ys, 8, BAND_TOL)
+    assert np.array_equal(g2, g1)
+    assert len(np.unique(g1)) > 1
+
+
 def test_period_grid_rejects_non_2d_maps():
     xs = np.linspace(-1, 1, 3)
     with pytest.raises(ValueError, match="2d"):
