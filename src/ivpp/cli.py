@@ -9,6 +9,7 @@ fixed inputs; IVPP_THREADS caps raster parallelism.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -172,7 +173,7 @@ def _cmd_boundaries(args) -> int:
             )
         b = _pick_branch(args.period, args.branch or "1")
         ana = boundaries_analytic(b)
-        emp = boundaries_empirical(m, b.point, args.period)
+        emp = boundaries_empirical(m, b.coords, args.period)
     elif m.dim == 1:
         ana = None
         emp = boundaries_empirical(m, lambda x: (x,), args.period)
@@ -264,7 +265,9 @@ def _cmd_verify(args) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state between calls."""
     top = argparse.ArgumentParser(prog="ivpp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

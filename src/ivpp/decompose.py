@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -76,8 +77,12 @@ class ComponentDecomposition:
         if self.convention not in ("left-closed", "right-closed"):
             raise ValueError(f"unknown convention {self.convention!r}")
 
-    def finite_boundaries(self) -> Tuple[float, ...]:
+    @cached_property
+    def _finite(self) -> Tuple[float, ...]:
         return tuple(b for b in self.boundaries if math.isfinite(b))
+
+    def finite_boundaries(self) -> Tuple[float, ...]:
+        return self._finite
 
     @property
     def n_components(self) -> int:
@@ -95,15 +100,23 @@ class ComponentDecomposition:
         x within tol of a cut point counts as sitting on the cut, so the
         half-open convention decides its side; this keeps the printed
         boundary memberships stable against the ~1e-16 noise the closed
-        forms carry.
+        forms carry.  The cuts within tol of x are adjacent in the sorted
+        list, so x snaps to the lowest of them, found from its bisect
+        position in O(log n).
         """
         if math.isinf(x):
             return self.n_components
         fin = self.finite_boundaries()
-        for b in fin:
-            if abs(x - b) <= tol * max(1.0, abs(b)):
-                x = b
-                break
+
+        def near(j: int) -> bool:
+            return abs(x - fin[j]) <= tol * max(1.0, abs(fin[j]))
+
+        p = bisect_left(fin, x)
+        j = p
+        while j > 0 and near(j - 1):
+            j -= 1
+        if j < p or (p < len(fin) and near(p)):
+            x = fin[j]
         if self.convention == "left-closed":
             return bisect_right(fin, x) + 1
         return bisect_left(fin, x) + 1
@@ -196,7 +209,7 @@ def boundaries_analytic(branch: IvppBranch, tol_imag: float = 1e-9) -> List[floa
 _HUGE = 1e8
 
 
-def _flow_x(m: RationalMap, coords: List[np.ndarray], n: int) -> Iterator[np.ndarray]:
+def _flow_x(m: RationalMap, coords: Sequence[np.ndarray], n: int) -> Iterator[np.ndarray]:
     """x-coordinates of the points 0..n-1 of the flow from arrays of starts.
 
     An orbit is dead, and reads nan from then on, once a step gives 0/0.
@@ -212,12 +225,31 @@ def _flow_x(m: RationalMap, coords: List[np.ndarray], n: int) -> Iterator[np.nda
 
 def _digits(x: np.ndarray) -> np.ndarray:
     """One signature digit per orbit: the sign of x, 5 at infinity, 9 when dead."""
-    return np.where(np.isnan(x), 9.0, np.where(np.isinf(x), 5.0, np.sign(x)))
+    return np.where(np.isnan(x), 9, np.where(np.isinf(x), 5, np.sign(x))).astype(np.int8)
+
+
+_BISECT_LEVELS = 4  # bisection steps per flow: each round flows 2**4 - 1 midpoints per bracket
+
+
+def _midpoint_tree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every midpoint the next _BISECT_LEVELS bisection steps of [a, b] could take.
+
+    Row j is heap node j: node 0 is the midpoint of [a, b], and the children
+    of a node on [lo, hi] with midpoint c are 2j+1 on [lo, c] and 2j+2 on
+    [c, hi], each computed as 0.5 * (lo + hi) like a sequential step.
+    """
+    los, his, mids = a[None], b[None], []
+    for _ in range(_BISECT_LEVELS):
+        mid = 0.5 * (los + his)
+        mids.append(mid)
+        los = np.stack([los, mid], axis=1).reshape(-1, a.size)
+        his = np.stack([mid, his], axis=1).reshape(-1, a.size)
+    return np.concatenate(mids)
 
 
 def boundaries_empirical(
     m: RationalMap,
-    param: Callable[[float], Sequence[complex]],
+    param: Callable[[np.ndarray], Sequence[np.ndarray]],
     n: int,
     window: Tuple[float, float] = (-6.0, 6.0),
     samples: int = 4800,
@@ -231,8 +263,13 @@ def boundaries_empirical(
     plain zero crossings.  The point at infinity is probed through the
     u = 1/x chart: it is a boundary when the signatures on the two sides
     of u = 0 disagree, which for the parameter-is-x flows used here they
-    always do.  ``param`` gives real coordinates, and each stage pushes all
-    its points through one vector flow.
+    always do.
+
+    ``param`` maps a float64 array of x to real coordinate arrays, one per
+    variable, all nan where the parametrization has a pole.  Each stage
+    pushes all its points through one vector flow; a bisection round flows
+    the whole midpoint tree of its next _BISECT_LEVELS steps at once and
+    then walks it, so its cuts are those of one midpoint per round.
     """
     lo, hi = window
     if not lo < hi:
@@ -242,16 +279,13 @@ def boundaries_empirical(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
-    def point(x: float) -> Point:
-        vals = param(x)
-        return vals if isinstance(vals, Point) else Point(list(vals))
-
-    # closure pre-check on a few generic interior points
-    probes = [lo + (hi - lo) * t for t in (0.137, 0.411, 0.739)]
+    # closure pre-check on a few generic interior points; a nan coordinate
+    # (a pole of param) makes Point raise ValueError, and the probe is skipped
+    probes = lo + (hi - lo) * np.array([0.137, 0.411, 0.739])
     closed_any = False
-    for x in probes:
+    for row in zip(*param(probes)):
         try:
-            if m.iterate(point(x), n).closed:
+            if m.iterate(Point([float(c) for c in row]), n).closed:
                 closed_any = True
                 break
         except (Indeterminate, ZeroDivisionError, ValueError):
@@ -259,39 +293,39 @@ def boundaries_empirical(
     if not closed_any:
         raise NoClosure(f"sampled points do not return after {n} steps")
 
-    def starts(xs: np.ndarray) -> List[np.ndarray]:
-        """float64 coordinate arrays of param at xs; nan where param has a pole."""
-        rows = np.full((xs.size, m.dim), np.nan)
-        for i, x in enumerate(xs.tolist()):
-            try:
-                rows[i] = [c.value.real if c.is_finite else math.inf for c in point(x).coords]
-            except ZeroDivisionError:
-                pass
-        return list(rows.T)
-
     # the samples, then the two sides of u = 1/x = 0
     xs = np.append(lo + (hi - lo) * np.arange(samples + 1) / samples, [1.0 / 1e-9, -1.0 / 1e-9])
+    sig = np.empty((n, xs.size), dtype=np.int8)  # row k: the digits of iterate k
     change = np.zeros(xs.size - 1, dtype=bool)
-    for x in _flow_x(m, starts(xs), n):
-        change |= np.diff(_digits(x)) != 0
+    for k, x in enumerate(_flow_x(m, param(xs), n)):
+        sig[k] = _digits(x)
+        change |= sig[k, 1:] != sig[k, :-1]
 
     # bisect every discontinuity in lockstep against its left sample's signature
     i = np.flatnonzero(change[:samples])
     a, b = xs[i], xs[i + 1]
-    left = starts(a)
-    while (act := np.flatnonzero(b - a > tol * 0.01)).size:
-        mid = 0.5 * (a[act] + b[act])
-        same = np.ones(act.size, dtype=bool)
-        for x in _flow_x(m, [np.append(l[act], s) for l, s in zip(left, starts(mid))], n):
-            d = _digits(x)
-            same &= d[: act.size] == d[act.size :]
-        a[act[same]] = mid[same]
-        b[act[~same]] = mid[~same]
+    left = sig[:, i]
+    thr = tol * 0.01
+    while (act := np.flatnonzero(b - a > thr)).size:
+        mids = _midpoint_tree(a[act], b[act])
+        same = np.ones(mids.shape, dtype=bool)
+        for k, x in enumerate(_flow_x(m, param(mids.ravel()), n)):
+            same &= _digits(x).reshape(mids.shape) == left[k, act]
+        # walk it as sequential bisection would: a midpoint with the left sample's
+        # signature becomes a (go on to node 2j+2), any other becomes b (node 2j+1),
+        # and a bracket within thr stays as it is
+        node, col = np.zeros(act.size, dtype=np.intp), np.arange(act.size)
+        for _ in range(_BISECT_LEVELS):
+            go = b[act] - a[act] > thr
+            mid, s = mids[node, col], same[node, col]
+            a[act] = np.where(go & s, mid, a[act])
+            b[act] = np.where(go & ~s, mid, b[act])
+            node = 2 * node + 1 + s
 
     # keep only pole crossings: near a boundary some iterate is huge
     x_star = 0.5 * (a + b)
     pole = np.zeros(x_star.size, dtype=bool)
-    for x in _flow_x(m, starts(x_star), n):
+    for x in _flow_x(m, param(x_star), n):
         pole |= np.abs(x) > _HUGE
     out = _dedup_sorted(x_star[pole].tolist(), tol=10 * tol)
     if change[-1]:
@@ -333,7 +367,7 @@ def decompose(
     if method == "analytic":
         bounds = boundaries_analytic(branch)
     elif method == "empirical":
-        bounds = boundaries_empirical(f2d(), branch.point, branch.n, window=window)
+        bounds = boundaries_empirical(f2d(), branch.coords, branch.n, window=window)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -361,9 +395,9 @@ def decompose(
 def _cycle_from_samples(decomp: ComponentDecomposition, branch: IvppBranch) -> Tuple[int, ...]:
     m = f2d()
     sigma: List[int] = []
-    for i, x in enumerate(decomp.interior_samples()):
+    for i, (interval, x) in enumerate(zip(decomp.intervals(), decomp.interior_samples())):
         image_x = None
-        for candidate in _sample_candidates(decomp.intervals()[i], x):
+        for candidate in _sample_candidates(interval, x):
             try:
                 img = m.apply(branch.point(candidate))
             except (Indeterminate, ZeroDivisionError):

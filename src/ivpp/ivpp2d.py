@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .core import InfiniteCoordinate, Point
 
 
@@ -63,6 +65,18 @@ class IvppBranch:
 
     def point(self, x: complex) -> Point:
         return Point([x, self.y_of(x)])
+
+    def coords(self, xs: np.ndarray) -> List[np.ndarray]:
+        """``point`` on a float64 array: [x, rho/x], both nan at the pole x = 0.
+
+        Where rho/x overflows, y is +inf, the one projective point at
+        infinity that ``point`` holds there.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ys = self.rho / xs
+        pole = xs == 0
+        return [np.where(pole, np.nan, xs), np.where(pole, np.nan, np.where(np.isinf(ys), np.inf, ys))]
 
     def primitive_root(self) -> complex:
         """Scale factor of the reduced map on this branch: exp(2*pi*i*m/n)."""

@@ -190,7 +190,7 @@ def check_boundary_agreement() -> Tuple[bool, str]:
     for n in (3, 4, 5, 6):
         for b in branches(n):
             ana = boundaries_analytic(b)
-            emp = boundaries_empirical(f2d(), b.point, n)
+            emp = boundaries_empirical(f2d(), b.coords, n)
             if len(ana) != len(emp):
                 return False, f"n={n} m={b.m}: {len(emp)} empirical vs {len(ana)} analytic"
             worst = max(worst, compare_boundaries(ana, emp)[1])

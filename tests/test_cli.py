@@ -282,6 +282,25 @@ def test_usage_errors_exit_2(argv):
     assert err.strip()
 
 
+def test_one_parser_per_process_answers_like_fresh_ones():
+    from ivpp import cli
+
+    argvs = [
+        ["decompose", "--period", "5", "--method", "bogus"],  # argparse refuses: exit 2
+        ["decompose", "--period", "5", "--branch", "2"],
+        ["boundaries"],  # a missing required option
+        ["decompose", "--period", "4", "--method", "empirical"],
+    ]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run_captured(argv))
+    assert [code for code, _, _ in fresh] == [2, 0, 2, 0]
+    cli._build_parser.cache_clear()
+    assert [run_captured(argv) for argv in argvs + argvs] == fresh + fresh
+    assert cli._build_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--mode", "period", "--tol", "-1"], ["--n-max", "0"], ["--n-max", "40000"]],

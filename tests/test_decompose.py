@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ivpp import serialize
 from ivpp.decompose import (
+    _BISECT_LEVELS,
     BOUNDARY_TOL,
     ComponentDecomposition,
     NoClosure,
@@ -24,7 +26,7 @@ from ivpp.decompose import (
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d, lv_recurrence_map
 
-from conftest import f2d_exact
+from conftest import classify_by_loop, f2d_exact, scan_one_midpoint_per_round
 
 SQ5 = math.sqrt(5.0)
 B_PLUS = -2 + SQ5
@@ -107,7 +109,7 @@ def test_empirical_agrees_with_analytic_everywhere():
     for n, m in EMPIRICAL_BRANCHES:
         (b,) = [b for b in branches(n) if b.m == m]
         ana = boundaries_analytic(b)
-        emp = boundaries_empirical(f2d(), b.point, n)
+        emp = boundaries_empirical(f2d(), b.coords, n)
         assert len(ana) == len(emp), (n, m)
         for u, v in zip(ana, emp):
             if math.isinf(u):
@@ -127,7 +129,46 @@ def test_empirical_on_the_1d_recurrence():
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-9}, {"samples": 0}])
 def test_empirical_refuses_out_of_contract_input(kwargs):
     with pytest.raises(ValueError):
-        boundaries_empirical(f2d(), branches(3)[0].point, 3, **kwargs)
+        boundaries_empirical(f2d(), branches(3)[0].coords, 3, **kwargs)
+
+
+def test_coords_is_point_on_arrays():
+    xs = [0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0, -0.37, 1e-300, 7.25]
+    for n in (3, 4, 7, 10):
+        for b in branches(n):
+            want = []
+            for x in xs:
+                try:
+                    want.append([c.value.real if c.is_finite else math.inf for c in b.point(x).coords])
+                except ZeroDivisionError:
+                    want.append([math.nan, math.nan])
+            got = b.coords(np.array(xs))
+            assert len(got) == 2 and all(c.dtype == np.float64 for c in got)
+            np.testing.assert_array_equal(np.array(got).T, np.array(want))
+
+
+def _bisection_rounds(tol, samples, window=(-6.0, 6.0)):
+    """Rounds of halving that take one sample spacing down to the stop rule."""
+    width, rounds = (window[1] - window[0]) / samples, 0
+    while width > tol * 0.01:
+        width, rounds = 0.5 * width, rounds + 1
+    return rounds
+
+
+# the defaults take 28 rounds, whole midpoint trees; the others stop after 3, 2 and 1 levels of a tree
+@pytest.mark.parametrize("tol, samples, last_levels", [
+    (1e-9, 4800, _BISECT_LEVELS), (8e-9, 1200, 3), (1e-9, 1200, 2), (2e-9, 1200, 1),
+])
+def test_tree_bisection_matches_one_midpoint_per_round(tol, samples, last_levels):
+    assert (_bisection_rounds(tol, samples) - 1) % _BISECT_LEVELS + 1 == last_levels
+    for n in range(3, 17):  # every branch, the ones the scan gets wrong included
+        for b in branches(n):
+            want = scan_one_midpoint_per_round(f2d(), b.point, n, samples=samples, tol=tol)
+            got = boundaries_empirical(f2d(), b.coords, n, samples=samples, tol=tol)
+            assert got == want, (n, b.m)
+    m1 = lv_recurrence_map()
+    want = scan_one_midpoint_per_round(m1, lambda x: (x,), 2, samples=samples, tol=tol)
+    assert boundaries_empirical(m1, lambda x: (x,), 2, samples=samples, tol=tol) == want
 
 
 def test_compare_boundaries_flags_a_wrong_cut_list():
@@ -152,7 +193,7 @@ def test_compare_boundaries_flags_a_wrong_cut_list():
 
 def test_empirical_no_closure_on_a_wrong_period():
     with pytest.raises(NoClosure):
-        boundaries_empirical(f2d(), branches(3)[0].point, 4)
+        boundaries_empirical(f2d(), branches(3)[0].coords, 4)
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -243,6 +284,35 @@ def test_classify_is_a_partition():
                 assert (lo == -math.inf or lo <= x + 1e-9) and x < hi + 1e-9
             else:
                 assert lo - 1e-9 < x and (hi == math.inf or x <= hi + 1e-9)
+
+
+def _probe_xs(cuts, rng):
+    xs = [rng.uniform(-10.0, 10.0) for _ in range(20)] + [rng.uniform(-1e4, 1e4) for _ in range(5)]
+    for c in cuts:  # on the cut, inside tol, on its edge and outside
+        step = 1e-9 * max(1.0, abs(c))
+        xs += [c + k * step for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+    return xs + [math.inf, -math.inf, math.nan]
+
+
+def test_classify_equals_the_loop_over_every_cut():
+    rng = random.Random(0xB15EC7)
+    cases = []  # (decomposition, the cuts to probe, conventions)
+    for n in range(3, 41):
+        for b in branches(n):
+            d = decompose(b)
+            cases.append((d, d.finite_boundaries(), ("left-closed", "right-closed")))
+    big = decompose(branches(4000)[0])
+    fin = big.finite_boundaries()
+    cases.append((big, fin[:5] + fin[5:-5:80] + fin[-5:], ("left-closed",)))
+    # cuts closer together than tol: x snaps to the lowest cut within tol of it
+    crowded = ComponentDecomposition(3, "crowded", "left-closed", (0.0, 5e-10, 1e-9, 1.0, math.inf), (1, 2, 3, 4, 5))
+    cases.append((crowded, crowded.finite_boundaries(), ("left-closed", "right-closed")))
+    for d, cuts, conventions in cases:
+        for conv in conventions:
+            dc = ComponentDecomposition(d.period, d.branch, conv, d.boundaries, d.sigma)
+            for x in _probe_xs(cuts, rng):
+                assert dc.classify(x) == classify_by_loop(dc, x), (d.period, d.branch, conv, x)
+    assert crowded.classify(1e-9) == 2 and crowded.classify(-1e-10) == 2
 
 
 def test_cycle_covariance_100_points():
