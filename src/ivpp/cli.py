@@ -30,7 +30,7 @@ from .decompose import (
     decompose,
 )
 from .dsl import ParseDiagnostic, SemanticError, format_map, maps_equal, parse_map
-from .ivpp2d import DegenerateBranch, branches, gamma_poly
+from .ivpp2d import PERIOD_MAX, DegenerateBranch, branches, gamma_poly
 from .lv3d import UnsupportedPeriod, lv_decompose_period2, lv_gamma
 from .maps import BUILTIN_NAMES, get_map
 
@@ -91,6 +91,12 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _check_period(n: int) -> None:
+    """Refuse a period above the cap before any work on it."""
+    if n > PERIOD_MAX:
+        raise UsageError(f"--period must be at most {PERIOD_MAX}, got {n}")
+
+
 def _pick_branch(n: int, selector: str):
     bs = branches(n)
     idx = int(selector)
@@ -120,6 +126,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_ivpp(args) -> int:
+    _check_period(args.period)
     if args.map == "f3d":
         if args.r is None or args.s is None:
             raise UsageError("f3d level conditions need --r and --s")
@@ -145,6 +152,7 @@ def _cmd_ivpp(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _check_period(args.period)
     if args.map == "f3d":
         if args.period != 2:
             raise UsageError("the 3d map is decomposed at period 2 only")
@@ -164,6 +172,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_boundaries(args) -> int:
+    _check_period(args.period)
     m = _load_map(args.map)
     if m.dim == 2:
         if m.name != "f2d":
@@ -214,6 +223,7 @@ def _cmd_raster(args) -> int:
         if args.mode == "component":
             if m.name != "f2d":
                 raise UsageError("component rasters need the f2d branches; use --mode period")
+            _check_period(args.period)
             b = _pick_branch(args.period, args.branch or "1")
             d = decompose(b, method="analytic")
             R = raster(m, window, res, n_max=args.n_max, tol=args.tol, decomp=d, branch=b)

@@ -19,6 +19,9 @@ import numpy as np
 from .core import InfiniteCoordinate, Point
 
 
+PERIOD_MAX = 4096  # the largest period the CLI accepts; decompose --period 4000 takes under 1 s
+
+
 class DegenerateBranch(ValueError):
     """m/n = 1/2 (tan pole): the period-2 level sits at r = infinity."""
 

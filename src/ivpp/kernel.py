@@ -43,12 +43,10 @@ def _homogeneous(a):
     """Normalized homogeneous pair (u, v) of a on the real projective line."""
     small = np.abs(a) <= 1.0
     with np.errstate(all="ignore"):
-        h1 = np.sqrt(1.0 + a * a)
-        w = np.where(small, 0.0, 1.0 / a)  # inf -> 0 in the inverse chart
-        h2 = np.sqrt(1.0 + w * w)
-        u = np.where(small, a / h1, 1.0 / h2)
-        v = np.where(small, 1.0 / h1, w / h2)
-    return u, v
+        t = np.where(small, a, 1.0 / a)  # the chart coordinate: inf -> 0 in the inverse chart
+        h = np.sqrt(1.0 + t * t)
+        p, q = t / h, 1.0 / h
+    return np.where(small, p, q), np.where(small, q, p)
 
 
 def _chord_grid(a, uv):
@@ -60,19 +58,31 @@ def _chord_grid(a, uv):
 
 
 def _rows(m, xs, ys, n_max, tol, out, row_lo, row_hi):
-    """Fill out[row_lo:row_hi, :] with the minimal periods of the 2d map m."""
-    cx, cy = x0, y0 = np.meshgrid(xs, ys[row_lo:row_hi])
+    """Fill out[row_lo:row_hi, :] with the minimal periods of the 2d map m.
+
+    A cell is written once, at its first nan iterate (-1) or return within tol (k);
+    once at most half of the stepped cells are open, only those are stepped on."""
+    cx, cy = x0, y0 = [c.ravel() for c in np.meshgrid(xs, ys[row_lo:row_hi])]
     start = _homogeneous(x0), _homogeneous(y0)  # projected once, compared at every step
-    period = np.zeros(x0.shape, dtype=np.int16)
-    dead = np.zeros(x0.shape, dtype=bool)
+    period = np.zeros(x0.size, dtype=np.int16)
+    cell = np.arange(x0.size)  # the cell of each stepped entry
+    open_ = np.ones(x0.size, dtype=bool)  # stepped entries not decided yet
     for k in range(1, n_max + 1):
         _, (cx, cy) = step(m, (cx, cy))
         with np.errstate(all="ignore"):
-            dead |= (np.isnan(cx) | np.isnan(cy)) & (period == 0)
+            nan = np.isnan(cx) | np.isnan(cy)  # a nan iterate has a nan distance
             dist = np.maximum(_chord_grid(cx, start[0]), _chord_grid(cy, start[1]))
-        period[(period == 0) & ~dead & (dist < tol)] = k
-    period[dead] = -1
-    out[row_lo:row_hi, :] = period
+        hit = open_ & (nan | (dist < tol))
+        period[cell[hit]] = np.where(nan[hit], -1, k)
+        open_ ^= hit
+        live = np.count_nonzero(open_)
+        if live == 0:
+            break
+        if 2 * live <= open_.size:
+            cx, cy, cell = cx[open_], cy[open_], cell[open_]
+            start = tuple((u[open_], v[open_]) for u, v in start)
+            open_ = np.ones(live, dtype=bool)
+    out[row_lo:row_hi, :] = period.reshape(row_hi - row_lo, xs.shape[0])
 
 
 def period_grid(

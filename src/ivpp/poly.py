@@ -153,8 +153,17 @@ class Polynomial:
     # -- evaluation ----------------------------------------------------------
 
     def _compiled(self):
+        # (exponents, complex c) per term; for eval_grid, (c or None for exactly 1, (var, exponent) factors)
         if self._eval_cache is None:
-            self._eval_cache = tuple((exps, complex(c)) for exps, c in self.terms.items())
+            terms = tuple((exps, complex(c)) for exps, c in self.terms.items())
+            plan = tuple(
+                (
+                    None if c == 1 else c.real if c.imag == 0 else c,
+                    tuple((i, e) for i, e in enumerate(exps) if e),
+                )
+                for exps, c in terms
+            )
+            self._eval_cache = terms, plan
         return self._eval_cache
 
     def eval(self, values: Iterable[complex]) -> complex:
@@ -162,7 +171,7 @@ class Polynomial:
         if len(vals) != self.nvars:
             raise ValueError("wrong number of values")
         acc = 0j
-        for exps, c in self._compiled():
+        for exps, c in self._compiled()[0]:
             term = c
             for v, e in zip(vals, exps):
                 if e == 1:
@@ -173,19 +182,22 @@ class Polynomial:
         return acc
 
     def eval_grid(self, arrays):
-        """Evaluate on broadcastable numpy arrays, one per variable; returns an array."""
+        """Evaluate on broadcastable numpy arrays, one per variable; returns a new array.
+
+        Skipping a coefficient of exactly 1 and a first power changes no bit of the result."""
         acc = None
-        for exps, c in self._compiled():
-            term = c.real if c.imag == 0 else c
-            for arr, e in zip(arrays, exps):
-                if e:
-                    term = term * arr**e
+        for c, factors in self._compiled()[1]:
+            term = c
+            for i, e in factors:
+                power = arrays[i] if e == 1 else arrays[i] ** e
+                term = power if term is None else term * power
+            term = 1.0 if term is None else term
             acc = term if acc is None else acc + term
         if not hasattr(acc, "shape"):  # zero or constant: one array of the common shape
             import numpy as np
 
             return np.full(np.broadcast(*arrays).shape, 0.0 if acc is None else acc)
-        return acc
+        return acc.copy() if any(acc is arr for arr in arrays) else acc
 
     def partial_eval(self, values: Dict[int, complex]) -> "Polynomial":
         """Substitute numeric values for a subset of variables.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -77,13 +78,17 @@ def pgm_bytes(grid: np.ndarray) -> bytes:
 def write_csv(path: str, header: str, xs, ys, layers) -> None:
     """One line per cell, rows from the smallest y: x and y (%.17g), then each integer layer.
 
-    Coordinates are formatted once and each row is written with one join: O(width) memory."""
+    Every x and every value in the layers' range is formatted once, and each
+    row is one join of those pieces: O(width + value range) memory."""
     xcol = [f"{x:.17g}," for x in xs.tolist()]
+    lo = min((int(layer.min()) for layer in layers if layer.size), default=0)
+    hi = max((int(layer.max()) for layer in layers if layer.size), default=-1)
+    value = [f",{v}" for v in range(lo, hi + 1)]  # value v at index v - lo
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for i, y in enumerate(ys.tolist()):
-            row = ("{}" + f"{y:.17g}" + ",{}" * len(layers) + "\n").format
-            fh.write("".join(map(row, xcol, *(layer[i].tolist() for layer in layers))))
+            cells = (map(value.__getitem__, (layer[i].astype(np.intp) - lo).tolist()) for layer in layers)
+            fh.write("".join(chain.from_iterable(zip(xcol, repeat(f"{y:.17g}"), *cells, repeat("\n")))))
 
 
 def raster(

@@ -4,8 +4,10 @@ The Fraction-based evaluators here are independent of the library's
 complex-arithmetic path: expected values in the tests are computed (or
 frozen from) these, never from the code under test.  ``classify_by_loop``
 and ``scan_one_midpoint_per_round`` are the plain forms of the snapping
-classification and the empirical scan, against which the fast ones must
-give identical answers.
+classification and the empirical scan, and ``eval_grid_term_loop``,
+``homogeneous_two_roots`` and ``period_rows_dense`` those of the grid
+kernel's polynomial evaluation, projective chart and period loop, against
+which the fast ones must give identical answers.
 """
 
 import math
@@ -119,6 +121,65 @@ def scan_one_midpoint_per_round(m, point, n, window=(-6.0, 6.0), samples=4800, t
     if change[-1]:
         out.append(math.inf)
     return out
+
+
+def assert_same_bits(got, want) -> None:
+    """Equal values, nan masks and sign bits (real and imaginary parts apart)."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for g, w in ((got.real, want.real), (got.imag, want.imag)) if np.iscomplexobj(want) else ((got, want),):
+        assert np.array_equal(np.isnan(g), np.isnan(w))
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+def eval_grid_term_loop(poly, arrays):
+    """Reference ``Polynomial.eval_grid``: every term is its coefficient times
+    every power, 1 and first powers included, summed in order."""
+    acc = None
+    for exps, c in poly.terms.items():
+        c = complex(c)
+        term = c.real if c.imag == 0 else c
+        for arr, e in zip(arrays, exps):
+            if e:
+                term = term * arr**e
+        acc = term if acc is None else acc + term
+    if not hasattr(acc, "shape"):
+        return np.full(np.broadcast(*arrays).shape, 0.0 if acc is None else acc)
+    return acc
+
+
+def homogeneous_two_roots(a):
+    """Reference ``kernel._homogeneous``: each chart with its own square root."""
+    small = np.abs(a) <= 1.0
+    with np.errstate(all="ignore"):
+        h1 = np.sqrt(1.0 + a * a)
+        w = np.where(small, 0.0, 1.0 / a)
+        h2 = np.sqrt(1.0 + w * w)
+        return np.where(small, a / h1, 1.0 / h2), np.where(small, 1.0 / h1, w / h2)
+
+
+def period_rows_dense(m, xs, ys, n_max, tol):
+    """Reference period grid: every cell stepped n_max times by the term-loop
+    evaluation, compared in the two-root chart, and decided by the still-open
+    rule ``(period == 0) & ~dead``."""
+
+    def chord(a, uv):
+        u1, v1 = homogeneous_two_roots(a)
+        return np.abs(u1 * uv[1] - uv[0] * v1)
+
+    cx, cy = x0, y0 = np.meshgrid(xs, ys)
+    start = homogeneous_two_roots(x0), homogeneous_two_roots(y0)
+    period = np.zeros(x0.shape, dtype=np.int16)
+    dead = np.zeros(x0.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(1, n_max + 1):
+            dens = [eval_grid_term_loop(den, (cx, cy)) for _, den in m.components]
+            cx, cy = (eval_grid_term_loop(num, (cx, cy)) / d for (num, _), d in zip(m.components, dens))
+            dead |= (np.isnan(cx) | np.isnan(cy)) & (period == 0)
+            dist = np.maximum(chord(cx, start[0]), chord(cy, start[1]))
+            period[(period == 0) & ~dead & (dist < tol)] = k
+    period[dead] = -1
+    return period
 
 
 @pytest.fixture(scope="session")

@@ -274,12 +274,49 @@ def test_denoms_csv_bytes_match_the_per_cell_reference(tmp_path):
         ["raster", "--map", "f3d", "--period", "2", "--window=-1,1,-1,1", "--res", "5000x5000",
          "-o", "/tmp/x.pgm"],
         ["ivpp", "--map", "f2d", "--period", "1031"],
+        ["ivpp", "--period", "1000000"],
+        ["decompose", "--period", "4097"],
+        ["boundaries", "--period", "1000000"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     code, out, err = run_captured(argv)
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ivpp", "--period", "4097"],
+        ["ivpp", "--map", "f3d", "--period", "1000000", "--r", "1", "--s", "1"],
+        ["decompose", "--period", "1000000", "--method", "empirical"],
+        ["decompose", "--map", "f3d", "--period", "4097"],
+        ["boundaries", "--period", "4097"],
+        ["boundaries", "--map", "lv-recurrence", "--period", "1000000"],
+        ["raster", "--period", "4097", "--window=-1,1,-1,1", "--res", "4x4", "-o", "/nonexistent/x.pgm"],
+    ],
+)
+def test_periods_above_the_cap_are_refused_before_any_work(monkeypatch, argv):
+    from ivpp import cli, ivpp2d
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached the period computation")
+
+    for module in (cli, ivpp2d):
+        monkeypatch.setattr(module, "branches", refuse)
+        monkeypatch.setattr(module, "gamma_poly", refuse)
+    monkeypatch.setattr(cli, "lv_gamma", refuse)
+    period = argv[argv.index("--period") + 1]
+    assert run_captured(argv) == (2, "", f"error: --period must be at most {ivpp2d.PERIOD_MAX}, got {period}\n")
+
+
+def test_the_period_cap_admits_the_readme_period(tmp_path):
+    from ivpp.ivpp2d import PERIOD_MAX
+
+    assert PERIOD_MAX >= 4000  # the README's decompose --period 4000
+    code, _, err = run_captured(["decompose", "--period", str(PERIOD_MAX), "-o", str(tmp_path / "d.json")])
+    assert code == 0, err
 
 
 def test_one_parser_per_process_answers_like_fresh_ones():

@@ -203,6 +203,20 @@ def test_csv_writer_matches_the_per_cell_reference(tmp_path, resolution, header)
     assert path.read_bytes() == csv_per_cell(header, xs, ys, layers)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_csv_writer_on_full_range_int16_layers(tmp_path, count):
+    """The value table spans the layers' whole range: the int16 extremes and random values."""
+    xs, ys = cell_centers(JITTERED_WINDOW, (37, 5))
+    rng = np.random.default_rng(count)
+    layers = [rng.integers(-32768, 32768, size=(5, 37)).astype(np.int16) for _ in range(count)]
+    layers[0][0, :4] = [-32768, -1, 0, 32767]
+    layers[-1][-1, -4:] = [32767, 0, -1, -32768]
+    header = "x,y," + ",".join(f"v{i}" for i in range(count))
+    path = tmp_path / "out.csv"
+    write_csv(str(path), header, xs, ys, layers)
+    assert path.read_bytes() == csv_per_cell(header, xs, ys, layers)
+
+
 def test_period_layer_band_mode():
     """With a cell-sized tolerance the raw period layer shows the variety band;
     at the strict default tolerance off-variety cells stay empty."""

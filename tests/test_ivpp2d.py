@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -105,6 +106,51 @@ def test_gamma_poly_against_sympy_minimal_polynomials(n):
 def test_gamma_poly_refuses_periods_whose_coefficients_overflow_a_float():
     with pytest.raises(ValueError, match="period 1031"):
         gamma_poly(1031)
+
+
+def _divide_exactly(num, den):
+    """Quotient of ascending integer coefficient lists by a monic divisor; no remainder."""
+    num, quot = list(num), [0] * (len(num) - len(den) + 1)
+    for i in reversed(range(len(quot))):
+        quot[i] = num[i + len(den) - 1]
+        for j, c in enumerate(den):
+            num[i + j] -= quot[i] * c
+    assert not any(num)
+    return quot
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(n):
+    """Phi_n, ascending: x^n - 1 divided by Phi_d for every d | n, d < n."""
+    phi = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            phi = _divide_exactly(phi, _cyclotomic(d))
+    return tuple(phi)
+
+
+def _times_one_plus(p, sign):
+    """p(s) * (1 + sign*s) on ascending integer coefficients."""
+    return [a + sign * b for a, b in zip([*p, 0], [0, *p])]
+
+
+def test_gamma_poly_is_the_cyclotomic_polynomial_in_tangent_form():
+    """Oracle for n = 3..200: x = (1+s)/(1-s) maps the n-th roots of unity but -1 to
+    s = i tan(pi m/n), so (1-s)^phi(n) Phi_n((1+s)/(1-s)) is even in s, and as a
+    polynomial in r = s^2 a constant multiple of the integer gamma form."""
+    for n in range(3, 201):
+        phi = _cyclotomic(n)
+        deg = len(phi) - 1
+        # sum of phi_k (1+s)^k (1-s)^(deg-k), by Horner from the top coefficient
+        acc, down = [phi[deg]], [1]
+        for c in reversed(phi[:deg]):
+            down = _times_one_plus(down, -1)
+            acc = [a + c * b for a, b in zip(_times_one_plus(acc, 1), down)]
+        assert not any(acc[1::2]), n
+        even = acc[0::2]
+        g = gamma_poly(n)
+        assert deg % 2 == 0 and g.degree == deg // 2 == len(even) - 1, n
+        assert even[-1] != 0 and all(e * g.scaled[-1] == c * even[-1] for e, c in zip(even, g.scaled)), n
 
 
 def test_root_agreement():

@@ -1,12 +1,14 @@
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ivpp.kernel as kernel
+from conftest import assert_same_bits, eval_grid_term_loop, homogeneous_two_roots, period_rows_dense
 from ivpp.core import Point, RationalMap, chordal
 from ivpp.dsl import parse_map
-from ivpp.maps import f2d, f2d_reduced, lv_recurrence_map
+from ivpp.maps import f2d, f2d_reduced, f3d, lv_recurrence_map
 from ivpp.poly import Polynomial
 
 
@@ -157,3 +159,112 @@ def test_python_chordal_helper_matches_core():
                 float("inf") if np.isinf(bb) else bb,
             )
             assert got == pytest.approx(want, abs=1e-12)
+
+
+# -- the fast paths against their plain forms in conftest ----------------------------
+
+ONE = np.nextafter(1.0, 2.0) - 1.0  # one ulp at 1
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 0.5, -3.25, 7.0]
+EDGES = [1.0, -1.0, 1.0 + ONE, 1.0 - ONE / 2, -1.0 - ONE, -1.0 + ONE / 2]
+
+
+def test_one_root_chart_is_bitwise_the_two_root_chart():
+    a = np.asarray(SPECIAL + EDGES + np.random.default_rng(5).standard_normal(200).tolist())
+    with np.errstate(over="ignore"):
+        a = np.concatenate([a, 1.0 / a[a != 0]])  # both charts, inf and subnormals included
+    for got, want in zip(kernel._homogeneous(a), homogeneous_two_roots(a)):
+        assert_same_bits(got, want)
+
+
+def _poly(nvars, terms):
+    return Polynomial(nvars, {tuple(e): c for e, c in terms})
+
+
+POLYS = {
+    "constant": _poly(2, [((0, 0), Fraction(3, 2))]),
+    "one": _poly(2, [((0, 0), Fraction(1))]),
+    "zero": Polynomial.zero(2),
+    "bare-x": Polynomial.var(0, 2),
+    "bare-y": Polynomial.var(1, 2),
+    "minus-x": _poly(2, [((1, 0), -1)]),
+    "unit-terms": _poly(2, [((2, 1), 1.0), ((1, 1), -1.0), ((0, 3), Fraction(1)), ((0, 0), 1)]),
+    "complex": _poly(2, [((1, 0), 1j), ((0, 1), 1 + 0j), ((1, 2), 2 - 3j), ((0, 0), -1 + 0j)]),
+    "cube": _poly(3, [((1, 1, 1), 1), ((0, 0, 2), -1), ((3, 0, 0), 0.25)]),
+}
+MAPS = {"f2d": f2d(), "f3d": f3d(), "lyness": LYNESS, "powers": POWERS}
+
+
+def _grid(nvars):
+    vals = np.asarray(SPECIAL + EDGES)
+    return np.meshgrid(*[vals] * nvars, indexing="ij")
+
+
+@pytest.mark.parametrize("name", [*MAPS, *POLYS])
+def test_eval_grid_is_bitwise_the_term_loop(name):
+    if name in MAPS:
+        polys = [p for pair in MAPS[name].components for p in pair]
+    else:
+        polys = [POLYS[name]]
+    for p in polys:
+        arrays = _grid(p.nvars)
+        with np.errstate(all="ignore"):
+            got, want = p.eval_grid(arrays), eval_grid_term_loop(p, arrays)
+        assert_same_bits(got, want)
+        assert not any(np.shares_memory(got, a) for a in arrays)  # a new array, never an input
+
+
+def test_eval_grid_of_a_bare_variable_on_broadcast_arrays_is_a_copy():
+    x, y = np.arange(3.0)[:, None], np.arange(4.0)[None, :]
+    got = Polynomial.var(0, 2).eval_grid((x, y))
+    assert np.array_equal(got, x) and not np.shares_memory(got, x)
+
+
+GRIDS = [(13, 17), (1, 23), (23, 1)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n_max", [1, 5, 8])
+@pytest.mark.parametrize("name", ["f2d", "lyness", "powers"])
+def test_period_grid_equals_the_dense_reference(monkeypatch, name, n_max, threads):
+    m = MAPS[name]
+    monkeypatch.setenv("IVPP_THREADS", threads)
+    for w, h in GRIDS:
+        xs, ys = _seam_grid(w, h)
+        want = period_rows_dense(m, xs, ys, n_max, BAND_TOL)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * w)
+            assert np.array_equal(kernel.period_grid(m, xs, ys, n_max, BAND_TOL), want), (w, h, rows)
+
+
+def test_period_grid_keeps_the_first_return_of_a_cell_that_returns_again():
+    xs, ys = _seam_grid(40, 30)
+    want = period_rows_dense(f2d(), xs, ys, 8, BAND_TOL)
+    assert ((want > 0) & (want <= 4)).any()  # such cells come back within tol at 2k too
+    assert np.array_equal(kernel.period_grid(f2d(), xs, ys, 8, BAND_TOL), want)
+
+
+def _stepped_sizes(monkeypatch):
+    sizes = []
+    real = kernel.step
+
+    def counting_step(m, coords):
+        sizes.append(coords[0].size)
+        return real(m, coords)
+
+    monkeypatch.setattr(kernel, "step", counting_step)
+    return sizes
+
+
+def test_decided_cells_are_not_stepped_again(monkeypatch):
+    xs, ys = _seam_grid(40, 30)
+    sizes = _stepped_sizes(monkeypatch)
+    g = kernel.period_grid(LYNESS, xs, ys, 8, 1e-15)  # so tight that rounding keeps a few cells open
+    open_cells = np.count_nonzero(g == 0)
+    assert set(g.flat) == {0, 5} and 0 < open_cells < g.size // 2  # Lyness: every map point has period 5
+    assert sizes == [g.size] * 5 + [open_cells] * 3  # from k = 6 on, only the open cells step
+
+
+def test_stepping_stops_once_every_cell_is_decided(monkeypatch):
+    sizes = _stepped_sizes(monkeypatch)
+    g = kernel.period_grid(f2d(), np.asarray([2.0]), np.asarray([2.0]), 8, 1e-9)
+    assert g.tolist() == [[1]] and sizes == [1]  # the fixed diagonal: one step, then none
