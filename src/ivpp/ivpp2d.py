@@ -9,6 +9,7 @@ parametrization x -> (x, rho/x).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -134,14 +135,23 @@ def _divide(num: List[Fraction], den: List[Fraction]) -> List[Fraction]:
     return out
 
 
-def gamma_poly(n: int) -> GammaPolynomial:
-    """Monic period-n polynomial in r, plus its integer form, computed exactly.
+def _log10_coefficient_bound(n: int) -> float:
+    """Float lower bound on log10 of the largest monic coefficient of gamma_n.
+
+    The coefficients are the elementary symmetric functions of the positive
+    tan^2(pi*m/n), so their degree + 1 values sum to prod(1 + tan^2(pi*m/n)).
+    """
+    ts = [math.tan(math.pi * m / n) ** 2 for m in admissible_m(n)]
+    return math.fsum(math.log10(1.0 + t) for t in ts) - math.log10(len(ts) + 1)
+
+
+def _gamma_exact(n: int) -> List[Fraction]:
+    """Ascending monic coefficients of gamma_n as exact fractions.
 
     Each m < n/2 has the reduced period d = n / gcd(m, n) > 2, so the
     all-m product of period n is the product of gamma_d over the divisors
     d > 2 of n; gamma_n is what is left after dividing out the others.
     """
-    _check_n(n)
     gammas = {}
     for d in range(3, n + 1):
         if n % d == 0:
@@ -150,11 +160,25 @@ def gamma_poly(n: int) -> GammaPolynomial:
                 if d % e == 0:
                     q = _divide(q, g)
             gammas[d] = q
-    exact = gammas[n]
+    return gammas[n]
+
+
+def gamma_poly(n: int) -> GammaPolynomial:
+    """Monic period-n polynomial in r, plus its integer form, computed exactly.
+
+    A period whose coefficient bound is past the float range by more than
+    one decade is refused before the exact product, which takes seconds
+    for n with many divisors (n = 4096).
+    """
+    _check_n(n)
+    overflow = f"period {n}: gamma coefficients exceed the float range"
+    if _log10_coefficient_bound(n) > math.log10(sys.float_info.max) + 1.0:
+        raise ValueError(overflow)
+    exact = _gamma_exact(n)
     try:
         monic = tuple(float(c) for c in exact)
     except OverflowError:
-        raise ValueError(f"period {n}: gamma coefficients exceed the float range") from None
+        raise ValueError(overflow) from None
     scale = lcm(*(c.denominator for c in exact))
     return GammaPolynomial(n, monic, tuple(int(c * scale) for c in exact), scale)
 

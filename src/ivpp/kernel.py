@@ -32,11 +32,19 @@ def blocks(w: int, h: int) -> List[Tuple[int, int]]:
 
 def step(m: RationalMap, coords: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """(denominators, images) of m at arrays of one shape, one per variable;
-    both are lists of new arrays of that shape, one per component."""
+    both are lists of new arrays of that shape, one per component.  A
+    denominator that is exactly 1 is not divided by (x / 1.0 is x in IEEE)."""
     with np.errstate(all="ignore"):
         dens = [den.eval_grid(coords) for _, den in m.components]
-        images = [num.eval_grid(coords) / d for (num, _), d in zip(m.components, dens)]
+        images = [
+            num.eval_grid(coords) if _is_one(den) else num.eval_grid(coords) / d
+            for (num, den), d in zip(m.components, dens)
+        ]
     return dens, images
+
+
+def _is_one(p) -> bool:
+    return len(p.terms) == 1 and p.terms.get((0,) * p.nvars) == 1
 
 
 def _homogeneous(a):

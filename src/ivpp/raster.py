@@ -11,7 +11,9 @@ Two layers per raster:
                  cell to the variety (same x, y = rho/x) and demanding the
                  snapped point close after exactly n steps.  The snapped
                  point depends only on the cell's column, so the check runs
-                 once per column that has band cells.
+                 once per column that has band cells: one vector flow of all
+                 of them through ``kernel.step``, with the scalar projective
+                 check only for columns whose orbit leaves the finite chart.
 
 Cells are independent and the output is deterministic for fixed inputs;
 IVPP_THREADS caps the row-parallel kernel work.
@@ -131,16 +133,21 @@ def raster(
         return np.where(component > 0, np.int16(branch.n), raw)
 
     if decomp is not None and branch is not None:
-        X, Y = xs[np.newaxis, :], ys[:, np.newaxis]
         cell = max((window[1] - window[0]) / w, (window[3] - window[2]) / h)
-        band = band_cells * cell * (np.abs(X) + np.abs(Y) + 1.0)
-        on_branch = np.abs(X * Y - branch.rho) <= band
+        on_branch = np.empty((h, w), dtype=bool)
+        X = xs[np.newaxis, :]
+        for lo, hi in kernel.blocks(w, h):
+            Y = ys[lo:hi, np.newaxis]
+            band = band_cells * cell * (np.abs(X) + np.abs(Y) + 1.0)
+            on_branch[lo:hi] = np.abs(X * Y - branch.rho) <= band
         on_branch &= np.abs(X) > cell  # parametrization pole at x = 0
         columns = np.nonzero(on_branch.any(axis=0))[0]
-        for j in columns:
-            x = float(xs[j])
-            if _snapped_period_is(m, branch, x, branch.n):
-                component[on_branch[:, j], j] = decomp.classify(x)
+        closes, fallback = _snapped_closes(m, branch, xs[columns])
+        for i in np.nonzero(fallback)[0]:
+            closes[i] = _snapped_period_is(m, branch, float(xs[columns[i]]), branch.n)
+        column_class = np.zeros(w, dtype=np.int16)
+        column_class[columns[closes]] = [decomp.classify(x) for x in xs[columns[closes]].tolist()]
+        component = np.where(on_branch, column_class, np.int16(0))
         meta.update(
             {
                 "period_n": branch.n,
@@ -152,6 +159,31 @@ def raster(
         )
 
     return TilingRaster(tuple(window), w, h, period_layer, component, meta)
+
+
+def _snapped_closes(m: RationalMap, branch: IvppBranch, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(closes, fallback) per x: one vector flow of the snapped points (x, rho/x).
+
+    ``closes`` is the rule of ``_snapped_period_is``: the first iterate within
+    EXACT_TOL of the start comes at step n.  Where the start or an iterate
+    before that return is not finite, the IEEE step parts from the projective
+    one (which passes through infinity), so ``fallback`` marks the x whose
+    decision only ``_snapped_period_is`` can make; their ``closes`` is False.
+    """
+    start = branch.coords(xs)
+    uv = [kernel._homogeneous(c) for c in start]
+    fallback = ~np.logical_and.reduce([np.isfinite(c) for c in start])
+    open_ = ~fallback  # not returned and finite so far
+    cur = start
+    for _ in range(branch.n):
+        _, cur = kernel.step(m, cur)
+        finite = np.logical_and.reduce([np.isfinite(c) for c in cur])
+        fallback |= open_ & ~finite
+        open_ &= finite
+        dist = np.maximum.reduce([kernel._chord_grid(c, s) for c, s in zip(cur, uv)])
+        closes = open_ & (dist < EXACT_TOL)
+        open_ &= ~closes
+    return closes, fallback
 
 
 def _snapped_period_is(m: RationalMap, branch: IvppBranch, x: float, n: int) -> bool:
@@ -184,14 +216,17 @@ def lv_raster(
     decomp = lv_decompose_period2(0.0, sign)
     fin = np.asarray(decomp.finite_boundaries())
     classes = (np.searchsorted(fin, xs, side="left") + 1).astype(np.int16)
+    stripe = {}  # integer level -> its classified row, shared by the rows of its stripe
     for i, r in enumerate(rs):
         r_level = round(float(r))
         if abs(r - r_level) > stripe_half_width:
             continue
         if not window[2] <= r_level <= window[3]:
             continue
-        mask = (lv_discriminant(xs, float(r_level)) >= 0) & (xs != 0.0) & (xs != 1.0)
-        component[i, mask] = classes[mask]
+        if r_level not in stripe:
+            mask = (lv_discriminant(xs, float(r_level)) >= 0) & (xs != 0.0) & (xs != 1.0)
+            stripe[r_level] = np.where(mask, classes, np.int16(0))
+        component[i] = stripe[r_level]
     return TilingRaster(
         tuple(window),
         w,

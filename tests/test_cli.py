@@ -277,6 +277,7 @@ def test_denoms_csv_bytes_match_the_per_cell_reference(tmp_path):
         ["ivpp", "--period", "1000000"],
         ["decompose", "--period", "4097"],
         ["boundaries", "--period", "1000000"],
+        ["ivpp", "--period", "4096"],
     ],
 )
 def test_usage_errors_exit_2(argv):

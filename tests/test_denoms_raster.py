@@ -1,4 +1,6 @@
+import importlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from ivpp.ivpp2d import branches
 from ivpp.maps import f2d, f3d
 from ivpp.poly import Polynomial
 from ivpp.raster import lv_raster, pgm_bytes, raster, write_csv
+
+raster_module = importlib.import_module("ivpp.raster")  # the package attribute ivpp.raster is the function
 
 
 # -- denominator zero sets -------------------------------------------------------
@@ -324,25 +328,90 @@ def test_lazy_period_layer_matches_the_direct_override():
     assert np.array_equal(plain.period, raw)
 
 
+# a window whose cell centres fall on every integer x, the poles x = 1 and x = rho among them
+POLE_WINDOW = (-3.984375, 4.015625, -4.0, 4.0)
+
+
 def test_snapped_check_runs_once_per_band_column(monkeypatch):
+    """Every band column is one cell of each of the n vector steps; the scalar
+    detect_period runs on the fallback columns only, the pole x = 1 among them."""
     from ivpp.core import RationalMap
 
-    checked = []
-    original = RationalMap.detect_period
+    checked, stepped = [], []
+    original_detect, original_step = RationalMap.detect_period, kernel.step
 
-    def recording(self, p, *args, **kwargs):
-        checked.append(p)
-        return original(self, p, *args, **kwargs)
+    def recording_detect(self, p, *args, **kwargs):
+        checked.append(p[0].value.real)
+        return original_detect(self, p, *args, **kwargs)
 
-    monkeypatch.setattr(RationalMap, "detect_period", recording)
+    def recording_step(m, coords):
+        stepped.append(coords[0].copy())
+        return original_step(m, coords)
+
     b = branches(3)[0]
-    R = raster(f2d(), (-4, 4, -4, 4), (200, 200), n_max=4, decomp=decompose(b), branch=b)
-    xs, _ = R.cells()
-    snapped = {b.point(float(x)) for x in xs[(R.component > 0).any(axis=0)]}
-    assert len(checked) == len(set(checked)) == R.meta["snap_checks"]
-    assert snapped <= set(checked)
-    assert len(checked) < int((R.component > 0).sum())
-    assert R.meta["classified"] == int((R.component > 0).sum())
+    d = decompose(b)
+    monkeypatch.setattr(RationalMap, "detect_period", recording_detect)
+    monkeypatch.setattr(kernel, "step", recording_step)
+    R = raster(f2d(), POLE_WINDOW, (256, 200), n_max=4, decomp=d, branch=b)
+    monkeypatch.undo()
+    assert [a.size for a in stepped] == [R.meta["snap_checks"]] * 3
+    starts = stepped[0]  # the snapped x of every band column
+    _, fallback = raster_module._snapped_closes(f2d(), b, starts)
+    assert sorted(checked) == starts[fallback].tolist() and 1.0 in checked
+    assert R.meta["snap_checks"] < R.meta["classified"] == int((R.component > 0).sum())
+
+
+SNAP_WINDOWS = [  # the second puts a cell centre on the pole x = 1 (column 16)
+    (JITTERED_WINDOW, (24, 24)),
+    ((-7.25, 8.75, -8.0, 8.0), (32, 32)),
+]
+
+
+def test_vector_snapped_check_equals_the_scalar_one(monkeypatch):
+    """On every band column of every branch of n = 3..30, the vector flow's
+    decision is the scalar _snapped_period_is, or it defers to it."""
+    flows = []
+    original = raster_module._snapped_closes
+
+    def recording(m, branch, xs):
+        closes, fallback = original(m, branch, xs)
+        flows.append((branch, xs, closes, fallback))
+        return closes, fallback
+
+    monkeypatch.setattr(raster_module, "_snapped_closes", recording)
+    outcomes = {True: 0, False: 0}
+    fallbacks = []
+    for window, resolution in SNAP_WINDOWS:
+        flows.clear()
+        for n in range(3, 31):
+            for b in branches(n):
+                raster(f2d(), window, resolution, n_max=1, decomp=decompose(b), branch=b)
+        fallbacks.append(0)
+        for b, xs, closes, fallback in flows:
+            for x, vector, defer in zip(xs.tolist(), closes.tolist(), fallback.tolist()):
+                scalar = raster_module._snapped_period_is(f2d(), b, x, b.n)
+                if defer:
+                    fallbacks[-1] += 1
+                    assert not vector
+                else:
+                    assert vector == scalar, (b, x)
+                    outcomes[scalar] += 1
+    assert fallbacks[1] > 0  # the pole column x = 1 runs the scalar fallback
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_vector_snapped_check_keeps_the_first_return():
+    """Lyness has period 5 everywhere: a snapped point passes at n = 5, and at
+    n = 10 it fails, since its first return comes at step 5."""
+    lyness = parse_map((Path(__file__).parents[1] / "perfbench" / "lyness.rmap").read_text())
+    xs = np.linspace(-3.1, 2.9, 41)
+    for n, want in ((5, True), (10, False)):
+        b = branches(n)[0]
+        closes, fallback = raster_module._snapped_closes(lyness, b, xs)
+        finite = xs[~fallback].tolist()
+        assert len(finite) > 30
+        assert closes[~fallback].tolist() == [raster_module._snapped_period_is(lyness, b, x, n) for x in finite]
+        assert closes[~fallback].all() == want and closes[~fallback].any() == want
 
 
 # -- the striped 3d raster ------------------------------------------------------------
@@ -371,3 +440,28 @@ def test_lv_raster_skips_complex_branch_cells():
     # D(2, r) = r(r-8) < 0 for 0 < r < 8: x = 2 on the r = 3 stripe is complex
     R = lv_raster((1.5, 2.5, 2.8, 3.2), (40, 10), sign="+", stripe_half_width=0.3)
     assert (R.component == 0).all()
+
+
+def test_lv_raster_evaluates_each_level_once(monkeypatch):
+    from ivpp.lv3d import lv_decompose_period2, lv_discriminant
+
+    levels = []
+
+    def recording(xs, r):
+        levels.append(r)
+        return lv_discriminant(xs, r)
+
+    window, resolution = (-3.0 + 0.0123, 3.0 - 0.0071, -5.0 + 0.013, 5.0 - 0.029), (61, 303)
+    monkeypatch.setattr(raster_module, "lv_discriminant", recording)
+    R = lv_raster(window, resolution, sign="+", stripe_half_width=0.25)
+    xs, rs = R.cells()
+    want = np.zeros_like(R.component)
+    fin = np.asarray(lv_decompose_period2(0.0, "+").finite_boundaries())
+    classes = (np.searchsorted(fin, xs, side="left") + 1).astype(np.int16)
+    for i, r in enumerate(rs):  # the per-row form: every stripe row evaluates its level
+        level = round(float(r))
+        if abs(r - level) <= 0.25 and window[2] <= level <= window[3]:
+            mask = (lv_discriminant(xs, float(level)) >= 0) & (xs != 0.0) & (xs != 1.0)
+            want[i, mask] = classes[mask]
+    assert sorted(levels) == sorted(set(levels)) == [float(v) for v in range(-4, 5)]
+    assert (want > 0).any() and R.component.tobytes() == want.tobytes()

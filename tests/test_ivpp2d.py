@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,8 @@ import sympy
 from ivpp.core import Point
 from ivpp.ivpp2d import (
     DegenerateBranch,
+    _gamma_exact,
+    _log10_coefficient_bound,
     branches,
     gamma_closed,
     gamma_poly,
@@ -106,6 +109,19 @@ def test_gamma_poly_against_sympy_minimal_polynomials(n):
 def test_gamma_poly_refuses_periods_whose_coefficients_overflow_a_float():
     with pytest.raises(ValueError, match="period 1031"):
         gamma_poly(1031)
+
+
+def test_the_coefficient_bound_refuses_only_what_the_exact_path_refuses():
+    """n = 1031 lies under the bound's threshold and overflows on the exact path;
+    every period the bound refuses on 1020..1060 overflows there too."""
+    threshold = math.log10(sys.float_info.max) + 1.0
+    refused = [n for n in range(1020, 1061) if _log10_coefficient_bound(n) > threshold]
+    assert refused == [1039, 1049, 1051]
+    assert _log10_coefficient_bound(1031) < threshold and _log10_coefficient_bound(2048) < threshold
+    for n in refused:
+        assert max(_gamma_exact(n)) > sys.float_info.max
+        with pytest.raises(ValueError, match=f"period {n}: gamma coefficients exceed the float range"):
+            gamma_poly(n)
 
 
 def _divide_exactly(num, den):

@@ -268,3 +268,31 @@ def test_stepping_stops_once_every_cell_is_decided(monkeypatch):
     sizes = _stepped_sizes(monkeypatch)
     g = kernel.period_grid(f2d(), np.asarray([2.0]), np.asarray([2.0]), 8, 1e-9)
     assert g.tolist() == [[1]] and sizes == [1]  # the fixed diagonal: one step, then none
+
+
+class _NoArithmetic(np.ndarray):
+    """An array that refuses every ufunc, so a division by it fails the test."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        raise AssertionError(f"{ufunc.__name__} on a constant denominator")
+
+
+def test_a_denominator_of_one_is_not_divided_by(monkeypatch):
+    """Lyness' x' = y: the image is y itself, bit for bit, and not the input;
+    the denominators still come back as arrays of ones."""
+    real_eval_grid = Polynomial.eval_grid
+
+    def guarded(self, arrays):
+        out = real_eval_grid(self, arrays)
+        return out.view(_NoArithmetic) if self.is_constant else out
+
+    monkeypatch.setattr(Polynomial, "eval_grid", guarded)
+    values = np.asarray([0.0, -0.0, 1.0, -2.5, 5e-324, 1e308, np.inf, -np.inf, np.nan])
+    xs, ys = np.meshgrid(values, values[::-1])
+    dens, (nx, ny) = kernel.step(LYNESS, (xs, ys))
+    monkeypatch.undo()
+    assert_same_bits(nx, ys / 1.0)
+    assert not np.shares_memory(nx, ys)
+    assert_same_bits(np.asarray(dens[0]), np.ones_like(xs))
+    with np.errstate(all="ignore"):
+        assert_same_bits(ny, LYNESS.components[1][0].eval_grid((xs, ys)) / xs)
