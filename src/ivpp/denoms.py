@@ -4,19 +4,22 @@ Component boundaries of a period-n variety sit on the intersection of the
 variety with the locus where some iterate hits a pole; the k-th layer here
 marks, per grid cell, a sign change of a component denominator evaluated
 along the orbit at depth k (the orbit's first pole).  The orbits run in
-the kernel's row blocks; only int8 signs and bool masks are kept per
-(depth, component), never the float denominators themselves.
+the kernel's row blocks, and each block keeps only two bool masks per
+denominator, its positive and its negative cells, never the float
+denominators themselves.  ``first_pole_depth`` comes from one scan; the
+per-(depth, component) curves are built by a second scan only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .core import RationalMap
-from .kernel import blocks, step
+from .kernel import blocks, check_grid_map, step
 from .poly import Polynomial
 
 
@@ -36,8 +39,13 @@ class DenominatorZeroSet:
     window: Tuple[float, float, float, float]
     resolution: Tuple[int, int]
     denominators: Tuple[Polynomial, ...]  # the map's own (k = 1) denominators
-    curves: Tuple[DenominatorCurve, ...]
+    curve_layers: Callable[[], Tuple[DenominatorCurve, ...]] = field(repr=False)  # computes ``curves``
     first_pole_depth: np.ndarray  # int16 per cell: 0 = none within k_max
+
+    @cached_property
+    def curves(self) -> Tuple[DenominatorCurve, ...]:
+        """The curves in (depth, component) order, computed on first read and cached."""
+        return self.curve_layers()
 
     def layer(self, k: int) -> np.ndarray:
         mask = np.zeros(self.first_pole_depth.shape, dtype=bool)
@@ -60,6 +68,42 @@ def cell_centers(window, resolution) -> Tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+def _scan(m: RationalMap, k_max: int, xs, ys, curves: Optional[List[DenominatorCurve]] = None) -> np.ndarray:
+    """First pole depth (int16) per cell; with ``curves``, (depth, component)
+    ordered, also write each curve's sign and crossing mask.
+
+    Two denominators of opposite signs are exactly a positive and a negative
+    one, so a crossing is ``(pos_a & neg_b) | (neg_a & pos_b)`` on the bool
+    masks ``pos = alive & (D > 0)`` and ``neg = alive & (D < 0)``.
+    """
+    w, h = xs.shape[0], ys.shape[0]
+    first_pole = np.zeros((h, w), dtype=np.int16)
+    for lo, hi in blocks(w, h):
+        # one halo row below the block feeds the vertical sign-change test of row hi - 1
+        coords = np.meshgrid(xs, ys[lo : min(hi + 1, h)])
+        rows, pairs = hi - lo, coords[0].shape[0] - 1  # vertical neighbour pairs: rows, or rows - 1 in the last block
+        alive = np.ones(coords[0].shape, dtype=bool)
+        depth = first_pole[lo:hi]
+        for k in range(1, k_max + 1):
+            # images of dead cells are fed back unmasked: the masks drop them by ``alive``
+            den_vals, coords = step(m, coords)
+            step_cross = np.zeros(depth.shape, dtype=bool)
+            for j, D in enumerate(den_vals):
+                pos, neg = alive & (D > 0), alive & (D < 0)
+                cross = np.zeros(depth.shape, dtype=bool)
+                cross[:, :-1] = (pos[:rows, :-1] & neg[:rows, 1:]) | (neg[:rows, :-1] & pos[:rows, 1:])
+                cross[:pairs] |= (pos[:pairs] & neg[1:]) | (neg[:pairs] & pos[1:])
+                step_cross |= cross
+                if curves is not None:
+                    curve = curves[(k - 1) * len(den_vals) + j]
+                    np.subtract(pos[:rows], neg[:rows], out=curve.values[lo:hi], dtype=np.int8)
+                    curve.crossing[lo:hi] = cross
+            depth[step_cross & (depth == 0)] = k
+            for arr in coords:
+                alive &= np.isfinite(arr)
+    return first_pole
+
+
 def denominator_zero_curves(
     m: RationalMap,
     k_max: int,
@@ -69,47 +113,27 @@ def denominator_zero_curves(
     """Numeric pole-depth layers for a 2d map (k_max <= 6: degree growth guard).
 
     Without a window only the exact k = 1 denominators are reported, which
-    works for any dimension.
+    works for any dimension.  With one, ``first_pole_depth`` is scanned at
+    once and ``curves`` on first read.
     """
     if not 1 <= k_max <= 6:
         raise ValueError("k_max must be 1..6")
     dens = tuple(den for _, den in m.components)
     if window is None or resolution is None:
-        return DenominatorZeroSet(
-            k_max, (0, 0, 0, 0), (0, 0), dens, (), np.zeros((0, 0), dtype=np.int16)
-        )
-    if m.dim != 2:
-        raise ValueError("the window scan supports 2d maps; use the exact k=1 list instead")
-
+        return DenominatorZeroSet(k_max, (0, 0, 0, 0), (0, 0), dens, lambda: (), np.zeros((0, 0), dtype=np.int16))
+    check_grid_map(m)
     xs, ys = cell_centers(window, resolution)
     w, h = resolution
-    curves = tuple(
-        DenominatorCurve(k, j, np.zeros((h, w), dtype=np.int8), np.zeros((h, w), dtype=bool))
-        for k in range(1, k_max + 1)
-        for j in range(len(dens))
+
+    def curve_layers() -> Tuple[DenominatorCurve, ...]:
+        curves = [
+            DenominatorCurve(k, j, np.zeros((h, w), dtype=np.int8), np.zeros((h, w), dtype=bool))
+            for k in range(1, k_max + 1)
+            for j in range(len(dens))
+        ]
+        _scan(m, k_max, xs, ys, curves)
+        return tuple(curves)
+
+    return DenominatorZeroSet(
+        k_max, tuple(window), tuple(resolution), dens, curve_layers, _scan(m, k_max, xs, ys)
     )
-    first_pole = np.zeros((h, w), dtype=np.int16)
-    for lo, hi in blocks(w, h):
-        # one halo row below the block feeds the vertical sign-change test of row hi - 1
-        coords = np.meshgrid(xs, ys[lo : min(hi + 1, h)])
-        alive = np.ones(coords[0].shape, dtype=bool)
-        depth = first_pole[lo:hi]
-        for k in range(1, k_max + 1):
-            # images of dead cells are fed back unmasked: the signs mask them by ``alive``
-            den_vals, coords = step(m, coords)
-            step_cross = np.zeros(depth.shape, dtype=bool)
-            for j, D in enumerate(den_vals):
-                s = np.zeros(D.shape, dtype=np.int8)
-                s[alive & (D > 0)] = 1
-                s[alive & (D < 0)] = -1
-                cross = np.zeros(D.shape, dtype=bool)
-                cross[:, :-1] |= (s[:, :-1] * s[:, 1:]) < 0
-                cross[:-1, :] |= (s[:-1, :] * s[1:, :]) < 0
-                curve = curves[(k - 1) * len(dens) + j]
-                curve.values[lo:hi] = s[: hi - lo]
-                curve.crossing[lo:hi] = cross[: hi - lo]
-                step_cross |= cross[: hi - lo]
-            depth[step_cross & (depth == 0)] = k
-            for arr in coords:
-                alive &= np.isfinite(arr)
-    return DenominatorZeroSet(k_max, tuple(window), tuple(resolution), dens, curves, first_pole)

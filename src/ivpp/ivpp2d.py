@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -114,24 +113,29 @@ class GammaPolynomial:
         return acc
 
 
-def _all_m_poly(n: int) -> List[Fraction]:
-    """Monic prod of (r + tan^2(pi*m/n)) over every m with 1 <= m < n/2, ascending.
+def _all_m_poly(n: int) -> List[int]:
+    """Primitive integer prod of (r + tan^2(pi*m/n)) over every m with 1 <= m < n/2, ascending.
 
     tan(n t) vanishes at t = pi*m/n, and with r = -tan^2(t) the numerator of
     its multiple-angle formula is tan(t) * sum_k C(n, 2k+1) r^k.
     """
-    coeffs = [Fraction(comb(n, 2 * k + 1)) for k in range((n + 1) // 2)]
-    return [c / coeffs[-1] for c in coeffs]
+    coeffs = [comb(n, 2 * k + 1) for k in range((n + 1) // 2)]
+    content = gcd(*coeffs)
+    return [c // content for c in coeffs]
 
 
-def _divide(num: List[Fraction], den: List[Fraction]) -> List[Fraction]:
-    """Exact quotient of ascending coefficient lists by a monic divisor."""
+def _divide(num: List[int], den: List[int]) -> List[int]:
+    """Exact quotient of ascending integer coefficient lists, both primitive.
+
+    Gauss's lemma makes the quotient integer: contents multiply, and both are 1.
+    """
     num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    lead = den[-1]
+    out = [0] * (len(num) - len(den) + 1)
     for i in reversed(range(len(out))):
-        out[i] = num[i + len(den) - 1]
+        out[i] = q = num[i + len(den) - 1] // lead
         for j, c in enumerate(den):
-            num[i + j] -= out[i] * c
+            num[i + j] -= q * c
     return out
 
 
@@ -145,12 +149,13 @@ def _log10_coefficient_bound(n: int) -> float:
     return math.fsum(math.log10(1.0 + t) for t in ts) - math.log10(len(ts) + 1)
 
 
-def _gamma_exact(n: int) -> List[Fraction]:
-    """Ascending monic coefficients of gamma_n as exact fractions.
+def _gamma_integer(n: int) -> List[int]:
+    """Ascending coefficients of gamma_n times its leading one: integers, content 1.
 
     Each m < n/2 has the reduced period d = n / gcd(m, n) > 2, so the
     all-m product of period n is the product of gamma_d over the divisors
     d > 2 of n; gamma_n is what is left after dividing out the others.
+    Every factor is kept primitive, so the divisions stay in the integers.
     """
     gammas = {}
     for d in range(3, n + 1):
@@ -174,13 +179,13 @@ def gamma_poly(n: int) -> GammaPolynomial:
     overflow = f"period {n}: gamma coefficients exceed the float range"
     if _log10_coefficient_bound(n) > math.log10(sys.float_info.max) + 1.0:
         raise ValueError(overflow)
-    exact = _gamma_exact(n)
+    scaled = _gamma_integer(n)
+    scale = scaled[-1]  # the monic form's common denominator, since the content is 1
     try:
-        monic = tuple(float(c) for c in exact)
+        monic = tuple(c / scale for c in scaled)  # int true division rounds correctly
     except OverflowError:
         raise ValueError(overflow) from None
-    scale = lcm(*(c.denominator for c in exact))
-    return GammaPolynomial(n, monic, tuple(int(c * scale) for c in exact), scale)
+    return GammaPolynomial(n, monic, tuple(scaled), scale)
 
 
 def on_ivpp(n: int, p: Point, tol: float = 1e-9) -> Optional[int]:

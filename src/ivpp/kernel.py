@@ -93,6 +93,15 @@ def _rows(m, xs, ys, n_max, tol, out, row_lo, row_hi):
     out[row_lo:row_hi, :] = period.reshape(row_hi - row_lo, xs.shape[0])
 
 
+def check_grid_map(m: RationalMap) -> None:
+    """Refuse a map the grid layers cannot scan: not 2d, or with a complex
+    coefficient (numpy would order its complex denominators by real part)."""
+    if m.dim != 2:
+        raise ValueError("grid kernels support 2d maps")
+    if any(complex(c).imag != 0 for pair in m.components for p in pair for c in p.terms.values()):
+        raise ValueError("grid kernels need real coefficients")
+
+
 def period_grid(
     m: RationalMap,
     xs: np.ndarray,
@@ -107,11 +116,7 @@ def period_grid(
     default); cells are independent and writes disjoint, so the result
     does not depend on the execution order.
     """
-    if m.dim != 2:
-        raise ValueError("grid kernels support 2d maps")
-    polys = [p for pair in m.components for p in pair]
-    if any(complex(c).imag != 0 for p in polys for c in p.terms.values()):
-        raise ValueError("grid kernels need real coefficients")
+    check_grid_map(m)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((ys.shape[0], xs.shape[0]), dtype=np.int16)

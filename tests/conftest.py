@@ -7,12 +7,16 @@ and ``scan_one_midpoint_per_round`` are the plain forms of the snapping
 classification and the empirical scan, and ``eval_grid_term_loop``,
 ``homogeneous_two_roots`` and ``period_rows_dense`` those of the grid
 kernel's polynomial evaluation, projective chart and period loop, against
-which the fast ones must give identical answers.
+which the fast ones must give identical answers.  ``pole_depths_eager``
+is the pole-depth scan that builds every curve with int8 sign products,
+and ``gamma_fraction`` the exact period polynomial in ``Fraction``
+arithmetic.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import comb
 from typing import List, Tuple
 
 import numpy as np
@@ -180,6 +184,69 @@ def period_rows_dense(m, xs, ys, n_max, tol):
             period[(period == 0) & ~dead & (dist < tol)] = k
     period[dead] = -1
     return period
+
+
+def pole_depths_eager(m, k_max, window, resolution):
+    """Reference pole-depth scan: (first_pole_depth, [(depth, component, values, crossing)]).
+
+    Every curve is full size and filled in the kernel's row blocks (one halo
+    row each), with int8 signs and crossings where a sign product is negative."""
+    from ivpp.denoms import cell_centers
+    from ivpp.kernel import blocks, step
+
+    xs, ys = cell_centers(window, resolution)
+    w, h = resolution
+    n = len(m.components)
+    curves = [(k, j, np.zeros((h, w), dtype=np.int8), np.zeros((h, w), dtype=bool))
+              for k in range(1, k_max + 1) for j in range(n)]
+    first_pole = np.zeros((h, w), dtype=np.int16)
+    for lo, hi in blocks(w, h):
+        coords = np.meshgrid(xs, ys[lo : min(hi + 1, h)])
+        alive = np.ones(coords[0].shape, dtype=bool)
+        depth = first_pole[lo:hi]
+        for k in range(1, k_max + 1):
+            den_vals, coords = step(m, coords)
+            step_cross = np.zeros(depth.shape, dtype=bool)
+            for j, D in enumerate(den_vals):
+                s = np.zeros(D.shape, dtype=np.int8)
+                s[alive & (D > 0)] = 1
+                s[alive & (D < 0)] = -1
+                cross = np.zeros(D.shape, dtype=bool)
+                cross[:, :-1] |= (s[:, :-1] * s[:, 1:]) < 0
+                cross[:-1, :] |= (s[:-1, :] * s[1:, :]) < 0
+                _, _, values, crossing = curves[(k - 1) * n + j]
+                values[lo:hi] = s[: hi - lo]
+                crossing[lo:hi] = cross[: hi - lo]
+                step_cross |= cross[: hi - lo]
+            depth[step_cross & (depth == 0)] = k
+            for arr in coords:
+                alive &= np.isfinite(arr)
+    return first_pole, curves
+
+
+def gamma_fraction(n):
+    """Reference monic gamma_n, ascending, in exact fractions: the monic all-m
+    product sum_k C(d, 2k+1) r^k of each divisor d > 2 of n, divided by the
+    gamma_e of every divisor e of d found before it."""
+
+    def divide(num, den):
+        num, out = list(num), [Fraction(0)] * (len(num) - len(den) + 1)
+        for i in reversed(range(len(out))):
+            out[i] = num[i + len(den) - 1]
+            for j, c in enumerate(den):
+                num[i + j] -= out[i] * c
+        return out
+
+    gammas = {}
+    for d in range(3, n + 1):
+        if n % d == 0:
+            coeffs = [Fraction(comb(d, 2 * k + 1)) for k in range((d + 1) // 2)]
+            q = [c / coeffs[-1] for c in coeffs]
+            for e, g in gammas.items():
+                if d % e == 0:
+                    q = divide(q, g)
+            gammas[d] = q
+    return gammas[n]
 
 
 @pytest.fixture(scope="session")

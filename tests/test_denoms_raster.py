@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import JITTERED_WINDOW, csv_per_cell
+from conftest import JITTERED_WINDOW, csv_per_cell, pole_depths_eager
 from ivpp import kernel
+from ivpp.cli import run_captured
+from ivpp.core import RationalMap
 from ivpp.decompose import decompose
 from ivpp.denoms import cell_centers, denominator_zero_curves
 from ivpp.dsl import parse_map
@@ -16,6 +18,7 @@ from ivpp.poly import Polynomial
 from ivpp.raster import lv_raster, pgm_bytes, raster, write_csv
 
 raster_module = importlib.import_module("ivpp.raster")  # the package attribute ivpp.raster is the function
+denoms_module = importlib.import_module("ivpp.denoms")
 
 
 # -- denominator zero sets -------------------------------------------------------
@@ -84,6 +87,69 @@ def test_pole_depths_in_blocks_equal_a_single_block(monkeypatch, rows, resolutio
     assert kernel.blocks(*resolution) == [(0, resolution[1])]
     monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * resolution[0])  # 23 rows do not split into threes
     _same_pole_depths(denominator_zero_curves(f2d(), 4, JITTERED_WINDOW, resolution), whole)
+
+
+POLE_MAPS = {
+    "f2d": f2d(),
+    "lyness": parse_map("dim 2; x' = y; y' = (1 + y)/x;"),
+    "constant-denominators": parse_map("dim 2; x' = y; y' = 1 - x;"),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, None], ids=["one-row-blocks", "three-row-blocks", "one-block"])
+@pytest.mark.parametrize("resolution", [(31, 23), (1, 23), (23, 1)])
+@pytest.mark.parametrize("name", list(POLE_MAPS))
+def test_pole_depths_equal_the_eager_reference(monkeypatch, name, rows, resolution):
+    """The sign-mask scan gives the eager scan's depths, curves and layers."""
+    m = POLE_MAPS[name]
+    if rows is not None:
+        monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * resolution[0])
+    depth, curves = pole_depths_eager(m, 4, JITTERED_WINDOW, resolution)
+    zs = denominator_zero_curves(m, 4, JITTERED_WINDOW, resolution)
+    assert zs.first_pole_depth.dtype == np.int16 and np.array_equal(zs.first_pole_depth, depth)
+    assert [(c.depth, c.component) for c in zs.curves] == [(k, j) for k, j, _, _ in curves]
+    for c, (_, _, values, crossing) in zip(zs.curves, curves):
+        assert c.values.dtype == np.int8 and np.array_equal(c.values, values)
+        assert c.crossing.dtype == bool and np.array_equal(c.crossing, crossing)
+    for k in range(1, 5):
+        want = np.logical_or.reduce([cr for d, _, _, cr in curves if d == k])
+        assert np.array_equal(zs.layer(k), want)
+    if name != "constant-denominators" and resolution == (31, 23):
+        assert (depth > 0).any()
+
+
+def test_denoms_command_builds_no_curve(monkeypatch, tmp_path):
+    built = []
+    curve = denoms_module.DenominatorCurve
+    monkeypatch.setattr(denoms_module, "DenominatorCurve", lambda *a: built.append(a[:2]) or curve(*a))
+    argv = ["denoms", "--k-max", "6", "--window=-4,4,-4,4", "--res", "40x30", "-o", str(tmp_path / "d.pgm")]
+    code, _, err = run_captured(argv + ["--csv", str(tmp_path / "d.csv")])
+    assert code == 0, err
+    assert built == []
+    assert len(denominator_zero_curves(f2d(), 6, (-4, 4, -4, 4), (40, 30)).curves) == len(built) == 12
+
+
+def test_curves_are_built_on_first_read_and_cached(monkeypatch):
+    scans = []
+    scan = denoms_module._scan
+    monkeypatch.setattr(denoms_module, "_scan", lambda *a: scans.append(len(a)) or scan(*a))
+    zs = denominator_zero_curves(f2d(), 3, (-2, 2, -2, 2), (17, 20))
+    assert scans == [4]  # first_pole_depth only
+    curves = zs.curves
+    assert isinstance(curves, tuple) and len(curves) == 6
+    assert zs.curves is curves
+    assert scans == [4, 5]  # one curve scan, on the first read
+
+
+def test_a_complex_coefficient_is_refused():
+    """y' = (1 + y)/(x + i) has no real pole; numpy would order its complex
+    denominators by real part and mark the column at x = 0 as depth 1."""
+    x, y = Polynomial.var(0, 2), Polynomial.var(1, 2)
+    one = Polynomial.const(1, 2)
+    m = RationalMap([(y, one), (one + y, x + Polynomial.const(1j, 2))])
+    with pytest.raises(ValueError, match="real coefficients"):
+        denominator_zero_curves(m, 2, (-1, 1, -1, 1), (5, 5))
+    assert denominator_zero_curves(m, 2).denominators == (one, x + Polynomial.const(1j, 2))
 
 
 @pytest.mark.parametrize("rows", [1, 3, 5])

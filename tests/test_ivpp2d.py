@@ -8,10 +8,11 @@ import mpmath
 import pytest
 import sympy
 
+from conftest import gamma_fraction
 from ivpp.core import Point
 from ivpp.ivpp2d import (
     DegenerateBranch,
-    _gamma_exact,
+    _gamma_integer,
     _log10_coefficient_bound,
     branches,
     gamma_closed,
@@ -119,9 +120,19 @@ def test_the_coefficient_bound_refuses_only_what_the_exact_path_refuses():
     assert refused == [1039, 1049, 1051]
     assert _log10_coefficient_bound(1031) < threshold and _log10_coefficient_bound(2048) < threshold
     for n in refused:
-        assert max(_gamma_exact(n)) > sys.float_info.max
+        scaled = _gamma_integer(n)
+        assert Fraction(max(scaled), scaled[-1]) > sys.float_info.max  # the largest monic coefficient
         with pytest.raises(ValueError, match=f"period {n}: gamma coefficients exceed the float range"):
             gamma_poly(n)
+
+
+@pytest.mark.parametrize("ns", [range(3, 201), [210, 1024, 2048]], ids=["3-200", "210-1024-2048"])
+def test_integer_gamma_equals_the_fraction_reference(ns):
+    """The primitive integer form, divided by its leading coefficient, is the
+    exact monic gamma_n of the Fraction reference."""
+    for n in ns:
+        scaled = _gamma_integer(n)
+        assert [Fraction(c, scaled[-1]) for c in scaled] == gamma_fraction(n), n
 
 
 def _divide_exactly(num, den):
