@@ -121,6 +121,8 @@ def denominator_zero_curves(
     dens = tuple(den for _, den in m.components)
     if window is None or resolution is None:
         return DenominatorZeroSet(k_max, (0, 0, 0, 0), (0, 0), dens, lambda: (), np.zeros((0, 0), dtype=np.int16))
+    if m.dim != 2:
+        raise ValueError("the window scan supports 2d maps; use the exact k=1 list instead")
     check_grid_map(m)
     xs, ys = cell_centers(window, resolution)
     w, h = resolution

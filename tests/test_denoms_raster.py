@@ -58,7 +58,7 @@ def test_k1_layer_marks_the_pole_lines():
 def test_depth_guard_and_dimension_guard():
     with pytest.raises(ValueError):
         denominator_zero_curves(f2d(), 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="use the exact k=1 list instead"):
         denominator_zero_curves(f3d(), 2, (-1, 1, -1, 1), (10, 10))
 
 
@@ -84,6 +84,7 @@ def _same_pole_depths(a, b):
 @pytest.mark.parametrize("resolution", [(31, 23), (1, 23), (23, 1)])
 def test_pole_depths_in_blocks_equal_a_single_block(monkeypatch, rows, resolution):
     whole = denominator_zero_curves(f2d(), 4, JITTERED_WINDOW, resolution)
+    whole.curves  # the curves are scanned on first read: read them in a single block too
     assert kernel.blocks(*resolution) == [(0, resolution[1])]
     monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * resolution[0])  # 23 rows do not split into threes
     _same_pole_depths(denominator_zero_curves(f2d(), 4, JITTERED_WINDOW, resolution), whole)
@@ -100,11 +101,12 @@ POLE_MAPS = {
 @pytest.mark.parametrize("resolution", [(31, 23), (1, 23), (23, 1)])
 @pytest.mark.parametrize("name", list(POLE_MAPS))
 def test_pole_depths_equal_the_eager_reference(monkeypatch, name, rows, resolution):
-    """The sign-mask scan gives the eager scan's depths, curves and layers."""
+    """The sign-mask scan in any row blocks gives the eager single-block
+    scan's depths, curves and layers."""
     m = POLE_MAPS[name]
+    depth, curves = pole_depths_eager(m, 4, JITTERED_WINDOW, resolution)
     if rows is not None:
         monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * resolution[0])
-    depth, curves = pole_depths_eager(m, 4, JITTERED_WINDOW, resolution)
     zs = denominator_zero_curves(m, 4, JITTERED_WINDOW, resolution)
     assert zs.first_pole_depth.dtype == np.int16 and np.array_equal(zs.first_pole_depth, depth)
     assert [(c.depth, c.component) for c in zs.curves] == [(k, j) for k, j, _, _ in curves]
@@ -158,6 +160,7 @@ def test_a_pole_line_on_a_block_seam(monkeypatch, rows):
     the halo row carries the sign change of den_y = y - 1 across the seam."""
     window, res = (-2.0, 2.0, -2.0, 2.0), (17, 20)
     whole = denominator_zero_curves(f2d(), 3, window, res)
+    whole.curves  # scanned on first read: read in a single block, before the split
     monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * res[0])
     assert 15 in [lo for lo, _ in kernel.blocks(*res)]
     blocked = denominator_zero_curves(f2d(), 3, window, res)
