@@ -21,12 +21,10 @@ from .decompose import (
     NoClosure,
     NonRealBoundary,
     NotACycle,
-    PoleHit,
     boundaries_analytic,
     boundaries_empirical,
     classify,
     decompose,
-    trace_flow,
 )
 from .denoms import DenominatorZeroSet, denominator_zero_curves
 from .dsl import ParseDiagnostic, SemanticError, format_map, parse_map

@@ -23,7 +23,6 @@ from .decompose import (
     NoClosure,
     NonRealBoundary,
     NotACycle,
-    PoleHit,
     boundaries_analytic,
     boundaries_empirical,
     compare_boundaries,
@@ -358,7 +357,7 @@ USAGE_ERRORS = (
     InfiniteCoordinate,
     ValueError,
 )
-COMPUTE_ERRORS = (NotACycle, NoClosure, NonRealBoundary, Indeterminate, PoleHit)
+COMPUTE_ERRORS = (NotACycle, NoClosure, NonRealBoundary, Indeterminate)
 
 
 def run(argv: List[str]) -> int:

@@ -74,16 +74,20 @@ def _scan(m: RationalMap, k_max: int, xs, ys, curves: Optional[List[DenominatorC
 
     Two denominators of opposite signs are exactly a positive and a negative
     one, so a crossing is ``(pos_a & neg_b) | (neg_a & pos_b)`` on the bool
-    masks ``pos = alive & (D > 0)`` and ``neg = alive & (D < 0)``.
+    masks ``pos = alive & (D > 0)`` and ``neg = alive & (D < 0)``.  Each block
+    carries its last row's masks per (depth, component) into the next, whose
+    first row closes the vertical test of the seam: a seam crossing at depth k
+    marks the row above it, which the block before already scanned, so its
+    depth becomes the least such k.
     """
     w, h = xs.shape[0], ys.shape[0]
     first_pole = np.zeros((h, w), dtype=np.int16)
+    seam = {}  # (k, j) -> (pos, neg) of the previous block's last row
     for lo, hi in blocks(w, h):
-        # one halo row below the block feeds the vertical sign-change test of row hi - 1
-        coords = np.meshgrid(xs, ys[lo : min(hi + 1, h)])
-        rows, pairs = hi - lo, coords[0].shape[0] - 1  # vertical neighbour pairs: rows, or rows - 1 in the last block
+        coords = np.meshgrid(xs, ys[lo:hi])
         alive = np.ones(coords[0].shape, dtype=bool)
         depth = first_pole[lo:hi]
+        above = first_pole[lo - 1] if lo else None  # the last row of the block before
         for k in range(1, k_max + 1):
             # images of dead cells are fed back unmasked: the masks drop them by ``alive``
             den_vals, coords = step(m, coords)
@@ -91,13 +95,20 @@ def _scan(m: RationalMap, k_max: int, xs, ys, curves: Optional[List[DenominatorC
             for j, D in enumerate(den_vals):
                 pos, neg = alive & (D > 0), alive & (D < 0)
                 cross = np.zeros(depth.shape, dtype=bool)
-                cross[:, :-1] = (pos[:rows, :-1] & neg[:rows, 1:]) | (neg[:rows, :-1] & pos[:rows, 1:])
-                cross[:pairs] |= (pos[:pairs] & neg[1:]) | (neg[:pairs] & pos[1:])
+                cross[:, :-1] = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
+                cross[:-1] |= (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
                 step_cross |= cross
+                if above is not None:
+                    up_pos, up_neg = seam[k, j]
+                    seam_cross = (up_pos & neg[0]) | (up_neg & pos[0])
+                    above[seam_cross & ((above == 0) | (above > k))] = k
+                seam[k, j] = pos[-1].copy(), neg[-1].copy()
                 if curves is not None:
                     curve = curves[(k - 1) * len(den_vals) + j]
-                    np.subtract(pos[:rows], neg[:rows], out=curve.values[lo:hi], dtype=np.int8)
+                    np.subtract(pos, neg, out=curve.values[lo:hi], dtype=np.int8)
                     curve.crossing[lo:hi] = cross
+                    if above is not None:
+                        curve.crossing[lo - 1] |= seam_cross
             depth[step_cross & (depth == 0)] = k
             for arr in coords:
                 alive &= np.isfinite(arr)

@@ -6,9 +6,12 @@ it evaluated.  The period grid, the pole-depth layers and the empirical
 boundary scan all iterate through it.  ``period_grid`` gives each cell of
 a 2d map's raster the first k <= n_max whose iterate is within tol of the
 start under the chordal metric, 0 when there is none, and -1 when the
-orbit leaves the finite chart first (0/0 or a pole transit).  Both grid
-layers run in the row blocks of ``blocks``, so their float temporaries
-are bounded by ``BLOCK_CELLS`` cells whatever the grid's size.
+orbit leaves the finite chart first (0/0 or a pole transit).  Its return
+test, ``returns``, is shared with the component pass of the rasters: a
+cheap bound on every entry, the exact chordal distance only on the few
+that pass it.  Both grid layers run in the row blocks of ``blocks``, so
+their float temporaries are bounded by ``BLOCK_CELLS`` cells whatever the
+grid's size.
 """
 
 from __future__ import annotations
@@ -65,22 +68,67 @@ def _chord_grid(a, uv):
     return np.abs(u1 * v2 - u2 * v1)
 
 
+def return_start(coords: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, ...]]:
+    """Per coordinate of arrays of starts, what ``returns`` compares with:
+    the start b (0 where b is infinite), 1 + b² and the homogeneous pair
+    (u, v) of b.  An infinite start has an infinite bound, so every iterate
+    but nan stays its candidate.  Every entry is an array of the starts'
+    shape, so a gather by one index keeps them aligned."""
+    out = []
+    with np.errstate(all="ignore"):
+        for b in coords:
+            inf = np.isinf(b)
+            out.append((np.where(inf, 0.0, b) if inf.any() else b, 1.0 + b * b, *_homogeneous(b)))
+    return out
+
+
+def returns(cur: Sequence[np.ndarray], start, tol: float, open_: np.ndarray) -> np.ndarray:
+    """bool per entry: open and every coordinate of ``cur`` chordally within tol
+    of the start's, the decision of ``_chord_grid(a, _homogeneous(b)) < tol``.
+
+    A bound rejects first: chord(a, b) = |a - b| / sqrt((1 + a²)(1 + b²)) and
+    the root is at most 1 + a² + b², so a return needs
+    |a - b| <= (2 tol + 1e-12)(1 + a² + b²); the factor 2 and the 1e-12 cover
+    the rounding of the exact form.  An inf iterate or an overflowing a²
+    compares inf <= inf and stays a candidate, a nan fails.  Only the
+    candidates are gathered for the exact chordal distance, unless they are
+    most entries.
+    """
+    c = 2.0 * tol + 1e-12
+    cand = open_.copy()
+    with np.errstate(all="ignore"):
+        for a, (b, nb, _, _) in zip(cur, start):
+            bound = a * a
+            bound += nb
+            bound *= c
+            gap = a - b
+            np.abs(gap, out=gap)
+            cand &= gap <= bound
+        sel = np.flatnonzero(cand)
+        if 2 * sel.size > cand.size:
+            sel = slice(None)  # mostly candidates: compare in place, no gather
+        close = cand[sel]
+        for a, (_, _, u, v) in zip(cur, start):
+            close &= _chord_grid(a[sel], (u[sel], v[sel])) < tol
+        cand[sel] = close
+    return cand
+
+
 def _rows(m, xs, ys, n_max, tol, out, row_lo, row_hi):
     """Fill out[row_lo:row_hi, :] with the minimal periods of the 2d map m.
 
     A cell is written once, at its first nan iterate (-1) or return within tol (k);
     once at most half of the stepped cells are open, only those are stepped on."""
     cx, cy = x0, y0 = [c.ravel() for c in np.meshgrid(xs, ys[row_lo:row_hi])]
-    start = _homogeneous(x0), _homogeneous(y0)  # projected once, compared at every step
+    start = return_start((x0, y0))  # computed once, compared at every step
     period = np.zeros(x0.size, dtype=np.int16)
     cell = np.arange(x0.size)  # the cell of each stepped entry
     open_ = np.ones(x0.size, dtype=bool)  # stepped entries not decided yet
     for k in range(1, n_max + 1):
         _, (cx, cy) = step(m, (cx, cy))
-        with np.errstate(all="ignore"):
-            nan = np.isnan(cx) | np.isnan(cy)  # a nan iterate has a nan distance
-            dist = np.maximum(_chord_grid(cx, start[0]), _chord_grid(cy, start[1]))
-        hit = open_ & (nan | (dist < tol))
+        nan = np.isnan(cx) | np.isnan(cy)  # a nan iterate is never a return
+        hit = returns((cx, cy), start, tol, open_)
+        hit |= open_ & nan
         period[cell[hit]] = np.where(nan[hit], -1, k)
         open_ ^= hit
         live = np.count_nonzero(open_)
@@ -88,7 +136,7 @@ def _rows(m, xs, ys, n_max, tol, out, row_lo, row_hi):
             break
         if 2 * live <= open_.size:
             cx, cy, cell = cx[open_], cy[open_], cell[open_]
-            start = tuple((u[open_], v[open_]) for u, v in start)
+            start = [tuple(arr[open_] for arr in s) for s in start]
             open_ = np.ones(live, dtype=bool)
     out[row_lo:row_hi, :] = period.reshape(row_hi - row_lo, xs.shape[0])
 

@@ -170,18 +170,16 @@ def _snapped_closes(m: RationalMap, branch: IvppBranch, xs: np.ndarray) -> Tuple
     one (which passes through infinity), so ``fallback`` marks the x whose
     decision only ``_snapped_period_is`` can make; their ``closes`` is False.
     """
-    start = branch.coords(xs)
-    uv = [kernel._homogeneous(c) for c in start]
-    fallback = ~np.logical_and.reduce([np.isfinite(c) for c in start])
+    cur = branch.coords(xs)
+    start = kernel.return_start(cur)
+    fallback = ~np.logical_and.reduce([np.isfinite(c) for c in cur])
     open_ = ~fallback  # not returned and finite so far
-    cur = start
     for _ in range(branch.n):
         _, cur = kernel.step(m, cur)
         finite = np.logical_and.reduce([np.isfinite(c) for c in cur])
         fallback |= open_ & ~finite
         open_ &= finite
-        dist = np.maximum.reduce([kernel._chord_grid(c, s) for c, s in zip(cur, uv)])
-        closes = open_ & (dist < EXACT_TOL)
+        closes = kernel.returns(cur, start, EXACT_TOL, open_)
         open_ &= ~closes
     return closes, fallback
 

@@ -7,7 +7,9 @@ and ``scan_one_midpoint_per_round`` are the plain forms of the snapping
 classification and the empirical scan, and ``eval_grid_term_loop``,
 ``homogeneous_two_roots`` and ``period_rows_dense`` those of the grid
 kernel's polynomial evaluation, projective chart and period loop, against
-which the fast ones must give identical answers.  ``pole_depths_eager``
+which the fast ones must give identical answers; ``period_rows_exact`` is
+the period loop that takes the exact chordal distance of every open cell
+at every step, before the bound-first return test.  ``pole_depths_eager``
 is the pole-depth scan that builds every curve with int8 sign products,
 and ``gamma_fraction`` the exact period polynomial in ``Fraction``
 arithmetic.
@@ -184,6 +186,35 @@ def period_rows_dense(m, xs, ys, n_max, tol):
             period[(period == 0) & ~dead & (dist < tol)] = k
     period[dead] = -1
     return period
+
+
+def period_rows_exact(m, xs, ys, n_max, tol):
+    """Reference period grid, the whole grid as one block: the exact chordal
+    distance of every stepped cell to its start at every step, decided cells
+    retired once at most half are open."""
+    from ivpp.kernel import _chord_grid, _homogeneous, step
+
+    cx, cy = x0, y0 = [c.ravel() for c in np.meshgrid(xs, ys)]
+    start = _homogeneous(x0), _homogeneous(y0)
+    period = np.zeros(x0.size, dtype=np.int16)
+    cell = np.arange(x0.size)
+    open_ = np.ones(x0.size, dtype=bool)
+    for k in range(1, n_max + 1):
+        _, (cx, cy) = step(m, (cx, cy))
+        with np.errstate(all="ignore"):
+            nan = np.isnan(cx) | np.isnan(cy)
+            dist = np.maximum(_chord_grid(cx, start[0]), _chord_grid(cy, start[1]))
+        hit = open_ & (nan | (dist < tol))
+        period[cell[hit]] = np.where(nan[hit], -1, k)
+        open_ ^= hit
+        live = np.count_nonzero(open_)
+        if live == 0:
+            break
+        if 2 * live <= open_.size:
+            cx, cy, cell = cx[open_], cy[open_], cell[open_]
+            start = tuple((u[open_], v[open_]) for u, v in start)
+            open_ = np.ones(live, dtype=bool)
+    return period.reshape(ys.shape[0], xs.shape[0])
 
 
 def pole_depths_eager(m, k_max, window, resolution):

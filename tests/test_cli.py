@@ -68,6 +68,35 @@ def test_decompose_json_is_deterministic():
     assert a == b and a[0] == 0
 
 
+# the two largest-m branches of large periods: (n, branch index, m)
+LARGE_M_BRANCHES = [
+    (619, 308, 308), (619, 309, 309), (1031, 514, 514), (1031, 515, 515),
+    (2048, 511, 1021), (2048, 512, 1023), (4093, 2045, 2045), (4093, 2046, 2046),
+    (4096, 1023, 2045), (4096, 1024, 2047),
+]
+
+
+@pytest.mark.parametrize("n, index, m", LARGE_M_BRANCHES, ids=[f"{n}-m{m}" for n, _, m in LARGE_M_BRANCHES])
+def test_analytic_decompose_at_large_periods(n, index, m):
+    """rho = -tan²(pi m/n) is 1e5..1e7 here, and the closed form's imaginary
+    noise grows with it; the cuts are tan(pi m/n)/tan(pi j m/n), j = 1..n-1
+    (0.02..0.2 s per branch)."""
+    code, out, err = run_captured(["decompose", "--period", str(n), "--branch", str(index)])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["branch"].endswith(f"m={m}")
+    assert doc["rho"] == pytest.approx(-math.tan(math.pi * m / n) ** 2, rel=1e-9)
+    want = sorted(math.tan(math.pi * m / n) / math.tan(math.pi * j * m / n) for j in range(1, n))
+    got = doc["boundaries"][1:]
+    assert got == sorted(got) and len(got) == n - 1
+    assert all(abs(g - w) <= 1e-8 * max(1.0, abs(w)) for g, w in zip(got, want))
+    orbit, i = [], 1
+    for _ in range(n):
+        orbit.append(i)
+        i = doc["sigma"][i - 1]
+    assert i == 1 and len(set(orbit)) == n  # one n-cycle
+
+
 def test_verify_subcommand_green():
     code, out, err = run_captured(["verify"])
     assert code == 0, out + err

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ivpp import serialize
+from ivpp import kernel, serialize
 from ivpp.decompose import (
     _BISECT_LEVELS,
     BOUNDARY_TOL,
@@ -14,14 +14,12 @@ from ivpp.decompose import (
     NoClosure,
     NonRealBoundary,
     NotACycle,
-    PoleHit,
     _require_single_cycle,
     boundaries_analytic,
     boundaries_empirical,
     classify,
     compare_boundaries,
     decompose,
-    trace_flow,
 )
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d, lv_recurrence_map
@@ -33,11 +31,12 @@ B_PLUS = -2 + SQ5
 B_MINUS = -2 - SQ5
 
 
-# -- trace_flow ------------------------------------------------------------------
+# -- exact orbits through kernel.step on the branch chart ------------------------
 
 
-def test_trace_flow_period3_exact_points():
-    # oracle: exact iteration from (2, -3/2)
+def test_step_on_branch_coords_follows_the_exact_orbits():
+    """The flow of (x, rho/x) through kernel.step, against exact iteration:
+    the period-3 orbit through (2, -3/2) and the period-4 one through (2, -1/2)."""
     p = (Fraction(2), Fraction(-3, 2))
     exact = [p]
     for _ in range(3):
@@ -45,29 +44,22 @@ def test_trace_flow_period3_exact_points():
     assert exact[1] == (Fraction(-5), Fraction(3, 5))
     assert exact[2] == (Fraction(-1, 3), Fraction(9))
     assert exact[3] == exact[0]
+    four = [(2, -0.5), (-3, 1 / 3), (-0.5, 2), (1 / 3, -3), (2, -0.5)]
 
-    trace = trace_flow(branches(3)[0], 2.0)
-    assert trace.closed
-    for point, (ex, ey) in zip(trace.points, exact):
-        assert point[0].value == pytest.approx(float(ex), abs=1e-12)
-        assert point[1].value == pytest.approx(float(ey), abs=1e-12)
-
-
-def test_trace_flow_period4_pattern():
-    trace = trace_flow(branches(4)[0], 2.0)
-    want = [(2, -0.5), (-3, 1 / 3), (-0.5, 2), (1 / 3, -3), (2, -0.5)]
-    for point, (wx, wy) in zip(trace.points, want):
-        assert point[0].value == pytest.approx(wx)
-        assert point[1].value == pytest.approx(wy)
+    cur = [np.concatenate(pair) for pair in zip(branches(3)[0].coords([2.0]), branches(4)[0].coords([2.0]))]
+    for (ex, ey), (wx, wy) in zip(exact, four):
+        assert cur[0].tolist() == pytest.approx([float(ex), wx], abs=1e-12)
+        assert cur[1].tolist() == pytest.approx([float(ey), wy], abs=1e-12)
+        _, cur = kernel.step(f2d(), cur)
 
 
-def test_trace_flow_pole_hits():
-    with pytest.raises(PoleHit) as err:
-        trace_flow(branches(3)[0], 1.0)
-    assert err.value.step == 1
-    with pytest.raises(PoleHit) as err:
-        trace_flow(branches(3)[0], 0.0)
-    assert err.value.step == 0
+def test_step_on_branch_coords_at_the_poles():
+    """x = 0 is the chart's pole (both coordinates nan); x = 1 is a pole of
+    the first component, so one step sends x to infinity."""
+    start = branches(3)[0].coords([0.0, 1.0])
+    assert np.isnan(start[0][0]) and np.isnan(start[1][0])
+    _, (x1, y1) = kernel.step(f2d(), start)
+    assert np.isinf(x1[1]) and y1[1] == 0.0
 
 
 # -- analytic boundaries -----------------------------------------------------------

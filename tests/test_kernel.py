@@ -3,9 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ivpp.kernel as kernel
-from conftest import assert_same_bits, eval_grid_term_loop, homogeneous_two_roots, period_rows_dense
+from conftest import (
+    assert_same_bits,
+    eval_grid_term_loop,
+    homogeneous_two_roots,
+    period_rows_dense,
+    period_rows_exact,
+)
 from ivpp.core import Point, RationalMap, chordal
 from ivpp.dsl import parse_map
 from ivpp.maps import f2d, f2d_reduced, f3d, lv_recurrence_map
@@ -241,6 +249,110 @@ def test_period_grid_keeps_the_first_return_of_a_cell_that_returns_again():
     want = period_rows_dense(f2d(), xs, ys, 8, BAND_TOL)
     assert ((want > 0) & (want <= 4)).any()  # such cells come back within tol at 2k too
     assert np.array_equal(kernel.period_grid(f2d(), xs, ys, 8, BAND_TOL), want)
+
+
+# -- the bound-first return test ------------------------------------------------
+
+EXTREMES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1e154, -1.5e154, 1e200, -1e308]
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(EXTREMES))
+
+
+@st.composite
+def _start_and_iterate(draw, tol):
+    """(b, a): a anywhere, equal to b, a few ulps off, or about tol (chordal) away."""
+    b = draw(ANY_FLOAT)
+    kind = draw(st.sampled_from(["any", "same", "ulps", "near"]))
+    if kind == "any":
+        return b, draw(ANY_FLOAT)
+    if kind == "same":
+        return b, b
+    if kind == "ulps":
+        to = draw(st.sampled_from([-np.inf, np.inf]))
+        a = b
+        for _ in range(draw(st.integers(1, 4))):
+            a = float(np.nextafter(a, to))
+        return b, a
+    with np.errstate(all="ignore"):
+        return b, float(b + draw(st.floats(-3.0, 3.0)) * tol * (1.0 + b * b))
+
+
+@st.composite
+def _return_cases(draw):
+    tol = draw(st.floats(1e-300, 1.0))
+    pairs = draw(st.lists(st.tuples(_start_and_iterate(tol), _start_and_iterate(tol)), min_size=1, max_size=16))
+    open_ = np.asarray(draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))))
+    return tol, pairs, open_
+
+
+@settings(max_examples=150, deadline=None)
+@given(_return_cases())
+def test_the_return_bound_never_rejects_an_exact_return(case):
+    """``returns`` decides as the exact chordal distance of every coordinate
+    does, on ±inf, nan, squares past the float range, equal and one-ulp
+    pairs, subnormals and tol from 1e-300 to 1 (about 1.5 s)."""
+    tol, pairs, open_ = case
+    starts = [np.asarray([p[c][0] for p in pairs]) for c in (0, 1)]
+    cur = [np.asarray([p[c][1] for p in pairs]) for c in (0, 1)]
+    got = kernel.returns(cur, kernel.return_start(starts), tol, open_)
+    want = open_.copy()
+    for a, b in zip(cur, starts):
+        want &= kernel._chord_grid(a, kernel._homogeneous(b)) < tol
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-12, 1e-6, 0.5, 1.0])
+def test_the_return_bound_on_every_pair_of_extremes(tol):
+    """Every pair of these values and their neighbours one ulp away; the
+    chordal distance of 7 and its upper neighbour rounds to 0 (under 1 ms)."""
+    base = np.asarray(EXTREMES + SPECIAL + EDGES)
+    vals = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
+    b, a = (g.ravel() for g in np.meshgrid(vals, vals))
+    open_ = np.ones(a.size, dtype=bool)
+    got = kernel.returns([a], kernel.return_start([b]), tol, open_)
+    assert np.array_equal(got, kernel._chord_grid(a, kernel._homogeneous(b)) < tol)
+    assert got[a == b].all() and not got[np.isnan(a) | np.isnan(b)].any()
+
+
+RETURN_GRID = np.linspace(-3.0, 3.0, 25)  # holds the diagonal and exact period-3 and 4 points such as (2, -1.5), (2, -0.5)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 2.0])
+@pytest.mark.parametrize("name", ["f2d", "lyness"])
+def test_period_grid_equals_the_exact_everywhere_reference(monkeypatch, name, tol):
+    """Blocks of 1, 3 and 7 rows cut the grids between returning cells; at
+    tol 2 every cell returns at k = 1 unless it dies (about 0.1 s each)."""
+    m = MAPS[name]
+    for xs, ys in [(RETURN_GRID, RETURN_GRID), _seam_grid(23, 17)]:
+        want = period_rows_exact(m, xs, ys, 8, tol)
+        if tol > 1:
+            assert set(want.flat) <= {-1, 1} and (want == 1).any()
+        elif name == "f2d" and xs is RETURN_GRID:
+            assert {-1, 0, 1, 3, 4} <= set(want.flat)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * xs.shape[0])
+            assert np.array_equal(kernel.period_grid(m, xs, ys, 8, tol), want), (xs.shape, rows)
+
+
+def test_the_exact_distance_runs_only_on_candidates(monkeypatch):
+    """Of the 14,641 cells of this f2d grid, 144 return within 8 steps (the
+    diagonal and the levels xy = -3 and -1); the exact chordal distance sees
+    every one of them and few others, never the whole grid."""
+    xs = np.linspace(-3.0, 3.0, 121)
+    want = period_rows_exact(f2d(), xs, xs, 8, 1e-6)
+    seen = []
+    real = kernel._chord_grid
+
+    def counting_chord(a, uv):
+        seen.append(a.size)
+        return real(a, uv)
+
+    monkeypatch.setattr(kernel, "_chord_grid", counting_chord)
+    g = kernel.period_grid(f2d(), xs, xs, 8, 1e-6)
+    assert np.array_equal(g, want)
+    returned = np.count_nonzero(g > 0)
+    assert returned == 144
+    assert seen[::2] == seen[1::2]  # x and y: the same candidates
+    assert returned <= sum(seen[::2]) < 2 * returned
 
 
 def _stepped_sizes(monkeypatch):
