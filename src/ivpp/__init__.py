@@ -23,7 +23,6 @@ from .decompose import (
     NotACycle,
     boundaries_analytic,
     boundaries_empirical,
-    classify,
     decompose,
 )
 from .denoms import DenominatorZeroSet, denominator_zero_curves

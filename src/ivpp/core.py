@@ -67,13 +67,6 @@ class ExtendedComplex:
             raise InfiniteCoordinate("value requested at the point at infinity")
         return self._z
 
-    def reciprocal(self) -> "ExtendedComplex":
-        if self._z is None:
-            return ExtendedComplex(0)
-        if self._z == 0:
-            return INF
-        return ExtendedComplex(1 / self._z)
-
     def _homogeneous(self) -> Tuple[complex, complex]:
         """Normalized (u, v) with the point = u/v and |u|^2+|v|^2 = 1."""
         z = self._z
@@ -172,9 +165,6 @@ class OrbitTrace:
             assert self.points[-1].chordal(self.points[0]) < tol
             if self.minimal_period is not None:
                 assert (len(self.points) - 1) % self.minimal_period == 0
-
-    def x_values(self) -> List[ExtendedComplex]:
-        return [p[0] for p in self.points]
 
 
 def _limit_ratio(num: Polynomial, den: Polynomial, inf_vars: Tuple[int, ...]):
@@ -374,9 +364,6 @@ class RationalMap:
             raise InfiniteCoordinate("invariants need finite coordinates")
         vals = p.values()
         return [poly.eval(vals) for _, poly in self.invariants]
-
-    def invariant_names(self) -> List[str]:
-        return [n for n, _ in self.invariants]
 
     def __repr__(self) -> str:
         tag = self.name or f"{self.dim}d map"

@@ -5,23 +5,25 @@ Boundaries come from two routes that must agree: the closed-form values
 x-coordinates of the n-step flow (empirical).  Intervals between
 consecutive boundaries are half-open; the map permutes them, and the
 permutation is read off by pushing one interior sample of each interval
-through the map once.
+through the map once.  Every orbit here goes through ``kernel.step`` on
+arrays: the scan, its bisection and closure check, and the one step of
+all interior samples that gives the permutation.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Indeterminate, Point, RationalMap
+from .core import TOL_EQ, RationalMap
 from .ivpp2d import IvppBranch
-from .kernel import step
+from .kernel import return_start, returns, step
 from .maps import f2d
 from .mobius import boundary_cs
 
@@ -146,10 +148,6 @@ class ComponentDecomposition:
         return doc
 
 
-def classify(decomp: ComponentDecomposition, x: float, tol: float = 1e-9) -> int:
-    return decomp.classify(x, tol)
-
-
 # -- analytic boundaries ------------------------------------------------------
 
 
@@ -253,18 +251,14 @@ def boundaries_empirical(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
-    # closure pre-check on a few generic interior points; a nan coordinate
-    # (a pole of param) makes Point raise ValueError, and the probe is skipped
+    # closure pre-check on a few generic interior points, n steps of the flow;
+    # a probe on a pole of param starts nan and never returns, and no n < 1 closes
     probes = lo + (hi - lo) * np.array([0.137, 0.411, 0.739])
-    closed_any = False
-    for row in zip(*param(probes)):
-        try:
-            if m.iterate(Point([float(c) for c in row]), n).closed:
-                closed_any = True
-                break
-        except (Indeterminate, ZeroDivisionError, ValueError):
-            continue
-    if not closed_any:
+    cur = start = param(probes)
+    for _ in range(n):
+        _, cur = step(m, cur)
+    closed = returns(cur, return_start(start), TOL_EQ, np.ones(probes.shape, dtype=bool))
+    if n < 1 or not closed.any():
         raise NoClosure(f"sampled points do not return after {n} steps")
 
     # the samples, then the two sides of u = 1/x = 0
@@ -328,11 +322,7 @@ def compare_boundaries(
 # -- decomposition ------------------------------------------------------------
 
 
-def decompose(
-    branch: IvppBranch,
-    method: str = "analytic",
-    window: Tuple[float, float] = (-6.0, 6.0),
-) -> ComponentDecomposition:
+def decompose(branch: IvppBranch, method: str = "analytic") -> ComponentDecomposition:
     """Intervals between boundaries plus the cycle permutation of the 2d map.
 
     Convention is left-closed [a, b); the unbounded piece is (-inf, c) and
@@ -341,65 +331,30 @@ def decompose(
     if method == "analytic":
         bounds = boundaries_analytic(branch)
     elif method == "empirical":
-        bounds = boundaries_empirical(f2d(), branch.coords, branch.n, window=window)
+        bounds = boundaries_empirical(f2d(), branch.coords, branch.n)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    partial = ComponentDecomposition(
-        period=branch.n,
-        branch=branch.label,
-        convention="left-closed",
-        boundaries=tuple(bounds),
-        sigma=tuple(range(1, len(bounds) + 1)),  # placeholder until computed
-        rho=branch.rho,
-    )
-    sigma = _cycle_from_samples(partial, branch)
     decomp = ComponentDecomposition(
         period=branch.n,
         branch=branch.label,
         convention="left-closed",
         boundaries=tuple(bounds),
-        sigma=sigma,
+        sigma=(),  # read off below from the decomposition's own samples
         rho=branch.rho,
     )
+    decomp = replace(decomp, sigma=_pushed_sigma(decomp, branch))
     _require_single_cycle(decomp)
     return decomp
 
 
-def _cycle_from_samples(decomp: ComponentDecomposition, branch: IvppBranch) -> Tuple[int, ...]:
-    m = f2d()
-    sigma: List[int] = []
-    for i, (interval, x) in enumerate(zip(decomp.intervals(), decomp.interior_samples())):
-        image_x = None
-        for candidate in _sample_candidates(interval, x):
-            try:
-                img = m.apply(branch.point(candidate))
-            except (Indeterminate, ZeroDivisionError):
-                continue
-            cx = img[0]
-            if cx.is_infinite or abs(cx.value.imag) > 1e-9:
-                continue
-            image_x = cx.value.real
-            break
-        if image_x is None:
-            raise NotACycle(f"no classifiable image for component {i + 1}")
-        sigma.append(decomp.classify(image_x))
-    return tuple(sigma)
-
-
-def _sample_candidates(interval: Tuple[float, float], first: float) -> List[float]:
-    lo, hi = interval
-    out = [first]
-    for t in (0.5, 0.381966, 0.25, 0.75):
-        if math.isinf(lo) and math.isinf(hi):
-            out.append(t)
-        elif math.isinf(lo):
-            out.append(hi - 1 - t)
-        elif math.isinf(hi):
-            out.append(lo + 1 + t)
-        else:
-            out.append(lo + (hi - lo) * t)
-    return [x for x in out if x != 0]
+def _pushed_sigma(decomp: ComponentDecomposition, branch: IvppBranch) -> Tuple[int, ...]:
+    """The component of each interior sample's x-image, all pushed in one step."""
+    _, (image_x, _) = step(f2d(), branch.coords(decomp.interior_samples()))
+    bad = np.flatnonzero(~np.isfinite(image_x))
+    if bad.size:
+        raise NotACycle(f"no classifiable image for component {bad[0] + 1}")
+    return tuple(decomp.classify(x) for x in image_x.tolist())
 
 
 def _require_single_cycle(decomp: ComponentDecomposition) -> None:

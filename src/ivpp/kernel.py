@@ -2,8 +2,9 @@
 
 ``step`` applies a map of any dimension to arrays of points with IEEE
 semantics (inf on a pole, nan on 0/0) and also returns the denominators
-it evaluated.  The period grid, the pole-depth layers and the empirical
-boundary scan all iterate through it.  ``period_grid`` gives each cell of
+it evaluated.  The period grid, the pole-depth layers, the empirical
+boundary scan with its closure check, and the component permutation of
+``decompose`` all iterate through it.  ``period_grid`` gives each cell of
 a 2d map's raster the first k <= n_max whose iterate is within tol of the
 start under the chordal metric, 0 when there is none, and -1 when the
 orbit leaves the finite chart first (0/0 or a pole transit).  Its return

@@ -78,24 +78,11 @@ class Polynomial:
             return -1
         return max(e[index] for e in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def leading_coefficient(self):
         """Coefficient of the graded-lex largest monomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.terms[max(self.terms, key=_monomial_key)]
-
-    def variables_used(self) -> set:
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return used
 
     # -- arithmetic ----------------------------------------------------------
 

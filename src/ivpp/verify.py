@@ -23,6 +23,7 @@ from .decompose import (
     decompose,
 )
 from .ivpp2d import branches, gamma_poly
+from .kernel import step
 from .lv3d import (
     lv_decompose_period2,
     lv_diagonalizer,
@@ -314,15 +315,13 @@ def check_raster_period3() -> Tuple[bool, str]:
     xs, _ = R.cells()
     sigma = np.asarray(d.sigma)
     ok = bad = 0
-    for j in np.nonzero(mask.any(axis=0))[0]:  # cells of one column share x
-        try:
-            cx = m.apply(b.point(float(xs[j])))[0]
-        except Indeterminate:
-            continue
-        if cx.is_infinite:
-            continue  # pole column, excluded
+    cols = np.flatnonzero(mask.any(axis=0))  # cells of one column share x
+    _, (image_x, _) = step(m, b.coords(xs[cols]))
+    for j, x in zip(cols, image_x.tolist()):
+        if not math.isfinite(x):
+            continue  # 0/0 or pole column, excluded
         comps = R.component[mask[:, j], j]
-        good = int(np.count_nonzero(sigma[comps - 1] == d.classify(cx.value.real)))
+        good = int(np.count_nonzero(sigma[comps - 1] == d.classify(x)))
         ok += good
         bad += comps.size - good
     frac = ok / max(1, ok + bad)

@@ -17,7 +17,6 @@ from ivpp.decompose import (
     _require_single_cycle,
     boundaries_analytic,
     boundaries_empirical,
-    classify,
     compare_boundaries,
     decompose,
 )
@@ -186,6 +185,8 @@ def test_compare_boundaries_flags_a_wrong_cut_list():
 def test_empirical_no_closure_on_a_wrong_period():
     with pytest.raises(NoClosure):
         boundaries_empirical(f2d(), branches(3)[0].coords, 4)
+    with pytest.raises(NoClosure):  # no step at all is no return either
+        boundaries_empirical(lv_recurrence_map(), lambda x: (x,), 0)
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -223,6 +224,54 @@ def test_sigma_is_a_single_cycle_property():
             assert perm == list(range(1, n + 1))
 
 
+def test_every_branch_to_n200_matches_the_closed_form():
+    """All 6,115 branches of n = 3..200 against the closed form, not the map:
+    the finite cuts are cut_j = tan(pi m/n) / tan(pi (jm mod n)/n), j = 1..n-1
+    (0 where jm = n/2 mod n), within 1e-9 * max(1, |cut|); labelling each
+    component by the j of its left cut, the one from -inf by 0 (its left end,
+    infinity, is cut_0), sigma is the map j -> j - 1 mod n."""
+    count = 0
+    for n in range(3, 201):
+        j = np.arange(1, n)
+        for b in branches(n):
+            d = decompose(b)
+            p = j * b.m % n
+            with np.errstate(divide="ignore"):
+                cuts = np.where(2 * p == n, 0.0, math.tan(math.pi * b.m / n) / np.tan(np.pi * p / n))
+            order = np.argsort(cuts)
+            want = cuts[order]
+            got = np.array(d.finite_boundaries())
+            assert got.shape == want.shape, (n, b.m)
+            assert (np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all(), (n, b.m)
+            labels = np.concatenate([[0], j[order]])
+            component = np.empty(n, dtype=int)
+            component[labels] = np.arange(1, n + 1)
+            assert d.sigma == tuple(component[(labels - 1) % n].tolist()), (n, b.m)
+            count += 1
+    assert count == 6115
+
+
+def test_decompose_and_the_scan_take_no_scalar_orbit(monkeypatch):
+    """With RationalMap.apply and .iterate raising, both decompose methods and
+    the 1d scan still give their usual results: every orbit they follow is a
+    vector one."""
+    from ivpp.core import RationalMap
+
+    pick = {(n, b.m): b for n in range(3, 9) for b in branches(n)}
+    cases = [(n, m, "analytic") for n, m in pick] + [(n, m, "empirical") for n, m in EMPIRICAL_BRANCHES if n <= 8]
+    want = {case: decompose(pick[case[:2]], method=case[2]) for case in cases}
+    want_lv = boundaries_empirical(lv_recurrence_map(), lambda x: (x,), 2)
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("a scalar orbit step")
+
+    monkeypatch.setattr(RationalMap, "apply", scalar)
+    monkeypatch.setattr(RationalMap, "iterate", scalar)
+    for case in cases:
+        assert decompose(pick[case[:2]], method=case[2]) == want[case], case
+    assert boundaries_empirical(lv_recurrence_map(), lambda x: (x,), 2) == want_lv
+
+
 def test_not_a_cycle_guard():
     d = ComponentDecomposition(
         period=3,
@@ -251,12 +300,12 @@ def test_intervals_tile_the_extended_line():
 
 def test_classify_examples():
     d3 = decompose(branches(3)[0])
-    assert classify(d3, -1.0) == 2  # [-1, 1) is the second component, left-closed
-    assert classify(d3, 0.999) == 2
-    assert classify(d3, math.inf) == 3
-    assert classify(d3, -math.inf) == 3  # one projective point
+    assert d3.classify(-1.0) == 2  # [-1, 1) is the second component, left-closed
+    assert d3.classify(0.999) == 2
+    assert d3.classify(math.inf) == 3
+    assert d3.classify(-math.inf) == 3  # one projective point
     d4 = decompose(branches(4)[0])
-    assert classify(d4, 1.0) == 4
+    assert d4.classify(1.0) == 4
 
 
 def test_classify_is_a_partition():

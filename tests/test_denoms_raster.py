@@ -157,7 +157,8 @@ def test_a_complex_coefficient_is_refused():
 @pytest.mark.parametrize("rows", [1, 3, 5])
 def test_a_pole_line_on_a_block_seam(monkeypatch, rows):
     """y = 1 lies between rows 14 and 15 of this grid, and row 15 starts a block:
-    the halo row carries the sign change of den_y = y - 1 across the seam."""
+    the previous block's carried last-row masks carry the sign change of
+    den_y = y - 1 across the seam."""
     window, res = (-2.0, 2.0, -2.0, 2.0), (17, 20)
     whole = denominator_zero_curves(f2d(), 3, window, res)
     whole.curves  # scanned on first read: read in a single block, before the split
