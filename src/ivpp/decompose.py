@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -70,6 +70,11 @@ class ComponentDecomposition:
             raise ValueError("the boundary at infinity must be present (last)")
         if self.convention not in ("left-closed", "right-closed"):
             raise ValueError(f"unknown convention {self.convention!r}")
+        if len(fin) != len(self.boundaries) - 1:
+            raise ValueError("every boundary but the last must be finite")
+        n = self.n_components
+        if len(self.sigma) != n or not all(1 <= s <= n for s in self.sigma):
+            raise ValueError(f"sigma must map each of the {n} components into 1..{n}, got {self.sigma}")
 
     @cached_property
     def _finite(self) -> Tuple[float, ...]:
@@ -88,46 +93,9 @@ class ComponentDecomposition:
         ends = [-INF_F, *fin, INF_F]
         return list(zip(ends[:-1], ends[1:]))
 
-    def classify(self, x: float, tol: float = 1e-9) -> int:
-        """1-based component index; infinity lands in the last component.
-
-        x within tol of a cut point counts as sitting on the cut, so the
-        half-open convention decides its side; this keeps the printed
-        boundary memberships stable against the ~1e-16 noise the closed
-        forms carry.  The cuts within tol of x are adjacent in the sorted
-        list, so x snaps to the lowest of them, found from its bisect
-        position in O(log n).
-        """
-        if math.isinf(x):
-            return self.n_components
-        fin = self.finite_boundaries()
-
-        def near(j: int) -> bool:
-            return abs(x - fin[j]) <= tol * max(1.0, abs(fin[j]))
-
-        p = bisect_left(fin, x)
-        j = p
-        while j > 0 and near(j - 1):
-            j -= 1
-        if j < p or (p < len(fin) and near(p)):
-            x = fin[j]
-        if self.convention == "left-closed":
-            return bisect_right(fin, x) + 1
-        return bisect_left(fin, x) + 1
-
-    def interior_samples(self) -> List[float]:
-        """One interior x per component, deterministic and pole-avoiding."""
-        out = []
-        for lo, hi in self.intervals():
-            if math.isinf(lo) and math.isinf(hi):
-                out.append(0.6180339887498949)
-            elif math.isinf(lo):
-                out.append(hi - 1.6180339887498949)
-            elif math.isinf(hi):
-                out.append(lo + 1.6180339887498949)
-            else:
-                out.append(lo + (hi - lo) * 0.6180339887498949)
-        return out
+    def classify(self, x, tol: float = 1e-9):
+        """1-based component index of x, a float or an array of them; see ``classify_cuts``."""
+        return classify_cuts(self._finite, x, self.convention, tol)
 
     def to_json_dict(self) -> dict:
         fin = self.finite_boundaries()
@@ -146,6 +114,62 @@ class ComponentDecomposition:
             doc["tiles"] = self.tiles
             doc["tile_pairs"] = [list(p) for p in self.tile_pairs]
         return doc
+
+
+def classify_cuts(cuts: Sequence[float], x, convention: str = "left-closed", tol: float = 1e-9):
+    """1-based component of x among the ascending finite ``cuts``; infinity
+    lands in the last component, len(cuts) + 1.
+
+    x within tol of a cut point counts as sitting on the cut, so the
+    half-open convention decides its side; this keeps the printed
+    boundary memberships stable against the ~1e-16 noise the closed
+    forms carry.  The cuts within tol of x are adjacent in the sorted
+    list, so x snaps to the lowest of them, found from its bisect
+    position in O(log n).  An array x gets an array of classes: one
+    searchsorted pass decides every finite x farther than tol from the
+    cuts next to it, and the scalar rule the rest.
+    """
+    if np.ndim(x):
+        x = np.asarray(x, dtype=float)
+        q = np.searchsorted(cuts, x, side="right" if convention == "left-closed" else "left")
+        ends = np.array([math.nan, *cuts, math.nan])  # ends[q], ends[q + 1]: the cuts next to x
+        reach = tol * np.maximum(1.0, np.abs(ends))
+        with np.errstate(invalid="ignore"):
+            near = (np.abs(x - ends[q]) <= reach[q]) | (np.abs(x - ends[q + 1]) <= reach[q + 1])
+        out = q + 1
+        rest = np.nonzero(near | ~np.isfinite(x))
+        out[rest] = [classify_cuts(cuts, v, convention, tol) for v in x[rest].tolist()]
+        return out
+    if math.isinf(x):
+        return len(cuts) + 1
+
+    def near(j: int) -> bool:
+        return abs(x - cuts[j]) <= tol * max(1.0, abs(cuts[j]))
+
+    p = bisect_left(cuts, x)
+    j = p
+    while j > 0 and near(j - 1):
+        j -= 1
+    if j < p or (p < len(cuts) and near(p)):
+        x = cuts[j]
+    if convention == "left-closed":
+        return bisect_right(cuts, x) + 1
+    return bisect_left(cuts, x) + 1
+
+
+def interior_samples(cuts: Sequence[float]) -> List[float]:
+    """One interior x per component of the ascending finite cuts, deterministic and pole-avoiding."""
+    out = []
+    for lo, hi in zip([-INF_F, *cuts], [*cuts, INF_F]):
+        if math.isinf(lo) and math.isinf(hi):
+            out.append(0.6180339887498949)
+        elif math.isinf(lo):
+            out.append(hi - 1.6180339887498949)
+        elif math.isinf(hi):
+            out.append(lo + 1.6180339887498949)
+        else:
+            out.append(lo + (hi - lo) * 0.6180339887498949)
+    return out
 
 
 # -- analytic boundaries ------------------------------------------------------
@@ -340,21 +364,20 @@ def decompose(branch: IvppBranch, method: str = "analytic") -> ComponentDecompos
         branch=branch.label,
         convention="left-closed",
         boundaries=tuple(bounds),
-        sigma=(),  # read off below from the decomposition's own samples
+        sigma=_pushed_sigma([b for b in bounds if math.isfinite(b)], branch),
         rho=branch.rho,
     )
-    decomp = replace(decomp, sigma=_pushed_sigma(decomp, branch))
     _require_single_cycle(decomp)
     return decomp
 
 
-def _pushed_sigma(decomp: ComponentDecomposition, branch: IvppBranch) -> Tuple[int, ...]:
+def _pushed_sigma(cuts: List[float], branch: IvppBranch) -> Tuple[int, ...]:
     """The component of each interior sample's x-image, all pushed in one step."""
-    _, (image_x, _) = step(f2d(), branch.coords(decomp.interior_samples()))
+    _, (image_x, _) = step(f2d(), branch.coords(interior_samples(cuts)))
     bad = np.flatnonzero(~np.isfinite(image_x))
     if bad.size:
         raise NotACycle(f"no classifiable image for component {bad[0] + 1}")
-    return tuple(decomp.classify(x) for x in image_x.tolist())
+    return tuple(classify_cuts(cuts, image_x).tolist())
 
 
 def _require_single_cycle(decomp: ComponentDecomposition) -> None:

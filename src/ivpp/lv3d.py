@@ -23,7 +23,7 @@ import math
 from typing import List, Tuple
 
 from .core import ExtendedComplex, Indeterminate, Point
-from .decompose import ComponentDecomposition
+from .decompose import ComponentDecomposition, classify_cuts
 from .maps import f3d
 from .mobius import Mobius
 
@@ -100,7 +100,7 @@ def lv_decompose_period2(r: float, sign: str = "+") -> ComponentDecomposition:
     if sign not in SIGNS:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     boundaries = (0.0, 1.0, math.inf)
-    sigma = _pairing_sigma(r, sign, boundaries)
+    sigma = _pairing_sigma(r, sign, boundaries[:-1])
     return ComponentDecomposition(
         period=2,
         branch=f"a{sign}" if sign in "+-" else sign,
@@ -113,17 +113,9 @@ def lv_decompose_period2(r: float, sign: str = "+") -> ComponentDecomposition:
     )
 
 
-def _pairing_sigma(r: float, sign: str, boundaries) -> Tuple[int, ...]:
+def _pairing_sigma(r: float, sign: str, cuts) -> Tuple[int, ...]:
     """Read the interval pairing off the actual 3d map at interior samples."""
     m = f3d()
-    decomp_stage = ComponentDecomposition(
-        period=2,
-        branch="stage",
-        convention="right-closed",
-        boundaries=tuple(boundaries),
-        sigma=(1, 2, 3),
-        r=float(r),
-    )
     sigma: List[int] = []
     for x in (-1.0, 0.5, 3.0):
         p = lv_period2_param(x, r, sign)
@@ -138,7 +130,7 @@ def _pairing_sigma(r: float, sign: str, boundaries) -> Tuple[int, ...]:
             # the restriction of the map to the branch still moves x by the
             # r-independent limit x -> x/(x-1)
             val = x / (x - 1.0)
-        sigma.append(decomp_stage.classify(val))
+        sigma.append(classify_cuts(cuts, val, "right-closed"))
     return tuple(sigma)
 
 

@@ -14,6 +14,9 @@ Two layers per raster:
                  once per column that has band cells: one vector flow of all
                  of them through ``kernel.step``, with the scalar projective
                  check only for columns whose orbit leaves the finite chart.
+                 The band is tested only on each column's candidate rows
+                 (see ``_band``), so the pass costs O(band cells + output)
+                 rather than O(width * height).
 
 Cells are independent and the output is deterministic for fixed inputs;
 IVPP_THREADS caps the row-parallel kernel work.
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,8 +76,12 @@ class TilingRaster:
 def pgm_bytes(grid: np.ndarray) -> bytes:
     """Binary PGM (P5) of an (h, w) integer layer: clipped to 0..255, top row = largest y."""
     h, w = grid.shape
-    data = np.clip(grid, 0, 255).astype(np.uint8)[::-1, :]
-    return f"P5\n{w} {h}\n255\n".encode() + data.tobytes()
+    header = f"P5\n{w} {h}\n255\n".encode()
+    buf = bytearray(len(header) + w * h)
+    buf[: len(header)] = header
+    data = np.frombuffer(buf, dtype=np.uint8, offset=len(header)).reshape(h, w)
+    np.clip(grid[::-1, :], 0, 255, out=data, casting="unsafe")  # clipped values fit a byte
+    return bytes(buf)
 
 
 def write_csv(path: str, header: str, xs, ys, layers) -> None:
@@ -134,31 +141,86 @@ def raster(
 
     if decomp is not None and branch is not None:
         cell = max((window[1] - window[0]) / w, (window[3] - window[2]) / h)
-        on_branch = np.empty((h, w), dtype=bool)
-        X = xs[np.newaxis, :]
-        for lo, hi in kernel.blocks(w, h):
-            Y = ys[lo:hi, np.newaxis]
-            band = band_cells * cell * (np.abs(X) + np.abs(Y) + 1.0)
-            on_branch[lo:hi] = np.abs(X * Y - branch.rho) <= band
-        on_branch &= np.abs(X) > cell  # parametrization pole at x = 0
-        columns = np.nonzero(on_branch.any(axis=0))[0]
+        band = _band(xs, ys, window, branch.rho, band_cells * cell, cell)
+        has_band = np.zeros(w, dtype=bool)
+        for flat in band:
+            has_band[flat % w] = True
+        columns = np.flatnonzero(has_band)
         closes, fallback = _snapped_closes(m, branch, xs[columns])
         for i in np.nonzero(fallback)[0]:
             closes[i] = _snapped_period_is(m, branch, float(xs[columns[i]]), branch.n)
         column_class = np.zeros(w, dtype=np.int16)
-        column_class[columns[closes]] = [decomp.classify(x) for x in xs[columns[closes]].tolist()]
-        component = np.where(on_branch, column_class, np.int16(0))
+        column_class[columns[closes]] = decomp.classify(xs[columns[closes]])
+        classified = 0
+        for flat in band:
+            cls = column_class[flat % w]
+            np.put(component, flat, cls)
+            classified += np.count_nonzero(cls)
         meta.update(
             {
                 "period_n": branch.n,
                 "branch": branch.label,
                 "band_cells": band_cells,
                 "snap_checks": int(columns.size),
-                "classified": int(np.count_nonzero(component)),
+                "classified": int(classified),
             }
         )
 
     return TilingRaster(tuple(window), w, h, period_layer, component, meta)
+
+
+def _band(xs, ys, window, rho: float, c: float, cell: float) -> List[np.ndarray]:
+    """Flat indices (int32 arrays of at most BLOCK_CELLS tested cells each) of
+    the cells with |x*y - rho| <= c*(|x| + |y| + 1) and |x| > cell (the
+    parametrization pole at x = 0).
+
+    With y = rho/x + d the test gives |d| <= c(|x| + |rho/x| + 1)/(|x| - c)
+    when |x| > c, so a column is tested only on the rows of that range,
+    widened by a relative 1e-9 and two rows for rounding.  A column with
+    |x| <= 2c, or whose range is not finite, is tested whole in row slabs.
+    """
+    w, h = xs.size, ys.size
+    y0, y1 = window[2], window[3]
+    dy = (y1 - y0) / h
+
+    def hits(X, aX, Y):  # |X*Y - rho| <= c*(|X| + |Y| + 1), aX = |X|; in place, and + and * commute bit for bit
+        gap = X * Y
+        gap -= rho
+        np.abs(gap, out=gap)
+        reach = np.abs(Y) + aX
+        reach += 1.0
+        reach *= c
+        return gap <= reach
+
+    ax = np.abs(xs)
+    with np.errstate(all="ignore"):
+        r = rho / xs
+        half = c * (ax + np.abs(r) + 1.0) / (ax - c)
+        half += 1e-9 * (half + np.abs(r) + abs(y0) + abs(y1))
+        a, b = (r - half - y0) / dy - 0.5, (r + half - y0) / dy - 0.5
+        lo, hi = np.floor(np.minimum(a, b)) - 2, np.ceil(np.maximum(a, b)) + 3
+    full = (ax <= 2 * c) | ~np.isfinite(lo) | ~np.isfinite(hi)
+    keep = ax > cell
+    lo = np.clip(np.where(full, 0, lo), 0, h).astype(np.intp)
+    count = np.clip(np.where(full, 0, hi), 0, h).astype(np.intp) - lo
+    cols = np.flatnonzero(keep & (count > 0))
+    ends = np.cumsum(count[cols])  # candidate k lies in column cols[i], i = searchsorted(ends, k)
+    total = int(ends[-1]) if cols.size else 0
+    out = []
+    for s in range(0, total, kernel.BLOCK_CELLS):
+        k = np.arange(s, min(s + kernel.BLOCK_CELLS, total))
+        i = np.searchsorted(ends, k, side="right")
+        col = cols[i]
+        row = lo[col] + k - (ends[i] - count[col])
+        hit = hits(xs[col], ax[col], ys[row])
+        out.append((row[hit] * w + col[hit]).astype(np.int32))
+    dense = np.flatnonzero(keep & full)
+    X, aX = xs[dense], ax[dense]
+    for r0, r1 in kernel.blocks(dense.size, h) if dense.size else ():
+        at = np.flatnonzero(hits(X, aX, ys[r0:r1, np.newaxis]))
+        if at.size:
+            out.append(((at // dense.size + r0) * w + dense[at % dense.size]).astype(np.int32))
+    return out
 
 
 def _snapped_closes(m: RationalMap, branch: IvppBranch, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -214,17 +276,12 @@ def lv_raster(
     decomp = lv_decompose_period2(0.0, sign)
     fin = np.asarray(decomp.finite_boundaries())
     classes = (np.searchsorted(fin, xs, side="left") + 1).astype(np.int16)
-    stripe = {}  # integer level -> its classified row, shared by the rows of its stripe
-    for i, r in enumerate(rs):
-        r_level = round(float(r))
-        if abs(r - r_level) > stripe_half_width:
-            continue
-        if not window[2] <= r_level <= window[3]:
-            continue
-        if r_level not in stripe:
-            mask = (lv_discriminant(xs, float(r_level)) >= 0) & (xs != 0.0) & (xs != 1.0)
-            stripe[r_level] = np.where(mask, classes, np.int16(0))
-        component[i] = stripe[r_level]
+    levels = np.round(rs)  # the nearest integer level of each row, half to even as round()
+    near = ~(np.abs(rs - levels) > stripe_half_width) & (window[2] <= levels) & (levels <= window[3])
+    rows = np.flatnonzero(near)
+    level, which = np.unique(levels[rows], return_inverse=True)
+    real = lv_discriminant(xs, level[:, np.newaxis]) >= 0  # one (levels x columns) grid
+    component[rows] = np.where(real & (xs != 0.0) & (xs != 1.0), classes, np.int16(0))[which]
     return TilingRaster(
         tuple(window),
         w,

@@ -317,11 +317,11 @@ def check_raster_period3() -> Tuple[bool, str]:
     ok = bad = 0
     cols = np.flatnonzero(mask.any(axis=0))  # cells of one column share x
     _, (image_x, _) = step(m, b.coords(xs[cols]))
-    for j, x in zip(cols, image_x.tolist()):
+    for j, x, target in zip(cols, image_x.tolist(), d.classify(image_x).tolist()):
         if not math.isfinite(x):
             continue  # 0/0 or pole column, excluded
         comps = R.component[mask[:, j], j]
-        good = int(np.count_nonzero(sigma[comps - 1] == d.classify(x)))
+        good = int(np.count_nonzero(sigma[comps - 1] == target))
         ok += good
         bad += comps.size - good
     frac = ok / max(1, ok + bad)

@@ -12,7 +12,10 @@ the period loop that takes the exact chordal distance of every open cell
 at every step, before the bound-first return test.  ``pole_depths_eager``
 is the pole-depth scan that builds every curve with int8 sign products,
 and ``gamma_fraction`` the exact period polynomial in ``Fraction``
-arithmetic.
+arithmetic.  ``band_mask_dense`` is the component rasters' band test on
+every cell of the grid, before the per-column candidate rows, and
+``pgm_concat`` the PGM encoder that clips to int16, casts and
+concatenates the header.
 """
 
 import math
@@ -53,6 +56,30 @@ def csv_per_cell(header: str, xs, ys, layers) -> bytes:
             values = "".join(f",{int(layer[i, j])}" for layer in layers)
             lines.append(f"{xs[j]:.17g},{ys[i]:.17g}{values}")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def band_mask_dense(window, resolution, rho, band_cells=1.5):
+    """Reference band of a component raster: the test on every cell, bool (h, w)."""
+    from ivpp.denoms import cell_centers
+
+    w, h = resolution
+    xs, ys = cell_centers(window, resolution)
+    cell = max((window[1] - window[0]) / w, (window[3] - window[2]) / h)
+    X = xs[np.newaxis, :]
+    out = np.empty((h, w), dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, h, 256):  # rows at a time, to bound the float temporaries
+            Y = ys[lo : lo + 256, np.newaxis]
+            band = band_cells * cell * (np.abs(X) + np.abs(Y) + 1.0)
+            out[lo : lo + 256] = (np.abs(X * Y - rho) <= band) & (np.abs(X) > cell)
+    return out
+
+
+def pgm_concat(grid) -> bytes:
+    """Reference ``pgm_bytes``: clip, cast, flip, then header + data."""
+    h, w = grid.shape
+    data = np.clip(grid, 0, 255).astype(np.uint8)[::-1, :]
+    return f"P5\n{w} {h}\n255\n".encode() + data.tobytes()
 
 
 def classify_by_loop(decomp, x: float, tol: float = 1e-9) -> int:

@@ -284,6 +284,23 @@ def test_not_a_cycle_guard():
         _require_single_cycle(d)
 
 
+@pytest.mark.parametrize("sigma", [(), (1, 2), (2, 3, 1, 1), (0, 3, 1), (2, 3, 4)])
+def test_sigma_must_send_every_component_into_the_components(sigma):
+    with pytest.raises(ValueError, match="sigma must map each of the 3 components"):
+        ComponentDecomposition(3, "m=1", "left-closed", (-1.0, 1.0, math.inf), sigma)
+
+
+def test_a_sigma_that_is_no_cycle_is_still_refused_by_the_cycle_guard():
+    d = ComponentDecomposition(3, "m=1", "left-closed", (-1.0, 1.0, math.inf), (2, 2, 1))
+    with pytest.raises(NotACycle, match=r"sigma \(2, 2, 1\) is not a single 3-cycle"):
+        _require_single_cycle(d)
+
+
+def test_every_boundary_but_the_last_must_be_finite():
+    with pytest.raises(ValueError, match="every boundary but the last must be finite"):
+        ComponentDecomposition(3, "m=1", "left-closed", (-math.inf, 1.0, math.inf), (2, 3, 1))
+
+
 def test_intervals_tile_the_extended_line():
     for n in (3, 4, 5, 6):
         d = decompose(branches(n)[0])

@@ -512,13 +512,14 @@ def test_lv_raster_skips_complex_branch_cells():
     assert (R.component == 0).all()
 
 
-def test_lv_raster_evaluates_each_level_once(monkeypatch):
+def test_lv_raster_evaluates_all_levels_in_one_call(monkeypatch):
+    """One discriminant grid of (levels x columns), bit-identical to the per-row form."""
     from ivpp.lv3d import lv_decompose_period2, lv_discriminant
 
     levels = []
 
     def recording(xs, r):
-        levels.append(r)
+        levels.append(np.asarray(r).ravel().tolist())
         return lv_discriminant(xs, r)
 
     window, resolution = (-3.0 + 0.0123, 3.0 - 0.0071, -5.0 + 0.013, 5.0 - 0.029), (61, 303)
@@ -533,5 +534,5 @@ def test_lv_raster_evaluates_each_level_once(monkeypatch):
         if abs(r - level) <= 0.25 and window[2] <= level <= window[3]:
             mask = (lv_discriminant(xs, float(level)) >= 0) & (xs != 0.0) & (xs != 1.0)
             want[i, mask] = classes[mask]
-    assert sorted(levels) == sorted(set(levels)) == [float(v) for v in range(-4, 5)]
+    assert levels == [[float(v) for v in range(-4, 5)]]
     assert (want > 0).any() and R.component.tobytes() == want.tobytes()
