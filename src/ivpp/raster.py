@@ -30,6 +30,7 @@ from itertools import chain, repeat
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel
 from .core import RationalMap
@@ -170,28 +171,21 @@ def raster(
 
 
 def _band(xs, ys, window, rho: float, c: float, cell: float) -> List[np.ndarray]:
-    """Flat indices (int32 arrays of at most BLOCK_CELLS tested cells each) of
-    the cells with |x*y - rho| <= c*(|x| + |y| + 1) and |x| > cell (the
-    parametrization pole at x = 0).
+    """Flat indices (int32 arrays, one per tested block of about BLOCK_CELLS
+    cells) of the cells with |x*y - rho| <= c*(|x| + |y| + 1) and
+    |x| > cell (the parametrization pole at x = 0).
 
     With y = rho/x + d the test gives |d| <= c(|x| + |rho/x| + 1)/(|x| - c)
     when |x| > c, so a column is tested only on the rows of that range,
-    widened by a relative 1e-9 and two rows for rounding.  A column with
-    |x| <= 2c, or whose range is not finite, is tested whole in row slabs.
+    widened by a relative 1e-9 and two rows for rounding; a column with
+    |x| <= 2c, or whose range is not finite, is tested on all h rows.  The
+    columns whose row counts have one bit length are tested together, each
+    on the group's largest count of consecutive rows from its own first row,
+    so a block tests fewer than twice the candidate cells.
     """
     w, h = xs.size, ys.size
     y0, y1 = window[2], window[3]
     dy = (y1 - y0) / h
-
-    def hits(X, aX, Y):  # |X*Y - rho| <= c*(|X| + |Y| + 1), aX = |X|; in place, and + and * commute bit for bit
-        gap = X * Y
-        gap -= rho
-        np.abs(gap, out=gap)
-        reach = np.abs(Y) + aX
-        reach += 1.0
-        reach *= c
-        return gap <= reach
-
     ax = np.abs(xs)
     with np.errstate(all="ignore"):
         r = rho / xs
@@ -200,26 +194,29 @@ def _band(xs, ys, window, rho: float, c: float, cell: float) -> List[np.ndarray]
         a, b = (r - half - y0) / dy - 0.5, (r + half - y0) / dy - 0.5
         lo, hi = np.floor(np.minimum(a, b)) - 2, np.ceil(np.maximum(a, b)) + 3
     full = (ax <= 2 * c) | ~np.isfinite(lo) | ~np.isfinite(hi)
-    keep = ax > cell
     lo = np.clip(np.where(full, 0, lo), 0, h).astype(np.intp)
-    count = np.clip(np.where(full, 0, hi), 0, h).astype(np.intp) - lo
-    cols = np.flatnonzero(keep & (count > 0))
-    ends = np.cumsum(count[cols])  # candidate k lies in column cols[i], i = searchsorted(ends, k)
-    total = int(ends[-1]) if cols.size else 0
+    count = np.clip(np.where(full, h, hi), 0, h).astype(np.intp) - lo
+    cols = np.flatnonzero((ax > cell) & (count > 0))
+    size = np.frexp(count[cols])[1]  # the bit length of each column's row count
     out = []
-    for s in range(0, total, kernel.BLOCK_CELLS):
-        k = np.arange(s, min(s + kernel.BLOCK_CELLS, total))
-        i = np.searchsorted(ends, k, side="right")
-        col = cols[i]
-        row = lo[col] + k - (ends[i] - count[col])
-        hit = hits(xs[col], ax[col], ys[row])
-        out.append((row[hit] * w + col[hit]).astype(np.int32))
-    dense = np.flatnonzero(keep & full)
-    X, aX = xs[dense], ax[dense]
-    for r0, r1 in kernel.blocks(dense.size, h) if dense.size else ():
-        at = np.flatnonzero(hits(X, aX, ys[r0:r1, np.newaxis]))
-        if at.size:
-            out.append(((at // dense.size + r0) * w + dense[at % dense.size]).astype(np.int32))
+    for bits in np.unique(size):
+        group = cols[size == bits]
+        rows = int(count[group].max())
+        first = np.minimum(lo[group], h - rows)  # rows first .. first + rows - 1 cover lo .. lo + count - 1
+        runs = sliding_window_view(ys, rows)  # runs[i] = ys[i : i + rows], a view
+        for c0, c1 in kernel.blocks(rows, group.size):  # whole columns, or one column in row slabs
+            X, aX = xs[group[c0:c1], np.newaxis], ax[group[c0:c1], np.newaxis]
+            for k0, k1 in kernel.blocks(c1 - c0, rows):
+                Y = runs[first[c0:c1], k0:k1]  # (columns, rows) copy of each column's rows
+                gap = X * Y  # |X*Y - rho| <= c*(|X| + |Y| + 1), in place; + and * commute bit for bit
+                gap -= rho
+                np.abs(gap, out=gap)
+                reach = np.abs(Y, out=Y)
+                reach += aX
+                reach += 1.0
+                reach *= c
+                j, k = np.divmod(np.flatnonzero(gap <= reach), k1 - k0)
+                out.append(((first[c0 + j] + k0 + k) * w + group[c0 + j]).astype(np.int32))
     return out
 
 

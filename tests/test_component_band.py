@@ -1,12 +1,11 @@
-"""The band of the component rasters, its array classification and the PGM encoder.
+"""The band of the component rasters, its component layer and the PGM encoder.
 
-The band is found from per-column candidate rows (and row slabs for the
-full columns); every test here compares it with ``band_mask_dense``, the
-test on every cell of the grid.
+The band is found from per-column candidate rows (all rows for the full
+columns); every test here compares it with ``band_mask_dense``, the test on
+every cell of the grid.
 """
 
 import importlib
-import math
 import random
 import tracemalloc
 
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import band_mask_dense, pgm_concat
 from ivpp import kernel
-from ivpp.decompose import ComponentDecomposition, decompose
+from ivpp.decompose import decompose
 from ivpp.denoms import cell_centers
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d
@@ -124,7 +123,7 @@ def test_band_of_a_window_that_misses_the_curve():
 
 @pytest.mark.parametrize("block_cells", [1, 97, 4096])
 def test_band_across_chunk_seams(monkeypatch, block_cells):
-    """Small blocks split the candidates (and one column's rows) and the row slabs."""
+    """Small blocks split a group's columns, and one column's rows."""
     monkeypatch.setattr(kernel, "BLOCK_CELLS", block_cells)
     rng = random.Random(block_cells)
     for window, res in ((SQUARE4, (160, 150)), ((0.999, 1.001, -3.5, -2.5), (1, 400)), (FULL_COLUMNS, (40, 60))):
@@ -167,8 +166,8 @@ def test_component_layer_is_the_column_class_on_the_band():
 
 
 def test_full_column_window_memory():
-    """At 2048^2 the full columns run in row slabs: the peak is the component
-    layer (2 bytes a cell) and the PGM buffer and its bytes (1 + 1), no grid mask."""
+    """At 2048^2 the full columns are tested a block at a time: the peak is the
+    component layer (2 bytes a cell) and the PGM buffer and its bytes (1 + 1), no grid mask."""
     b = branches(3)[0]
     d = decompose(b)
     cells = 2048 * 2048
@@ -181,35 +180,6 @@ def test_full_column_window_memory():
         tracemalloc.stop()
     assert len(blob) == cells + len(b"P5\n2048 2048\n255\n")
     assert peak < 4 * cells + (2 << 20)
-
-
-# -- array classification ------------------------------------------------------------
-
-
-def probes(cuts, rng):
-    """Each cut, its tol edges, the float neighbours of both, and random, infinite,
-    signed-zero and nan values."""
-    xs = [rng.uniform(-50.0, 50.0) for _ in range(30)] + [math.inf, -math.inf, 0.0, -0.0, math.nan]
-    for c in cuts:
-        t = 1e-9 * max(1.0, abs(c))
-        for v in (c, c - t, c + t, c - 2 * t, c + 2 * t, c - 0.5 * t):
-            xs += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
-    return np.array(xs)
-
-
-def test_array_classify_equals_the_scalar_classify():
-    rng = random.Random(0xA77A)
-    crowded = ComponentDecomposition(3, "crowded", "left-closed", (0.0, 5e-10, 1e-9, 1.0, math.inf), (1, 2, 3, 4, 5))
-    cases = [decompose(b) for n in range(3, 41) for b in branches(n)] + [crowded]
-    for d in cases:
-        xs = probes(d.finite_boundaries(), rng)
-        for conv in ("left-closed", "right-closed"):
-            dc = ComponentDecomposition(d.period, d.branch, conv, d.boundaries, d.sigma)
-            got = dc.classify(xs)
-            assert got.shape == xs.shape
-            assert got.tolist() == [dc.classify(x) for x in xs.tolist()], (d.period, d.branch, conv)
-            assert dc.classify(xs.reshape(-1, 1)).ravel().tolist() == got.tolist()
-    assert crowded.classify(np.array([1e-9, -1e-10, 4e-10])).tolist() == [2, 2, 2]
 
 
 # -- PGM -------------------------------------------------------------------------------
