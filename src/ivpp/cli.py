@@ -224,8 +224,7 @@ def _cmd_raster(args) -> int:
                 raise UsageError("component rasters need the f2d branches; use --mode period")
             _check_period(args.period)
             b = _pick_branch(args.period, args.branch or "1")
-            d = decompose(b, method="analytic")
-            R = raster(m, window, res, n_max=args.n_max, tol=args.tol, decomp=d, branch=b)
+            R = raster(m, window, res, n_max=args.n_max, tol=args.tol, branch=b)
         else:
             R = raster(m, window, res, n_max=args.n_max, tol=args.tol)
     R.to_pgm(args.output, "component" if args.mode == "component" else "period")

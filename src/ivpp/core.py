@@ -160,12 +160,6 @@ class OrbitTrace:
     closed: bool
     minimal_period: Optional[int]
 
-    def validate(self, tol: float = TOL_EQ) -> None:
-        if self.closed:
-            assert self.points[-1].chordal(self.points[0]) < tol
-            if self.minimal_period is not None:
-                assert (len(self.points) - 1) % self.minimal_period == 0
-
 
 def _limit_ratio(num: Polynomial, den: Polynomial, inf_vars: Tuple[int, ...]):
     """Iterated limit of num/den as the listed variables go to infinity.

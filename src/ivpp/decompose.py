@@ -5,7 +5,8 @@ Boundaries come from two routes that must agree: the closed-form values
 x-coordinates of the n-step flow (empirical).  Intervals between
 consecutive boundaries are half-open; the map permutes them, and the
 permutation is read off by pushing one interior sample of each interval
-through the map once.  Every orbit here goes through ``kernel.step`` on
+through the map once (``pushed_sigma``, shared with the 3d map's period-2
+pairing in ``lv3d``).  Every orbit here goes through ``kernel.step`` on
 arrays: the scan, its bisection and closure check, and the one step of
 all interior samples that gives the permutation.
 """
@@ -73,8 +74,8 @@ class ComponentDecomposition:
         if len(fin) != len(self.boundaries) - 1:
             raise ValueError("every boundary but the last must be finite")
         n = self.n_components
-        if len(self.sigma) != n or not all(1 <= s <= n for s in self.sigma):
-            raise ValueError(f"sigma must map each of the {n} components into 1..{n}, got {self.sigma}")
+        if sorted(self.sigma) != list(range(1, n + 1)):
+            raise ValueError(f"sigma must map each of the {n} components to a different one of 1..{n}: {self.sigma}")
 
     @cached_property
     def _finite(self) -> Tuple[float, ...]:
@@ -184,17 +185,20 @@ def _dedup_sorted(values: List[float], tol: float = 1e-9) -> List[float]:
     return out
 
 
-def boundaries_analytic(branch: IvppBranch, tol_imag: float = 1e-9) -> List[float]:
+TOL_IMAG = 1e-9  # relative imaginary part below which a closed-form boundary is real
+
+
+def boundaries_analytic(branch: IvppBranch) -> List[float]:
     """Deduplicated real boundary values from the closed form, infinity last.
 
-    A value is real when its imaginary part is within tol_imag of max(1, |real
+    A value is real when its imaginary part is within TOL_IMAG of max(1, |real
     part|): on the largest-m branches of large n the closed form leaves an
     imaginary part of 1e-9..5e-8 on a real part of 1e5..3e6."""
     out: List[float] = []
     for c in boundary_cs(branch.n, k=branch.m):
         if c.is_infinite:
             continue
-        if abs(c.value.imag) > tol_imag * max(1.0, abs(c.value.real)):
+        if abs(c.value.imag) > TOL_IMAG * max(1.0, abs(c.value.real)):
             raise NonRealBoundary(f"non-real boundary {c.value!r} for {branch}")
         out.append(c.value.real)
     return _dedup_sorted(out) + [INF_F]
@@ -359,35 +363,41 @@ def decompose(branch: IvppBranch, method: str = "analytic") -> ComponentDecompos
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    decomp = ComponentDecomposition(
+    sigma = pushed_sigma(f2d(), branch.coords, [b for b in bounds if math.isfinite(b)])
+    _require_single_cycle(sigma)  # before the decomposition, which refuses a non-permutation
+    return ComponentDecomposition(
         period=branch.n,
         branch=branch.label,
         convention="left-closed",
         boundaries=tuple(bounds),
-        sigma=_pushed_sigma([b for b in bounds if math.isfinite(b)], branch),
+        sigma=sigma,
         rho=branch.rho,
     )
-    _require_single_cycle(decomp)
-    return decomp
 
 
-def _pushed_sigma(cuts: List[float], branch: IvppBranch) -> Tuple[int, ...]:
-    """The component of each interior sample's x-image, all pushed in one step."""
-    _, (image_x, _) = step(f2d(), branch.coords(interior_samples(cuts)))
+def pushed_sigma(
+    m: RationalMap,
+    param: Callable[[np.ndarray], Sequence[np.ndarray]],
+    cuts: Sequence[float],
+    convention: str = "left-closed",
+) -> Tuple[int, ...]:
+    """The component of each interior sample's x-image, all pushed through one step of m.
+
+    ``param`` maps a float64 array of x to m's coordinate arrays, as for
+    ``boundaries_empirical``; the images are classified among the ascending
+    finite ``cuts`` under ``convention``."""
+    _, (image_x, *_) = step(m, param(np.asarray(interior_samples(cuts))))
     bad = np.flatnonzero(~np.isfinite(image_x))
     if bad.size:
         raise NotACycle(f"no classifiable image for component {bad[0] + 1}")
-    return tuple(classify_cuts(cuts, image_x).tolist())
+    return tuple(classify_cuts(cuts, image_x, convention).tolist())
 
 
-def _require_single_cycle(decomp: ComponentDecomposition) -> None:
-    n = decomp.n_components
-    seen = set()
-    cur = 1
+def _require_single_cycle(sigma: Tuple[int, ...]) -> None:
+    """Refuse sigma (entries in 1..n) unless n steps from 1 visit all n components and end at 1."""
+    n, cur, seen = len(sigma), 1, set()
     for _ in range(n):
-        cur = decomp.sigma[cur - 1]
-        if cur in seen:
-            raise NotACycle(f"sigma {decomp.sigma} is not a single {n}-cycle")
+        cur = sigma[cur - 1]
         seen.add(cur)
     if cur != 1 or len(seen) != n:
-        raise NotACycle(f"sigma {decomp.sigma} is not a single {n}-cycle")
+        raise NotACycle(f"sigma {sigma} is not a single {n}-cycle")

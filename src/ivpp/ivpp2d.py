@@ -61,13 +61,10 @@ class IvppBranch:
     def label(self) -> str:
         return f"m={self.m}"
 
-    def y_of(self, x: complex) -> complex:
+    def point(self, x: complex) -> Point:
         if x == 0:
             raise ZeroDivisionError("parametrization pole at x = 0")
-        return self.rho / x
-
-    def point(self, x: complex) -> Point:
-        return Point([x, self.y_of(x)])
+        return Point([x, self.rho / x])
 
     def coords(self, xs: np.ndarray) -> List[np.ndarray]:
         """``point`` on a float64 array: [x, rho/x], both nan at the pole x = 0.
@@ -80,12 +77,6 @@ class IvppBranch:
             ys = self.rho / xs
         pole = xs == 0
         return [np.where(pole, np.nan, xs), np.where(pole, np.nan, np.where(np.isinf(ys), np.inf, ys))]
-
-    def primitive_root(self) -> complex:
-        """Scale factor of the reduced map on this branch: exp(2*pi*i*m/n)."""
-        import cmath
-
-        return cmath.exp(2j * math.pi * self.m / self.n)
 
 
 def branches(n: int) -> List[IvppBranch]:

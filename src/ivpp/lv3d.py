@@ -13,18 +13,21 @@ One application sends the point at parameter x, sign s to the point at
 x/(x-1) with the opposite sign: the two sheets swap, every orbit closes
 in two steps.  The x-dynamics x -> x/(x-1) is identically -x/(1-x): the
 restriction of the map to the level IS the reduced recurrence
-``lv_recurrence``, an involution of the line independent of r.
+``lv_recurrence``, an involution of the line independent of r.  This is
+the duality the decomposition uses: the interval pairing is read off one
+push of the recurrence (``pushed_sigma``), the same at every r.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import List, Tuple
+import random
+from typing import Tuple
 
-from .core import ExtendedComplex, Indeterminate, Point
-from .decompose import ComponentDecomposition, classify_cuts
-from .maps import f3d
+from .core import ExtendedComplex, Point
+from .decompose import ComponentDecomposition, pushed_sigma
+from .maps import lv_recurrence_map
 from .mobius import Mobius
 
 
@@ -92,46 +95,26 @@ def lv_period2_param(x: float, r: float, sign: str = "+") -> Point:
 def lv_decompose_period2(r: float, sign: str = "+") -> ComponentDecomposition:
     """x-direction intervals (-inf, 0], (0, 1], (1, inf] with the sheet pairing.
 
-    The boundaries do not depend on r.  The first two intervals swap under
-    the map (one tile kind); the third is carried to itself in x while the
-    y, z sheets swap (the second tile kind, two components over the same
-    x-range).
+    The boundaries do not depend on r, and neither does the pairing: the
+    map moves x on the level by the reduced recurrence x -> -x/(1-x) at
+    every r, so sigma is one push of that recurrence's interior samples.
+    The first two intervals swap under the map (one tile kind); the third
+    is carried to itself in x while the y, z sheets swap (the second tile
+    kind, two components over the same x-range).
     """
     if sign not in SIGNS:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     boundaries = (0.0, 1.0, math.inf)
-    sigma = _pairing_sigma(r, sign, boundaries[:-1])
     return ComponentDecomposition(
         period=2,
         branch=f"a{sign}" if sign in "+-" else sign,
         convention="right-closed",
         boundaries=boundaries,
-        sigma=sigma,
+        sigma=pushed_sigma(lv_recurrence_map(), lambda xs: (xs,), boundaries[:-1], "right-closed"),
         r=float(r),
         tiles=2,
         tile_pairs=((1, 2), (3, 3)),
     )
-
-
-def _pairing_sigma(r: float, sign: str, cuts) -> Tuple[int, ...]:
-    """Read the interval pairing off the actual 3d map at interior samples."""
-    m = f3d()
-    sigma: List[int] = []
-    for x in (-1.0, 0.5, 3.0):
-        p = lv_period2_param(x, r, sign)
-        try:
-            img = m.apply(p)
-            x_img = img[0]
-            if x_img.is_infinite or abs(x_img.value.imag) > 1e-9:
-                raise ValueError(f"unusable x-image {x_img!r} at sample x = {x}")
-            val = x_img.value.real
-        except Indeterminate:
-            # singular levels (e.g. r = -1) sit on the indeterminacy locus;
-            # the restriction of the map to the branch still moves x by the
-            # r-independent limit x -> x/(x-1)
-            val = x / (x - 1.0)
-        sigma.append(classify_cuts(cuts, val, "right-closed"))
-    return tuple(sigma)
 
 
 LV_RECURRENCE = Mobius(-1, 0, -1, 1)  # x -> -x/(1 - x)
@@ -151,10 +134,8 @@ def lv_diagonalizer() -> Mobius:
     return Mobius(1, 0, 1, -2)
 
 
-def verify_involution_intertwiner(T: Mobius, samples: int = 200, tol: float = 1e-10) -> float:
+def verify_involution_intertwiner(T: Mobius, samples: int = 200) -> float:
     """Max chordal error of T(f(x)) = -T(x) over sample points; raises nothing."""
-    import random
-
     rng = random.Random(77)
     worst = 0.0
     for _ in range(samples):

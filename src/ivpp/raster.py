@@ -33,11 +33,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel
-from .core import RationalMap
-from .decompose import ComponentDecomposition
+from .core import Indeterminate, RationalMap
+from .decompose import decompose
 from .denoms import cell_centers
 from .ivpp2d import IvppBranch
-from .lv3d import lv_discriminant
+from .lv3d import lv_decompose_period2, lv_discriminant
 
 RASTER_TOL = 1e-6  # default chordal tolerance of the raw period layer
 EXACT_TOL = 1e-9  # closure tolerance for snapped on-variety points
@@ -107,7 +107,6 @@ def raster(
     resolution: Tuple[int, int],
     n_max: int,
     tol: float = RASTER_TOL,
-    decomp: Optional[ComponentDecomposition] = None,
     branch: Optional[IvppBranch] = None,
     band_cells: float = 1.5,
     threads: Optional[int] = None,
@@ -116,7 +115,8 @@ def raster(
 
     A cell joins the component layer when the local level value x*y falls
     within ``band_cells`` cell-widths of the branch level rho and the
-    snapped point (x, rho/x) has minimal period exactly n (tol 1e-9).
+    snapped point (x, rho/x) has minimal period exactly n (tol 1e-9); its
+    class is the component of x in the branch's analytic ``decompose``.
     The period layer is deferred until ``.period`` is read; on branch
     rasters it reads n on every classified cell.
     """
@@ -140,7 +140,8 @@ def raster(
             return raw
         return np.where(component > 0, np.int16(branch.n), raw)
 
-    if decomp is not None and branch is not None:
+    if branch is not None:
+        decomp = decompose(branch)
         cell = max((window[1] - window[0]) / w, (window[3] - window[2]) / h)
         band = _band(xs, ys, window, branch.rho, band_cells * cell, cell)
         has_band = np.zeros(w, dtype=bool)
@@ -244,8 +245,6 @@ def _snapped_closes(m: RationalMap, branch: IvppBranch, xs: np.ndarray) -> Tuple
 
 
 def _snapped_period_is(m: RationalMap, branch: IvppBranch, x: float, n: int) -> bool:
-    from .core import Indeterminate
-
     try:
         p = branch.point(x)
         return m.detect_period(p, n, EXACT_TOL) == n
@@ -265,14 +264,10 @@ def lv_raster(
     classified by the r-independent x-intervals; cells with a negative
     discriminant have no real point and stay unclassified.
     """
-    from .lv3d import lv_decompose_period2
-
     w, h = resolution
     xs, rs = cell_centers(window, resolution)
     component = np.zeros((h, w), dtype=np.int16)
-    decomp = lv_decompose_period2(0.0, sign)
-    fin = np.asarray(decomp.finite_boundaries())
-    classes = (np.searchsorted(fin, xs, side="left") + 1).astype(np.int16)
+    classes = lv_decompose_period2(0.0, sign).classify(xs).astype(np.int16)
     levels = np.round(rs)  # the nearest integer level of each row, half to even as round()
     near = ~(np.abs(rs - levels) > stripe_half_width) & (window[2] <= levels) & (levels <= window[3])
     rows = np.flatnonzero(near)

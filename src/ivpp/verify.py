@@ -304,7 +304,7 @@ def check_raster_period3() -> Tuple[bool, str]:
     m = f2d()
     b = branches(3)[0]
     d = decompose(b, method="analytic")
-    R = raster(m, (-4, 4, -4, 4), (800, 800), n_max=8, decomp=d, branch=b)
+    R = raster(m, (-4, 4, -4, 4), (800, 800), n_max=8, branch=b)
     elapsed = time.perf_counter() - t0
     mask = R.component > 0
     classes = sorted(int(v) for v in np.unique(R.component[mask]))

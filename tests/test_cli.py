@@ -5,7 +5,6 @@ import pytest
 
 from conftest import JITTERED_WINDOW, csv_per_cell
 from ivpp.cli import run_captured
-from ivpp.decompose import decompose
 from ivpp.denoms import cell_centers, denominator_zero_curves
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d
@@ -120,6 +119,14 @@ def test_decompose_lv():
     assert doc["sigma"] == [2, 1, 3]
     assert doc["tiles"] == 2
     assert doc["convention"] == "right-closed"
+
+
+@pytest.mark.parametrize("level", [["--r", "1e10"], ["--r", "1e10", "--branch", "-"], ["--r=-1e10"]])
+def test_decompose_lv_at_large_levels(level):
+    """The pairing does not depend on r, however large."""
+    code, out, err = run_captured(["decompose", "--map", "f3d", "--period", "2", *level])
+    assert code == 0, err
+    assert json.loads(out)["sigma"] == [2, 1, 3]
 
 
 def test_boundaries_table():
@@ -240,7 +247,7 @@ def test_denoms_pgm(tmp_path):
 
 def test_raster_csv_bytes_match_the_per_cell_reference(tmp_path):
     b = branches(3)[0]
-    R = raster(f2d(), JITTERED_WINDOW, (37, 23), n_max=8, decomp=decompose(b), branch=b)
+    R = raster(f2d(), JITTERED_WINDOW, (37, 23), n_max=8, branch=b)
     window = "--window=" + ",".join(repr(v) for v in JITTERED_WINDOW)
     argv = ["raster", "--period", "3", window, "--res", "37x23", "-o", str(tmp_path / "r.pgm")]
     code, _, err = run_captured(argv + ["--csv", str(tmp_path / "r.csv")])

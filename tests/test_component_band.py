@@ -154,7 +154,7 @@ def test_component_layer_is_the_column_class_on_the_band():
     b = branches(5)[1]
     d = decompose(b)
     window, res = jitter(random.Random(5), SQUARE12, (300, 280)), (300, 280)
-    R = raster(f2d(), window, res, n_max=1, decomp=d, branch=b)
+    R = raster(f2d(), window, res, n_max=1, branch=b)
     band = band_mask_dense(window, res, b.rho)
     xs, _ = R.cells()
     assert not R.component[~band].any()
@@ -169,11 +169,10 @@ def test_full_column_window_memory():
     """At 2048^2 the full columns are tested a block at a time: the peak is the
     component layer (2 bytes a cell) and the PGM buffer and its bytes (1 + 1), no grid mask."""
     b = branches(3)[0]
-    d = decompose(b)
     cells = 2048 * 2048
     tracemalloc.start()
     try:
-        R = raster(f2d(), FULL_COLUMNS, (2048, 2048), n_max=8, decomp=d, branch=b)
+        R = raster(f2d(), FULL_COLUMNS, (2048, 2048), n_max=8, branch=b)
         blob = R.to_pgm_bytes()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -111,7 +111,8 @@ def test_iterate_period3_closure(exact_period3_orbit):
     for point, exact in zip(trace.points, exact_period3_orbit):
         assert point[0].value == pytest.approx(float(exact[0]))
         assert point[1].value == pytest.approx(float(exact[1]))
-    trace.validate()
+    assert trace.points[-1].chordal(trace.points[0]) < 1e-9
+    assert (len(trace.points) - 1) % trace.minimal_period == 0
 
 
 def test_iterate_fixed_line_is_constant():

@@ -281,12 +281,18 @@ def test_not_a_cycle_guard():
         sigma=(1, 2, 3),
     )
     with pytest.raises(NotACycle, match=r"sigma \(1, 2, 3\) is not a single 3-cycle"):
-        _require_single_cycle(d)
+        _require_single_cycle(d.sigma)
 
 
 @pytest.mark.parametrize("sigma", [(), (1, 2), (2, 3, 1, 1), (0, 3, 1), (2, 3, 4)])
 def test_sigma_must_send_every_component_into_the_components(sigma):
     with pytest.raises(ValueError, match="sigma must map each of the 3 components"):
+        ComponentDecomposition(3, "m=1", "left-closed", (-1.0, 1.0, math.inf), sigma)
+
+
+@pytest.mark.parametrize("sigma", [(2, 1, 2), (1, 1, 1), (3, 3, 2)])
+def test_sigma_must_be_a_permutation(sigma):
+    with pytest.raises(ValueError, match="sigma must map each of the 3 components to a different one"):
         ComponentDecomposition(3, "m=1", "left-closed", (-1.0, 1.0, math.inf), sigma)
 
 

@@ -222,7 +222,7 @@ def test_period3_boundaries_intersect_shallow_layers():
 def small_period3_raster():
     b = branches(3)[0]
     d = decompose(b)
-    return raster(f2d(), (-4, 4, -4, 4), (200, 200), n_max=4, decomp=d, branch=b), d, b
+    return raster(f2d(), (-4, 4, -4, 4), (200, 200), n_max=4, branch=b), d, b
 
 
 def test_raster_assigns_three_classes(small_period3_raster):
@@ -241,7 +241,7 @@ def test_raster_pgm_format(small_period3_raster):
 
 def test_raster_determinism(small_period3_raster):
     R, d, b = small_period3_raster
-    again = raster(f2d(), (-4, 4, -4, 4), (200, 200), n_max=4, decomp=d, branch=b)
+    again = raster(f2d(), (-4, 4, -4, 4), (200, 200), n_max=4, branch=b)
     assert R.to_pgm_bytes() == again.to_pgm_bytes()
     assert np.array_equal(R.period, again.period)
 
@@ -332,9 +332,8 @@ def test_raster_off_variety_cells_are_unclassified(small_period3_raster):
 
 def test_raster_threads_are_equivalent():
     b = branches(3)[0]
-    d = decompose(b)
-    R1 = raster(f2d(), (-3, 3, -3, 3), (120, 120), n_max=4, decomp=d, branch=b, threads=1)
-    R4 = raster(f2d(), (-3, 3, -3, 3), (120, 120), n_max=4, decomp=d, branch=b, threads=4)
+    R1 = raster(f2d(), (-3, 3, -3, 3), (120, 120), n_max=4, branch=b, threads=1)
+    R4 = raster(f2d(), (-3, 3, -3, 3), (120, 120), n_max=4, branch=b, threads=4)
     assert np.array_equal(R1.period, R4.period)
     assert np.array_equal(R1.component, R4.component)
 
@@ -360,7 +359,7 @@ def test_resolution_guard():
 def test_out_of_contract_input_is_refused_on_entry(kwargs, with_branch):
     """A component raster, whose period layer is deferred, refuses what a period raster does."""
     b = branches(3)[0]
-    extra = {"decomp": decompose(b), "branch": b} if with_branch else {}
+    extra = {"branch": b} if with_branch else {}
     args = {"n_max": 4, **kwargs, **extra}
     with pytest.raises(ValueError):
         raster(f2d(), (-1, 1, -1, 1), (8, 8), **args)
@@ -376,7 +375,7 @@ def test_branch_raster_runs_the_kernel_only_when_period_is_read(monkeypatch):
 
     monkeypatch.setattr(kernel, "period_grid", counting)
     b = branches(3)[0]
-    R = raster(f2d(), (-4, 4, -4, 4), (120, 120), n_max=4, decomp=decompose(b), branch=b)
+    R = raster(f2d(), (-4, 4, -4, 4), (120, 120), n_max=4, branch=b)
     R.to_pgm_bytes("component")
     assert calls == []
     first = R.period
@@ -388,7 +387,7 @@ def test_branch_raster_runs_the_kernel_only_when_period_is_read(monkeypatch):
 def test_lazy_period_layer_matches_the_direct_override():
     b = branches(5)[1]
     window, res = (-12, 12, -12, 12), (150, 150)
-    R = raster(f2d(), window, res, n_max=6, decomp=decompose(b), branch=b)
+    R = raster(f2d(), window, res, n_max=6, branch=b)
     xs, ys = R.cells()
     raw = kernel.period_grid(f2d(), xs, ys, 6, 1e-6)
     want = np.where(R.component > 0, np.int16(5), raw)
@@ -419,10 +418,9 @@ def test_snapped_check_runs_once_per_band_column(monkeypatch):
         return original_step(m, coords)
 
     b = branches(3)[0]
-    d = decompose(b)
     monkeypatch.setattr(RationalMap, "detect_period", recording_detect)
     monkeypatch.setattr(kernel, "step", recording_step)
-    R = raster(f2d(), POLE_WINDOW, (256, 200), n_max=4, decomp=d, branch=b)
+    R = raster(f2d(), POLE_WINDOW, (256, 200), n_max=4, branch=b)
     monkeypatch.undo()
     assert [a.size for a in stepped] == [R.meta["snap_checks"]] * 3
     starts = stepped[0]  # the snapped x of every band column
@@ -455,7 +453,7 @@ def test_vector_snapped_check_equals_the_scalar_one(monkeypatch):
         flows.clear()
         for n in range(3, 31):
             for b in branches(n):
-                raster(f2d(), window, resolution, n_max=1, decomp=decompose(b), branch=b)
+                raster(f2d(), window, resolution, n_max=1, branch=b)
         fallbacks.append(0)
         for b, xs, closes, fallback in flows:
             for x, vector, defer in zip(xs.tolist(), closes.tolist(), fallback.tolist()):

@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ivpp.core import INF, ExtendedComplex
+from ivpp.kernel import step
 from ivpp.lv3d import (
     DegenerateParameter,
     UnsupportedPeriod,
@@ -173,10 +175,29 @@ def test_boundaries_do_not_depend_on_r():
 
 
 def test_decompose_handles_the_singular_level():
-    """r = -1 puts the whole branch on the indeterminacy locus; the
-    decomposition still comes out via the branch-limit x-image."""
+    """r = -1 puts the + sheet on the indeterminacy locus; the pairing is read
+    off the reduced recurrence, which is the same at every r."""
     d = lv_decompose_period2(-1.0, "+")
     assert d.sigma == (2, 1, 3)
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_the_3d_step_moves_x_by_the_reduced_recurrence(sign):
+    """On both sheets of the period-2 level one step of the 3d map sends x to
+    -x/(1-x) at every r, which is why the pairing is read off the recurrence.
+    The cells with D < 0 step as complex arrays.  r = -1 on the + sheet lies
+    on the indeterminacy locus and is left out."""
+    xs = (-7.3, -2.0, -0.61, -0.2, 0.13, 0.5, 0.87, 1.2, 1.9, 3.0, 11.7)
+    rs = [r for r in np.linspace(-50.0, 50.0, 201).tolist() if not (sign == "+" and r == -1.0)]
+    for real in (True, False):
+        points = [
+            lv_period2_param(x, r, sign).values() for r in rs for x in xs if (lv_discriminant(x, r) >= 0) == real
+        ]
+        coords = [np.array([p[i].real if real else p[i] for p in points]) for i in range(3)]
+        _, (image_x, _, _) = step(f3d(), coords)
+        want = -coords[0] / (1 - coords[0])
+        assert len(points) > 50
+        assert np.all(np.abs(image_x - want) <= 1e-9 * np.abs(want))
 
 
 # -- the reduced recurrence ------------------------------------------------------------------

@@ -295,7 +295,7 @@ def test_branch_scale_factor_is_the_primitive_root():
     for n in (3, 4, 5, 6):
         for b in branches(n):
             s = eigen(b.rho).s.value
-            assert s == pytest.approx(b.primitive_root(), abs=1e-12)
+            assert s == pytest.approx(cmath.exp(2j * math.pi * b.m / b.n), abs=1e-12)
             assert s**n == pytest.approx(1.0, abs=1e-9)
 
 
