@@ -8,9 +8,10 @@ boundary scan with its closure check, and the component permutation of
 a 2d map's raster the first k <= n_max whose iterate is within tol of the
 start under the chordal metric, 0 when there is none, and -1 when the
 orbit leaves the finite chart first (0/0 or a pole transit).  Its return
-test, ``returns``, is shared with the component pass of the rasters: a
-cheap bound on every entry, the exact chordal distance only on the few
-that pass it.  Both grid layers run in the row blocks of ``blocks``, so
+test, ``returns``, is shared with the component pass of the rasters and
+the closure check of the empirical scan: a cheap bound, coordinate by
+coordinate, and the exact chordal distance only on the few entries that
+pass it.  Both grid layers run in the row blocks of ``blocks``, so
 their float temporaries are bounded by ``BLOCK_CELLS`` cells whatever the
 grid's size.
 """
@@ -69,18 +70,25 @@ def _chord_grid(a, uv):
     return np.abs(u1 * v2 - u2 * v1)
 
 
-def return_start(coords: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, ...]]:
+def return_start(coords: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Per coordinate of arrays of starts, what ``returns`` compares with:
-    the start b (0 where b is infinite), 1 + b² and the homogeneous pair
-    (u, v) of b.  An infinite start has an infinite bound, so every iterate
-    but nan stays its candidate.  Every entry is an array of the starts'
-    shape, so a gather by one index keeps them aligned."""
+    the start b and 1 + b².  An infinite start is kept as b = 0 with an
+    infinite 1 + b², so its bound is infinite and every iterate but nan stays
+    its candidate.  Both entries are arrays of the starts' shape, so a gather
+    by one index keeps them aligned."""
     out = []
     with np.errstate(all="ignore"):
         for b in coords:
             inf = np.isinf(b)
-            out.append((np.where(inf, 0.0, b) if inf.any() else b, 1.0 + b * b, *_homogeneous(b)))
+            out.append((np.where(inf, 0.0, b) if inf.any() else b, 1.0 + b * b))
     return out
+
+
+def _start_pair(b, nb):
+    """_homogeneous of the starts that ``return_start`` kept as (b, 1 + b²):
+    b = 0 with an infinite 1 + b² is an infinite start, whose pair (1, ±0)
+    gives the same chordal distances for either sign."""
+    return _homogeneous(np.where(np.isinf(nb) & (b == 0.0), np.inf, b))
 
 
 def returns(cur: Sequence[np.ndarray], start, tol: float, open_: np.ndarray) -> np.ndarray:
@@ -91,26 +99,37 @@ def returns(cur: Sequence[np.ndarray], start, tol: float, open_: np.ndarray) -> 
     the root is at most 1 + a² + b², so a return needs
     |a - b| <= (2 tol + 1e-12)(1 + a² + b²); the factor 2 and the 1e-12 cover
     the rounding of the exact form.  An inf iterate or an overflowing a²
-    compares inf <= inf and stays a candidate, a nan fails.  Only the
-    candidates are gathered for the exact chordal distance, unless they are
-    most entries.
+    compares inf <= inf and stays a candidate, a nan fails.  The bound runs
+    coordinate by coordinate: once at most half of the entries are still
+    candidates, the next coordinates see only those.  The exact chordal
+    distance, with the start's homogeneous pair, runs only on the gathered
+    candidates, unless they are most entries.
     """
     c = 2.0 * tol + 1e-12
     cand = open_.copy()
+    sel = None  # the candidates' indices, once they are at most half the entries
     with np.errstate(all="ignore"):
-        for a, (b, nb, _, _) in zip(cur, start):
+        for a, (b, nb) in zip(cur, start):
+            if sel is not None:
+                a, b, nb = a[sel], b[sel], nb[sel]
             bound = a * a
             bound += nb
             bound *= c
             gap = a - b
             np.abs(gap, out=gap)
-            cand &= gap <= bound
-        sel = np.flatnonzero(cand)
-        if 2 * sel.size > cand.size:
-            sel = slice(None)  # mostly candidates: compare in place, no gather
-        close = cand[sel]
-        for a, (_, _, u, v) in zip(cur, start):
-            close &= _chord_grid(a[sel], (u[sel], v[sel])) < tol
+            if sel is None:
+                cand &= gap <= bound
+                if 2 * np.count_nonzero(cand) <= cand.size:
+                    sel = np.flatnonzero(cand)
+            else:
+                sel = sel[gap <= bound]
+        if sel is None:
+            sel, close = slice(None), cand  # mostly candidates: compare in place, no gather
+        else:
+            cand[:] = False
+            close = np.ones(sel.size, dtype=bool)
+        for a, (b, nb) in zip(cur, start):
+            close &= _chord_grid(a[sel], _start_pair(b[sel], nb[sel])) < tol
         cand[sel] = close
     return cand
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -88,17 +87,37 @@ def pgm_bytes(grid: np.ndarray) -> bytes:
 def write_csv(path: str, header: str, xs, ys, layers) -> None:
     """One line per cell, rows from the smallest y: x and y (%.17g), then each integer layer.
 
-    Every x and every value in the layers' range is formatted once, and each
-    row is one join of those pieces: O(width + value range) memory."""
+    Each layer must have the shape (len(ys), len(xs)); a ValueError is raised
+    before the file is opened otherwise.  A row is written by its runs,
+    stretches of consecutive cells with the same values in every layer: the
+    run over columns [a, b) ending in t = "y,v1,...\\n" is one join of the
+    x texts of its columns with t between them, plus t.  Every x is formatted
+    once, and every line end once per row and value tuple, so memory is
+    O(width) whatever the values."""
+    w, h = len(xs), len(ys)
+    for layer in layers:
+        if np.shape(layer) != (h, w):
+            raise ValueError(f"layer of shape {np.shape(layer)} does not fit the {h}x{w} grid")
     xcol = [f"{x:.17g}," for x in xs.tolist()]
-    lo = min((int(layer.min()) for layer in layers if layer.size), default=0)
-    hi = max((int(layer.max()) for layer in layers if layer.size), default=-1)
-    value = [f",{v}" for v in range(lo, hi + 1)]  # value v at index v - lo
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i, y in enumerate(ys.tolist()):
-            cells = (map(value.__getitem__, (layer[i].astype(np.intp) - lo).tolist()) for layer in layers)
-            fh.write("".join(chain.from_iterable(zip(xcol, repeat(f"{y:.17g}"), *cells, repeat("\n")))))
+        for i, y in enumerate(f"{y:.17g}" for y in ys.tolist()):
+            row = [layer[i] for layer in layers]
+            change = np.zeros(w, dtype=bool)  # change[j]: cell j starts a run
+            change[:1] = True
+            for r in row:
+                change[1:] |= r[1:] != r[:-1]
+            starts = np.flatnonzero(change)
+            bounds = starts.tolist() + [w]
+            ends = {}  # value tuple -> its line end in this row
+            pieces = []
+            for a, b, *values in zip(bounds, bounds[1:], *(r[starts].tolist() for r in row)):
+                key = tuple(values)
+                t = ends.get(key)
+                if t is None:
+                    t = ends[key] = y + "".join(f",{v}" for v in key) + "\n"
+                pieces += (t.join(xcol[a:b]), t)
+            fh.write("".join(pieces))
 
 
 def raster(

@@ -291,6 +291,61 @@ def test_csv_writer_on_full_range_int16_layers(tmp_path, count):
     assert path.read_bytes() == csv_per_cell(header, xs, ys, layers)
 
 
+CSV_RUNS = {  # name -> layers, each a list of rows
+    "one run": [[[5] * 9, [5] * 9], [[0] * 9, [0] * 9]],
+    "every cell a run": [[[0, 1] * 4 + [0], [1, 0] * 4 + [1]], [[2] * 9, [-2, 2] * 4 + [-2]]],
+    "runs that do not line up": [[[0, 0, 0, 1, 1, 1, 1, 2, 2]], [[3, 3, 4, 4, 4, 4, 4, 5, 5]]],
+    "a run at the last column": [[[7, 7, 7, 7, 7, 7, 7, 7, 8], [8, 7, 7, 7, 7, 7, 7, 7, 7]]],
+    "width 1": [[[3], [3], [-1]], [[3], [4], [-1]]],
+    "negative and int16 extremes": [
+        [[-32768, -32768, -1, -1, 32767, 32767, -5, 0, -32768]],
+        [[32767, -32768, -32768, -1, -1, 32767, -5, -5, -5]],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_RUNS))
+def test_csv_runs_match_the_per_cell_reference(tmp_path, name):
+    layers = [np.asarray(rows, dtype=np.int16) for rows in CSV_RUNS[name]]
+    h, w = layers[0].shape
+    xs, ys = cell_centers(JITTERED_WINDOW, (w, h))
+    header = "x,y," + ",".join(f"v{i}" for i in range(len(layers)))
+    path = tmp_path / "out.csv"
+    write_csv(str(path), header, xs, ys, layers)
+    assert path.read_bytes() == csv_per_cell(header, xs, ys, layers)
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (3, 6), (4, 7), (2, 7), (7,), (3, 7, 1)])
+def test_csv_writer_refuses_a_layer_that_does_not_fit_the_grid(tmp_path, shape):
+    """Checked on every layer before the file is opened, so an existing file is kept."""
+    xs, ys = cell_centers(JITTERED_WINDOW, (7, 3))
+    path = tmp_path / "out.csv"
+    path.write_text("kept")
+    with pytest.raises(ValueError, match="does not fit"):
+        write_csv(str(path), "x,y,a,b", xs, ys, (np.zeros((3, 7), np.int16), np.zeros(shape, np.int16)))
+    assert path.read_text() == "kept"
+
+
+def test_csv_writer_memory_is_bounded_by_the_width(tmp_path):
+    """Two layers whose every cell is its own run: the peak stays far below the
+    file's size and does not grow with the height (about 1.5 s, most of it
+    tracemalloc's)."""
+    peaks = []
+    for h in (4, 16):
+        xs, ys = cell_centers(JITTERED_WINDOW, (4096, h))
+        a = (np.indices((h, 4096)).sum(axis=0) % 2).astype(np.int16)
+        layers = (a, 1 - a)
+        path = tmp_path / f"out{h}.csv"
+        tracemalloc.start()
+        try:
+            write_csv(str(path), "x,y,a,b", xs, ys, layers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < path.stat().st_size / 2
+    assert peaks[1] < 1.1 * peaks[0]
+
+
 def test_period_layer_band_mode():
     """With a cell-sized tolerance the raw period layer shows the variety band;
     at the strict default tolerance off-variety cells stay empty."""

@@ -313,6 +313,47 @@ def test_the_return_bound_on_every_pair_of_extremes(tol):
     assert got[a == b].all() and not got[np.isnan(a) | np.isnan(b)].any()
 
 
+@pytest.mark.parametrize("tol", [1e-300, 1e-12, 1e-6, 0.5, 1.0])
+@pytest.mark.parametrize("returning", ["a third", "all"])
+@pytest.mark.parametrize("grid_first", [True, False])
+def test_the_return_bound_on_two_coordinates(monkeypatch, tol, returning, grid_first):
+    """Every pair of extremes in one coordinate, three times over (60% of the
+    pairs pass the bound below tol 0.5, 88% from 0.5 on), and finite starts
+    in the other, in both orders.  The other coordinate returns on all
+    entries or on the first copy of the pairs only, and is far from its
+    start elsewhere.  With a third returning and tol below 0.5 the
+    candidates end at most half of the entries and the exact distance sees
+    only them; fixed first, the bound of the pairs runs only on the fixed
+    coordinate's candidates, which hold every pair once.  Otherwise most
+    entries stay candidates and the exact distance runs in place (under
+    0.1 s in all)."""
+    base = np.asarray(EXTREMES + SPECIAL + EDGES)
+    vals = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
+    b, a = (np.tile(g.ravel(), 3) for g in np.meshgrid(vals, vals))
+    n = a.size
+    first_copy = np.arange(n) < n // 3
+    fixed_b = np.resize([0.0, -0.0, 0.5, -3.25, 7.0, 5e-324, -1.0, 1.0 + ONE, 2.2e-308], n)
+    fixed_a = np.where(first_copy | (returning == "all"), fixed_b, -fixed_b - 3.0)
+    cur, starts = ([a, fixed_a], [b, fixed_b]) if grid_first else ([fixed_a, a], [fixed_b, b])
+    open_ = first_copy | (np.arange(n) % 7 != 3)
+    want = open_.copy()
+    for u, v in zip(cur, starts):
+        want &= kernel._chord_grid(u, kernel._homogeneous(v)) < tol
+    seen = []
+    real = kernel._chord_grid
+
+    def counting_chord(u, uv):
+        seen.append(u.size)
+        return real(u, uv)
+
+    monkeypatch.setattr(kernel, "_chord_grid", counting_chord)
+    got = kernel.returns(cur, kernel.return_start(starts), tol, open_)
+    assert np.array_equal(got, want)
+    assert want.any() and not want.all()
+    assert len(seen) == 2 and seen[0] == seen[1]
+    assert seen[0] == n if returning == "all" or tol >= 0.5 else 2 * seen[0] <= n
+
+
 RETURN_GRID = np.linspace(-3.0, 3.0, 25)  # holds the diagonal and exact period-3 and 4 points such as (2, -1.5), (2, -0.5)
 
 
