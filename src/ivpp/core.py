@@ -21,6 +21,13 @@ TOL_INV = 1e-10  # relative tolerance for invariant conservation
 _CHECK_SEED = 0x1F2D3C
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a chordal tolerance that is not in (0, 1): every chordal
+    distance is at most 1, so a larger tol accepts every point."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
+
+
 class Indeterminate(ArithmeticError):
     """The map evaluated to 0/0: the point is on the indeterminacy locus."""
 
@@ -324,6 +331,7 @@ class RationalMap:
         """Trace of k+1 points; Indeterminate is re-raised with its step index."""
         if k < 1:
             raise ValueError("k must be >= 1")
+        check_tol(tol)
         points = [p]
         cur = p
         for step in range(1, k + 1):
@@ -344,8 +352,7 @@ class RationalMap:
         """Smallest n <= n_max with chordal(F^n(p), p) < tol, else None."""
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        check_tol(tol)
         cur = p
         for n in range(1, n_max + 1):
             cur = self.apply(cur)

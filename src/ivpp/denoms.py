@@ -74,28 +74,40 @@ def _scan(m: RationalMap, k_max: int, xs, ys, curves: Optional[List[DenominatorC
 
     Two denominators of opposite signs are exactly a positive and a negative
     one, so a crossing is ``(pos_a & neg_b) | (neg_a & pos_b)`` on the bool
-    masks ``pos = alive & (D > 0)`` and ``neg = alive & (D < 0)``.  Each block
-    carries its last row's masks per (depth, component) into the next, whose
-    first row closes the vertical test of the seam: a seam crossing at depth k
-    marks the row above it, which the block before already scanned, so its
-    depth becomes the least such k.
+    masks ``pos = alive & (D > 0)`` and ``neg = alive & (D < 0)``.  A block
+    has no ``alive`` mask while every iterate is finite; the first non-finite
+    image creates it.  At k_max only the denominators are evaluated: no
+    image past the last depth is read.  Each block carries its last row's
+    masks per (depth, component) into the next, whose first row closes the
+    vertical test of the seam: a seam crossing at depth k marks the row above
+    it, which the block before already scanned, so its depth becomes the
+    least such k.
     """
     w, h = xs.shape[0], ys.shape[0]
     first_pole = np.zeros((h, w), dtype=np.int16)
     seam = {}  # (k, j) -> (pos, neg) of the previous block's last row
     for lo, hi in blocks(w, h):
         coords = np.meshgrid(xs, ys[lo:hi])
-        alive = np.ones(coords[0].shape, dtype=bool)
+        alive = None  # every iterate finite so far
         depth = first_pole[lo:hi]
         above = first_pole[lo - 1] if lo else None  # the last row of the block before
         for k in range(1, k_max + 1):
-            # images of dead cells are fed back unmasked: the masks drop them by ``alive``
-            den_vals, coords = step(m, coords)
+            if k < k_max:
+                # images of dead cells are fed back unmasked: the masks drop them by ``alive``
+                den_vals, coords = step(m, coords)
+            else:
+                with np.errstate(all="ignore"):
+                    den_vals = [den.eval_grid(coords) for _, den in m.components]
             step_cross = np.zeros(depth.shape, dtype=bool)
             for j, D in enumerate(den_vals):
-                pos, neg = alive & (D > 0), alive & (D < 0)
-                cross = np.zeros(depth.shape, dtype=bool)
-                cross[:, :-1] = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
+                pos, neg = D > 0, D < 0
+                if alive is not None:
+                    pos &= alive
+                    neg &= alive
+                p, n = pos.ravel(), neg.ravel()  # horizontal pairs on the flat block, row ends cut after
+                cross = np.empty(depth.shape, dtype=bool)
+                np.bitwise_or(p[:-1] & n[1:], n[:-1] & p[1:], out=cross.ravel()[:-1])
+                cross[:, -1] = False
                 cross[:-1] |= (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
                 step_cross |= cross
                 if above is not None:
@@ -110,8 +122,14 @@ def _scan(m: RationalMap, k_max: int, xs, ys, curves: Optional[List[DenominatorC
                     if above is not None:
                         curve.crossing[lo - 1] |= seam_cross
             depth[step_cross & (depth == 0)] = k
-            for arr in coords:
-                alive &= np.isfinite(arr)
+            if k < k_max:
+                finite = np.isfinite(coords[0])
+                for arr in coords[1:]:
+                    finite &= np.isfinite(arr)
+                if alive is not None:
+                    alive &= finite
+                elif not finite.all():
+                    alive = finite
     return first_pole
 
 

@@ -9,11 +9,11 @@ a 2d map's raster the first k <= n_max whose iterate is within tol of the
 start under the chordal metric, 0 when there is none, and -1 when the
 orbit leaves the finite chart first (0/0 or a pole transit).  Its return
 test, ``returns``, is shared with the component pass of the rasters and
-the closure check of the empirical scan: a cheap bound, coordinate by
-coordinate, and the exact chordal distance only on the few entries that
-pass it.  Both grid layers run in the row blocks of ``blocks``, so
-their float temporaries are bounded by ``BLOCK_CELLS`` cells whatever the
-grid's size.
+the closure check of the empirical scan: a cheap reject bound, coordinate
+by coordinate, a cheap accept bound on the entries that pass it, and the
+exact chordal distance only on the few that neither decides.  Both grid
+layers run in the row blocks of ``blocks``, so their float temporaries
+are bounded by ``BLOCK_CELLS`` cells whatever the grid's size.
 """
 
 from __future__ import annotations
@@ -91,19 +91,36 @@ def _start_pair(b, nb):
     return _homogeneous(np.where(np.isinf(nb) & (b == 0.0), np.inf, b))
 
 
+SURE_TOL = 1e-13  # the least tol at which ``returns`` accepts by a bound
+
+
 def returns(cur: Sequence[np.ndarray], start, tol: float, open_: np.ndarray) -> np.ndarray:
     """bool per entry: open and every coordinate of ``cur`` chordally within tol
     of the start's, the decision of ``_chord_grid(a, _homogeneous(b)) < tol``.
 
-    A bound rejects first: chord(a, b) = |a - b| / sqrt((1 + a²)(1 + b²)) and
-    the root is at most 1 + a² + b², so a return needs
-    |a - b| <= (2 tol + 1e-12)(1 + a² + b²); the factor 2 and the 1e-12 cover
-    the rounding of the exact form.  An inf iterate or an overflowing a²
-    compares inf <= inf and stays a candidate, a nan fails.  The bound runs
-    coordinate by coordinate: once at most half of the entries are still
-    candidates, the next coordinates see only those.  The exact chordal
-    distance, with the start's homogeneous pair, runs only on the gathered
-    candidates, unless they are most entries.
+    Three stages decide it, each only on what the stages before left open:
+
+    1. A bound rejects.  chord(a, b) = |a - b| / sqrt((1 + a²)(1 + b²)) and
+       the root is at most 1 + a² + b², so a return needs
+       |a - b| <= (2 tol + 1e-12)(1 + a² + b²); the factor 2 and the 1e-12
+       cover the rounding of the exact form.  An inf iterate or an
+       overflowing a² compares inf <= inf and stays a candidate, a nan
+       fails.  The bound runs coordinate by coordinate: once at most half
+       of the entries are still candidates, the next coordinates see only
+       those, gathered.
+    2. A bound accepts.  (1 + a²)(1 + b²) = (1 + ab)² + (a - b)², so
+       chord(a, b) <= |a - b| / |1 + ab|, and a candidate with
+       |a - b| < (tol/2)|1 + ab| in every coordinate returns when the right
+       side and the start are finite.  The rounding of this test moves it
+       by a few ulps relative (|ab| <= |1 + ab| + |a - b| bounds the
+       cancellation in 1 + ab), so the true chord is below tol/2 plus a
+       few ulps of it; the exact form adds a few 1e-16 absolute and stays
+       below tol while tol >= SURE_TOL, 1e-13.  Below that the stage is
+       skipped.  An overflowing ab makes the right side infinite and an
+       infinite start, kept as b = 0, has an infinite 1 + b², so neither is
+       accepted here.
+    3. The exact chordal distance, with the start's homogeneous pair, runs
+       on the gathered candidates that the accept bound left.
     """
     c = 2.0 * tol + 1e-12
     cand = open_.copy()
@@ -124,13 +141,35 @@ def returns(cur: Sequence[np.ndarray], start, tol: float, open_: np.ndarray) -> 
             else:
                 sel = sel[gap <= bound]
         if sel is None:
-            sel, close = slice(None), cand  # mostly candidates: compare in place, no gather
+            sel, close = slice(None), cand  # mostly candidates: accept in place, no gather
         else:
             cand[:] = False
+            if not sel.size:
+                return cand
             close = np.ones(sel.size, dtype=bool)
-        for a, (b, nb) in zip(cur, start):
-            close &= _chord_grid(a[sel], _start_pair(b[sel], nb[sel])) < tol
-        cand[sel] = close
+        sure = np.zeros_like(close)
+        if tol >= SURE_TOL:
+            sure |= close
+            for a, (b, nb) in zip(cur, start):
+                a, b, nb = a[sel], b[sel], nb[sel]
+                gap = a - b
+                np.abs(gap, out=gap)
+                lim = a * b
+                lim += 1.0
+                np.abs(lim, out=lim)
+                lim *= 0.5 * tol
+                sure &= gap < lim
+                lim += nb  # inf if either is: an overflowing ab or an infinite start
+                sure &= lim < np.inf
+        rest = np.flatnonzero(close & ~sure)
+        cand[sel] = sure
+        if rest.size:
+            if not isinstance(sel, slice):
+                rest = sel[rest]
+            exact = np.ones(rest.size, dtype=bool)
+            for a, (b, nb) in zip(cur, start):
+                exact &= _chord_grid(a[rest], _start_pair(b[rest], nb[rest])) < tol
+            cand[rest] = exact
     return cand
 
 

@@ -58,14 +58,6 @@ class Mobius:
             return INF  # num != 0 here: a common root would force det = 0
         return ExtendedComplex(num / den)
 
-    def compose(self, other: "Mobius") -> "Mobius":
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
 

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel
-from .core import Indeterminate, RationalMap
+from .core import Indeterminate, RationalMap, check_tol
 from .decompose import decompose
 from .denoms import cell_centers
 from .ivpp2d import IvppBranch
@@ -140,8 +140,7 @@ def raster(
     rasters it reads n on every classified cell.
     """
     w, h = resolution
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     if not 1 <= n_max <= PERIOD_MAX:
         raise ValueError(f"n_max must be in 1..{PERIOD_MAX}, got {n_max}")
     xs, ys = cell_centers(window, resolution)

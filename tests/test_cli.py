@@ -314,6 +314,10 @@ def test_denoms_csv_bytes_match_the_per_cell_reference(tmp_path):
         ["decompose", "--period", "4097"],
         ["boundaries", "--period", "1000000"],
         ["ivpp", "--period", "4096"],
+        ["orbit", "--start", "1,2", "--steps", "3", "--tol", "nan"],
+        ["orbit", "--start", "1,2", "--steps", "3", "--tol", "-1"],
+        ["raster", "--mode", "period", "--window=-4,4,-4,4", "--res", "4x4", "--tol", "inf", "-o", "/tmp/x.pgm"],
+        ["raster", "--mode", "period", "--window=-4,4,-4,4", "--res", "4x4", "--tol", "2", "-o", "/tmp/x.pgm"],
     ],
 )
 def test_usage_errors_exit_2(argv):

@@ -97,27 +97,89 @@ POLE_MAPS = {
 }
 
 
+def _same_as_eager(monkeypatch, rows, m, k_max, window, resolution):
+    """The scan's depths, curves and layers, in blocks of ``rows`` rows (None:
+    the default), equal the eager single-block scan's; returns its depths."""
+    depth, curves = pole_depths_eager(m, k_max, window, resolution)
+    assert kernel.blocks(*resolution) == [(0, resolution[1])]
+    if rows is not None:
+        monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * resolution[0])
+    zs = denominator_zero_curves(m, k_max, window, resolution)
+    assert zs.first_pole_depth.dtype == np.int16 and np.array_equal(zs.first_pole_depth, depth)
+    assert [(c.depth, c.component) for c in zs.curves] == [(k, j) for k, j, _, _ in curves]
+    for c, (_, _, values, crossing) in zip(zs.curves, curves):
+        assert c.values.dtype == np.int8 and np.array_equal(c.values, values)
+        assert c.crossing.dtype == bool and np.array_equal(c.crossing, crossing)
+    for k in range(1, k_max + 1):
+        want = np.logical_or.reduce([cr for d, _, _, cr in curves if d == k])
+        assert np.array_equal(zs.layer(k), want)
+    return depth
+
+
 @pytest.mark.parametrize("rows", [1, 3, None], ids=["one-row-blocks", "three-row-blocks", "one-block"])
 @pytest.mark.parametrize("resolution", [(31, 23), (1, 23), (23, 1)])
 @pytest.mark.parametrize("name", list(POLE_MAPS))
 def test_pole_depths_equal_the_eager_reference(monkeypatch, name, rows, resolution):
     """The sign-mask scan in any row blocks gives the eager single-block
     scan's depths, curves and layers."""
-    m = POLE_MAPS[name]
-    depth, curves = pole_depths_eager(m, 4, JITTERED_WINDOW, resolution)
-    if rows is not None:
-        monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * resolution[0])
-    zs = denominator_zero_curves(m, 4, JITTERED_WINDOW, resolution)
-    assert zs.first_pole_depth.dtype == np.int16 and np.array_equal(zs.first_pole_depth, depth)
-    assert [(c.depth, c.component) for c in zs.curves] == [(k, j) for k, j, _, _ in curves]
-    for c, (_, _, values, crossing) in zip(zs.curves, curves):
-        assert c.values.dtype == np.int8 and np.array_equal(c.values, values)
-        assert c.crossing.dtype == bool and np.array_equal(c.crossing, crossing)
-    for k in range(1, 5):
-        want = np.logical_or.reduce([cr for d, _, _, cr in curves if d == k])
-        assert np.array_equal(zs.layer(k), want)
+    depth = _same_as_eager(monkeypatch, rows, POLE_MAPS[name], 4, JITTERED_WINDOW, resolution)
     if name != "constant-denominators" and resolution == (31, 23):
         assert (depth > 0).any()
+
+
+SCAN_MAPS = {
+    "f2d": POLE_MAPS["f2d"],
+    "lyness": POLE_MAPS["lyness"],
+    "reviving": parse_map("dim 2; x' = 1/(x - 1); y' = y;"),  # x = 1 -> inf -> 0 -> -1: a dead cell turns finite again
+}
+SCAN_GRIDS = {  # cell centres on multiples of 1/8, so on the pole lines x = 0, x = 1 and y = 1
+    "on-the-pole-lines": ((-4.0625, 3.9375, -3.0625, 2.9375), (64, 48)),
+    "one-column-at-x-1": ((0.9375, 1.0625, -3.0625, 2.9375), (1, 48)),
+    "one-row-at-y-1": ((-4.0625, 3.9375, 0.9375, 1.0625), (64, 1)),
+    "finite-everywhere": (JITTERED_WINDOW, (31, 23)),
+}
+
+
+def _dies_before(m, k_max, window, resolution):
+    """Whether an iterate before the last depth is not finite on this grid."""
+    coords = np.meshgrid(*cell_centers(window, resolution))
+    for _ in range(k_max - 1):
+        _, coords = kernel.step(m, coords)
+        if not all(np.isfinite(c).all() for c in coords):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("rows", [1, 5, None], ids=["one-row-blocks", "five-row-blocks", "one-block"])
+@pytest.mark.parametrize("k_max", [1, 4])
+@pytest.mark.parametrize("grid", list(SCAN_GRIDS))
+@pytest.mark.parametrize("name", list(SCAN_MAPS))
+def test_the_scan_paths_equal_the_eager_reference(monkeypatch, name, grid, k_max, rows):
+    """At k_max = 1 the last depth is the first.  On the pole lines iterates
+    turn non-finite inside a block, where the scan first makes its ``alive``
+    mask, and a cell stays dead once it died; on the jittered grid every
+    iterate stays finite and no block makes one.  1-wide and 1-high grids
+    have no horizontal or no vertical pairs (under 1 s in all)."""
+    m = SCAN_MAPS[name]
+    window, resolution = SCAN_GRIDS[grid]
+    if k_max > 1:
+        assert _dies_before(m, k_max, window, resolution) == (grid != "finite-everywhere")
+    _same_as_eager(monkeypatch, rows, m, k_max, window, resolution)
+
+
+@pytest.mark.parametrize("k_max", [1, 3, 6])
+def test_the_scan_evaluates_no_image_past_the_last_depth(monkeypatch, k_max):
+    """Per row block, f2d's two numerators and two denominators at every
+    depth but the last, where only the denominators are evaluated."""
+    calls = []
+    eval_grid = Polynomial.eval_grid
+    monkeypatch.setattr(Polynomial, "eval_grid", lambda p, arrays: calls.append(p) or eval_grid(p, arrays))
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", 4 * 31)
+    zs = denominator_zero_curves(f2d(), k_max, JITTERED_WINDOW, (31, 23))
+    per_scan = len(kernel.blocks(31, 23)) * (4 * (k_max - 1) + 2)
+    assert len(calls) == per_scan == 6 * (4 * k_max - 2)
+    zs.curves
+    assert len(calls) == 2 * per_scan
 
 
 def test_denoms_command_builds_no_curve(monkeypatch, tmp_path):

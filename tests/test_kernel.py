@@ -313,20 +313,45 @@ def test_the_return_bound_on_every_pair_of_extremes(tol):
     assert got[a == b].all() and not got[np.isnan(a) | np.isnan(b)].any()
 
 
+def _undecided(cur, start, tol, open_):
+    """Entries that neither bound of ``returns`` decides, from the bounds as
+    its docstring states them, on ``return_start``'s (b, 1 + b²)."""
+    left, sure = open_.copy(), open_ & (tol >= kernel.SURE_TOL)
+    with np.errstate(all="ignore"):
+        for a, (b, nb) in zip(cur, start):
+            gap = np.abs(a - b)
+            left &= gap <= (2.0 * tol + 1e-12) * (a * a + nb)
+            lim = np.abs(a * b + 1.0) * (0.5 * tol)
+            sure &= (gap < lim) & (lim + nb < np.inf)
+    return left & ~sure
+
+
+def _counting_chord(monkeypatch):
+    """The sizes of the arrays that the exact chordal distance sees, per call."""
+    seen = []
+    real = kernel._chord_grid
+
+    def counting_chord(a, uv):
+        seen.append(a.size)
+        return real(a, uv)
+
+    monkeypatch.setattr(kernel, "_chord_grid", counting_chord)
+    return seen
+
+
 @pytest.mark.parametrize("tol", [1e-300, 1e-12, 1e-6, 0.5, 1.0])
 @pytest.mark.parametrize("returning", ["a third", "all"])
 @pytest.mark.parametrize("grid_first", [True, False])
 def test_the_return_bound_on_two_coordinates(monkeypatch, tol, returning, grid_first):
     """Every pair of extremes in one coordinate, three times over (60% of the
-    pairs pass the bound below tol 0.5, 88% from 0.5 on), and finite starts
-    in the other, in both orders.  The other coordinate returns on all
-    entries or on the first copy of the pairs only, and is far from its
-    start elsewhere.  With a third returning and tol below 0.5 the
-    candidates end at most half of the entries and the exact distance sees
-    only them; fixed first, the bound of the pairs runs only on the fixed
-    coordinate's candidates, which hold every pair once.  Otherwise most
-    entries stay candidates and the exact distance runs in place (under
-    0.1 s in all)."""
+    pairs pass the reject bound below tol 0.5, 88% from 0.5 on), and finite
+    starts in the other, in both orders.  The other coordinate returns on
+    all entries or on the first copy of the pairs only, and is far from its
+    start elsewhere.  The exact distance sees exactly the entries that
+    neither bound decides, once per coordinate.  From tol 1e-12 on, the
+    accept bound decides a tenth to over half of the returns, and only
+    returns whose every chord is below tol/2 plus rounding (under 0.1 s in
+    all)."""
     base = np.asarray(EXTREMES + SPECIAL + EDGES)
     vals = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
     b, a = (np.tile(g.ravel(), 3) for g in np.meshgrid(vals, vals))
@@ -336,22 +361,69 @@ def test_the_return_bound_on_two_coordinates(monkeypatch, tol, returning, grid_f
     fixed_a = np.where(first_copy | (returning == "all"), fixed_b, -fixed_b - 3.0)
     cur, starts = ([a, fixed_a], [b, fixed_b]) if grid_first else ([fixed_a, a], [fixed_b, b])
     open_ = first_copy | (np.arange(n) % 7 != 3)
-    want = open_.copy()
-    for u, v in zip(cur, starts):
-        want &= kernel._chord_grid(u, kernel._homogeneous(v)) < tol
-    seen = []
-    real = kernel._chord_grid
-
-    def counting_chord(u, uv):
-        seen.append(u.size)
-        return real(u, uv)
-
-    monkeypatch.setattr(kernel, "_chord_grid", counting_chord)
-    got = kernel.returns(cur, kernel.return_start(starts), tol, open_)
+    chords = [kernel._chord_grid(u, kernel._homogeneous(v)) for u, v in zip(cur, starts)]
+    want = open_ & (chords[0] < tol) & (chords[1] < tol)
+    start = kernel.return_start(starts)
+    undecided = _undecided(cur, start, tol, open_)
+    seen = _counting_chord(monkeypatch)
+    got = kernel.returns(cur, start, tol, open_)
     assert np.array_equal(got, want)
     assert want.any() and not want.all()
-    assert len(seen) == 2 and seen[0] == seen[1]
-    assert seen[0] == n if returning == "all" or tol >= 0.5 else 2 * seen[0] <= n
+    count = np.count_nonzero(undecided)
+    assert seen == ([count] * 2 if count else [])
+    accepted = want & ~undecided
+    if tol >= kernel.SURE_TOL:
+        assert 10 * np.count_nonzero(accepted) >= np.count_nonzero(want)
+        assert (np.maximum(*chords)[accepted] <= 0.5 * tol * (1.0 + 1e-12) + 1e-15).all()
+    else:
+        assert not accepted.any()
+
+
+ACCEPT_TOLS = [1e-300, 1e-15, np.nextafter(kernel.SURE_TOL, 0.0), kernel.SURE_TOL, 1e-12, 1e-9, 1e-6, BAND_TOL, 0.5,
+               1.0, 2.0]  # every tol the return tests run at, and both sides of SURE_TOL
+
+
+def _near_chord(rng, size, d):
+    """(b, a): starts b of either sign at magnitudes 1e-3 to 1e300, and a with
+    chord(a, b) within 1e-6 relative of d.  chord(a, b) = |sin(atan a - atan b)|,
+    and beyond 1 the inverse chart keeps the angles accurate."""
+    b = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 300.0, size)
+    d = np.minimum(d * (1.0 + rng.uniform(-1e-6, 1e-6, size)), 1.0)
+    turn = rng.choice([-1.0, 1.0], size) * np.arcsin(d)
+    big = np.abs(b) > 1.0
+    with np.errstate(divide="ignore"):
+        t = np.tan(np.arctan(np.where(big, 1.0 / b, b)) + turn)
+        a = np.where(big, 1.0 / t, t)
+    return b, a
+
+
+@pytest.mark.parametrize("tol", ACCEPT_TOLS)
+def test_the_accept_bound_decides_as_the_exact_form(tol):
+    """``returns`` equals the exact per-coordinate decision on every pair of
+    extremes, specials, edges, overflowing products (1e300 against ±1e9) and
+    their ulp neighbours, infinite starts and nan included, and on random
+    pairs whose chord is within 1e-6 relative of tol and of tol/2; on two
+    coordinates, in both orders, against a returning, a far and a
+    near-threshold other coordinate (about 0.1 s per tol)."""
+    rng = np.random.default_rng(16)
+    base = np.asarray(EXTREMES + SPECIAL + EDGES + [1e300, -1e300, 1e9, -1e9])
+    vals = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
+    grid_b, grid_a = (g.ravel() for g in np.meshgrid(vals, vals))
+    near = [_near_chord(rng, 20_000, d) for d in (tol, 0.5 * tol)]
+    b = np.concatenate([grid_b] + [nb for nb, _ in near])
+    a = np.concatenate([grid_a] + [na for _, na in near])
+    n = a.size
+    open_ = rng.random(n) < 0.9
+    shuffle = rng.permutation(n)
+    others = [(np.full(n, 0.5), np.full(n, 0.5)), (np.full(n, 0.5), np.full(n, -2.0)), (b[shuffle], a[shuffle])]
+    for other_b, other_a in others:
+        for cur, starts in (([a, other_a], [b, other_b]), ([other_a, a], [other_b, b])):
+            want = open_.copy()
+            for u, v in zip(cur, starts):
+                want &= kernel._chord_grid(u, kernel._homogeneous(v)) < tol
+            got = kernel.returns(cur, kernel.return_start(starts), tol, open_)
+            assert np.array_equal(got, want)
+    assert want.any() and not want.all()
 
 
 RETURN_GRID = np.linspace(-3.0, 3.0, 25)  # holds the diagonal and exact period-3 and 4 points such as (2, -1.5), (2, -0.5)
@@ -376,24 +448,26 @@ def test_period_grid_equals_the_exact_everywhere_reference(monkeypatch, name, to
 
 def test_the_exact_distance_runs_only_on_candidates(monkeypatch):
     """Of the 14,641 cells of this f2d grid, 144 return within 8 steps (the
-    diagonal and the levels xy = -3 and -1); the exact chordal distance sees
-    every one of them and few others, never the whole grid."""
+    diagonal and the levels xy = -3 and -1).  The exact chordal distance
+    sees only the entries that neither bound decides, 8 per coordinate in
+    all: the accept bound decides the other returns."""
     xs = np.linspace(-3.0, 3.0, 121)
     want = period_rows_exact(f2d(), xs, xs, 8, 1e-6)
-    seen = []
-    real = kernel._chord_grid
+    undecided = []
+    real_returns = kernel.returns
 
-    def counting_chord(a, uv):
-        seen.append(a.size)
-        return real(a, uv)
+    def noting_returns(cur, start, tol, open_):
+        undecided.append(np.count_nonzero(_undecided(cur, start, tol, open_)))
+        return real_returns(cur, start, tol, open_)
 
-    monkeypatch.setattr(kernel, "_chord_grid", counting_chord)
+    monkeypatch.setattr(kernel, "returns", noting_returns)
+    seen = _counting_chord(monkeypatch)
     g = kernel.period_grid(f2d(), xs, xs, 8, 1e-6)
     assert np.array_equal(g, want)
     returned = np.count_nonzero(g > 0)
     assert returned == 144
-    assert seen[::2] == seen[1::2]  # x and y: the same candidates
-    assert returned <= sum(seen[::2]) < 2 * returned
+    assert seen[::2] == seen[1::2] == [u for u in undecided if u]  # x and y: the same entries
+    assert sum(seen[::2]) == 8
 
 
 def _stepped_sizes(monkeypatch):

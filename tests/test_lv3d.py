@@ -256,8 +256,8 @@ def test_diagonalizer_conjugates_to_the_sign_flip():
 
 def test_any_valid_intertwiner_is_accepted():
     """The verification is about the property, not one canonical matrix:
-    compose the canonical T with a scale (commutes with w -> -w)."""
+    the canonical T followed by a scale by 2 (commutes with w -> -w)."""
     from ivpp.mobius import Mobius
 
-    T = Mobius(2.0, 0, 0, 1).compose(lv_diagonalizer())
+    T = Mobius(2, 0, 1, -2)  # 2 x/(x - 2)
     assert verify_involution_intertwiner(T) < 1e-10
