@@ -19,7 +19,6 @@ from .core import (
 from .decompose import (
     ComponentDecomposition,
     NoClosure,
-    NonRealBoundary,
     NotACycle,
     boundaries_analytic,
     boundaries_empirical,

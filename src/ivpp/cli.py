@@ -21,7 +21,6 @@ from .core import Indeterminate, InfiniteCoordinate, Point, RationalMap
 from .decompose import (
     BOUNDARY_TOL,
     NoClosure,
-    NonRealBoundary,
     NotACycle,
     boundaries_analytic,
     boundaries_empirical,
@@ -96,6 +95,13 @@ def _check_period(n: int) -> None:
         raise UsageError(f"--period must be at most {PERIOD_MAX}, got {n}")
 
 
+def _f3d_sign(selector: Optional[str]) -> str:
+    """The sheet of the 3d map that --branch names: + when absent, else + or -."""
+    if selector not in (None, "+", "-"):
+        raise UsageError(f"--branch of the 3d map must be + or -, got {selector!r}")
+    return selector or "+"
+
+
 def _pick_branch(n: int, selector: str):
     bs = branches(n)
     idx = int(selector)
@@ -155,8 +161,7 @@ def _cmd_decompose(args) -> int:
     if args.map == "f3d":
         if args.period != 2:
             raise UsageError("the 3d map is decomposed at period 2 only")
-        sign = args.branch if args.branch in ("+", "-") else "+"
-        d = lv_decompose_period2(float(args.r if args.r is not None else 0.0), sign)
+        d = lv_decompose_period2(args.r if args.r is not None else 0.0, _f3d_sign(args.branch))
         _emit(serialize.dumps(d.to_json_dict()), args.output)
         return 0
     if args.map != "f2d":
@@ -208,15 +213,15 @@ def _cmd_boundaries(args) -> int:
 
 
 def _cmd_raster(args) -> int:
-    from .raster import lv_raster, raster
+    from .raster import check_period_args, lv_raster, raster
 
     window = _parse_window(args.window)
     res = _parse_resolution(args.resolution)
     if args.map == "f3d":
         if args.period != 2:
             raise UsageError("the 3d striped raster is period 2 only")
-        sign = args.branch if args.branch in ("+", "-") else "+"
-        R = lv_raster(window, res, sign=sign, stripe_half_width=args.stripe)
+        check_period_args(args.n_max, args.tol)
+        R = lv_raster(window, res, sign=_f3d_sign(args.branch), stripe_half_width=args.stripe)
     else:
         m = _load_map(args.map)
         if args.mode == "component":
@@ -356,7 +361,7 @@ USAGE_ERRORS = (
     InfiniteCoordinate,
     ValueError,
 )
-COMPUTE_ERRORS = (NotACycle, NoClosure, NonRealBoundary, Indeterminate)
+COMPUTE_ERRORS = (NotACycle, NoClosure, Indeterminate)
 
 
 def run(argv: List[str]) -> int:

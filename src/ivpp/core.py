@@ -17,6 +17,7 @@ from .poly import Polynomial
 
 TOL_EQ = 1e-9  # default comparison tolerance (chordal)
 TOL_INV = 1e-10  # relative tolerance for invariant conservation
+CHECK_POINTS = 100  # random points on which a declared invariant must be conserved
 
 _CHECK_SEED = 0x1F2D3C
 
@@ -241,15 +242,15 @@ class RationalMap:
 
     # -- construction-time invariance check ----------------------------------
 
-    def _check_invariants(self, n_points: int = 100) -> None:
+    def _check_invariants(self) -> None:
         if not self.invariants:
             return
         rng = random.Random(_CHECK_SEED)
         checked = 0
         attempts = 0
-        while checked < n_points:
+        while checked < CHECK_POINTS:
             attempts += 1
-            if attempts > 50 * n_points:
+            if attempts > 50 * CHECK_POINTS:
                 raise ValueError("could not sample enough non-pole points")
             vals = tuple(
                 complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(self.dim)

@@ -31,10 +31,6 @@ from .mobius import boundary_cs
 INF_F = math.inf
 
 
-class NonRealBoundary(ValueError):
-    """A closed-form boundary came out non-real; interval decomposition needs a real order."""
-
-
 class NoClosure(ValueError):
     """Sampled points do not close after n steps: wrong branch or period."""
 
@@ -176,6 +172,20 @@ def interior_samples(cuts: Sequence[float]) -> List[float]:
 # -- analytic boundaries ------------------------------------------------------
 
 
+def boundaries_analytic(branch: IvppBranch) -> List[float]:
+    """The real closed-form cuts ``boundary_cs`` of the branch, ascending, infinity last.
+
+    The n - 1 finite cuts tan(pi m/n)/tan(pi jm/n), j = 1..n-1, are distinct,
+    and those of j and n - j are exact negatives."""
+    return sorted(c.value.real for c in boundary_cs(branch.n, k=branch.m) if c.is_finite) + [INF_F]
+
+
+# -- empirical boundaries -----------------------------------------------------
+
+_HUGE = 1e8
+SCAN_WINDOW = (-6.0, 6.0)  # the x-range of the sign-change scan
+
+
 def _dedup_sorted(values: List[float], tol: float = 1e-9) -> List[float]:
     values = sorted(values)
     out: List[float] = []
@@ -183,30 +193,6 @@ def _dedup_sorted(values: List[float], tol: float = 1e-9) -> List[float]:
         if not out or abs(v - out[-1]) > tol:
             out.append(v)
     return out
-
-
-TOL_IMAG = 1e-9  # relative imaginary part below which a closed-form boundary is real
-
-
-def boundaries_analytic(branch: IvppBranch) -> List[float]:
-    """Deduplicated real boundary values from the closed form, infinity last.
-
-    A value is real when its imaginary part is within TOL_IMAG of max(1, |real
-    part|): on the largest-m branches of large n the closed form leaves an
-    imaginary part of 1e-9..5e-8 on a real part of 1e5..3e6."""
-    out: List[float] = []
-    for c in boundary_cs(branch.n, k=branch.m):
-        if c.is_infinite:
-            continue
-        if abs(c.value.imag) > TOL_IMAG * max(1.0, abs(c.value.real)):
-            raise NonRealBoundary(f"non-real boundary {c.value!r} for {branch}")
-        out.append(c.value.real)
-    return _dedup_sorted(out) + [INF_F]
-
-
-# -- empirical boundaries -----------------------------------------------------
-
-_HUGE = 1e8
 
 
 def _flow_x(m: RationalMap, coords: Sequence[np.ndarray], n: int) -> Iterator[np.ndarray]:
@@ -251,13 +237,12 @@ def boundaries_empirical(
     m: RationalMap,
     param: Callable[[np.ndarray], Sequence[np.ndarray]],
     n: int,
-    window: Tuple[float, float] = (-6.0, 6.0),
     samples: int = 4800,
     tol: float = 1e-9,
 ) -> List[float]:
     """Boundary estimates from sign changes of the flow's x-coordinates.
 
-    Scans the window, bisects every discontinuity of the orbit signature
+    Scans SCAN_WINDOW, bisects every discontinuity of the orbit signature
     (the sign pattern of the x-coordinate of all n iterates), and keeps
     the candidates where some iterate actually blows up (a pole), not the
     plain zero crossings.  The point at infinity is probed through the
@@ -271,9 +256,7 @@ def boundaries_empirical(
     the whole midpoint tree of its next _BISECT_LEVELS steps at once and
     then walks it, so its cuts are those of one midpoint per round.
     """
-    lo, hi = window
-    if not lo < hi:
-        raise ValueError("empty window")
+    lo, hi = SCAN_WINDOW
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if samples < 1:

@@ -33,6 +33,27 @@ def _check_n(n: int) -> None:
         raise ValueError(f"period must be >= 3, got {n}")
 
 
+def tan_pi(p: int, q: int) -> float:
+    """tan(pi*p/q) for integers p and q >= 1, within a few ulp of the truth.
+
+    p is reduced mod q in integers, and tan(pi*(q - p)/q) = -tan(pi*p/q) and
+    tan(pi/2 - a) = 1/tan(a) keep ``math.tan`` at arguments of at most pi/4,
+    where it magnifies their rounding at most pi/2 times.  A quarter turn is
+    1 exactly, and p/q = 1/2 is the pole, inf.
+    """
+    p %= q
+    sign = 1.0
+    if 2 * p > q:
+        p, sign = q - p, -1.0
+    if 2 * p == q:
+        return math.inf
+    if 4 * p == q:
+        return sign
+    if 4 * p > q:
+        return sign / math.tan(math.pi * (q - 2 * p) / (2 * q))
+    return sign * math.tan(math.pi * p / q)
+
+
 def gamma_closed(n: int, m: int, r: complex) -> complex:
     """The period-n level condition r + tan^2(pi*m/n), zero on the branch."""
     _check_n(n)
@@ -40,7 +61,7 @@ def gamma_closed(n: int, m: int, r: complex) -> complex:
         raise ValueError(f"m must be in 1..{n - 1}, got {m}")
     if 2 * m == n:
         raise DegenerateBranch(f"m/n = 1/2 is a tan pole (period-2 exclusion), got m={m}, n={n}")
-    return r + math.tan(math.pi * m / n) ** 2
+    return r + tan_pi(m, n) ** 2
 
 
 def admissible_m(n: int) -> List[int]:
@@ -81,7 +102,7 @@ class IvppBranch:
 
 def branches(n: int) -> List[IvppBranch]:
     """All branches of period n, ordered by m; list length phi(n)/2."""
-    return [IvppBranch(n, m, -math.tan(math.pi * m / n) ** 2) for m in admissible_m(n)]
+    return [IvppBranch(n, m, -tan_pi(m, n) ** 2) for m in admissible_m(n)]
 
 
 @dataclass(frozen=True)
@@ -136,7 +157,7 @@ def _log10_coefficient_bound(n: int) -> float:
     The coefficients are the elementary symmetric functions of the positive
     tan^2(pi*m/n), so their degree + 1 values sum to prod(1 + tan^2(pi*m/n)).
     """
-    ts = [math.tan(math.pi * m / n) ** 2 for m in admissible_m(n)]
+    ts = [tan_pi(m, n) ** 2 for m in admissible_m(n)]
     return math.fsum(math.log10(1.0 + t) for t in ts) - math.log10(len(ts) + 1)
 
 

@@ -22,6 +22,7 @@ from math import gcd
 from typing import Dict, List, Tuple
 
 from .core import INF, ExtendedComplex
+from .ivpp2d import tan_pi
 
 
 class ZeroInvariant(ValueError):
@@ -141,29 +142,12 @@ def scale_coordinate(r: complex, x) -> ExtendedComplex:
     return scale_coordinate_map(r)(x)
 
 
-def _primitive_root_power(n: int, k: int, m: int) -> Tuple[complex, bool]:
-    """s_n^m for s_n = exp(2*pi*i*k/n), with an exact unity flag.
-
-    Quarter turns are returned exactly (i, -1, -i are representable), so
-    the boundary values they generate come out clean instead of carrying
-    the ~1e-16 noise of cos/sin at multiples of pi/2.
-    """
-    j = (k * m) % n
-    if j == 0:
-        return (1 + 0j, True)
-    if 4 * j == n:
-        return (1j, False)
-    if 2 * j == n:
-        return (-1 + 0j, False)
-    if 4 * j == 3 * n:
-        return (-1j, False)
-    return (cmath.exp(2j * math.pi * j / n), False)
-
-
 def boundary_c(n: int, m: int, k: int = 1) -> ExtendedComplex:
     """x-space component boundary (1-s)(1+s^m)/((1+s)(1-s^m)), s = exp(2*pi*i*k/n).
 
-    m = 0 and m = n give the boundary at infinity.
+    The value is real: (1-s)/(1+s) = -i tan(pi k/n) and (1+s^m)/(1-s^m) =
+    i cot(pi mk/n), so it is computed as tan(pi k/n)/tan(pi mk/n), which is
+    0 where mk = n/2 mod n.  m = 0 and m = n give the boundary at infinity.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -171,11 +155,9 @@ def boundary_c(n: int, m: int, k: int = 1) -> ExtendedComplex:
         raise ValueError(f"m must be in 0..{n}")
     if gcd(k, n) != 1:
         raise ValueError(f"k = {k} is not a primitive root exponent mod n = {n}")
-    s, _ = _primitive_root_power(n, k, 1)
-    sm, sm_is_one = _primitive_root_power(n, k, m)
-    if sm_is_one:
+    if m * k % n == 0:
         return INF
-    return ExtendedComplex((1 - s) * (1 + sm) / ((1 + s) * (1 - sm)))
+    return ExtendedComplex(tan_pi(k, n) / tan_pi(m * k, n))
 
 
 def boundary_cs(n: int, k: int = 1) -> List[ExtendedComplex]:

@@ -40,6 +40,7 @@ from .lv3d import lv_decompose_period2, lv_discriminant
 
 RASTER_TOL = 1e-6  # default chordal tolerance of the raw period layer
 EXACT_TOL = 1e-9  # closure tolerance for snapped on-variety points
+BAND_CELLS = 1.5  # half-width of the component band, in cell widths
 PERIOD_MAX = int(np.iinfo(np.int16).max)  # the period layer is int16
 
 
@@ -120,6 +121,13 @@ def write_csv(path: str, header: str, xs, ys, layers) -> None:
             fh.write("".join(pieces))
 
 
+def check_period_args(n_max: int, tol: float) -> None:
+    """Refuse a chordal tol outside (0, 1) and an n_max outside 1..PERIOD_MAX."""
+    check_tol(tol)
+    if not 1 <= n_max <= PERIOD_MAX:
+        raise ValueError(f"n_max must be in 1..{PERIOD_MAX}, got {n_max}")
+
+
 def raster(
     m: RationalMap,
     window: Tuple[float, float, float, float],
@@ -127,22 +135,19 @@ def raster(
     n_max: int,
     tol: float = RASTER_TOL,
     branch: Optional[IvppBranch] = None,
-    band_cells: float = 1.5,
     threads: Optional[int] = None,
 ) -> TilingRaster:
     """Period raster of a 2d map, plus component classes along one branch.
 
     A cell joins the component layer when the local level value x*y falls
-    within ``band_cells`` cell-widths of the branch level rho and the
+    within ``BAND_CELLS`` cell-widths of the branch level rho and the
     snapped point (x, rho/x) has minimal period exactly n (tol 1e-9); its
     class is the component of x in the branch's analytic ``decompose``.
     The period layer is deferred until ``.period`` is read; on branch
     rasters it reads n on every classified cell.
     """
     w, h = resolution
-    check_tol(tol)
-    if not 1 <= n_max <= PERIOD_MAX:
-        raise ValueError(f"n_max must be in 1..{PERIOD_MAX}, got {n_max}")
+    check_period_args(n_max, tol)
     xs, ys = cell_centers(window, resolution)
     component = np.zeros((h, w), dtype=np.int16)
     meta = {
@@ -161,7 +166,7 @@ def raster(
     if branch is not None:
         decomp = decompose(branch)
         cell = max((window[1] - window[0]) / w, (window[3] - window[2]) / h)
-        band = _band(xs, ys, window, branch.rho, band_cells * cell, cell)
+        band = _band(xs, ys, window, branch.rho, BAND_CELLS * cell, cell)
         has_band = np.zeros(w, dtype=bool)
         for flat in band:
             has_band[flat % w] = True
@@ -180,7 +185,7 @@ def raster(
             {
                 "period_n": branch.n,
                 "branch": branch.label,
-                "band_cells": band_cells,
+                "band_cells": BAND_CELLS,
                 "snap_checks": int(columns.size),
                 "classified": int(classified),
             }
@@ -280,8 +285,11 @@ def lv_raster(
 
     Rows near integer r (the level sets drawn with r stepped by 1) are
     classified by the r-independent x-intervals; cells with a negative
-    discriminant have no real point and stay unclassified.
+    discriminant have no real point and stay unclassified.  The stripe
+    half-width must be in (0, 0.5]: wider stripes would overlap.
     """
+    if not 0 < stripe_half_width <= 0.5:
+        raise ValueError(f"stripe half-width must be in (0, 0.5], got {stripe_half_width}")
     w, h = resolution
     xs, rs = cell_centers(window, resolution)
     component = np.zeros((h, w), dtype=np.int16)

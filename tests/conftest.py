@@ -12,10 +12,11 @@ the period loop that takes the exact chordal distance of every open cell
 at every step, before the bound-first return test.  ``pole_depths_eager``
 is the pole-depth scan that builds every curve with int8 sign products,
 and ``gamma_fraction`` the exact period polynomial in ``Fraction``
-arithmetic.  ``band_mask_dense`` is the component rasters' band test on
-every cell of the grid, before the per-column candidate rows, and
-``pgm_concat`` the PGM encoder that clips to int16, casts and
-concatenates the header.
+arithmetic.  ``boundary_cs_complex`` is the paper's root-of-unity form of
+the cuts, which the library evaluates in real arithmetic.
+``band_mask_dense`` is the component rasters' band test on every cell of
+the grid, before the per-column candidate rows, and ``pgm_concat`` the
+PGM encoder that clips to int16, casts and concatenates the header.
 """
 
 import math
@@ -42,6 +43,14 @@ def f3d_exact(x: Fraction, y: Fraction, z: Fraction):
 
 def reduced_exact(r: Fraction, x: Fraction) -> Fraction:
     return (x - r) / (1 - x)
+
+
+def boundary_cs_complex(n: int, k: int) -> np.ndarray:
+    """The paper's complex boundary formula (1-s)(1+s^j)/((1+s)(1-s^j)),
+    s = exp(2*pi*i*k/n), for j = 1..n-1, in numpy complex arithmetic."""
+    s = np.exp(2j * np.pi * (k % n) / n)
+    sj = np.exp(2j * np.pi * (np.arange(1, n) * k % n) / n)
+    return (1 - s) * (1 + sj) / ((1 + s) * (1 - sj))
 
 
 # a window whose cell centres are not round numbers, so every digit of %.17g shows

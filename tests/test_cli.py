@@ -318,6 +318,16 @@ def test_denoms_csv_bytes_match_the_per_cell_reference(tmp_path):
         ["orbit", "--start", "1,2", "--steps", "3", "--tol", "-1"],
         ["raster", "--mode", "period", "--window=-4,4,-4,4", "--res", "4x4", "--tol", "inf", "-o", "/tmp/x.pgm"],
         ["raster", "--mode", "period", "--window=-4,4,-4,4", "--res", "4x4", "--tol", "2", "-o", "/tmp/x.pgm"],
+        *(
+            ["raster", "--map", "f3d", "--period", "2", "--window=-1,1,-1,1", "--res", "4x4", *bad, "-o", "/tmp/x.pgm"]
+            for bad in (
+                ["--tol", "2"], ["--tol", "nan"], ["--n-max", "0"], ["--stripe", "-1"], ["--stripe", "nan"],
+                ["--branch", "q"],
+            )
+        ),
+        ["decompose", "--map", "f3d", "--period", "2", "--branch", "x"],
+        ["decompose", "--map", "f3d", "--period", "2", "--r", "inf"],
+        ["decompose", "--map", "f3d", "--period", "2", "--r", "nan"],
     ],
 )
 def test_usage_errors_exit_2(argv):

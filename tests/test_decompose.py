@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,6 @@ from ivpp.decompose import (
     BOUNDARY_TOL,
     ComponentDecomposition,
     NoClosure,
-    NonRealBoundary,
     NotACycle,
     _require_single_cycle,
     boundaries_analytic,
@@ -23,7 +23,7 @@ from ivpp.decompose import (
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d, lv_recurrence_map
 
-from conftest import classify_by_loop, f2d_exact, scan_one_midpoint_per_round
+from conftest import boundary_cs_complex, classify_by_loop, f2d_exact, scan_one_midpoint_per_round
 
 SQ5 = math.sqrt(5.0)
 B_PLUS = -2 + SQ5
@@ -73,17 +73,6 @@ def test_boundaries_analytic_printed_sets():
     assert b5m == pytest.approx([B_MINUS, -1.0, 1.0, -B_MINUS, math.inf])
     b6 = boundaries_analytic(branches(6)[0])
     assert b6 == pytest.approx([-1.0, -1 / 3, 0.0, 1 / 3, 1.0, math.inf])
-
-
-def test_non_real_boundary_guard(monkeypatch):
-    from importlib import import_module
-
-    dec = import_module("ivpp.decompose")
-    from ivpp.core import ExtendedComplex
-
-    monkeypatch.setattr(dec, "boundary_cs", lambda n, k: [ExtendedComplex(1 + 1j)])
-    with pytest.raises(NonRealBoundary):
-        dec.boundaries_analytic(branches(3)[0])
 
 
 # -- empirical boundaries ------------------------------------------------------------
@@ -225,30 +214,50 @@ def test_sigma_is_a_single_cycle_property():
 
 
 def test_every_branch_to_n200_matches_the_closed_form():
-    """All 6,115 branches of n = 3..200 against the closed form, not the map:
-    the finite cuts are cut_j = tan(pi m/n) / tan(pi (jm mod n)/n), j = 1..n-1
-    (0 where jm = n/2 mod n), within 1e-9 * max(1, |cut|); labelling each
-    component by the j of its left cut, the one from -inf by 0 (its left end,
-    infinity, is cut_0), sigma is the map j -> j - 1 mod n."""
+    """All 6,115 branches of n = 3..200 against the paper's complex form of
+    the cuts (conftest's ``boundary_cs_complex``), not the map: the finite
+    cuts are cut_j = (1-s)(1+s^j)/((1+s)(1-s^j)), s = exp(2 pi i m/n),
+    j = 1..n-1, within 1e-12 * max(1, |cut|); labelling each component by the
+    j of its left cut, the one from -inf by 0 (its left end, infinity, is
+    cut_0), sigma is the map j -> j - 1 mod n."""
     count = 0
     for n in range(3, 201):
         j = np.arange(1, n)
         for b in branches(n):
             d = decompose(b)
-            p = j * b.m % n
-            with np.errstate(divide="ignore"):
-                cuts = np.where(2 * p == n, 0.0, math.tan(math.pi * b.m / n) / np.tan(np.pi * p / n))
-            order = np.argsort(cuts)
+            cuts = boundary_cs_complex(n, b.m)
+            order = np.argsort(cuts.real)
             want = cuts[order]
             got = np.array(d.finite_boundaries())
             assert got.shape == want.shape, (n, b.m)
-            assert (np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all(), (n, b.m)
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all(), (n, b.m)
             labels = np.concatenate([[0], j[order]])
             component = np.empty(n, dtype=int)
             component[labels] = np.arange(1, n + 1)
             assert d.sigma == tuple(component[(labels - 1) % n].tolist()), (n, b.m)
             count += 1
     assert count == 6115
+
+
+def test_the_closed_forms_are_exact():
+    """Every cut of every branch of n = 3..60 and every level rho of n = 3..200
+    is within 2e-15 * max(1, |v|) of its 30-digit value, cut_j = tan(pi m/n) /
+    tan(pi jm/n) and rho = -tan^2(pi m/n); and the cuts of j and n - j are
+    exact negatives, so each branch's sorted cuts read the same negated and
+    reversed."""
+    with mpmath.workdps(30):
+        for n in range(3, 201):
+            tans = {p: mpmath.tan(mpmath.pi * p / n) for p in (range(n) if n <= 60 else (b.m for b in branches(n)))}
+            for b in branches(n):
+                rho = -tans[b.m] ** 2
+                assert abs(b.rho - rho) <= 2e-15 * max(1, abs(rho)), (n, b.m)
+                if n > 60:
+                    continue
+                cuts = boundaries_analytic(b)[:-1]
+                assert cuts == [-c for c in reversed(cuts)], (n, b.m)
+                want = sorted(0 if 2 * (j * b.m % n) == n else tans[b.m] / tans[j * b.m % n] for j in range(1, n))
+                for got, w in zip(cuts, want):
+                    assert abs(got - w) <= 2e-15 * max(1, abs(w)), (n, b.m)
 
 
 def test_decompose_and_the_scan_take_no_scalar_orbit(monkeypatch):

@@ -8,7 +8,6 @@ from ivpp.core import INF, ExtendedComplex, Point
 from ivpp.kernel import step
 from ivpp.lv3d import (
     DegenerateParameter,
-    LV_RECURRENCE,
     UnsupportedPeriod,
     lv_decompose_period2,
     lv_diagonalizer,
@@ -230,18 +229,10 @@ def test_recurrence_is_an_involution_independent_of_r():
 
 
 def test_the_mobius_and_the_dsl_recurrence_are_one_map():
-    """LV_RECURRENCE (behind lv_recurrence) and maps.lv_recurrence_map (the
-    map the pairing pushes) define x -> -x/(1 - x) apart: their coefficients
-    are proportional and they agree on 0, 1, 2 and infinity."""
+    """lv_recurrence is one projective step of maps.lv_recurrence_map (the
+    map the pairing pushes): both send 0, 1, 2 and infinity to 0, infinity,
+    2 and 1."""
     m = lv_recurrence_map()
-    ((num, den),) = m.components
-    assert max(e for (e,) in num.terms) <= 1 and max(e for (e,) in den.terms) <= 1
-    dsl = [complex(p.terms.get((e,), 0)) for p in (num, den) for e in (1, 0)]  # a, b, c, d
-    mob = [LV_RECURRENCE.a, LV_RECURRENCE.b, LV_RECURRENCE.c, LV_RECURRENCE.d]
-    assert any(dsl)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert dsl[i] * mob[j] - dsl[j] * mob[i] == 0
     for x, image in [(0.0, 0.0), (1.0, INF), (2.0, 2.0), (INF, 1.0)]:
         assert lv_recurrence(x) == image
         assert m.apply(Point([x])).coords == (image,)
