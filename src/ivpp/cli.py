@@ -132,6 +132,10 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_ivpp(args) -> int:
     _check_period(args.period)
+    for flag in ("r", "s"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{flag} must be finite, got {value}")
     if args.map == "f3d":
         if args.r is None or args.s is None:
             raise UsageError("f3d level conditions need --r and --s")

@@ -177,7 +177,7 @@ def boundaries_analytic(branch: IvppBranch) -> List[float]:
 
     The n - 1 finite cuts tan(pi m/n)/tan(pi jm/n), j = 1..n-1, are distinct,
     and those of j and n - j are exact negatives."""
-    return sorted(c.value.real for c in boundary_cs(branch.n, k=branch.m) if c.is_finite) + [INF_F]
+    return sorted(c for c in boundary_cs(branch.n, k=branch.m) if c != INF_F) + [INF_F]
 
 
 # -- empirical boundaries -----------------------------------------------------

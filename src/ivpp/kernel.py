@@ -2,18 +2,21 @@
 
 ``step`` applies a map of any dimension to arrays of points with IEEE
 semantics (inf on a pole, nan on 0/0) and also returns the denominators
-it evaluated.  The period grid, the pole-depth layers, the empirical
-boundary scan with its closure check, and the component permutation of
-``decompose`` all iterate through it.  ``period_grid`` gives each cell of
-a 2d map's raster the first k <= n_max whose iterate is within tol of the
-start under the chordal metric, 0 when there is none, and -1 when the
-orbit leaves the finite chart first (0/0 or a pole transit).  Its return
-test, ``returns``, is shared with the component pass of the rasters and
-the closure check of the empirical scan: a cheap reject bound, coordinate
-by coordinate, a cheap accept bound on the entries that pass it, and the
-exact chordal distance only on the few that neither decides.  Both grid
-layers run in the row blocks of ``blocks``, so their float temporaries
-are bounded by ``BLOCK_CELLS`` cells whatever the grid's size.
+it evaluated.  The period grid, the component pass of the rasters, the
+pole-depth layers, the empirical boundary scan with its closure check, and
+the component permutation of ``decompose`` all iterate through it.
+``first_returns`` is the one first-return loop: it gives each of a flat
+array of starts, of any dimension, the first k <= n_max whose iterate is
+within tol of the start under the chordal metric, 0 when there is none,
+and -1 when the orbit leaves the finite chart first (0/0 or a pole
+transit).  ``period_grid`` runs it on the cells of a 2d map's raster and
+the component pass on the snapped band columns.  Its return test,
+``returns``, is shared with the closure check of the empirical scan: a
+cheap reject bound, coordinate by coordinate, a cheap accept bound on the
+entries that pass it, and the exact chordal distance only on the few that
+neither decides.  Both grid layers run in the row blocks of ``blocks``, so
+their float temporaries are bounded by ``BLOCK_CELLS`` cells whatever the
+grid's size.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .core import RationalMap
 
 BACKEND = "python"
 BLOCK_CELLS = 1 << 15  # cells per row block of the grid layers
+N_MAX_LIMIT = int(np.iinfo(np.int16).max)  # the largest n_max: a first return k must fit int16
 
 
 def blocks(w: int, h: int) -> List[Tuple[int, int]]:
@@ -173,20 +177,27 @@ def returns(cur: Sequence[np.ndarray], start, tol: float, open_: np.ndarray) -> 
     return cand
 
 
-def _rows(m, xs, ys, n_max, tol, out, row_lo, row_hi):
-    """Fill out[row_lo:row_hi, :] with the minimal periods of the 2d map m.
+def first_returns(m: RationalMap, coords: Sequence[np.ndarray], n_max: int, tol: float) -> np.ndarray:
+    """int16 per start, for flat arrays of starts of m, one per variable: the
+    first k <= n_max whose iterate ``returns`` within tol of the start, -1 at
+    a first nan iterate (0/0, or the step after a pole transit), 0 for neither.
 
-    A cell is written once, at its first nan iterate (-1) or return within tol (k);
-    once at most half of the stepped cells are open, only those are stepped on."""
-    cx, cy = x0, y0 = [c.ravel() for c in np.meshgrid(xs, ys[row_lo:row_hi])]
-    start = return_start((x0, y0))  # computed once, compared at every step
-    period = np.zeros(x0.size, dtype=np.int16)
-    cell = np.arange(x0.size)  # the cell of each stepped entry
-    open_ = np.ones(x0.size, dtype=bool)  # stepped entries not decided yet
+    A start is decided once; once at most half of the stepped starts are
+    open, only those are stepped on.  n_max must be in 1..N_MAX_LIMIT, so
+    that k fits the int16 result."""
+    if not 1 <= n_max <= N_MAX_LIMIT:
+        raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
+    cur = list(coords)
+    start = return_start(cur)  # computed once, compared at every step
+    period = np.zeros(cur[0].size, dtype=np.int16)
+    cell = np.arange(cur[0].size)  # the start of each stepped entry
+    open_ = np.ones(cur[0].size, dtype=bool)  # stepped entries not decided yet
     for k in range(1, n_max + 1):
-        _, (cx, cy) = step(m, (cx, cy))
-        nan = np.isnan(cx) | np.isnan(cy)  # a nan iterate is never a return
-        hit = returns((cx, cy), start, tol, open_)
+        _, cur = step(m, cur)
+        nan = np.isnan(cur[0])  # a nan iterate is never a return
+        for c in cur[1:]:
+            nan |= np.isnan(c)
+        hit = returns(cur, start, tol, open_)
         hit |= open_ & nan
         period[cell[hit]] = np.where(nan[hit], -1, k)
         open_ ^= hit
@@ -194,10 +205,10 @@ def _rows(m, xs, ys, n_max, tol, out, row_lo, row_hi):
         if live == 0:
             break
         if 2 * live <= open_.size:
-            cx, cy, cell = cx[open_], cy[open_], cell[open_]
+            cur, cell = [c[open_] for c in cur], cell[open_]
             start = [tuple(arr[open_] for arr in s) for s in start]
             open_ = np.ones(live, dtype=bool)
-    out[row_lo:row_hi, :] = period.reshape(row_hi - row_lo, xs.shape[0])
+    return period
 
 
 def check_grid_map(m: RationalMap) -> None:
@@ -230,7 +241,9 @@ def period_grid(
     spans = blocks(xs.shape[0], ys.shape[0])
 
     def fill(span: Tuple[int, int]) -> None:
-        _rows(m, xs, ys, n_max, tol, out, *span)
+        lo, hi = span
+        starts = [c.ravel() for c in np.meshgrid(xs, ys[lo:hi])]
+        out[lo:hi, :] = first_returns(m, starts, n_max, tol).reshape(hi - lo, xs.shape[0])
 
     if threads is None:
         threads = int(os.environ.get("IVPP_THREADS", "1"))

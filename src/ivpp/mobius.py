@@ -142,12 +142,13 @@ def scale_coordinate(r: complex, x) -> ExtendedComplex:
     return scale_coordinate_map(r)(x)
 
 
-def boundary_c(n: int, m: int, k: int = 1) -> ExtendedComplex:
+def boundary_c(n: int, m: int, k: int = 1) -> float:
     """x-space component boundary (1-s)(1+s^m)/((1+s)(1-s^m)), s = exp(2*pi*i*k/n).
 
     The value is real: (1-s)/(1+s) = -i tan(pi k/n) and (1+s^m)/(1-s^m) =
-    i cot(pi mk/n), so it is computed as tan(pi k/n)/tan(pi mk/n), which is
-    0 where mk = n/2 mod n.  m = 0 and m = n give the boundary at infinity.
+    i cot(pi mk/n), so it is computed as tan(pi k/n)/tan(pi mk/n), a finite
+    float, which is 0 where mk = n/2 mod n.  m = 0 and m = n, and every m
+    with mk = 0 mod n, give the boundary at infinity, math.inf.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -156,11 +157,11 @@ def boundary_c(n: int, m: int, k: int = 1) -> ExtendedComplex:
     if gcd(k, n) != 1:
         raise ValueError(f"k = {k} is not a primitive root exponent mod n = {n}")
     if m * k % n == 0:
-        return INF
-    return ExtendedComplex(tan_pi(k, n) / tan_pi(m * k, n))
+        return math.inf
+    return tan_pi(k, n) / tan_pi(m * k, n)
 
 
-def boundary_cs(n: int, k: int = 1) -> List[ExtendedComplex]:
+def boundary_cs(n: int, k: int = 1) -> List[float]:
     return [boundary_c(n, m, k) for m in range(n + 1)]
 
 

@@ -11,9 +11,8 @@ Two layers per raster:
                  cell to the variety (same x, y = rho/x) and demanding the
                  snapped point close after exactly n steps.  The snapped
                  point depends only on the cell's column, so the check runs
-                 once per column that has band cells: one vector flow of all
-                 of them through ``kernel.step``, with the scalar projective
-                 check only for columns whose orbit leaves the finite chart.
+                 once per column that has band cells: one run of all of them
+                 through ``kernel.first_returns``, the period grid's loop.
                  The band is tested only on each column's candidate rows
                  (see ``_band``), so the pass costs O(band cells + output)
                  rather than O(width * height).
@@ -32,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel
-from .core import Indeterminate, RationalMap, check_tol
+from .core import RationalMap, check_tol
 from .decompose import decompose
 from .denoms import cell_centers
 from .ivpp2d import IvppBranch
@@ -41,7 +40,6 @@ from .lv3d import lv_decompose_period2, lv_discriminant
 RASTER_TOL = 1e-6  # default chordal tolerance of the raw period layer
 EXACT_TOL = 1e-9  # closure tolerance for snapped on-variety points
 BAND_CELLS = 1.5  # half-width of the component band, in cell widths
-PERIOD_MAX = int(np.iinfo(np.int16).max)  # the period layer is int16
 
 
 @dataclass
@@ -122,10 +120,10 @@ def write_csv(path: str, header: str, xs, ys, layers) -> None:
 
 
 def check_period_args(n_max: int, tol: float) -> None:
-    """Refuse a chordal tol outside (0, 1) and an n_max outside 1..PERIOD_MAX."""
+    """Refuse a chordal tol outside (0, 1) and an n_max outside 1..kernel.N_MAX_LIMIT."""
     check_tol(tol)
-    if not 1 <= n_max <= PERIOD_MAX:
-        raise ValueError(f"n_max must be in 1..{PERIOD_MAX}, got {n_max}")
+    if not 1 <= n_max <= kernel.N_MAX_LIMIT:
+        raise ValueError(f"n_max must be in 1..{kernel.N_MAX_LIMIT}, got {n_max}")
 
 
 def raster(
@@ -171,9 +169,7 @@ def raster(
         for flat in band:
             has_band[flat % w] = True
         columns = np.flatnonzero(has_band)
-        closes, fallback = _snapped_closes(m, branch, xs[columns])
-        for i in np.nonzero(fallback)[0]:
-            closes[i] = _snapped_period_is(m, branch, float(xs[columns[i]]), branch.n)
+        closes = kernel.first_returns(m, branch.coords(xs[columns]), branch.n, EXACT_TOL) == branch.n
         column_class = np.zeros(w, dtype=np.int16)
         column_class[columns[closes]] = decomp.classify(xs[columns[closes]])
         classified = 0
@@ -242,37 +238,6 @@ def _band(xs, ys, window, rho: float, c: float, cell: float) -> List[np.ndarray]
                 j, k = np.divmod(np.flatnonzero(gap <= reach), k1 - k0)
                 out.append(((first[c0 + j] + k0 + k) * w + group[c0 + j]).astype(np.int32))
     return out
-
-
-def _snapped_closes(m: RationalMap, branch: IvppBranch, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(closes, fallback) per x: one vector flow of the snapped points (x, rho/x).
-
-    ``closes`` is the rule of ``_snapped_period_is``: the first iterate within
-    EXACT_TOL of the start comes at step n.  Where the start or an iterate
-    before that return is not finite, the IEEE step parts from the projective
-    one (which passes through infinity), so ``fallback`` marks the x whose
-    decision only ``_snapped_period_is`` can make; their ``closes`` is False.
-    """
-    cur = branch.coords(xs)
-    start = kernel.return_start(cur)
-    fallback = ~np.logical_and.reduce([np.isfinite(c) for c in cur])
-    open_ = ~fallback  # not returned and finite so far
-    for _ in range(branch.n):
-        _, cur = kernel.step(m, cur)
-        finite = np.logical_and.reduce([np.isfinite(c) for c in cur])
-        fallback |= open_ & ~finite
-        open_ &= finite
-        closes = kernel.returns(cur, start, EXACT_TOL, open_)
-        open_ &= ~closes
-    return closes, fallback
-
-
-def _snapped_period_is(m: RationalMap, branch: IvppBranch, x: float, n: int) -> bool:
-    try:
-        p = branch.point(x)
-        return m.detect_period(p, n, EXACT_TOL) == n
-    except (ZeroDivisionError, Indeterminate):
-        return False
 
 
 def lv_raster(

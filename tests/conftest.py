@@ -17,6 +17,8 @@ the cuts, which the library evaluates in real arithmetic.
 ``band_mask_dense`` is the component rasters' band test on every cell of
 the grid, before the per-column candidate rows, and ``pgm_concat`` the
 PGM encoder that clips to int16, casts and concatenates the header.
+``snapped_period_is`` is the component pass's decision made on the scalar
+projective orbit, the rule the vector first-return loop must reproduce.
 """
 
 import math
@@ -55,6 +57,22 @@ def boundary_cs_complex(n: int, k: int) -> np.ndarray:
 
 # a window whose cell centres are not round numbers, so every digit of %.17g shows
 JITTERED_WINDOW = (-4.0 + 0.0123456789, 4.0 + 0.0123456789, -3.0 - 0.00987654321, 5.0 - 0.00987654321)
+
+
+# a window whose cell centres fall on every integer x, the poles x = 1 and x = rho among them
+POLE_WINDOW = (-3.984375, 4.015625, -4.0, 4.0)
+
+
+def snapped_period_is(m, branch, x: float, tol: float = 1e-9) -> bool:
+    """Reference decision of the component pass: the scalar projective orbit of
+    the snapped point (x, rho/x) first returns within tol at step n; False
+    where the point or its orbit is undefined."""
+    from ivpp.core import Indeterminate
+
+    try:
+        return m.detect_period(branch.point(x), branch.n, tol) == branch.n
+    except (ZeroDivisionError, Indeterminate):
+        return False
 
 
 def csv_per_cell(header: str, xs, ys, layers) -> bytes:

@@ -1,9 +1,11 @@
 """The benchmark traces ivpp's layers by wrapping them by name (perfbench/layertrace.py).
 
 Renaming a traced function or method must fail here, not only in a traced
-benchmark run.
+benchmark run; so must renaming, or changing the type of, what the
+workloads' output checks call (perfbench/workloads.py).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -19,3 +21,36 @@ def test_benchmark_trace_hooks_install():
         [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+WORKLOAD_SCRIPT = """
+import json, random, sys, tempfile
+sys.path.insert(0, 'perfbench')
+import workloads
+with tempfile.TemporaryDirectory() as workdir:
+    sizes = {name: len(build(random.Random(0), workdir).commands) for name, build in workloads.BUILDERS.items()}
+images = {}
+for name, (n, image_class) in (('f2d', workloads._f2d_image_class(3, 1)), ('f3d', workloads._f3d_image_class())):
+    for x in (0.5, 1.0, 2.0):
+        succ = image_class(x)
+        images[f'{name} {x}'] = None if succ is None else [[type(v).__name__, v] for v in map(succ, range(1, n + 1))]
+print(json.dumps({'sizes': sizes, 'images': images}))
+"""
+
+
+def test_benchmark_workloads_build_and_check_with_the_library():
+    """The workloads' checks call the library as the paper's reference: a map
+    step and a branch point (``apply``, ``point``, ``ExtendedComplex``'s
+    ``is_infinite`` and ``value``), ``classify`` and ``sigma``.  Building
+    every workload and asking both successor rules at x = 0.5, 1 (a pole)
+    and 2 must give these answers, of these types."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKLOAD_SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["sizes"] == {"tiles": 5, "layers": 4, "boundaries": 39}
+    mid, right = [["bool", False], ["bool", True], ["bool", False]], [["bool", False], ["bool", False], ["bool", True]]
+    want = {f"{name} {x}": v for name in ("f2d", "f3d") for x, v in ((0.5, mid), (1.0, None), (2.0, right))}
+    assert got["images"] == want

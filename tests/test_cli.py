@@ -290,6 +290,17 @@ def test_denoms_csv_bytes_match_the_per_cell_reference(tmp_path):
     assert (tmp_path / "d.csv").read_bytes() == want
 
 
+NON_FINITE_LEVELS = [  # (argv, the refusal naming the flag)
+    (["ivpp", "--map", "f3d", "--period", "2", "--r", "nan", "--s", "1"], "--r must be finite, got nan"),
+    (["ivpp", "--map", "f3d", "--period", "2", "--r", "inf", "--s", "1"], "--r must be finite, got inf"),
+    (["ivpp", "--map", "f3d", "--period", "2", "--r", "1", "--s", "inf"], "--s must be finite, got inf"),
+    (["ivpp", "--map", "f3d", "--period", "2", "--r", "1", "--s", "nan"], "--s must be finite, got nan"),
+    (["ivpp", "--map", "f3d", "--period", "2", "--r", "1", "--s=-inf"], "--s must be finite, got -inf"),
+    (["ivpp", "--map", "f2d", "--period", "5", "--r", "nan"], "--r must be finite, got nan"),
+    (["ivpp", "--map", "f2d", "--period", "5", "--r=-inf"], "--r must be finite, got -inf"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -328,12 +339,16 @@ def test_denoms_csv_bytes_match_the_per_cell_reference(tmp_path):
         ["decompose", "--map", "f3d", "--period", "2", "--branch", "x"],
         ["decompose", "--map", "f3d", "--period", "2", "--r", "inf"],
         ["decompose", "--map", "f3d", "--period", "2", "--r", "nan"],
+        *(argv for argv, _ in NON_FINITE_LEVELS),
     ],
 )
 def test_usage_errors_exit_2(argv):
     code, out, err = run_captured(argv)
     assert code == 2
     assert err.strip()
+    refusal = dict((tuple(a), message) for a, message in NON_FINITE_LEVELS).get(tuple(argv))
+    if refusal is not None:
+        assert (out, err) == ("", f"error: {refusal}\n")
 
 
 @pytest.mark.parametrize(

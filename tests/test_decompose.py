@@ -22,8 +22,9 @@ from ivpp.decompose import (
 )
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d, lv_recurrence_map
+from ivpp.raster import raster
 
-from conftest import boundary_cs_complex, classify_by_loop, f2d_exact, scan_one_midpoint_per_round
+from conftest import POLE_WINDOW, boundary_cs_complex, classify_by_loop, f2d_exact, scan_one_midpoint_per_round
 
 SQ5 = math.sqrt(5.0)
 B_PLUS = -2 + SQ5
@@ -261,24 +262,28 @@ def test_the_closed_forms_are_exact():
 
 
 def test_decompose_and_the_scan_take_no_scalar_orbit(monkeypatch):
-    """With RationalMap.apply and .iterate raising, both decompose methods and
-    the 1d scan still give their usual results: every orbit they follow is a
-    vector one."""
+    """With RationalMap.apply, .iterate and .detect_period raising, both
+    decompose methods, the 1d scan and a component raster over the poles
+    still give their usual results: every orbit they follow is a vector one."""
     from ivpp.core import RationalMap
 
     pick = {(n, b.m): b for n in range(3, 9) for b in branches(n)}
     cases = [(n, m, "analytic") for n, m in pick] + [(n, m, "empirical") for n, m in EMPIRICAL_BRANCHES if n <= 8]
     want = {case: decompose(pick[case[:2]], method=case[2]) for case in cases}
     want_lv = boundaries_empirical(lv_recurrence_map(), lambda x: (x,), 2)
+    want_raster = raster(f2d(), POLE_WINDOW, (256, 200), n_max=4, branch=branches(3)[0])
 
     def scalar(*args, **kwargs):
         raise AssertionError("a scalar orbit step")
 
-    monkeypatch.setattr(RationalMap, "apply", scalar)
-    monkeypatch.setattr(RationalMap, "iterate", scalar)
+    for name in ("apply", "iterate", "detect_period"):
+        monkeypatch.setattr(RationalMap, name, scalar)
     for case in cases:
         assert decompose(pick[case[:2]], method=case[2]) == want[case], case
     assert boundaries_empirical(lv_recurrence_map(), lambda x: (x,), 2) == want_lv
+    got = raster(f2d(), POLE_WINDOW, (256, 200), n_max=4, branch=branches(3)[0])
+    assert np.array_equal(got.component, want_raster.component) and got.meta == want_raster.meta
+    assert (got.component > 0).any()
 
 
 def test_not_a_cycle_guard():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import JITTERED_WINDOW, csv_per_cell, pole_depths_eager
+from conftest import JITTERED_WINDOW, POLE_WINDOW, csv_per_cell, pole_depths_eager, snapped_period_is
 from ivpp import kernel
 from ivpp.cli import run_captured
 from ivpp.core import RationalMap
@@ -514,35 +514,28 @@ def test_lazy_period_layer_matches_the_direct_override():
     assert np.array_equal(plain.period, raw)
 
 
-# a window whose cell centres fall on every integer x, the poles x = 1 and x = rho among them
-POLE_WINDOW = (-3.984375, 4.015625, -4.0, 4.0)
-
-
 def test_snapped_check_runs_once_per_band_column(monkeypatch):
-    """Every band column is one cell of each of the n vector steps; the scalar
-    detect_period runs on the fallback columns only, the pole x = 1 among them."""
-    from ivpp.core import RationalMap
-
-    checked, stepped = [], []
-    original_detect, original_step = RationalMap.detect_period, kernel.step
-
-    def recording_detect(self, p, *args, **kwargs):
-        checked.append(p[0].value.real)
-        return original_detect(self, p, *args, **kwargs)
+    """Every band column is one start of the first-return loop, stepped at
+    most n times, the pole x = 1 among them; no scalar orbit runs."""
+    stepped = []
+    original_step = kernel.step
 
     def recording_step(m, coords):
         stepped.append(coords[0].copy())
         return original_step(m, coords)
 
+    def scalar(*args, **kwargs):
+        raise AssertionError("a scalar orbit step")
+
     b = branches(3)[0]
-    monkeypatch.setattr(RationalMap, "detect_period", recording_detect)
+    monkeypatch.setattr(RationalMap, "detect_period", scalar)
+    monkeypatch.setattr(RationalMap, "apply", scalar)
     monkeypatch.setattr(kernel, "step", recording_step)
     R = raster(f2d(), POLE_WINDOW, (256, 200), n_max=4, branch=b)
     monkeypatch.undo()
-    assert [a.size for a in stepped] == [R.meta["snap_checks"]] * 3
     starts = stepped[0]  # the snapped x of every band column
-    _, fallback = raster_module._snapped_closes(f2d(), b, starts)
-    assert sorted(checked) == starts[fallback].tolist() and 1.0 in checked
+    assert starts.size == R.meta["snap_checks"] and 1.0 in starts.tolist()
+    assert 1 <= len(stepped) <= b.n and all(a.size <= starts.size for a in stepped)
     assert R.meta["snap_checks"] < R.meta["classified"] == int((R.component > 0).sum())
 
 
@@ -553,35 +546,32 @@ SNAP_WINDOWS = [  # the second puts a cell centre on the pole x = 1 (column 16)
 
 
 def test_vector_snapped_check_equals_the_scalar_one(monkeypatch):
-    """On every band column of every branch of n = 3..30, the vector flow's
-    decision is the scalar _snapped_period_is, or it defers to it."""
-    flows = []
-    original = raster_module._snapped_closes
+    """On every band column of every branch of n = 3..30, the component pass's
+    decision is conftest's scalar ``snapped_period_is``, the pole column
+    x = 1 included."""
+    runs = []
+    original = kernel.first_returns
 
-    def recording(m, branch, xs):
-        closes, fallback = original(m, branch, xs)
-        flows.append((branch, xs, closes, fallback))
-        return closes, fallback
+    def recording(m, coords, n_max, tol):
+        got = original(m, coords, n_max, tol)
+        runs.append((coords[0], got == n_max))
+        return got
 
-    monkeypatch.setattr(raster_module, "_snapped_closes", recording)
+    monkeypatch.setattr(kernel, "first_returns", recording)
     outcomes = {True: 0, False: 0}
-    fallbacks = []
+    poles = []
     for window, resolution in SNAP_WINDOWS:
-        flows.clear()
+        poles.append(0)
         for n in range(3, 31):
             for b in branches(n):
+                runs.clear()
                 raster(f2d(), window, resolution, n_max=1, branch=b)
-        fallbacks.append(0)
-        for b, xs, closes, fallback in flows:
-            for x, vector, defer in zip(xs.tolist(), closes.tolist(), fallback.tolist()):
-                scalar = raster_module._snapped_period_is(f2d(), b, x, b.n)
-                if defer:
-                    fallbacks[-1] += 1
-                    assert not vector
-                else:
-                    assert vector == scalar, (b, x)
-                    outcomes[scalar] += 1
-    assert fallbacks[1] > 0  # the pole column x = 1 runs the scalar fallback
+                (xs, closes), = runs
+                for x, vector in zip(xs.tolist(), closes.tolist()):
+                    assert vector == snapped_period_is(f2d(), b, x), (b, x)
+                    outcomes[vector] += 1
+                    poles[-1] += x == 1.0
+    assert poles[1] > 0  # the pole column x = 1 is decided on the one path too
     assert outcomes[True] > 0 and outcomes[False] > 0
 
 
@@ -592,11 +582,9 @@ def test_vector_snapped_check_keeps_the_first_return():
     xs = np.linspace(-3.1, 2.9, 41)
     for n, want in ((5, True), (10, False)):
         b = branches(n)[0]
-        closes, fallback = raster_module._snapped_closes(lyness, b, xs)
-        finite = xs[~fallback].tolist()
-        assert len(finite) > 30
-        assert closes[~fallback].tolist() == [raster_module._snapped_period_is(lyness, b, x, n) for x in finite]
-        assert closes[~fallback].all() == want and closes[~fallback].any() == want
+        closes = kernel.first_returns(lyness, b.coords(xs), n, raster_module.EXACT_TOL) == n
+        assert closes.tolist() == [snapped_period_is(lyness, b, x) for x in xs.tolist()]
+        assert np.count_nonzero(closes) > 30 if want else not closes.any()
 
 
 # -- the striped 3d raster ------------------------------------------------------------

@@ -16,6 +16,7 @@ from conftest import (
 )
 from ivpp.core import Point, RationalMap, chordal
 from ivpp.dsl import parse_map
+from ivpp.lv3d import lv_discriminant, lv_period2_param
 from ivpp.maps import f2d, f2d_reduced, f3d, lv_recurrence_map
 from ivpp.poly import Polynomial
 
@@ -153,6 +154,53 @@ def test_kernel_matches_scalar_detect_period(m, lo, hi, n_max):
             assert g[i, j] == (want or 0), (x, y)
             checked += 1
     assert checked > 0.9 * g.size
+
+
+def _scalar_first_returns(m, starts, n_max, tol):
+    """detect_period per start, as first_returns states it: k, or 0 for none."""
+    return [m.detect_period(Point([float(v) for v in p]), n_max, tol) or 0 for p in zip(*starts)]
+
+
+def test_first_returns_matches_scalar_detect_period_in_1d_and_3d():
+    """The first-return loop on flat starts of other dimensions: the 1d map
+    x -> -x/(1 - x), an involution with the fixed points 0 and 2 and the pole
+    1, and f3d on real points of its period-2 levels and on generic points.
+    Every start the loop does not mark -1 gets detect_period's answer, and
+    -1 falls only on the pole."""
+    tol = 1e-9
+    lv = lv_recurrence_map()
+    xs = np.concatenate([np.linspace(-3.05, 3.05, 62), [0.0, 1.0, 2.0]])
+    got = kernel.first_returns(lv, [xs], 4, tol)
+    assert got.dtype == np.int16 and np.flatnonzero(got < 0).tolist() == [63]  # x = 1
+    keep = got >= 0
+    assert got[keep].tolist() == _scalar_first_returns(lv, [xs[keep]], 4, tol)
+    assert sorted(set(got[keep].tolist())) == [1, 2]
+
+    rng = np.random.default_rng(5)
+    points = []
+    while len(points) < 60:
+        x, r = rng.uniform(-4, 4), rng.uniform(-6, 6)
+        if min(abs(x), abs(x - 1)) >= 0.05 and lv_discriminant(x, r) >= 0:
+            points.append([c.value.real for c in lv_period2_param(x, r, "+-"[len(points) % 2]).coords])
+    points += rng.uniform(-3, 3, (40, 3)).tolist()
+    starts = list(np.asarray(points).T)
+    got = kernel.first_returns(f3d(), starts, 6, tol)
+    assert (got[:60] == 2).all() and (got >= 0).all()
+    assert got.tolist() == _scalar_first_returns(f3d(), starts, 6, tol)
+
+
+def test_first_returns_refuses_periods_the_int16_layer_cannot_hold():
+    """A period above int16 would wrap: with rho = -tan^2(pi/33000) the cell
+    returns at step 33000, which would read -32536, "left the chart"."""
+    rho = -np.tan(np.pi / 33000) ** 2
+    assert kernel.N_MAX_LIMIT == np.iinfo(np.int16).max
+    for n_max in (0, kernel.N_MAX_LIMIT + 1, 33001):
+        with pytest.raises(ValueError, match=f"n_max must be in 1..{kernel.N_MAX_LIMIT}"):
+            kernel.first_returns(f2d(), [np.asarray([2.0]), np.asarray([rho / 2])], n_max, 1e-6)
+    with pytest.raises(ValueError, match="n_max"):
+        kernel.period_grid(f2d(), [2.0], [rho / 2], 33001, 1e-6)
+    diagonal = [np.asarray([0.5, 3.0])] * 2  # x = y is fixed
+    assert kernel.first_returns(f2d(), diagonal, kernel.N_MAX_LIMIT, 1e-6).tolist() == [1, 1]
 
 
 def test_python_chordal_helper_matches_core():

@@ -213,17 +213,18 @@ def test_boundary_c_matches_the_orbit_of_infinity(n, k, r):
         expect.add(math.inf if v is None else round(v.real, 9))
     got = set()
     for c in boundary_cs(n, k):
-        got.add(math.inf if c.is_infinite else round(c.value.real, 9))
+        got.add(c if math.isinf(c) else round(c, 9))
     assert got == expect
 
 
 def test_boundary_c_examples():
     cs3 = boundary_cs(3)
-    finite3 = sorted(c.value.real for c in cs3 if c.is_finite)
+    finite3 = sorted(c for c in cs3 if math.isfinite(c))
     assert finite3 == pytest.approx([-1.0, 1.0])
-    assert cs3[0].is_infinite and cs3[3].is_infinite
-    assert boundary_c(4, 2).value == pytest.approx(0.0, abs=1e-15)
-    finite6 = sorted(c.value.real for c in boundary_cs(6) if c.is_finite)
+    assert cs3[0] == cs3[3] == math.inf
+    assert boundary_c(4, 2) == pytest.approx(0.0, abs=1e-15)
+    assert all(type(c) is float for c in cs3)
+    finite6 = sorted(c for c in boundary_cs(6) if math.isfinite(c))
     assert finite6 == pytest.approx([-1.0, -1 / 3, 0.0, 1 / 3, 1.0])
 
 
