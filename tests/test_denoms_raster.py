@@ -216,6 +216,17 @@ def test_a_complex_coefficient_is_refused():
     assert denominator_zero_curves(m, 2).denominators == (one, x + Polynomial.const(1j, 2))
 
 
+@pytest.mark.parametrize("branch", [None, branches(3)[0]], ids=["period", "component"])
+def test_raster_refuses_a_complex_coefficient(branch):
+    """x' = i x, y' = y: the component pass refuses it up front, as the period
+    kernel does, instead of classifying no cell."""
+    x, y = Polynomial.var(0, 2), Polynomial.var(1, 2)
+    one = Polynomial.const(1, 2)
+    m = RationalMap([(x.scale(1j), one), (y, one)])
+    with pytest.raises(ValueError, match="real coefficients"):
+        raster(m, (-4, 4, -4, 4), (40, 40), n_max=4, branch=branch)
+
+
 @pytest.mark.parametrize("rows", [1, 3, 5])
 def test_a_pole_line_on_a_block_seam(monkeypatch, rows):
     """y = 1 lies between rows 14 and 15 of this grid, and row 15 starts a block:
