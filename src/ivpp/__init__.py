@@ -33,7 +33,6 @@ from .ivpp2d import (
     branches,
     gamma_closed,
     gamma_poly,
-    on_ivpp,
 )
 from .lv3d import (
     DegenerateParameter,
@@ -53,10 +52,6 @@ from .mobius import (
     eigen,
     period2_exclusion,
     power_matrix,
-    reduced_apply,
-    scale_coordinate,
-    x_to_z,
-    z_to_x,
 )
 from .raster import TilingRaster, lv_raster, raster
 

@@ -3,7 +3,7 @@
 Subcommands: orbit, ivpp, decompose, boundaries, raster, denoms, parse,
 verify.  Exit codes: 0 success, 1 verification/computation failure,
 2 usage error (diagnostics go to stderr).  Outputs are deterministic for
-fixed inputs; IVPP_THREADS caps raster parallelism.
+fixed inputs.
 """
 
 from __future__ import annotations

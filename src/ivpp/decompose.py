@@ -14,7 +14,6 @@ route, and the one step of all interior samples that gives the permutation.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
@@ -114,44 +113,42 @@ class ComponentDecomposition:
 
 
 def classify_cuts(cuts: Sequence[float], x, convention: str = "left-closed", tol: float = 1e-9):
-    """1-based component of x among the ascending finite ``cuts``; infinity
-    lands in the last component, len(cuts) + 1.
+    """1-based component of x among the ascending finite ``cuts``: a Python
+    int for a float x, an integer array of x's shape for an array.  Infinity
+    lands in the last component, len(cuts) + 1; nan, which compares false
+    with every cut, lands after them all when left-closed and before them
+    all (component 1) when right-closed.
 
     x within tol of a cut point counts as sitting on the cut, so the
     half-open convention decides its side; this keeps the printed
     boundary memberships stable against the ~1e-16 noise the closed
     forms carry.  The cuts within tol of x are adjacent in the sorted
-    list, so x snaps to the lowest of them, found from its bisect
-    position in O(log n).  An array x gets an array of classes: one
-    searchsorted pass decides every finite x farther than tol from the
-    cuts next to it, and the scalar rule the rest.
+    list, so x snaps to the lowest of them.  One searchsorted pass places
+    every x; only an x within tol of a cut next to it is placed again, and
+    only a chain of such cuts is walked down.
     """
-    if np.ndim(x):
-        x = np.asarray(x, dtype=float)
-        q = np.searchsorted(cuts, x, side="right" if convention == "left-closed" else "left")
-        ends = np.array([math.nan, *cuts, math.nan])  # ends[q], ends[q + 1]: the cuts next to x
-        reach = tol * np.maximum(1.0, np.abs(ends))
-        with np.errstate(invalid="ignore"):
-            near = (np.abs(x - ends[q]) <= reach[q]) | (np.abs(x - ends[q + 1]) <= reach[q + 1])
-        out = q + 1
-        rest = np.nonzero(near | ~np.isfinite(x))
-        out[rest] = [classify_cuts(cuts, v, convention, tol) for v in x[rest].tolist()]
-        return out
-    if math.isinf(x):
-        return len(cuts) + 1
-
-    def near(j: int) -> bool:
-        return abs(x - cuts[j]) <= tol * max(1.0, abs(cuts[j]))
-
-    p = bisect_left(cuts, x)
-    j = p
-    while j > 0 and near(j - 1):
-        j -= 1
-    if j < p or (p < len(cuts) and near(p)):
-        x = cuts[j]
-    if convention == "left-closed":
-        return bisect_right(cuts, x) + 1
-    return bisect_left(cuts, x) + 1
+    c = np.asarray(cuts, dtype=float)
+    arr = np.asarray(x, dtype=float)
+    flat = arr.reshape(-1)
+    side = "right" if convention == "left-closed" else "left"
+    q = c.searchsorted(flat, side=side)  # x lies between ends[q] and ends[1:][q]
+    ends = np.concatenate(([math.nan], c, [math.nan]))
+    reach = tol * np.maximum(1.0, np.abs(ends))  # the cuts are finite, so x - ends never warns
+    lower = np.abs(flat - ends[q]) <= reach[q]
+    near = lower | (np.abs(flat - ends[1:][q]) <= reach[1:][q])
+    if np.count_nonzero(near):
+        near = np.flatnonzero(near)
+        v, at = flat[near], q[near] + ~lower[near]  # ends[at]: the cut below x if within tol, else the one above
+        while True:
+            down = np.abs(v - ends[at - 1]) <= reach[at - 1]  # never past ends[0], which is nan
+            if not np.count_nonzero(down):
+                break
+            at -= down
+        q[near] = c.searchsorted(ends[at], side=side)
+    q[np.isinf(flat)] = len(c)
+    if side == "left":
+        q[np.isnan(flat)] = 0
+    return int(q[0]) + 1 if arr.ndim == 0 else q.reshape(arr.shape) + 1
 
 
 def interior_samples(cuts: Sequence[float]) -> List[float]:
@@ -201,23 +198,26 @@ def boundaries_empirical(m: RationalMap, param: Callable[[np.ndarray], Sequence[
     fundamental domains are the components, so the cuts are the orbit of
     the chart's pole, cut_j = M^j(inf).
 
-    Three probes from SCAN_WINDOW take n steps through ``kernel.step``, and
-    the level must close on one of them, or NoClosure.  Their first images
-    fit M by cross ratios: the Möbius map that sends the probes to 0, inf, 1,
-    then the inverse of the one that sends their images there.  The orbit
-    of infinity runs in plain floats for at most n - 1 steps and stops
-    where it comes back to infinity within the closure's chordal tolerance
-    (a level whose minimal period divides n).  No closed form is read.
+    n must be at least 1 (ValueError).  Three probes from SCAN_WINDOW take
+    n steps through ``kernel.step``, and the level must close on one of
+    them, or NoClosure.  Their first images fit M by cross ratios: the
+    Möbius map that sends the probes to 0, inf, 1, then the inverse of the
+    one that sends their images there.  The orbit of infinity runs in plain
+    floats for at most n - 1 steps and stops where it comes back to
+    infinity within the closure's chordal tolerance (a level whose minimal
+    period divides n).  No closed form is read.
 
     On f2d every branch of n = 3..178 agrees with the closed form within
     BOUNDARY_TOL (worst 3.9e-10 on n = 3..60); the first miss is n = 179,
     m = 89, by 2.9e-7 on a cut near 6.5e3.  On 32 branches of n = 4093..4096
     the cuts are within 1e-6 relative and give the analytic sigma.
     """
+    if n < 1:
+        raise ValueError(f"period must be >= 1, got {n}")
     lo, hi = SCAN_WINDOW
 
     # closure pre-check on a few generic interior points, n steps of the flow;
-    # a probe on a pole of param starts nan and never returns, and no n < 1 closes
+    # a probe on a pole of param starts nan and never returns
     probes = lo + (hi - lo) * np.array([0.137, 0.411, 0.739])
     start = param(probes)
     _, cur = step(m, start)
@@ -225,7 +225,7 @@ def boundaries_empirical(m: RationalMap, param: Callable[[np.ndarray], Sequence[
     for _ in range(n - 1):
         _, cur = step(m, cur)
     closed = returns(cur, return_start(start), TOL_EQ, np.ones(probes.shape, dtype=bool))
-    if n < 1 or not closed.any():
+    if not closed.any():
         raise NoClosure(f"sampled points do not return after {n} steps")
     if not np.isfinite(image_x).all():
         raise NoClosure("a probe leaves the chart in one step, so the level recurrence cannot be fitted")

@@ -12,11 +12,11 @@ import math
 import sys
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .core import InfiniteCoordinate, Point
+from .core import Point
 
 
 PERIOD_MAX = 4096  # the largest period the CLI accepts; decompose --period 4000 takes under 1 s
@@ -198,17 +198,3 @@ def gamma_poly(n: int) -> GammaPolynomial:
     except OverflowError:
         raise ValueError(overflow) from None
     return GammaPolynomial(n, monic, tuple(scaled), scale)
-
-
-def on_ivpp(n: int, p: Point, tol: float = 1e-9) -> Optional[int]:
-    """Index into branches(n) of the branch with x*y = rho within tol, else None."""
-    if p.dim != 2:
-        raise ValueError("on_ivpp needs a 2d point")
-    if not p.is_finite:
-        raise InfiniteCoordinate("on_ivpp needs finite coordinates")
-    x, y = p.values()
-    r = x * y
-    for i, b in enumerate(branches(n)):
-        if abs(r - b.rho) < tol:
-            return i
-    return None

@@ -21,7 +21,6 @@ grid's size.
 
 from __future__ import annotations
 
-import os
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -220,40 +219,13 @@ def check_grid_map(m: RationalMap) -> None:
         raise ValueError("grid kernels need real coefficients")
 
 
-def period_grid(
-    m: RationalMap,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    n_max: int,
-    tol: float,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Per-cell minimal period (int16): 0 none, -1 left the finite chart.
-
-    The row blocks are shared among ``threads`` workers (IVPP_THREADS by
-    default); cells are independent and writes disjoint, so the result
-    does not depend on the execution order.
-    """
+def period_grid(m: RationalMap, xs: np.ndarray, ys: np.ndarray, n_max: int, tol: float) -> np.ndarray:
+    """Per-cell minimal period (int16): 0 none, -1 left the finite chart."""
     check_grid_map(m)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((ys.shape[0], xs.shape[0]), dtype=np.int16)
-    spans = blocks(xs.shape[0], ys.shape[0])
-
-    def fill(span: Tuple[int, int]) -> None:
-        lo, hi = span
+    for lo, hi in blocks(xs.shape[0], ys.shape[0]):
         starts = [c.ravel() for c in np.meshgrid(xs, ys[lo:hi])]
         out[lo:hi, :] = first_returns(m, starts, n_max, tol).reshape(hi - lo, xs.shape[0])
-
-    if threads is None:
-        threads = int(os.environ.get("IVPP_THREADS", "1"))
-    threads = max(1, min(threads, len(spans)))
-    if threads == 1:
-        for span in spans:
-            fill(span)
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, spans))
     return out

@@ -39,7 +39,7 @@ class UnsupportedPeriod(ValueError):
     """Only the printed level conditions (n = 2, 3, 4) are available."""
 
 
-SIGNS = {"+": 1, "-": -1, "a+": 1, "a-": -1}
+SIGNS = {"+": 1, "-": -1}
 
 
 def lv_gamma(n: int, r: complex, s: complex) -> complex:
@@ -109,7 +109,7 @@ def lv_decompose_period2(r: float, sign: str = "+") -> ComponentDecomposition:
     boundaries = (0.0, 1.0, math.inf)
     return ComponentDecomposition(
         period=2,
-        branch=f"a{sign}" if sign in "+-" else sign,
+        branch=f"a{sign}",
         convention="right-closed",
         boundaries=boundaries,
         sigma=pushed_sigma(lv_recurrence_map(), lambda xs: (xs,), boundaries[:-1], "right-closed"),

@@ -62,18 +62,11 @@ class Mobius:
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
 
-    def matrix(self) -> Tuple[Tuple[complex, complex], Tuple[complex, complex]]:
-        return ((self.a, self.b), (self.c, self.d))
-
 
 def level_matrix(r: complex) -> Mobius:
-    """The reduced-map matrix [[1, -r], [-1, 1]] on the level x*y = r."""
+    """The reduced map x -> (x - r)/(1 - x) on the level x*y = r, the matrix
+    [[1, -r], [-1, 1]]; projectively 1 -> inf and inf -> -1."""
     return Mobius(1, -r, -1, 1)
-
-
-def reduced_apply(r: complex, x) -> ExtendedComplex:
-    """x -> (x - r)/(1 - x) projectively: 1 -> inf, inf -> -1."""
-    return level_matrix(r)(x)
 
 
 @dataclass(frozen=True)
@@ -109,26 +102,19 @@ def power_matrix(r: complex, m: int) -> Mobius:
 
 
 def x_to_z_map(r: complex) -> Mobius:
+    """The boundary chart z = sqrt(r)*(1 - x)/(1 + x): inf -> -sqrt(r), -1 -> inf;
+    its ``inverse()`` takes z back to x."""
     if r == 0:
         raise ZeroInvariant("the x<->z change needs r != 0")
     sr = cmath.sqrt(r)
     return Mobius(-sr, sr, 1, 1)
 
 
-def x_to_z(r: complex, x) -> ExtendedComplex:
-    """z = sqrt(r)*(1 - x)/(1 + x); inf -> -sqrt(r), -1 -> inf."""
-    return x_to_z_map(r)(x)
-
-
-def z_to_x(r: complex, z) -> ExtendedComplex:
-    return x_to_z_map(r).inverse()(z)
-
-
 def scale_coordinate_map(r: complex) -> Mobius:
     """Eigencoordinate w = (sqrt(r) - x)/(sqrt(r) + x) of the level action.
 
     This is the coordinate built from the eigenvector rows, in which one
-    application is exactly w -> s*w.  The boundary coordinate ``x_to_z``
+    application is exactly w -> s*w.  The boundary chart ``x_to_z_map``
     is a different Mobius image of the line: it reproduces the tabulated
     z-values of the boundaries but is not itself the scaling chart.
     """
@@ -136,10 +122,6 @@ def scale_coordinate_map(r: complex) -> Mobius:
         raise ZeroInvariant("the eigencoordinate needs r != 0")
     sr = cmath.sqrt(r)
     return Mobius(-1, sr, 1, sr)
-
-
-def scale_coordinate(r: complex, x) -> ExtendedComplex:
-    return scale_coordinate_map(r)(x)
 
 
 def boundary_c(n: int, m: int, k: int = 1) -> float:

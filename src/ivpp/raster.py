@@ -17,8 +17,7 @@ Two layers per raster:
                  (see ``_band``), so the pass costs O(band cells + output)
                  rather than O(width * height).
 
-Cells are independent and the output is deterministic for fixed inputs;
-IVPP_THREADS caps the row-parallel kernel work.
+Cells are independent and the output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -133,7 +132,6 @@ def raster(
     n_max: int,
     tol: float = RASTER_TOL,
     branch: Optional[IvppBranch] = None,
-    threads: Optional[int] = None,
 ) -> TilingRaster:
     """Period raster of a 2d map, plus component classes along one branch.
 
@@ -157,7 +155,7 @@ def raster(
     }
 
     def period_layer() -> np.ndarray:
-        raw = kernel.period_grid(m, xs, ys, n_max, tol, threads=threads)
+        raw = kernel.period_grid(m, xs, ys, n_max, tol)
         if branch is None:
             return raw
         return np.where(component > 0, np.int16(branch.n), raw)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 from .core import ExtendedComplex, Point
 
 
@@ -50,15 +52,10 @@ def encode(obj: Any) -> str:
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(encode(v) for v in obj) + "]"
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return repr(int(obj))
-        if isinstance(obj, np.floating):
-            return _num(float(obj))
-    except ImportError:
-        pass
+    if isinstance(obj, np.integer):
+        return repr(int(obj))
+    if isinstance(obj, np.floating):
+        return _num(float(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

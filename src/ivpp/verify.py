@@ -35,10 +35,10 @@ from .maps import f2d, f3d
 from .mobius import (
     boundary_ds,
     eigen,
+    level_matrix,
     period2_exclusion,
-    reduced_apply,
-    scale_coordinate,
-    x_to_z,
+    scale_coordinate_map,
+    x_to_z_map,
 )
 from .raster import raster
 
@@ -123,7 +123,7 @@ def check_appendix_b() -> Tuple[bool, str]:
     worst = 0.0
     for n, k, r, x, z in GOLDEN_Z_TABLE:
         for x_signed in ((x, -x) if math.isinf(x) else (x,)):
-            got = x_to_z(r, INF if math.isinf(x_signed) else x_signed)
+            got = x_to_z_map(r)(INF if math.isinf(x_signed) else x_signed)
             worst = max(worst, _err_extended(got, z))
         ds = boundary_ds(n, r)
         near = min(_err_extended(d, z) for d in ds)
@@ -177,8 +177,9 @@ def check_conjugacy() -> Tuple[bool, str]:
             continue
         x = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
         s = eigen(r).s
-        lhs = scale_coordinate(r, reduced_apply(r, x))
-        zx = scale_coordinate(r, x)
+        w = scale_coordinate_map(r)
+        lhs = w(level_matrix(r)(x))
+        zx = w(x)
         rhs = INF if zx.is_infinite else ExtendedComplex(s.value * zx.value)
         worst = max(worst, lhs.chordal(rhs))
         count += 1

@@ -352,6 +352,8 @@ NON_FINITE_LEVELS = [  # (argv, the refusal naming the flag)
         ["ivpp", "--period", "1000000"],
         ["decompose", "--period", "4097"],
         ["boundaries", "--period", "1000000"],
+        ["boundaries", "--map", "lv-recurrence", "--period", "0"],
+        ["boundaries", "--map", "lv-recurrence", "--period", "-3"],
         ["ivpp", "--period", "4096"],
         ["orbit", "--start", "1,2", "--steps", "3", "--tol", "nan"],
         ["orbit", "--start", "1,2", "--steps", "3", "--tol", "-1"],

@@ -181,8 +181,10 @@ def test_compare_boundaries_flags_a_wrong_cut_list():
 def test_empirical_no_closure_on_a_wrong_period():
     with pytest.raises(NoClosure):
         boundaries_empirical(f2d(), branches(3)[0].coords, 4)
-    with pytest.raises(NoClosure):  # no step at all is no return either
-        boundaries_empirical(lv_recurrence_map(), lambda x: (x,), 0)
+    for n in (0, -3):  # a period below 1 is outside the contract, not a failed closure
+        with pytest.raises(ValueError, match=f"period must be >= 1, got {n}") as refused:
+            boundaries_empirical(lv_recurrence_map(), lambda x: (x,), n)
+        assert not isinstance(refused.value, NoClosure)
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -391,9 +393,13 @@ def test_classify_equals_the_loop_over_every_cut():
         for conv in conventions:
             dc = ComponentDecomposition(d.period, d.branch, conv, d.boundaries, d.sigma)
             xs = _probe_xs(cuts, rng)
-            for x in xs:
-                assert dc.classify(x) == classify_by_loop(dc, x), (d.period, d.branch, conv, x)
-            assert dc.classify(np.array(xs)).tolist() == [dc.classify(x) for x in xs], (d.period, d.branch, conv)
+            got = [dc.classify(x) for x in xs]
+            assert got == [classify_by_loop(dc, x) for x in xs], (d.period, d.branch, conv)
+            assert {type(k) for k in got} == {int}  # a float gives a Python int; the probes end in inf, -inf, nan
+            classes = dc.classify(np.array(xs))
+            assert classes.dtype.kind == "i" and classes.tolist() == got, (d.period, d.branch, conv)
+            grid = dc.classify(np.array(xs[:24]).reshape(4, 6))
+            assert grid.shape == (4, 6) and grid.dtype.kind == "i" and grid.ravel().tolist() == got[:24]
     assert crowded.classify(1e-9) == 2 and crowded.classify(-1e-10) == 2
 
 

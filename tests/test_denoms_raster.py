@@ -458,14 +458,6 @@ def test_raster_off_variety_cells_are_unclassified(small_period3_raster):
     assert (R.component[far] == 0).all()
 
 
-def test_raster_threads_are_equivalent():
-    b = branches(3)[0]
-    R1 = raster(f2d(), (-3, 3, -3, 3), (120, 120), n_max=4, branch=b, threads=1)
-    R4 = raster(f2d(), (-3, 3, -3, 3), (120, 120), n_max=4, branch=b, threads=4)
-    assert np.array_equal(R1.period, R4.period)
-    assert np.array_equal(R1.component, R4.component)
-
-
 def test_resolution_guard():
     """Every grid path refuses more than 4096^2 cells before it allocates a grid."""
     tracemalloc.start()

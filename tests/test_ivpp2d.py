@@ -9,7 +9,6 @@ import pytest
 import sympy
 
 from conftest import gamma_fraction
-from ivpp.core import Point
 from ivpp.ivpp2d import (
     DegenerateBranch,
     _gamma_integer,
@@ -17,7 +16,6 @@ from ivpp.ivpp2d import (
     branches,
     gamma_closed,
     gamma_poly,
-    on_ivpp,
 )
 from ivpp.maps import f2d
 
@@ -185,16 +183,6 @@ def test_root_agreement():
         g = gamma_poly(n)
         for b in branches(n):
             assert abs(g.eval_monic(b.rho)) < 1e-12 * max(1.0, abs(b.rho)) * 10
-
-
-def test_on_ivpp_examples():
-    assert on_ivpp(3, Point([2, -1.5])) == 0
-    assert on_ivpp(3, Point([1, 1])) is None
-    a_plus = -5 + 2 * SQ5
-    x = 0.8
-    assert on_ivpp(5, Point([x, a_plus / x])) == 0
-    a_minus = -5 - 2 * SQ5
-    assert on_ivpp(5, Point([x, a_minus / x])) == 1
 
 
 def test_period_exactness_50_samples_per_branch():

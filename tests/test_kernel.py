@@ -58,23 +58,6 @@ def test_step_on_a_1d_map():
     assert np.isnan(images[4])  # inf/inf
 
 
-def test_kernel_thread_split_matches_serial():
-    xs = np.linspace(-3, 3, 240)
-    ys = np.linspace(-3, 3, 240)
-    g1 = kernel.period_grid(f2d(), xs, ys, 6, 1e-6, threads=1)
-    g4 = kernel.period_grid(f2d(), xs, ys, 6, 1e-6, threads=4)
-    assert np.array_equal(g1, g4)
-
-
-def test_thread_count_from_the_environment(monkeypatch):
-    monkeypatch.setenv("IVPP_THREADS", "3")
-    xs = np.linspace(-2, 2, 60)
-    g_env = kernel.period_grid(f2d(), xs, xs, 4, 1e-6)
-    monkeypatch.delenv("IVPP_THREADS")
-    g_serial = kernel.period_grid(f2d(), xs, xs, 4, 1e-6)
-    assert np.array_equal(g_env, g_serial)
-
-
 def test_blocks_cover_the_rows_in_order(monkeypatch):
     monkeypatch.setattr(kernel, "BLOCK_CELLS", 30)
     assert kernel.blocks(10, 7) == [(0, 3), (3, 6), (6, 7)]
@@ -102,19 +85,6 @@ def test_period_grid_in_blocks_equals_a_single_block(monkeypatch, rows, w, h, na
     monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * w)  # 17 and 23 rows do not split into threes
     assert len(kernel.blocks(w, h)) == -(-h // rows)
     assert np.array_equal(kernel.period_grid(m, xs, ys, 8, BAND_TOL), whole)
-
-
-@pytest.mark.parametrize("name", ["f2d", "lyness"])
-def test_two_threads_share_the_blocks_of_one(monkeypatch, name):
-    m = f2d() if name == "f2d" else LYNESS
-    xs, ys = _seam_grid(40, 29)
-    monkeypatch.setattr(kernel, "BLOCK_CELLS", 3 * 40)
-    monkeypatch.setenv("IVPP_THREADS", "2")
-    g2 = kernel.period_grid(m, xs, ys, 8, BAND_TOL)
-    monkeypatch.setenv("IVPP_THREADS", "1")
-    g1 = kernel.period_grid(m, xs, ys, 8, BAND_TOL)
-    assert np.array_equal(g2, g1)
-    assert len(np.unique(g1)) > 1
 
 
 def test_period_grid_rejects_non_2d_maps():
@@ -278,12 +248,10 @@ def test_eval_grid_of_a_bare_variable_on_broadcast_arrays_is_a_copy():
 GRIDS = [(13, 17), (1, 23), (23, 1)]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("n_max", [1, 5, 8])
 @pytest.mark.parametrize("name", ["f2d", "lyness", "powers"])
-def test_period_grid_equals_the_dense_reference(monkeypatch, name, n_max, threads):
+def test_period_grid_equals_the_dense_reference(monkeypatch, name, n_max):
     m = MAPS[name]
-    monkeypatch.setenv("IVPP_THREADS", threads)
     for w, h in GRIDS:
         xs, ys = _seam_grid(w, h)
         want = period_rows_dense(m, xs, ys, n_max, BAND_TOL)

@@ -98,6 +98,11 @@ def test_param_degenerate_x():
         lv_period2_param(0.0, 2.0, "+")
     with pytest.raises(DegenerateParameter):
         lv_period2_param(1.0, 2.0, "+")
+    for alias in ("a+", "a-"):  # the sheets are named + and - only
+        with pytest.raises(ValueError, match="sign must be"):
+            lv_period2_param(0.5, 2.0, alias)
+        with pytest.raises(ValueError, match="sign must be"):
+            lv_decompose_period2(2.0, alias)
 
 
 def test_param_exact_oracle():

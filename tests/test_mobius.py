@@ -15,12 +15,11 @@ from ivpp.mobius import (
     boundary_d,
     boundary_ds,
     eigen,
+    level_matrix,
     period2_exclusion,
     power_matrix,
-    reduced_apply,
-    scale_coordinate,
-    x_to_z,
-    z_to_x,
+    scale_coordinate_map,
+    x_to_z_map,
 )
 
 SQ5 = math.sqrt(5.0)
@@ -33,16 +32,16 @@ B_MINUS = -2 - SQ5
 # -- reduced map -----------------------------------------------------------------
 
 
-def test_reduced_apply_examples():
-    assert reduced_apply(-3, 2).value == pytest.approx(-5)
-    assert reduced_apply(-3, 1).is_infinite
-    assert reduced_apply(-3, INF).value == pytest.approx(-1)
+def test_level_matrix_examples():
+    assert level_matrix(-3)(2).value == pytest.approx(-5)
+    assert level_matrix(-3)(1).is_infinite
+    assert level_matrix(-3)(INF).value == pytest.approx(-1)
 
 
 def test_reduced_orbit_of_zero_at_level_minus_one():
     orbit = [ExtendedComplex(0)]
     for _ in range(4):
-        orbit.append(reduced_apply(-1, orbit[-1]))
+        orbit.append(level_matrix(-1)(orbit[-1]))
     assert orbit[1].value == pytest.approx(1)
     assert orbit[2].is_infinite
     assert orbit[3].value == pytest.approx(-1)
@@ -59,7 +58,7 @@ def test_reduction_consistency_with_the_full_map():
         if abs(x) < 0.05 or abs(1 - x) < 0.05:
             continue
         full = m.apply(Point([x, r / x]))
-        red = reduced_apply(r, x)
+        red = level_matrix(r)(x)
         assert full[0].chordal(red) < 1e-12
 
 
@@ -152,7 +151,7 @@ def test_projective_power_identity():
         via_matrix = power_matrix(r, m)(x)
         stepped = x
         for _ in range(m):
-            stepped = reduced_apply(r, stepped)
+            stepped = level_matrix(r)(stepped)
         assert via_matrix.chordal(stepped) < 1e-9
 
 
@@ -170,18 +169,18 @@ def test_projective_power_identity():
     ],
 )
 def test_x_to_z_tabulated_values(r, x, expected):
-    got = x_to_z(r, INF if x is None else x)
+    got = x_to_z_map(r)(INF if x is None else x)
     assert got.value == pytest.approx(expected, abs=1e-12)
 
 
 def test_x_to_z_pole_and_inverse():
-    assert x_to_z(-3, -1).is_infinite
+    assert x_to_z_map(-3)(-1).is_infinite
     rng = random.Random(3)
     for _ in range(50):
         r = complex(rng.uniform(-5, -0.1), rng.uniform(-1, 1))
         x = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        z = x_to_z(r, x)
-        back = z_to_x(r, z)
+        z = x_to_z_map(r)(x)
+        back = x_to_z_map(r).inverse()(z)
         assert back.chordal(ExtendedComplex(x)) < 1e-10
 
 
@@ -252,15 +251,15 @@ def test_boundary_d_tabulated(n, r, m, expected):
 
 @pytest.mark.parametrize("n,k,r", [(3, 1, -3.0), (4, 1, -1.0), (5, 1, A_PLUS), (5, 2, A_MINUS), (6, 1, -1.0 / 3.0)])
 def test_boundary_d_is_x_to_z_of_the_reflected_boundary(n, k, r):
-    """d_m = x_to_z(c_{n-m}); as sets the two boundary formulas agree."""
+    """d_m = x_to_z_map(r)(c_{n-m}); as sets the two boundary formulas agree."""
     cs = boundary_cs(n, k)
     ds = boundary_ds(n, r)
     for m in range(n + 1):
-        image = x_to_z(r, cs[n - m])
+        image = x_to_z_map(r)(cs[n - m])
         assert ds[m].chordal(image) < 1e-9
     # set-level agreement
     for d in ds:
-        assert min(d.chordal(x_to_z(r, c)) for c in cs) < 1e-9
+        assert min(d.chordal(x_to_z_map(r)(c)) for c in cs) < 1e-9
 
 
 # -- conjugacy ------------------------------------------------------------------------------
@@ -274,8 +273,8 @@ def test_scale_coordinate_conjugates_to_a_pure_scale():
             continue
         x = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
         s = eigen(r).s.value
-        lhs = scale_coordinate(r, reduced_apply(r, x))
-        w = scale_coordinate(r, x)
+        lhs = scale_coordinate_map(r)(level_matrix(r)(x))
+        w = scale_coordinate_map(r)(x)
         rhs = INF if w.is_infinite else ExtendedComplex(s * w.value)
         assert lhs.chordal(rhs) < 1e-9
 
@@ -285,8 +284,8 @@ def test_x_to_z_is_not_the_scaling_chart():
     eigencoordinate: one step is not multiplication by s there."""
     r = -3.0
     s = eigen(r).s.value
-    z0 = x_to_z(r, 2.0).value
-    z1 = x_to_z(r, reduced_apply(r, 2.0)).value
+    z0 = x_to_z_map(r)(2.0).value
+    z1 = x_to_z_map(r)(level_matrix(r)(2.0)).value
     assert abs(z1 - s * z0) > 0.1
 
 
