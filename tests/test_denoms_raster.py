@@ -458,6 +458,21 @@ def test_raster_off_variety_cells_are_unclassified(small_period3_raster):
     assert (R.component[far] == 0).all()
 
 
+def test_raster_in_small_blocks_equals_the_default_blocks(monkeypatch):
+    """Both layers are the same when the period grid is cut into one-row blocks
+    and the band's columns into slabs of a few rows as when each is one block."""
+    b = branches(3)[0]
+    R1 = raster(f2d(), (-3, 3, -3, 3), (120, 120), n_max=4, branch=b)
+    period, component = R1.period, R1.component  # the period layer is built when read
+    assert kernel.blocks(120, 120) == [(0, 120)]
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", 5)
+    R5 = raster(f2d(), (-3, 3, -3, 3), (120, 120), n_max=4, branch=b)
+    assert len(kernel.blocks(120, 120)) == 120
+    assert np.array_equal(R5.period, period)
+    assert np.array_equal(R5.component, component)
+    assert component.any() and len(np.unique(period)) > 2
+
+
 def test_resolution_guard():
     """Every grid path refuses more than 4096^2 cells before it allocates a grid."""
     tracemalloc.start()

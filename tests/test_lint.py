@@ -8,6 +8,8 @@ usual sign of dead code next to it.
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "ivpp"
 
 
@@ -25,12 +27,15 @@ def _unused_imports(tree: ast.Module):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert len(modules) > 10
-    unused = {
-        p.name: found for p in modules if (found := _unused_imports(ast.parse(p.read_text(), filename=str(p))))
-    }
-    assert unused == {}
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_unused_import_check_bites():
+    assert len(MODULES) > 10  # the glob found the package
     sample = "import os\nimport numpy as np\nfrom typing import List, Tuple\nx: List[int] = np.zeros(1)\n"
-    assert _unused_imports(ast.parse(sample)) == [(1, "os"), (3, "Tuple")]  # the check bites
+    assert _unused_imports(ast.parse(sample)) == [(1, "os"), (3, "Tuple")]
