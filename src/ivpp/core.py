@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .poly import Polynomial
+from .poly import ArrayProgram, Polynomial
 
 TOL_EQ = 1e-9  # default comparison tolerance (chordal)
 TOL_INV = 1e-10  # relative tolerance for invariant conservation
@@ -314,6 +315,18 @@ class RationalMap:
             v = _limit_ratio(n0, d0, inf_vars)
             out.append(v if v is INF else ExtendedComplex(v))
         return Point(out)
+
+    @cached_property
+    def step_program(self) -> ArrayProgram:
+        """(denominators, images) of one step on arrays of points, one per
+        variable: the program of ``kernel.step``, built on its first call."""
+        return ArrayProgram(self.dim, [den for _, den in self.components], self.components)
+
+    @cached_property
+    def denominator_program(self) -> ArrayProgram:
+        """The denominators alone, the part of ``step_program`` that the
+        pole-depth scan reads at its last depth."""
+        return ArrayProgram(self.dim, [den for _, den in self.components])
 
     def eval_raw(self, vals: Sequence[complex]) -> Tuple[complex, ...]:
         """Fast finite-point image with IEEE semantics (inf on poles, nan on 0/0)."""

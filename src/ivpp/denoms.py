@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .core import RationalMap
-from .kernel import blocks, check_grid_map, step
+from .kernel import blocks, check_grid_map, denominators, step
 from .poly import Polynomial
 
 
@@ -96,8 +96,7 @@ def _scan(m: RationalMap, k_max: int, xs, ys, curves: Optional[List[DenominatorC
                 # images of dead cells are fed back unmasked: the masks drop them by ``alive``
                 den_vals, coords = step(m, coords)
             else:
-                with np.errstate(all="ignore"):
-                    den_vals = [den.eval_grid(coords) for _, den in m.components]
+                den_vals = denominators(m, coords)
             step_cross = np.zeros(depth.shape, dtype=bool)
             for j, D in enumerate(den_vals):
                 pos, neg = D > 0, D < 0

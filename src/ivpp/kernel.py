@@ -2,21 +2,28 @@
 
 ``step`` applies a map of any dimension to arrays of points with IEEE
 semantics (inf on a pole, nan on 0/0) and also returns the denominators
-it evaluated.  The period grid, the component pass of the rasters, the
-pole-depth layers, the empirical boundary scan with its closure check, and
-the component permutation of ``decompose`` all iterate through it.
+it evaluated.  It runs the map's ``step_program``, straight-line numpy
+code built on the first step and cached on the map, which forms each
+power and product once, folds -1 coefficients into subtractions where
+that is bit-exact on float64, and divides in place (see
+``poly.ArrayProgram``; ``Polynomial.eval_grid`` is its one-polynomial
+case).  The period grid, the component pass of the rasters, the
+pole-depth layers (``denominators`` at their last depth), the closure
+pre-check and the fit of ``boundaries_empirical``, the component
+permutation of ``decompose`` (``pushed_sigma``) and ``verify`` all
+iterate through it.
 ``first_returns`` is the one first-return loop: it gives each of a flat
 array of starts, of any dimension, the first k <= n_max whose iterate is
 within tol of the start under the chordal metric, 0 when there is none,
 and -1 when the orbit leaves the finite chart first (0/0 or a pole
 transit).  ``period_grid`` runs it on the cells of a 2d map's raster and
 the component pass on the snapped band columns.  Its return test,
-``returns``, is shared with the closure check of the empirical scan: a
-cheap reject bound, coordinate by coordinate, a cheap accept bound on the
-entries that pass it, and the exact chordal distance only on the few that
-neither decides.  Both grid layers run in the row blocks of ``blocks``, so
-their float temporaries are bounded by ``BLOCK_CELLS`` cells whatever the
-grid's size.
+``returns``, is shared with the closure pre-check of
+``boundaries_empirical``: a cheap reject bound, coordinate by coordinate,
+a cheap accept bound on the entries that pass it, and the exact chordal
+distance only on the few that neither decides.  Both grid layers run in
+the row blocks of ``blocks``, so their float temporaries are bounded by
+``BLOCK_CELLS`` cells whatever the grid's size.
 """
 
 from __future__ import annotations
@@ -39,20 +46,19 @@ def blocks(w: int, h: int) -> List[Tuple[int, int]]:
 
 
 def step(m: RationalMap, coords: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """(denominators, images) of m at arrays of one shape, one per variable;
-    both are lists of new arrays of that shape, one per component.  A
-    denominator that is exactly 1 is not divided by (x / 1.0 is x in IEEE)."""
+    """(denominators, images) of m at arrays of one shape, one per variable,
+    each a list with one array per component, run by ``m.step_program``.
+    Every array is new, never an input.  A denominator that is exactly 1
+    is not divided by (x / 1.0 is x in IEEE)."""
     with np.errstate(all="ignore"):
-        dens = [den.eval_grid(coords) for _, den in m.components]
-        images = [
-            num.eval_grid(coords) if _is_one(den) else num.eval_grid(coords) / d
-            for (num, den), d in zip(m.components, dens)
-        ]
-    return dens, images
+        return m.step_program(coords)
 
 
-def _is_one(p) -> bool:
-    return len(p.terms) == 1 and p.terms.get((0,) * p.nvars) == 1
+def denominators(m: RationalMap, coords: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The denominators of ``step`` alone, as new arrays, by the denominator
+    part of the map's program."""
+    with np.errstate(all="ignore"):
+        return m.denominator_program(coords)[0]
 
 
 def _homogeneous(a):

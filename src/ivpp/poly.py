@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
+import numpy as np
+
 VAR_NAMES = ("x", "y", "z")
 
 Exps = Tuple[int, ...]
@@ -24,7 +26,7 @@ def _monomial_key(exps: Exps):
 class Polynomial:
     """Immutable sparse polynomial: a mapping exponent-tuple -> coefficient."""
 
-    __slots__ = ("nvars", "terms", "_eval_cache")
+    __slots__ = ("nvars", "terms", "_eval_cache", "_program")
 
     def __init__(self, nvars: int, terms: Dict[Exps, object] | None = None):
         if not 1 <= nvars <= 3:
@@ -40,6 +42,7 @@ class Polynomial:
                 clean[tuple(exps)] = c
         self.terms = clean
         self._eval_cache = None
+        self._program = None
 
     # -- constructors -------------------------------------------------------
 
@@ -139,18 +142,10 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _compiled(self):
-        # (exponents, complex c) per term; for eval_grid, (c or None for exactly 1, (var, exponent) factors)
+    def _complex_terms(self):
+        # (exponents, complex c) per term, for the scalar ``eval``
         if self._eval_cache is None:
-            terms = tuple((exps, complex(c)) for exps, c in self.terms.items())
-            plan = tuple(
-                (
-                    None if c == 1 else c.real if c.imag == 0 else c,
-                    tuple((i, e) for i, e in enumerate(exps) if e),
-                )
-                for exps, c in terms
-            )
-            self._eval_cache = terms, plan
+            self._eval_cache = tuple((exps, complex(c)) for exps, c in self.terms.items())
         return self._eval_cache
 
     def eval(self, values: Iterable[complex]) -> complex:
@@ -158,7 +153,7 @@ class Polynomial:
         if len(vals) != self.nvars:
             raise ValueError("wrong number of values")
         acc = 0j
-        for exps, c in self._compiled()[0]:
+        for exps, c in self._complex_terms():
             term = c
             for v, e in zip(vals, exps):
                 if e == 1:
@@ -169,22 +164,12 @@ class Polynomial:
         return acc
 
     def eval_grid(self, arrays):
-        """Evaluate on broadcastable numpy arrays, one per variable; returns a new array.
-
-        Skipping a coefficient of exactly 1 and a first power changes no bit of the result."""
-        acc = None
-        for c, factors in self._compiled()[1]:
-            term = c
-            for i, e in factors:
-                power = arrays[i] if e == 1 else arrays[i] ** e
-                term = power if term is None else term * power
-            term = 1.0 if term is None else term
-            acc = term if acc is None else acc + term
-        if not hasattr(acc, "shape"):  # zero or constant: one array of the common shape
-            import numpy as np
-
-            return np.full(np.broadcast(*arrays).shape, 0.0 if acc is None else acc)
-        return acc.copy() if any(acc is arr for arr in arrays) else acc
+        """Evaluate on broadcastable numpy arrays, one per variable; returns a
+        new array.  This is the one-polynomial ``ArrayProgram``, built on the
+        first call."""
+        if self._program is None:
+            self._program = ArrayProgram(self.nvars, (self,))
+        return self._program(arrays)[0][0]
 
     def partial_eval(self, values: Dict[int, complex]) -> "Polynomial":
         """Substitute numeric values for a subset of variables.
@@ -247,3 +232,161 @@ def format_polynomial(p: Polynomial) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
+
+
+# -- array programs -------------------------------------------------------------
+
+_F64 = np.dtype(np.float64)
+
+
+class ArrayProgram:
+    """Polynomials, and quotients of them, as one straight-line numpy function
+    of arrays, one per variable; each variant is compiled on its first call.
+
+    A call returns (values, quotients): a new array per polynomial of
+    ``polys`` and per (num, den) pair of ``quotients``, never an input
+    array.  Every entry is bitwise what the plain term loop gives: each term
+    is its coefficient times its powers in variable order, a coefficient of
+    exactly 1 and a first power skipped (``1.0 * x**1`` is ``x``), the terms
+    are summed in their order, a constant term as ``c + v``, a constant or
+    zero polynomial is an array full of its value, and a quotient divides by
+    its denominator unless that is exactly 1 (``x / 1.0`` is ``x``).
+
+    The program forms each power and each product of its terms once and
+    shares it across all its polynomials.  When every coefficient is real and
+    the arrays are float64 of one shape, the *folded* variant also
+
+    - forms a term of coefficient -1 as its product m, and adds it as
+      ``acc - m``: ``a + (-1.0 * m)`` and ``a - m`` are the same float64
+      operation, nan sign bits included;
+    - starts a polynomial whose first term is -m and whose second is a
+      product p that begins with m, as ``p - m``: where m is nan, so is p,
+      with m's bits, so the nan that survives is the same one.  A leading
+      -m is otherwise ``-1.0 * m``, never ``np.negative(m)``, which flips a
+      nan's sign bit, and ``-a - b`` is never ``-(a + b)``, which gives -0
+      where the sum gives +0;
+    - adds, subtracts and divides in place into a buffer of its own that
+      nothing reads afterwards, each quotient into its numerator's.
+
+    Complex arrays take the plain variant: ``-1.0 * (1+infj)`` is
+    ``nan-infj``, which no subtraction reproduces.
+    """
+
+    __slots__ = ("nvars", "polys", "quotients", "real", "_runs")
+
+    def __init__(self, nvars: int, polys, quotients=()):
+        self.nvars = nvars
+        self.polys = tuple(polys)
+        self.quotients = tuple(quotients)
+        every = self.polys + tuple(p for pair in self.quotients for p in pair)
+        self.real = all(complex(c).imag == 0 for p in every for c in p.terms.values())
+        self._runs = {}  # folded (bool) -> the compiled function
+
+    def __call__(self, arrays):
+        a0 = arrays[0]
+        folded = self.real and all(getattr(a, "dtype", None) is _F64 and a.shape == a0.shape for a in arrays)
+        run = self._runs.get(folded)
+        if run is None:
+            text, namespace = _source(self.nvars, self.polys, self.quotients, folded)
+            exec(compile(text, "<ivpp array program>", "exec"), namespace)
+            run = self._runs[folded] = namespace["run"]
+        return run(*arrays)
+
+
+class _Program:
+    """The operations of an ``ArrayProgram`` in single assignment form.
+
+    Value i < nvars is input i; value nvars + j is ``ops[j]``, an (op, a, b)
+    of values and constant names, entered once per distinct triple."""
+
+    def __init__(self, nvars: int, folded: bool):
+        self.nvars, self.folded = nvars, folded
+        self.ops = []
+        self.index = {}  # (op, a, b) -> value
+        self.consts = {}  # (type, repr) of a constant -> (name, value)
+
+    def const(self, c) -> str:
+        key = (type(c), repr(c))
+        if key not in self.consts:
+            self.consts[key] = (f"k{len(self.consts)}", c)
+        return self.consts[key][0]
+
+    def op(self, op: str, a, b):
+        key = (op, a, b)
+        if key not in self.index:
+            self.index[key] = self.nvars + len(self.ops)
+            self.ops.append(key)
+        return self.index[key]
+
+    def _leads(self, m, p) -> bool:
+        """Whether product p is m times factors, m its first operand at some depth."""
+        while isinstance(p, int) and p >= self.nvars:
+            op, p, _ = self.ops[p - self.nvars]
+            if op != "*":
+                return False
+            if p == m:
+                return True
+        return False
+
+    def poly(self, poly: Polynomial) -> int:
+        terms = []  # (sign, value or constant name)
+        for exps, c in poly.terms.items():
+            c = complex(c)
+            k = None if c == 1 else c.real if c.imag == 0 else c
+            factors = [i if e == 1 else self.op("**", i, self.const(e)) for i, e in enumerate(exps) if e]
+            sign = 1
+            if self.folded and k == -1 and factors:
+                sign, k = -1, None
+            term = None if k is None else self.const(k)
+            for f in factors:
+                term = f if term is None else self.op("*", term, f)
+            terms.append((sign, self.const(1.0) if term is None else term))
+        if not terms:
+            return self.op("full", self.const(0.0), None)
+        (sign, acc), rest = terms[0], terms[1:]
+        if sign < 0:
+            if rest and rest[0][0] > 0 and self._leads(acc, rest[0][1]):
+                acc, rest = self.op("-", rest[0][1], acc), rest[1:]
+            else:
+                acc = self.op("*", self.const(-1.0), acc)
+        for sign, term in rest:
+            acc = self.op("-" if sign < 0 else "+", acc, term)
+        return self.op("full", acc, None) if isinstance(acc, str) else acc
+
+    def quotient(self, num: Polynomial, den: Polynomial) -> int:
+        value = self.poly(num)
+        if den.terms == {(0,) * self.nvars: 1}:
+            return value
+        return self.op("/", value, self.poly(den))
+
+
+def _source(nvars: int, polys, quotients, folded: bool):
+    """(Python text of ``run``, its namespace) for an ``ArrayProgram`` variant."""
+    prog = _Program(nvars, folded)
+    outs = [prog.poly(p) for p in polys] + [prog.quotient(n, d) for n, d in quotients]
+    last = {}  # value -> the last op that reads it
+    for j, (_, a, b) in enumerate(prog.ops):
+        last[a] = last[b] = j
+    names = [f"x{i}" for i in range(nvars)] + [f"t{j}" for j in range(len(prog.ops))]
+    lines = []
+    if any(op == "full" for op, _, _ in prog.ops):
+        lines.append(f"shape = np.broadcast({', '.join(names[:nvars])}).shape")
+    for j, (op, a, b) in enumerate(prog.ops):
+        v = nvars + j
+        left, right = (names[u] if isinstance(u, int) else u for u in (a, b))
+        if op == "full":
+            lines.append(f"{names[v]} = np.full(shape, {left})")
+        elif folded and op != "**" and isinstance(a, int) and a >= nvars and a not in outs and last[a] == j:
+            names[v] = left  # a's buffer, which nothing reads after this op
+            lines.append(f"{left} {op}= {right}")
+        else:
+            lines.append(f"{names[v]} = {left} {op} {right}")
+    returned = []
+    for i, v in enumerate(outs):
+        fresh = v >= nvars and v not in outs[:i]
+        returned.append(names[v] if fresh else f"{names[v]}.copy()")
+    split = len(polys)
+    lines.append(f"return [{', '.join(returned[:split])}], [{', '.join(returned[split:])}]")
+    text = f"def run({', '.join(names[:nvars])}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"np": np, **{name: c for name, c in prog.consts.values()}}
+    return text, namespace

@@ -169,17 +169,19 @@ def test_the_scan_paths_equal_the_eager_reference(monkeypatch, name, grid, k_max
 
 @pytest.mark.parametrize("k_max", [1, 3, 6])
 def test_the_scan_evaluates_no_image_past_the_last_depth(monkeypatch, k_max):
-    """Per row block, f2d's two numerators and two denominators at every
-    depth but the last, where only the denominators are evaluated."""
+    """Per row block, a whole step at every depth but the last, where only
+    the denominator part of the map's program runs."""
     calls = []
-    eval_grid = Polynomial.eval_grid
-    monkeypatch.setattr(Polynomial, "eval_grid", lambda p, arrays: calls.append(p) or eval_grid(p, arrays))
+    for name in ("step", "denominators"):
+        real = getattr(denoms_module, name)
+        monkeypatch.setattr(denoms_module, name, lambda m, coords, name=name, real=real: calls.append(name) or real(m, coords))
     monkeypatch.setattr(kernel, "BLOCK_CELLS", 4 * 31)
     zs = denominator_zero_curves(f2d(), k_max, JITTERED_WINDOW, (31, 23))
-    per_scan = len(kernel.blocks(31, 23)) * (4 * (k_max - 1) + 2)
-    assert len(calls) == per_scan == 6 * (4 * k_max - 2)
+    per_block = ["step"] * (k_max - 1) + ["denominators"]
+    assert len(kernel.blocks(31, 23)) == 6 and calls == per_block * 6
     zs.curves
-    assert len(calls) == 2 * per_scan
+    assert calls == per_block * 12
+    assert f2d().denominator_program.quotients == ()  # no numerator in that part
 
 
 def test_denoms_command_builds_no_curve(monkeypatch, tmp_path):
@@ -286,6 +288,89 @@ def test_period3_boundaries_intersect_shallow_layers():
     assert hits_x.size > 0
     for cut in (-1.0, 1.0):
         assert np.min(np.abs(hits_x - cut)) < 0.05
+
+
+def _level_curves(xs, ys, k_max):
+    """Per depth k = 1..k_max and t in (1, r), a function on the cell centres
+    whose sign changes exactly across the curve x = M_r^-(k-1)(t), r = xy.
+
+    With power_matrix(r, m) = [[a, b], [c, d]], m = k - 1, the curve is
+    M_r^m(x) = t, the zero set of (a x + b) - t (c x + d).  The entries are
+    the closed form's polynomials in r, a = d = 2 sum C(m, 2i) r^i,
+    c = -2 sum C(m, 2i + 1) r^i and b = r c; for t = r, the factor x of r
+    is divided out, which leaves a polynomial whose zeros are the curve's."""
+    from math import comb
+
+    x, y = np.meshgrid(xs, ys)
+    r = x * y
+    curves = []
+    for k in range(1, k_max + 1):
+        m = k - 1
+        a = 2 * sum(comb(m, 2 * i) * r**i for i in range(m // 2 + 1))
+        c = -2 * sum(comb(m, 2 * i + 1) * r**i for i in range(m // 2 + 1)) * np.ones_like(r)
+        b, d = r * c, a
+        curves.append((k, (a * x + b) - (c * x + d)))
+        curves.append((k, ((a * x + b) - r * (c * x + d)) / x))
+    return curves
+
+
+def test_the_level_curves_are_the_inverse_powers_of_the_level_matrix():
+    """The sign functions of ``_level_curves`` vanish on x = M_r^-(k-1)(t),
+    with M_r^(k-1) from ``power_matrix`` and its ``inverse()``."""
+    from ivpp.mobius import power_matrix
+
+    for r in (-13.7, -2.3, -0.41, 0.29, 2.6, 11.3):  # off the periodic levels, where a curve can leave for infinity
+        for k in range(1, 7):
+            inverse = power_matrix(r, k - 1).inverse()
+            for t_index, t in enumerate((1.0, r)):
+                x = inverse(t).value.real
+                xs, ys = np.asarray([x]), np.asarray([r / x])
+                _, g = _level_curves(xs, ys, k)[2 * (k - 1) + t_index]
+                _, g_off = _level_curves(xs + 1e-3, ys, k)[2 * (k - 1) + t_index]
+                assert abs(g[0, 0]) <= 1e-9 * abs(g_off[0, 0])
+
+
+def test_pole_depths_agree_with_the_level_curves_both_ways():
+    """ROADMAP item 8: on the level xy = r, den_j(F^(k-1)) vanishes where
+    x_(k-1) = 1 or x_(k-1) = r, so the depth-k layer is read off the level
+    matrix alone, independently of the scan.  On an 800^2 window, k_max = 6:
+
+    - every cell of depth k has a curve of depth at most k crossing a pair
+      of neighbours within one cell of it;
+    - every pair of neighbours, right or down, that a curve of depth k
+      separates and no other curve of depth at most k does, puts depth
+      1..k on its left or upper cell (two curves between the pair may
+      cancel, so those pairs are not read).
+
+    About 0.5 s here, the scan included."""
+    resolution, k_max = (800, 800), 6
+    zs = denominator_zero_curves(f2d(), k_max, JITTERED_WINDOW, resolution)
+    depth = zs.first_pole_depth
+    curves = _level_curves(*cell_centers(JITTERED_WINDOW, resolution), k_max)
+    assert (depth > 0).mean() > 0.02 and set(np.unique(depth).tolist()) == set(range(k_max + 1))
+
+    right = [(k, np.signbit(g[:, :-1]) != np.signbit(g[:, 1:])) for k, g in curves]
+    down = [(k, np.signbit(g[:-1]) != np.signbit(g[1:])) for k, g in curves]
+    for k in range(1, k_max + 1):
+        near = np.zeros(depth.shape, dtype=bool)  # a curve of depth <= k between neighbours near the cell
+        for (kc, h), (_, v) in zip(right, down):
+            if kc <= k:
+                near[:, :-1] |= h
+                near[:, 1:] |= h
+                near[:-1] |= v
+                near[1:] |= v
+        grown = near.copy()
+        grown[1:] |= near[:-1]
+        grown[:-1] |= near[1:]
+        grown[:, 1:] |= near[:, :-1]
+        grown[:, :-1] |= near[:, 1:]
+        assert grown[depth == k].all(), k
+        for pairs, cell in ((right, depth[:, :-1]), (down, depth[:-1])):
+            at_k = sum(sep.astype(np.int8) for kc, sep in pairs if kc == k)
+            at_most_k = sum(sep.astype(np.int8) for kc, sep in pairs if kc <= k)
+            alone = (at_k == 1) & (at_most_k == 1)
+            assert alone.sum() > 100
+            assert ((cell[alone] >= 1) & (cell[alone] <= k)).all(), k
 
 
 # -- rasters -----------------------------------------------------------------------

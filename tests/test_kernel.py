@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ivpp.kernel as kernel
+import ivpp.poly as poly_module
 from conftest import (
     assert_same_bits,
     eval_grid_term_loop,
@@ -243,6 +244,126 @@ def test_eval_grid_of_a_bare_variable_on_broadcast_arrays_is_a_copy():
     x, y = np.arange(3.0)[:, None], np.arange(4.0)[None, :]
     got = Polynomial.var(0, 2).eval_grid((x, y))
     assert np.array_equal(got, x) and not np.shares_memory(got, x)
+
+
+def _map(*components):
+    """A map from (numerator terms, denominator terms) per component, each
+    term (exponents, coefficient) in the order the program sums them."""
+    n = len(components)
+    return RationalMap([(_poly(n, num), _poly(n, den)) for num, den in components])
+
+
+X3, Y3, Z3, ONE3 = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+XY, ONE2 = (1, 1), (0, 0)
+FOLD_MAPS = {
+    # -x + y*z has no fold (x is not where y*z starts), -x + x*y folds to x*y - x, -y + x*y does not
+    "leading-minus": _map(
+        ([(X3, -1), ((0, 1, 1), 1)], [(ONE3, 1)]),
+        ([(X3, -1), ((1, 1, 0), 1)], [(Z3, 1), (ONE3, -1)]),
+        ([(Y3, -1), ((1, 1, 0), 1)], [(ONE3, 1), (Z3, -1)]),
+    ),
+    # -x - y is (-1.0 * x) - y, never -(x + y); 1 - x - y is 1.0 - x - y
+    "minus-minus": _map(
+        ([((1, 0), -1), ((0, 1), -1)], [((0, 1), -1), ((1, 0), -1)]),
+        ([(ONE2, 1), ((1, 0), -1), ((0, 1), -1)], [((1, 0), 1), (ONE2, -1)]),
+    ),
+    # x*y in a numerator and a denominator, and a numerator equal to its denominator
+    "shared-product": _map(
+        ([(XY, 1), (ONE2, 1)], [(XY, 1), ((1, 0), -1)]),
+        ([(XY, 1), ((0, 1), -1)], [(XY, 1), ((0, 1), -1)]),
+    ),
+    "constant-denominator": _map(
+        ([((1, 0), 1), ((0, 1), 1)], [(ONE2, 2)]),
+        ([((1, 0), -1)], [(ONE2, Fraction(-1, 3))]),
+    ),
+    # x' = y is a bare variable, y' = x*y - x is not divided by 1
+    "unit-denominator": _map(
+        ([((0, 1), 1)], [(ONE2, 1)]),
+        ([((1, 0), -1), (XY, 1)], [(ONE2, 1)]),
+    ),
+}
+STEP_MAPS = {**MAPS, **FOLD_MAPS}
+
+
+def _step_term_loop(m, coords):
+    """Reference ``kernel.step`` on real arrays: the term loop per denominator
+    and numerator, then ``/``."""
+    with np.errstate(all="ignore"):
+        dens = [eval_grid_term_loop(den, coords) for _, den in m.components]
+        return dens, [eval_grid_term_loop(num, coords) / d for (num, _), d in zip(m.components, dens)]
+
+
+def _step_skipping_units(m, coords):
+    """Reference ``kernel.step`` on complex arrays, where ``1.0 * z``,
+    ``z**1`` and ``z / 1.0`` are not z once a part is infinite: the term
+    loop without a coefficient of exactly 1 or a first power, then ``/``
+    unless the denominator is exactly 1."""
+
+    def term_loop(poly):
+        acc = None
+        for exps, c in poly.terms.items():
+            term = None if c == 1 else complex(c).real if complex(c).imag == 0 else complex(c)
+            for arr, e in zip(coords, exps):
+                if e:
+                    power = arr if e == 1 else arr**e
+                    term = power if term is None else term * power
+            term = 1.0 if term is None else term
+            acc = term if acc is None else acc + term
+        return np.full(coords[0].shape, 0.0 if acc is None else acc) if not hasattr(acc, "shape") else acc
+
+    with np.errstate(all="ignore"):
+        dens = [term_loop(den) for _, den in m.components]
+        units = [den == Polynomial.const(1, m.dim) for _, den in m.components]
+        return dens, [term_loop(num) if unit else term_loop(num) / d for (num, _), d, unit in zip(m.components, dens, units)]
+
+
+def _complex_grid(nvars):
+    """Starts whose real and imaginary parts run over SPECIAL + EDGES."""
+    vals = np.asarray(SPECIAL + EDGES)
+    z = np.empty(vals.size**2, dtype=complex)
+    z.real, z.imag = np.repeat(vals, vals.size), np.tile(vals, vals.size)
+    return [np.roll(z, 7 * i) for i in range(nvars)]
+
+
+def _f3d_complex_sheets():
+    """The complex points of f3d's period-2 sheets, as ``test_lv3d`` steps them."""
+    points = [
+        lv_period2_param(x, r, sign).values()
+        for sign in "+-"
+        for r in np.linspace(-50.0, 50.0, 41).tolist()
+        for x in (-7.3, -0.61, 0.13, 0.87, 1.9, 11.7)
+        if lv_discriminant(x, r) < 0
+    ]
+    return [np.array([p[i] for p in points]) for i in range(3)]
+
+
+@pytest.mark.parametrize("starts", ["real", "complex"])
+@pytest.mark.parametrize("name", list(STEP_MAPS))
+def test_the_step_program_is_bitwise_the_term_loop(name, starts):
+    """Real starts run the folded program, complex ones the plain one; both
+    give the term loop's bits, nan signs included, in new arrays."""
+    m = STEP_MAPS[name]
+    coords = _grid(m.dim) if starts == "real" else _complex_grid(m.dim)
+    cases = [coords] + ([_f3d_complex_sheets()] if name == "f3d" and starts == "complex" else [])
+    for coords in cases:
+        dens, images = kernel.step(m, coords)
+        want_dens, want_images = (_step_term_loop if starts == "real" else _step_skipping_units)(m, coords)
+        for got, want in zip(dens + images, want_dens + want_images):
+            assert_same_bits(got, want)
+        outs = dens + images
+        for i, a in enumerate(outs):
+            assert not any(np.shares_memory(a, b) for b in list(coords) + outs[:i])
+        assert all(assert_same_bits(a, b) is None for a, b in zip(kernel.denominators(m, coords), want_dens))
+
+
+def test_the_f2d_program_forms_x_times_y_once_in_five_arrays():
+    """Two denominators, the shared x*y and two images: every other
+    operation runs in place, and the leading -x folds into x*y - x."""
+    m = f2d()
+    text, _ = poly_module._source(2, [den for _, den in m.components], m.components, folded=True)
+    assert text.count("x0 * x1") == 1 and "t2 - x0" in text
+    assert len([line for line in text.splitlines() if " = " in line]) == 5
+    assert "np.negative" not in text
 
 
 GRIDS = [(13, 17), (1, 23), (23, 1)]
@@ -513,29 +634,16 @@ def test_stepping_stops_once_every_cell_is_decided(monkeypatch):
     assert g.tolist() == [[1]] and sizes == [1]  # the fixed diagonal: one step, then none
 
 
-class _NoArithmetic(np.ndarray):
-    """An array that refuses every ufunc, so a division by it fails the test."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        raise AssertionError(f"{ufunc.__name__} on a constant denominator")
-
-
-def test_a_denominator_of_one_is_not_divided_by(monkeypatch):
-    """Lyness' x' = y: the image is y itself, bit for bit, and not the input;
-    the denominators still come back as arrays of ones."""
-    real_eval_grid = Polynomial.eval_grid
-
-    def guarded(self, arrays):
-        out = real_eval_grid(self, arrays)
-        return out.view(_NoArithmetic) if self.is_constant else out
-
-    monkeypatch.setattr(Polynomial, "eval_grid", guarded)
-    values = np.asarray([0.0, -0.0, 1.0, -2.5, 5e-324, 1e308, np.inf, -np.inf, np.nan])
+def test_a_denominator_of_one_is_not_divided_by():
+    """Lyness' x' = y: the image is y itself, bit for bit, even a signalling
+    nan, which a division by 1.0 would quiet, and not the input; the
+    denominators still come back as arrays of ones."""
+    values = np.asarray([0.0, -0.0, 1.0, -2.5, 5e-324, 1e308, np.inf, -np.inf, np.nan, 0.0])
+    values.view(np.uint64)[-1] = 0x7FF0000000000001  # a signalling nan
     xs, ys = np.meshgrid(values, values[::-1])
     dens, (nx, ny) = kernel.step(LYNESS, (xs, ys))
-    monkeypatch.undo()
-    assert_same_bits(nx, ys / 1.0)
+    assert np.array_equal(nx.view(np.uint64), ys.view(np.uint64))
     assert not np.shares_memory(nx, ys)
     assert_same_bits(np.asarray(dens[0]), np.ones_like(xs))
     with np.errstate(all="ignore"):
-        assert_same_bits(ny, LYNESS.components[1][0].eval_grid((xs, ys)) / xs)
+        assert_same_bits(ny, eval_grid_term_loop(LYNESS.components[1][0], (xs, ys)) / xs)
