@@ -360,6 +360,31 @@ def test_the_step_program_is_bitwise_the_term_loop(name, starts):
             assert_same_bits(got, want)
 
 
+_TERMS = st.lists(
+    st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.sampled_from([1, -1, 2, Fraction(-3, 2)])),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_TERMS, _TERMS), min_size=2, max_size=2))
+def test_a_random_step_program_is_bitwise_the_term_loop(components):
+    """Maps of up to four terms per polynomial, in any order: every fold the
+    program finds must keep the term loop's bits, on real starts with both
+    nan signs and on complex starts."""
+    comps = [(_poly(2, num), _poly(2, den)) for num, den in components]
+    if any(den.is_zero for _, den in comps):
+        return
+    m = RationalMap(comps)
+    real = np.meshgrid(*[np.asarray(SPECIAL + EDGES + [-np.nan])] * 2, indexing="ij")
+    for coords, reference in ((real, _step_term_loop), (_complex_grid(2), _step_skipping_units)):
+        dens, images = kernel.step(m, coords)
+        want_dens, want_images = reference(m, coords)
+        for got, want in zip(dens + images, want_dens + want_images):
+            assert_same_bits(got, want)
+
+
 def test_the_f2d_program_forms_x_times_y_once_in_five_arrays():
     """Two denominators, the shared x*y and two images: every other
     operation runs in place, and the leading -x folds into x*y - x."""
