@@ -250,14 +250,13 @@ def _cmd_raster(args) -> int:
 
 def _cmd_denoms(args) -> int:
     from .denoms import cell_centers, denominator_zero_curves
-    from .raster import pgm_bytes, write_csv
+    from .raster import write_csv, write_pgm
 
     m = _load_map(args.map)
     window = _parse_window(args.window)
     res = _parse_resolution(args.resolution)
     depth = denominator_zero_curves(m, args.k_max, window, res).first_pole_depth
-    with open(args.output, "wb") as fh:
-        fh.write(pgm_bytes(depth))
+    write_pgm(args.output, depth)
     if args.csv:
         xs, ys = cell_centers(window, res)
         write_csv(args.csv, "x,y,first_pole_k", xs, ys, (depth,))

@@ -63,23 +63,36 @@ class TilingRaster:
         return pgm_bytes(getattr(self, layer))
 
     def to_pgm(self, path: str, layer: str = "component") -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_pgm_bytes(layer))
+        write_pgm(path, getattr(self, layer))
 
     def to_csv(self, path: str) -> None:
         xs, ys = self.cells()
         write_csv(path, "x,y,period,component", xs, ys, (self.period, self.component))
 
 
-def pgm_bytes(grid: np.ndarray) -> bytes:
-    """Binary PGM (P5) of an (h, w) integer layer: clipped to 0..255, top row = largest y."""
+def _pgm_parts(grid: np.ndarray) -> Tuple[bytes, np.ndarray]:
+    """P5 header and body of an (h, w) integer layer: the body is a fresh C-contiguous
+    uint8 (h, w) array, clipped to 0..255 with the top row = largest y."""
+    if np.ndim(grid) != 2:
+        raise ValueError(f"a PGM needs a 2-d layer, got shape {np.shape(grid)}")
     h, w = grid.shape
-    header = f"P5\n{w} {h}\n255\n".encode()
-    buf = bytearray(len(header) + w * h)
-    buf[: len(header)] = header
-    data = np.frombuffer(buf, dtype=np.uint8, offset=len(header)).reshape(h, w)
-    np.clip(grid[::-1, :], 0, 255, out=data, casting="unsafe")  # clipped values fit a byte
-    return bytes(buf)
+    body = np.empty((h, w), dtype=np.uint8)
+    np.clip(grid[::-1, :], 0, 255, out=body, casting="unsafe")  # clipped values fit a byte
+    return f"P5\n{w} {h}\n255\n".encode(), body
+
+
+def pgm_bytes(grid: np.ndarray) -> bytes:
+    """Binary PGM (P5) of an (h, w) integer layer, in memory: the parts of ``_pgm_parts`` joined."""
+    return b"".join(_pgm_parts(grid))
+
+
+def write_pgm(path: str, grid: np.ndarray) -> None:
+    """Write the PGM of ``pgm_bytes`` to ``path`` from its one body buffer; a layer that
+    is not 2-d raises before the file is opened."""
+    header, body = _pgm_parts(grid)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(body)
 
 
 def write_csv(path: str, header: str, xs, ys, layers) -> None:

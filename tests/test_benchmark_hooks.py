@@ -3,7 +3,8 @@
 Renaming a traced function or method must fail here, not only in a traced
 benchmark run; so must renaming, or changing the type of, what the
 workloads' output checks call (perfbench/workloads.py).  Every command of
-the ``boundaries`` workload must pass, so its ok_frac cannot drop unseen.
+the ``boundaries`` and ``tiles`` workloads must pass, so their ok_frac cannot
+drop unseen.
 """
 
 import json
@@ -81,4 +82,34 @@ def test_benchmark_boundaries_commands_all_pass():
     assert proc.returncode == 0, proc.stderr
     results = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
     assert len(results) == 39
+    assert {key: reason for key, reason in results.items() if reason != "ok"} == {}
+
+
+TILES_SCRIPT = """
+import random, sys, tempfile
+sys.path.insert(0, 'perfbench')
+import workloads
+from ivpp import cli
+with tempfile.TemporaryDirectory() as workdir:
+    commands = workloads.tiles(random.Random(0), workdir).commands
+    for rep in range(2):
+        for cmd in commands:
+            code, _, err = cli.run_captured(cmd.argv)
+            reason = err.strip() if code else cmd.check()
+            print(f'{cmd.key}#{rep}', 'ok' if reason is None else reason)
+"""
+
+
+def test_benchmark_tiles_commands_all_pass():
+    """Every command of the ``tiles`` workload, the component and striped PGMs
+    of the paper's tiling figures, exits 0 and passes its output check, twice:
+    the second pass must write each PGM byte for byte as the first (the
+    check's repeat digest).  About 1 s."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", TILES_SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    assert len(results) == 10
     assert {key: reason for key, reason in results.items() if reason != "ok"} == {}

@@ -290,7 +290,7 @@ def _pgm_per_cell(grid) -> bytes:
 
 
 def test_pgm_bytes_match_the_per_cell_reference(tmp_path):
-    """Both commands write their PGM through raster.pgm_bytes, with the top row at the largest y."""
+    """Both commands write their PGM through raster.write_pgm, with the top row at the largest y."""
     window = "--window=" + ",".join(repr(v) for v in JITTERED_WINDOW)
     zs = denominator_zero_curves(f2d(), 4, JITTERED_WINDOW, (29, 41))
     argv = ["denoms", "--k-max", "4", window, "--res", "29x41", "-o", str(tmp_path / "d.pgm")]

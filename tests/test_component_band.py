@@ -1,4 +1,4 @@
-"""The band of the component rasters, its component layer and the PGM encoder.
+"""The band of the component rasters, its component layer and the PGM encoder and writer.
 
 The band is found from per-column candidate rows (all rows for the full
 columns); every test here compares it with ``band_mask_dense``, the test on
@@ -20,7 +20,7 @@ from ivpp.decompose import decompose
 from ivpp.denoms import cell_centers
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d
-from ivpp.raster import pgm_bytes, raster
+from ivpp.raster import TilingRaster, pgm_bytes, raster, write_pgm
 
 raster_module = importlib.import_module("ivpp.raster")  # the package attribute ivpp.raster is the function
 
@@ -181,12 +181,56 @@ def test_full_column_window_memory():
     assert peak < 4 * cells + (2 << 20)
 
 
+def test_component_pgm_file_memory(tmp_path):
+    """At 2048^2 ``to_pgm`` writes from one byte body: the peak is the component
+    layer (2 bytes a cell) and that body (1), with no second copy of the image."""
+    b = branches(3)[0]
+    cells = 2048 * 2048
+    tracemalloc.start()
+    try:
+        R = raster(f2d(), FULL_COLUMNS, (2048, 2048), n_max=8, branch=b)
+        R.to_pgm(tmp_path / "c.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "c.pgm").stat().st_size == cells + len(b"P5\n2048 2048\n255\n")
+    assert peak < 3 * cells + (2 << 20)
+
+
 # -- PGM -------------------------------------------------------------------------------
+
+PGM_EDGES = np.array([-32768, -1, 0, 255, 256, 32767], dtype=np.int16)  # each side of both clip bounds
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (0, 4), (3, 7), (64, 33)])
-def test_pgm_bytes_equal_the_concatenated_encoder(shape):
+def test_pgm_bytes_equal_the_concatenated_encoder(tmp_path, shape):
+    """In memory, through ``write_pgm`` and through ``TilingRaster.to_pgm`` (both
+    layers), the PGM is the reference encoder's, byte for byte."""
     rng = np.random.default_rng(shape[1])
     grid = rng.integers(-40, 400, size=shape).astype(np.int16)
+    edges = rng.permutation(PGM_EDGES)[: grid.size]
+    grid.flat[rng.choice(grid.size, edges.size, replace=False)] = edges
+    if grid.size >= PGM_EDGES.size:
+        assert set(PGM_EDGES.tolist()) <= set(grid.ravel().tolist())
+    want = pgm_concat(grid)
     blob = pgm_bytes(grid)
-    assert type(blob) is bytes and blob == pgm_concat(grid)
+    assert type(blob) is bytes and blob == want
+    write_pgm(tmp_path / "w.pgm", grid)
+    assert (tmp_path / "w.pgm").read_bytes() == want
+    R = TilingRaster((0.0, 1.0, 0.0, 1.0), shape[1], shape[0], lambda: grid, grid)
+    for layer in ("component", "period"):
+        R.to_pgm(tmp_path / f"{layer}.pgm", layer)
+        assert (tmp_path / f"{layer}.pgm").read_bytes() == want
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3, 4)])
+def test_pgm_writer_refuses_a_layer_that_is_not_2d(tmp_path, shape):
+    """Refused before the file is opened, so an existing file is kept."""
+    path = tmp_path / "out.pgm"
+    path.write_bytes(b"kept")
+    grid = np.zeros(shape, np.int16)
+    with pytest.raises(ValueError, match="2-d layer"):
+        write_pgm(path, grid)
+    with pytest.raises(ValueError, match="2-d layer"):
+        TilingRaster((0.0, 1.0, 0.0, 1.0), 1, 1, lambda: grid, grid).to_pgm(path)
+    assert path.read_bytes() == b"kept"
