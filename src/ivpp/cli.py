@@ -111,10 +111,14 @@ def _f3d_sign(selector: Optional[str]) -> str:
 
 
 def _pick_branch(n: int, selector: str):
+    """The f2d branch that --branch names, an integer 1..len(branches(n))."""
     bs = branches(n)
-    idx = int(selector)
+    try:
+        idx = int(selector)
+    except ValueError:
+        idx = 0
     if not 1 <= idx <= len(bs):
-        raise UsageError(f"period {n} has {len(bs)} branch(es); --branch must be 1..{len(bs)}")
+        raise UsageError(f"period {n} has {len(bs)} branch(es); --branch must be 1..{len(bs)}, got {selector!r}")
     return bs[idx - 1]
 
 
@@ -241,6 +245,8 @@ def _cmd_raster(args) -> int:
             b = _pick_branch(args.period, args.branch or "1")
             R = raster(m, window, res, n_max=args.n_max, tol=args.tol, branch=b)
         else:
+            if args.branch is not None:
+                raise UsageError("--branch selects a component raster's branch; --mode period takes none")
             R = raster(m, window, res, n_max=args.n_max, tol=args.tol)
     R.to_pgm(args.output, "component" if args.mode == "component" else "period")
     if args.csv:

@@ -15,7 +15,11 @@ Two layers per raster:
                  through ``kernel.first_returns``, the period grid's loop.
                  The band is tested only on each column's candidate rows
                  (see ``_band``), so the pass costs O(band cells + output)
-                 rather than O(width * height).
+                 rather than O(width * height).  A raster from ``raster``
+                 keeps the layer as its classified cells (flat indices and
+                 classes) and builds the dense (h, w) layer only when
+                 ``.component`` is read; its component PGM scatters those
+                 cells into the one byte body.
 
 Cells are independent and the output is deterministic for fixed inputs.
 """
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,13 +45,21 @@ EXACT_TOL = 1e-9  # closure tolerance for snapped on-variety points
 BAND_CELLS = 1.5  # half-width of the component band, in cell widths
 
 
+class BandCells(NamedTuple):
+    """A component layer as its classified cells: C-order flat indices into the
+    (h, w) layer, each cell once, and their nonzero classes."""
+
+    flat: np.ndarray  # int32
+    classes: np.ndarray  # int16
+
+
 @dataclass
 class TilingRaster:
     window: Tuple[float, float, float, float]
     width: int
     height: int
     period_layer: Callable[[], np.ndarray] = field(repr=False)  # computes ``period``
-    component: np.ndarray  # int16 (h, w); 0 = unclassified
+    labels: Union[np.ndarray, BandCells] = field(repr=False)  # the component layer, dense or as its cells
     meta: dict = field(default_factory=dict)
 
     @cached_property
@@ -55,44 +67,71 @@ class TilingRaster:
         """int16 (h, w) period layer, computed on first read and cached."""
         return self.period_layer()
 
+    @cached_property
+    def component(self) -> np.ndarray:
+        """int16 (h, w) component layer, 0 = unclassified; built from the band cells on
+        first read and cached."""
+        if not isinstance(self.labels, BandCells):
+            return self.labels
+        layer = np.zeros((self.height, self.width), dtype=np.int16)
+        layer.flat[self.labels.flat] = self.labels.classes
+        return layer
+
     def cells(self) -> Tuple[np.ndarray, np.ndarray]:
         return cell_centers(self.window, (self.width, self.height))
 
+    def _body(self, layer: str) -> np.ndarray:
+        """The PGM body of a layer; a component layer kept as cells is scattered into it."""
+        if layer != "component" or not isinstance(self.labels, BandCells):
+            return _pgm_body(getattr(self, layer))
+        body = np.zeros((self.height, self.width), dtype=np.uint8)
+        i, j = np.divmod(self.labels.flat, self.width)
+        body[self.height - 1 - i, j] = np.clip(self.labels.classes, 0, 255)  # top row first
+        return body
+
     def to_pgm_bytes(self, layer: str = "component") -> bytes:
         """Binary PGM (P5); byte = zero-based class index + 1, 0 = unclassified."""
-        return pgm_bytes(getattr(self, layer))
+        return b"".join(_pgm_parts(self._body(layer)))
 
     def to_pgm(self, path: str, layer: str = "component") -> None:
-        write_pgm(path, getattr(self, layer))
+        _pgm_write(path, self._body(layer))
 
     def to_csv(self, path: str) -> None:
         xs, ys = self.cells()
         write_csv(path, "x,y,period,component", xs, ys, (self.period, self.component))
 
 
-def _pgm_parts(grid: np.ndarray) -> Tuple[bytes, np.ndarray]:
-    """P5 header and body of an (h, w) integer layer: the body is a fresh C-contiguous
-    uint8 (h, w) array, clipped to 0..255 with the top row = largest y."""
+def _pgm_body(grid: np.ndarray) -> np.ndarray:
+    """PGM body of an (h, w) integer layer: a fresh C-contiguous uint8 (h, w) array,
+    clipped to 0..255 with the top row = largest y."""
     if np.ndim(grid) != 2:
         raise ValueError(f"a PGM needs a 2-d layer, got shape {np.shape(grid)}")
-    h, w = grid.shape
-    body = np.empty((h, w), dtype=np.uint8)
+    body = np.empty(grid.shape, dtype=np.uint8)
     np.clip(grid[::-1, :], 0, 255, out=body, casting="unsafe")  # clipped values fit a byte
+    return body
+
+
+def _pgm_parts(body: np.ndarray) -> Tuple[bytes, np.ndarray]:
+    """The P5 header of a uint8 (h, w) body, and the body."""
+    h, w = body.shape
     return f"P5\n{w} {h}\n255\n".encode(), body
 
 
+def _pgm_write(path: str, body: np.ndarray) -> None:
+    with open(path, "wb") as fh:
+        for part in _pgm_parts(body):
+            fh.write(part)
+
+
 def pgm_bytes(grid: np.ndarray) -> bytes:
-    """Binary PGM (P5) of an (h, w) integer layer, in memory: the parts of ``_pgm_parts`` joined."""
-    return b"".join(_pgm_parts(grid))
+    """Binary PGM (P5) of an (h, w) integer layer, in memory: header and body joined."""
+    return b"".join(_pgm_parts(_pgm_body(grid)))
 
 
 def write_pgm(path: str, grid: np.ndarray) -> None:
     """Write the PGM of ``pgm_bytes`` to ``path`` from its one body buffer; a layer that
     is not 2-d raises before the file is opened."""
-    header, body = _pgm_parts(grid)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
+    _pgm_write(path, _pgm_body(grid))
 
 
 def write_csv(path: str, header: str, xs, ys, layers) -> None:
@@ -153,13 +192,15 @@ def raster(
     snapped point (x, rho/x) has minimal period exactly n (tol 1e-9); its
     class is the component of x in the branch's analytic ``decompose``.
     The period layer is deferred until ``.period`` is read; on branch
-    rasters it reads n on every classified cell.
+    rasters it reads n on every classified cell.  The component layer is
+    kept as its classified cells (``BandCells``).
     """
     kernel.check_grid_map(m)
     w, h = resolution
     check_period_args(n_max, tol)
     xs, ys = cell_centers(window, resolution)
-    component = np.zeros((h, w), dtype=np.int16)
+    flat = np.zeros(0, dtype=np.int32)
+    classes = np.zeros(0, dtype=np.int16)
     meta = {
         "map": m.name or "user",
         "n_max": n_max,
@@ -169,37 +210,36 @@ def raster(
 
     def period_layer() -> np.ndarray:
         raw = kernel.period_grid(m, xs, ys, n_max, tol)
-        if branch is None:
-            return raw
-        return np.where(component > 0, np.int16(branch.n), raw)
+        if branch is not None:
+            raw.flat[flat] = branch.n  # every classified cell
+        return raw
 
     if branch is not None:
         decomp = decompose(branch)
         cell = max((window[1] - window[0]) / w, (window[3] - window[2]) / h)
-        band = _band(xs, ys, window, branch.rho, BAND_CELLS * cell, cell)
+        blocks = _band(xs, ys, window, branch.rho, BAND_CELLS * cell, cell)  # none if the band misses the window
+        band = np.concatenate([np.zeros(0, dtype=np.int32), *blocks])
+        column = band % w
         has_band = np.zeros(w, dtype=bool)
-        for flat in band:
-            has_band[flat % w] = True
+        has_band[column] = True
         columns = np.flatnonzero(has_band)
         closes = kernel.first_returns(m, branch.coords(xs[columns]), branch.n, EXACT_TOL) == branch.n
         column_class = np.zeros(w, dtype=np.int16)
         column_class[columns[closes]] = decomp.classify(xs[columns[closes]])
-        classified = 0
-        for flat in band:
-            cls = column_class[flat % w]
-            np.put(component, flat, cls)
-            classified += np.count_nonzero(cls)
+        classes = column_class[column]
+        keep = classes != 0
+        flat, classes = band[keep], classes[keep]
         meta.update(
             {
                 "period_n": branch.n,
                 "branch": branch.label,
                 "band_cells": BAND_CELLS,
                 "snap_checks": int(columns.size),
-                "classified": int(classified),
+                "classified": int(flat.size),
             }
         )
 
-    return TilingRaster(tuple(window), w, h, period_layer, component, meta)
+    return TilingRaster(tuple(window), w, h, period_layer, BandCells(flat, classes), meta)
 
 
 def _band(xs, ys, window, rho: float, c: float, cell: float) -> List[np.ndarray]:

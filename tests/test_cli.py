@@ -333,6 +333,10 @@ NON_FINITE_LEVELS = [  # (argv, the refusal naming the flag)
     "argv",
     [
         ["decompose", "--map", "f2d", "--period", "3", "--branch", "9"],
+        ["decompose", "--period", "5", "--branch", "x"],
+        ["boundaries", "--period", "5", "--branch", "1.5"],
+        ["raster", "--period", "5", "--branch", "x", "--window=-4,4,-4,4", "--res", "4x4", "-o", "/tmp/x.pgm"],
+        ["raster", "--mode", "period", "--branch", "1", "--window=-4,4,-4,4", "--res", "4x4", "-o", "/tmp/x.pgm"],
         ["raster", "--map", "f2d", "--period", "3", "--window", "bad", "--res", "8x8", "-o", "/tmp/x.pgm"],
         ["orbit", "--map", "nosuchmap", "--start", "1,2", "--steps", "1"],
         ["orbit", "--map", "f2d", "--start", "1", "--steps", "2"],
@@ -376,6 +380,8 @@ def test_usage_errors_exit_2(argv):
     code, out, err = run_captured(argv)
     assert code == 2
     assert err.strip()
+    if "--branch" in argv:
+        assert "--branch" in err  # the refusal names the flag
     refusal = dict((tuple(a), message) for a, message in NON_FINITE_LEVELS).get(tuple(argv))
     if refusal is not None:
         assert (out, err) == ("", f"error: {refusal}\n")

@@ -167,7 +167,7 @@ def test_component_layer_is_the_column_class_on_the_band():
 
 def test_full_column_window_memory():
     """At 2048^2 the full columns are tested a block at a time: the peak is the
-    component layer (2 bytes a cell) and the PGM buffer and its bytes (1 + 1), no grid mask."""
+    PGM body and its bytes (1 + 1 bytes a cell), no grid mask and no dense component layer."""
     b = branches(3)[0]
     cells = 2048 * 2048
     tracemalloc.start()
@@ -178,23 +178,87 @@ def test_full_column_window_memory():
     finally:
         tracemalloc.stop()
     assert len(blob) == cells + len(b"P5\n2048 2048\n255\n")
-    assert peak < 4 * cells + (2 << 20)
+    assert peak < 2 * cells + (2 << 20)
 
 
-def test_component_pgm_file_memory(tmp_path):
-    """At 2048^2 ``to_pgm`` writes from one byte body: the peak is the component
-    layer (2 bytes a cell) and that body (1), with no second copy of the image."""
+@pytest.mark.parametrize("window", [FULL_COLUMNS, SQUARE4], ids=["full_columns", "square4"])
+def test_component_pgm_file_memory(tmp_path, window):
+    """At 2048^2 ``to_pgm`` scatters the band cells into its one byte body: the
+    peak is that body (1 byte a cell) plus about 32 bytes a classified cell for
+    the band and its indices, with no dense component layer.  Measured with
+    numpy 2.4: 40 kB over the body on the full-column window, where no cell is
+    classified, and 430 kB on (-4, 4)^2, where 12,548 are (the bound allows
+    532 kB); the dense int16 layer adds 8 MiB.  A first small raster loads
+    what the first call imports, so the peak counts this raster only."""
     b = branches(3)[0]
     cells = 2048 * 2048
+    raster(f2d(), SQUARE4, (64, 64), n_max=8, branch=b).to_pgm(tmp_path / "warm.pgm")
     tracemalloc.start()
     try:
-        R = raster(f2d(), FULL_COLUMNS, (2048, 2048), n_max=8, branch=b)
+        R = raster(f2d(), window, (2048, 2048), n_max=8, branch=b)
         R.to_pgm(tmp_path / "c.pgm")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (tmp_path / "c.pgm").stat().st_size == cells + len(b"P5\n2048 2048\n255\n")
-    assert peak < 3 * cells + (2 << 20)
+    assert peak < cells + 32 * R.meta["classified"] + (128 << 10)
+    assert (R.meta["classified"] > 10_000) == (window == SQUARE4)
+
+
+def dense_reference(m, window, resolution, branch, n_max=8):
+    """The component and period layers as a dense component layer gave them: each
+    band block's column classes put into an int16 zero layer by ``np.put``, and the
+    period layer n wherever that layer is positive, the raw period elsewhere."""
+    w, h = resolution
+    xs, ys = cell_centers(window, resolution)
+    cell = max((window[1] - window[0]) / w, (window[3] - window[2]) / h)
+    band = raster_module._band(xs, ys, window, branch.rho, raster_module.BAND_CELLS * cell, cell)
+    columns = np.unique(np.concatenate([np.zeros(0, dtype=np.int32), *band]) % w)
+    closes = kernel.first_returns(m, branch.coords(xs[columns]), branch.n, raster_module.EXACT_TOL) == branch.n
+    column_class = np.zeros(w, dtype=np.int16)
+    column_class[columns[closes]] = decompose(branch).classify(xs[columns[closes]])
+    component = np.zeros((h, w), dtype=np.int16)
+    for flat in band:
+        np.put(component, flat, column_class[flat % w])
+    raw = kernel.period_grid(m, xs, ys, n_max, raster_module.RASTER_TOL)
+    return band, component, np.where(component > 0, np.int16(branch.n), raw)
+
+
+@pytest.mark.parametrize(
+    "n, m, window, resolution",
+    [
+        (5, 2, SQUARE12, (300, 280)),
+        (3, 1, (1.0, 2.0, 1.0, 2.0), (120, 90)),  # the band misses the window: no band block
+        (3, 1, SQUARE4, (257, 256)),  # the centre column is x = 0
+        (300, 77, SQUARE4, (400, 300)),  # classes up to 276: the PGM clips
+    ],
+)
+def test_band_cells_give_the_dense_layers(tmp_path, n, m, window, resolution):
+    """A branch raster keeps its component layer as band cells; the layers, the
+    component and period PGMs and the CSV are those of the dense layer, whether
+    ``component`` is read before or after the PGM is written."""
+    (b,) = [b for b in branches(n) if b.m == m]
+    band, component, period = dense_reference(f2d(), window, resolution, b)
+    xs, ys = cell_centers(window, resolution)
+    if window == SQUARE4 and n == 3:
+        assert xs[resolution[0] // 2] == 0.0 and not component[:, resolution[0] // 2].any()
+    assert (band == []) == (window == (1.0, 2.0, 1.0, 2.0)) == (not component.any())
+    assert (int(component.max()) > 255) == (n == 300)
+    first, late = (raster(f2d(), window, resolution, n_max=8, branch=b) for _ in range(2))
+    assert np.array_equal(first.component, component)
+    first.to_pgm(tmp_path / "first.pgm")
+    late.to_pgm(tmp_path / "late.pgm")
+    assert np.array_equal(late.component, component)
+    want = pgm_concat(component)
+    assert (tmp_path / "first.pgm").read_bytes() == (tmp_path / "late.pgm").read_bytes() == want
+    assert late.to_pgm_bytes() == want
+    assert np.array_equal(late.period, period)
+    late.to_pgm(tmp_path / "period.pgm", "period")
+    assert (tmp_path / "period.pgm").read_bytes() == pgm_concat(period)
+    late.to_csv(tmp_path / "got.csv")
+    raster_module.write_csv(tmp_path / "want.csv", "x,y,period,component", xs, ys, (period, component))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert late.meta["classified"] == int(np.count_nonzero(component))
 
 
 # -- PGM -------------------------------------------------------------------------------
