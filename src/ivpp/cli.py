@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from typing import List, Optional, Tuple
 
 from . import serialize
-from .core import Indeterminate, InfiniteCoordinate, Point, RationalMap
+from .core import Indeterminate, Point, RationalMap
 from .decompose import (
     BOUNDARY_TOL,
     NoClosure,
@@ -27,9 +27,9 @@ from .decompose import (
     compare_boundaries,
     decompose,
 )
-from .dsl import ParseDiagnostic, SemanticError, format_map, maps_equal, parse_map
-from .ivpp2d import PERIOD_MAX, DegenerateBranch, branches, gamma_poly
-from .lv3d import UnsupportedPeriod, lv_decompose_period2, lv_gamma
+from .dsl import ParseDiagnostic, format_map, maps_equal, parse_map
+from .ivpp2d import PERIOD_MAX, branches, gamma_poly
+from .lv3d import lv_decompose_period2, lv_gamma
 from .maps import BUILTIN_NAMES, get_map
 
 MAX_ORBIT_STEPS = 100_000
@@ -74,11 +74,7 @@ def _parse_start(text: str, dim: int) -> Point:
     parts = text.split(",")
     if len(parts) != dim:
         raise UsageError(f"start needs {dim} comma-separated values")
-    vals = []
-    for p in parts:
-        p = p.strip()
-        vals.append(complex(math.inf, 0) if p in ("inf", "-inf") else complex(p))
-    return Point(vals)
+    return Point([complex(p) for p in parts])  # "inf" and "-inf" are the point at infinity
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -101,6 +97,12 @@ def _check_finite(args, *flags: str) -> None:
         value = getattr(args, flag)
         if value is not None and not math.isfinite(value):
             raise UsageError(f"--{flag} must be finite, got {value}")
+
+
+def _unread(args, flag: str, where: str) -> None:
+    """Refuse a flag, None unless given, that the command never reads here."""
+    if getattr(args, flag) is not None:
+        raise UsageError(f"--{flag} is not read {where}")
 
 
 def _f3d_sign(selector: Optional[str]) -> str:
@@ -129,6 +131,8 @@ def _cmd_orbit(args) -> int:
     if not 1 <= args.steps <= MAX_ORBIT_STEPS:
         raise UsageError(f"--steps must be 1..{MAX_ORBIT_STEPS}")
     _check_finite(args, "r")
+    if args.map != "f2d-reduced":
+        _unread(args, "r", "by any map but f2d-reduced")
     m = _load_map(args.map, r=args.r)
     start = _parse_start(args.start, m.dim)
     trace = m.iterate(start, args.steps, tol=args.tol)
@@ -155,6 +159,7 @@ def _cmd_ivpp(args) -> int:
         return 0
     if args.map != "f2d":
         raise UsageError("period conditions are available for the built-ins f2d and f3d")
+    _unread(args, "s", "by the f2d period condition")
     g = gamma_poly(args.period)
     doc = {
         "map": "f2d",
@@ -175,6 +180,8 @@ def _cmd_decompose(args) -> int:
     if args.map == "f3d":
         if args.period != 2:
             raise UsageError("the 3d map is decomposed at period 2 only")
+        if args.method == "empirical":
+            raise UsageError("--method empirical is not read by the 3d map, which is decomposed analytically")
         d = lv_decompose_period2(args.r if args.r is not None else 0.0, _f3d_sign(args.branch))
         _emit(serialize.dumps(d.to_json_dict()), args.output)
         return 0
@@ -183,6 +190,7 @@ def _cmd_decompose(args) -> int:
             "decomposition needs a built-in branch parametrization (f2d or f3d); "
             "for 1d maps use the boundaries subcommand"
         )
+    _unread(args, "r", "by the f2d decomposition")
     b = _pick_branch(args.period, args.branch or "1")
     d = decompose(b, method=args.method)
     _emit(serialize.dumps(d.to_json_dict()), args.output)
@@ -202,6 +210,7 @@ def _cmd_boundaries(args) -> int:
         ana = boundaries_analytic(b)
         emp = boundaries_empirical(m, b.coords, args.period)
     elif m.dim == 1:
+        _unread(args, "branch", "by a 1d map")
         ana = None
         emp = boundaries_empirical(m, lambda x: (x,), args.period)
     else:
@@ -235,18 +244,21 @@ def _cmd_raster(args) -> int:
         if args.period != 2:
             raise UsageError("the 3d striped raster is period 2 only")
         check_period_args(args.n_max, args.tol)
-        R = lv_raster(window, res, sign=_f3d_sign(args.branch), stripe_half_width=args.stripe)
+        stripe = 0.25 if args.stripe is None else args.stripe
+        R = lv_raster(window, res, sign=_f3d_sign(args.branch), stripe_half_width=stripe)
     else:
+        _unread(args, "stripe", "by any map but f3d")
         m = _load_map(args.map)
         if args.mode == "component":
             if m.name != "f2d":
                 raise UsageError("component rasters need the f2d branches; use --mode period")
-            _check_period(args.period)
-            b = _pick_branch(args.period, args.branch or "1")
+            period = 3 if args.period is None else args.period
+            _check_period(period)
+            b = _pick_branch(period, args.branch or "1")
             R = raster(m, window, res, n_max=args.n_max, tol=args.tol, branch=b)
         else:
-            if args.branch is not None:
-                raise UsageError("--branch selects a component raster's branch; --mode period takes none")
+            _unread(args, "branch", "by --mode period")
+            _unread(args, "period", "by --mode period")
             R = raster(m, window, res, n_max=args.n_max, tol=args.tol)
     R.to_pgm(args.output, "component" if args.mode == "component" else "period")
     if args.csv:
@@ -335,14 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("raster", help="tiling raster as PGM (and optional CSV)")
     p.add_argument("--map", default="f2d")
-    p.add_argument("--period", type=int, default=3)
+    p.add_argument("--period", type=int, default=None, help="default 3; the 3d map needs 2")
     p.add_argument("--branch", default=None)
     p.add_argument("--window", required=True, help="x0,x1,y0,y1")
     p.add_argument("--res", dest="resolution", required=True, help="WxH")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--mode", choices=("component", "period"), default="component")
-    p.add_argument("--stripe", type=float, default=0.25, help="half-width of 3d level stripes")
+    p.add_argument("--stripe", type=float, default=None, help="half-width of 3d level stripes, default 0.25")
     p.add_argument("--csv", default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_raster)
@@ -367,15 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-USAGE_ERRORS = (
-    UsageError,
-    ParseDiagnostic,
-    SemanticError,
-    DegenerateBranch,
-    UnsupportedPeriod,
-    InfiniteCoordinate,
-    ValueError,
-)
+# ValueError covers UsageError, SemanticError, DegenerateBranch, UnsupportedPeriod and InfiniteCoordinate
+USAGE_ERRORS = (ParseDiagnostic, ValueError, OSError)
 COMPUTE_ERRORS = (NotACycle, NoClosure, Indeterminate)
 
 
@@ -391,9 +396,6 @@ def run(argv: List[str]) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except USAGE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -8,6 +8,7 @@ use the chordal metric, under which the whole line has diameter 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -55,12 +56,9 @@ class ExtendedComplex:
             self._z = value._z
             return
         z = complex(value)
-        if math.isnan(z.real) or math.isnan(z.imag):
+        if cmath.isnan(z):
             raise ValueError("NaN is an error state, not a projective value")
-        if math.isinf(z.real) or math.isinf(z.imag):
-            self._z = None
-        else:
-            self._z = z
+        self._z = None if cmath.isinf(z) else z
 
     @property
     def is_infinite(self) -> bool:
@@ -206,6 +204,13 @@ def _limit_ratio(num: Polynomial, den: Polynomial, inf_vars: Tuple[int, ...]):
     return 0j
 
 
+def _projective(w) -> ExtendedComplex:
+    """A computed value, or INF, as a point of the line; Indeterminate where a part is nan."""
+    if w is not INF and cmath.isnan(w):
+        raise Indeterminate("evaluation produced NaN")
+    return ExtendedComplex(w)
+
+
 def _zero_at(exps: Tuple[int, ...], i: int) -> Tuple[int, ...]:
     out = list(exps)
     out[i] = 0
@@ -248,73 +253,51 @@ class RationalMap:
             return
         rng = random.Random(_CHECK_SEED)
         checked = 0
-        attempts = 0
-        while checked < CHECK_POINTS:
-            attempts += 1
-            if attempts > 50 * CHECK_POINTS:
-                raise ValueError("could not sample enough non-pole points")
-            vals = tuple(
-                complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(self.dim)
-            )
-            image = self._raw_image(vals)
-            if image is None:
-                continue
+        for _ in range(50 * CHECK_POINTS):
+            vals = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(self.dim))
+            image = [nv / dv if abs(dv) >= 0.05 else math.inf for nv, dv in self._fractions(vals)]
+            if any(abs(w) > 1e3 for w in image):
+                continue  # near a pole, or a huge image
             for inv_name, p in self.invariants:
-                before = p.eval(vals)
-                after = p.eval(image)
+                before, after = p.eval(vals), p.eval(image)
                 if abs(after - before) > TOL_INV * max(1.0, abs(before)):
                     raise ValueError(
-                        f"declared invariant {inv_name!r} is not conserved: "
-                        f"{before!r} -> {after!r} at {vals!r}"
+                        f"declared invariant {inv_name!r} is not conserved: {before!r} -> {after!r} at {vals!r}"
                     )
             checked += 1
-
-    def _raw_image(self, vals: Tuple[complex, ...]) -> Optional[Tuple[complex, ...]]:
-        """Image at a finite point, or None if a pole/huge value intervenes."""
-        out = []
-        for num, den in self.components:
-            dv = den.eval(vals)
-            if abs(dv) < 0.05:
-                return None
-            w = num.eval(vals) / dv
-            if abs(w) > 1e3:
-                return None
-            out.append(w)
-        return tuple(out)
+            if checked == CHECK_POINTS:
+                return
+        raise ValueError("could not sample enough non-pole points")
 
     # -- evaluation ----------------------------------------------------------
 
+    @cached_property
+    def point_program(self) -> ArrayProgram:
+        """The numerators, then the denominators: what ``apply`` and ``eval_raw`` run on one point."""
+        return ArrayProgram(self.dim, [p for part in zip(*self.components) for p in part])
+
+    def _fractions(self, vals):
+        """(numerator, denominator) of each component at a finite point."""
+        values = self.point_program.scalar(vals)[0]
+        return zip(values[: self.dim], values[self.dim :])
+
     def apply(self, p: Point) -> Point:
-        """One projective step; raises Indeterminate on the 0/0 locus."""
+        """One projective step; raises Indeterminate on the 0/0 locus and where a value is nan."""
         if p.dim != self.dim:
             raise ValueError(f"point dimension {p.dim} != map dimension {self.dim}")
         if p.is_finite:
-            vals = p.values()
             out = []
-            for num, den in self.components:
-                nv, dv = num.eval(vals), den.eval(vals)
-                if dv == 0:
-                    if nv == 0:
-                        raise Indeterminate("0/0: point on the indeterminacy locus")
-                    out.append(INF)
-                    continue
-                w = nv / dv
-                if math.isnan(w.real) or math.isnan(w.imag):
-                    raise Indeterminate("evaluation produced NaN")
-                if math.isinf(w.real) or math.isinf(w.imag):
-                    out.append(INF)
-                else:
-                    out.append(ExtendedComplex(w))
+            for nv, dv in self._fractions(p.values()):
+                if dv == 0 and nv == 0:
+                    raise Indeterminate("0/0: point on the indeterminacy locus")
+                out.append(INF if dv == 0 else _projective(nv / dv))
             return Point(out)
         finite = {i: c.value for i, c in enumerate(p.coords) if c.is_finite}
         inf_vars = tuple(i for i, c in enumerate(p.coords) if c.is_infinite)
-        out = []
-        for num, den in self.components:
-            n0 = num.partial_eval(finite)
-            d0 = den.partial_eval(finite)
-            v = _limit_ratio(n0, d0, inf_vars)
-            out.append(v if v is INF else ExtendedComplex(v))
-        return Point(out)
+        return Point([
+            _projective(_limit_ratio(num.partial_eval(finite), den.partial_eval(finite), inf_vars))
+            for num, den in self.components
+        ])
 
     @cached_property
     def step_program(self) -> ArrayProgram:
@@ -330,14 +313,10 @@ class RationalMap:
 
     def eval_raw(self, vals: Sequence[complex]) -> Tuple[complex, ...]:
         """Fast finite-point image with IEEE semantics (inf on poles, nan on 0/0)."""
-        out = []
-        for num, den in self.components:
-            nv, dv = num.eval(vals), den.eval(vals)
-            if dv == 0:
-                out.append(complex(math.inf, 0) if nv != 0 else complex(math.nan, 0))
-            else:
-                out.append(nv / dv)
-        return tuple(out)
+        return tuple(
+            nv / dv if dv != 0 else complex(math.inf if nv != 0 else math.nan, 0)
+            for nv, dv in self._fractions(vals)
+        )
 
     # -- orbits ---------------------------------------------------------------
 

@@ -26,7 +26,7 @@ def _monomial_key(exps: Exps):
 class Polynomial:
     """Immutable sparse polynomial: a mapping exponent-tuple -> coefficient."""
 
-    __slots__ = ("nvars", "terms", "_eval_cache", "_program")
+    __slots__ = ("nvars", "terms", "_program")
 
     def __init__(self, nvars: int, terms: Dict[Exps, object] | None = None):
         if not 1 <= nvars <= 3:
@@ -41,7 +41,6 @@ class Polynomial:
             if c != 0:
                 clean[tuple(exps)] = c
         self.terms = clean
-        self._eval_cache = None
         self._program = None
 
     # -- constructors -------------------------------------------------------
@@ -142,34 +141,22 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _complex_terms(self):
-        # (exponents, complex c) per term, for the scalar ``eval``
-        if self._eval_cache is None:
-            self._eval_cache = tuple((exps, complex(c)) for exps, c in self.terms.items())
-        return self._eval_cache
+    @property
+    def program(self) -> "ArrayProgram":
+        """The one-polynomial ``ArrayProgram``, built on the first read."""
+        if self._program is None:
+            self._program = ArrayProgram(self.nvars, (self,))
+        return self._program
 
     def eval(self, values: Iterable[complex]) -> complex:
         vals = tuple(values)
         if len(vals) != self.nvars:
             raise ValueError("wrong number of values")
-        acc = 0j
-        for exps, c in self._complex_terms():
-            term = c
-            for v, e in zip(vals, exps):
-                if e == 1:
-                    term *= v
-                elif e > 1:
-                    term *= v**e
-            acc += term
-        return acc
+        return self.program.scalar(vals)[0][0]
 
     def eval_grid(self, arrays):
-        """Evaluate on broadcastable numpy arrays, one per variable; returns a
-        new array.  This is the one-polynomial ``ArrayProgram``, built on the
-        first call."""
-        if self._program is None:
-            self._program = ArrayProgram(self.nvars, (self,))
-        return self._program(arrays)[0][0]
+        """Evaluate on broadcastable numpy arrays, one per variable; returns a new array."""
+        return self.program(arrays)[0][0]
 
     def partial_eval(self, values: Dict[int, complex]) -> "Polynomial":
         """Substitute numeric values for a subset of variables.
@@ -184,7 +171,7 @@ class Polynomial:
             for i, v in values.items():
                 e = exps[i]
                 if e:
-                    factor *= v**e
+                    factor *= power(v, e)
                 new[i] = 0
             key = tuple(new)
             out[key] = out.get(key, 0) + factor
@@ -239,6 +226,21 @@ def format_polynomial(p: Polynomial) -> str:
 _F64 = np.dtype(np.float64)
 
 
+def power(base, e: int, mul=lambda a, b: a * b, one=1 + 0j):
+    """base**e, e >= 1, by the products CPython's complex ``**`` forms for e <= 100:
+    ``one`` times base**(2**k) for each set bit k, low bit first, the powers by
+    squaring.  On complex numbers this is the value of ``**``, and inf or nan
+    where ``**`` raises OverflowError.  ``mul`` lets a program record it."""
+    out = one
+    while True:
+        if e & 1:
+            out = mul(out, base)
+        e >>= 1
+        if not e:
+            return out
+        base = mul(base, base)
+
+
 class ArrayProgram:
     """Polynomials, and quotients of them, as one straight-line numpy function
     of arrays, one per variable; each variant is compiled on its first call.
@@ -269,7 +271,9 @@ class ArrayProgram:
       nothing reads afterwards, each quotient into its numerator's.
 
     Complex arrays take the plain variant: ``-1.0 * (1+infj)`` is
-    ``nan-infj``, which no subtraction reproduces.
+    ``nan-infj``, which no subtraction reproduces.  The *scalar* variant is
+    the plain one on Python complex numbers: a constant polynomial is its
+    value, nothing is copied, and powers are ``power``'s products.
     """
 
     __slots__ = ("nvars", "polys", "quotients", "real", "_runs")
@@ -280,27 +284,34 @@ class ArrayProgram:
         self.quotients = tuple(quotients)
         every = self.polys + tuple(p for pair in self.quotients for p in pair)
         self.real = all(complex(c).imag == 0 for p in every for c in p.terms.values())
-        self._runs = {}  # folded (bool) -> the compiled function
+        self._runs = {}  # (folded, scalar) -> the compiled function
+
+    def _run(self, folded: bool, scalar: bool = False):
+        run = self._runs.get((folded, scalar))
+        if run is None:
+            text, namespace = _source(self.nvars, self.polys, self.quotients, folded, scalar)
+            exec(compile(text, "<ivpp array program>", "exec"), namespace)
+            run = self._runs[folded, scalar] = namespace["run"]
+        return run
 
     def __call__(self, arrays):
         a0 = arrays[0]
         folded = self.real and all(getattr(a, "dtype", None) is _F64 and a.shape == a0.shape for a in arrays)
-        run = self._runs.get(folded)
-        if run is None:
-            text, namespace = _source(self.nvars, self.polys, self.quotients, folded)
-            exec(compile(text, "<ivpp array program>", "exec"), namespace)
-            run = self._runs[folded] = namespace["run"]
-        return run(*arrays)
+        return self._run(folded)(*arrays)
+
+    def scalar(self, values):
+        """(values, quotients) at one point, each value taken as a Python complex."""
+        return self._run(False, True)(*map(complex, values))
 
 
 class _Program:
-    """The operations of an ``ArrayProgram`` in single assignment form.
+    """The operations of an ``ArrayProgram`` variant in single assignment form.
 
     Value i < nvars is input i; value nvars + j is ``ops[j]``, an (op, a, b)
     of values and constant names, entered once per distinct triple."""
 
-    def __init__(self, nvars: int, folded: bool):
-        self.nvars, self.folded = nvars, folded
+    def __init__(self, nvars: int, folded: bool, scalar: bool):
+        self.nvars, self.folded, self.scalar = nvars, folded, scalar
         self.ops = []
         self.index = {}  # (op, a, b) -> value
         self.consts = {}  # (type, repr) of a constant -> (name, value)
@@ -328,12 +339,18 @@ class _Program:
                 return True
         return False
 
+    def _power(self, i: int, e: int):
+        """Input i to the power e > 1: one ``**``, or on scalars ``power``'s products."""
+        if self.scalar:
+            return power(i, e, lambda a, b: self.op("*", a, b), self.const(1.0))
+        return self.op("**", i, self.const(e))
+
     def poly(self, poly: Polynomial) -> int:
         terms = []  # (sign, value or constant name)
         for exps, c in poly.terms.items():
             c = complex(c)
             k = None if c == 1 else c.real if c.imag == 0 else c
-            factors = [i if e == 1 else self.op("**", i, self.const(e)) for i, e in enumerate(exps) if e]
+            factors = [i if e == 1 else self._power(i, e) for i, e in enumerate(exps) if e]
             sign = 1
             if self.folded and k == -1 and factors:
                 sign, k = -1, None
@@ -360,22 +377,22 @@ class _Program:
         return self.op("/", value, self.poly(den))
 
 
-def _source(nvars: int, polys, quotients, folded: bool):
+def _source(nvars: int, polys, quotients, folded: bool, scalar: bool = False):
     """(Python text of ``run``, its namespace) for an ``ArrayProgram`` variant."""
-    prog = _Program(nvars, folded)
+    prog = _Program(nvars, folded, scalar)
     outs = [prog.poly(p) for p in polys] + [prog.quotient(n, d) for n, d in quotients]
     last = {}  # value -> the last op that reads it
     for j, (_, a, b) in enumerate(prog.ops):
         last[a] = last[b] = j
     names = [f"x{i}" for i in range(nvars)] + [f"t{j}" for j in range(len(prog.ops))]
     lines = []
-    if any(op == "full" for op, _, _ in prog.ops):
+    if not scalar and any(op == "full" for op, _, _ in prog.ops):
         lines.append(f"shape = np.broadcast({', '.join(names[:nvars])}).shape")
     for j, (op, a, b) in enumerate(prog.ops):
         v = nvars + j
         left, right = (names[u] if isinstance(u, int) else u for u in (a, b))
         if op == "full":
-            lines.append(f"{names[v]} = np.full(shape, {left})")
+            lines.append(f"{names[v]} = {left}" if scalar else f"{names[v]} = np.full(shape, {left})")
         elif folded and op != "**" and isinstance(a, int) and a >= nvars and a not in outs and last[a] == j:
             names[v] = left  # a's buffer, which nothing reads after this op
             lines.append(f"{left} {op}= {right}")
@@ -383,10 +400,10 @@ def _source(nvars: int, polys, quotients, folded: bool):
             lines.append(f"{names[v]} = {left} {op} {right}")
     returned = []
     for i, v in enumerate(outs):
-        fresh = v >= nvars and v not in outs[:i]
+        fresh = scalar or v >= nvars and v not in outs[:i]
         returned.append(names[v] if fresh else f"{names[v]}.copy()")
     split = len(polys)
     lines.append(f"return [{', '.join(returned[:split])}], [{', '.join(returned[split:])}]")
     text = f"def run({', '.join(names[:nvars])}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"np": np, **{name: c for name, c in prog.consts.values()}}
+    namespace = {"np": np, **{name: complex(c) if scalar else c for name, c in prog.consts.values()}}
     return text, namespace

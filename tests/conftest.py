@@ -18,8 +18,12 @@ the grid, before the per-column candidate rows, and ``pgm_concat`` the
 PGM encoder that clips to int16, casts and concatenates the header.
 ``snapped_period_is`` is the component pass's decision made on the scalar
 projective orbit, the rule the vector first-return loop must reproduce.
+``eval_term_loop`` and ``apply_term_loop`` are the complex term loop that
+evaluated single points before the compiled program did, and its finite
+projective step.
 """
 
+import cmath
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -44,6 +48,43 @@ def f3d_exact(x: Fraction, y: Fraction, z: Fraction):
 
 def reduced_exact(r: Fraction, x: Fraction) -> Fraction:
     return (x - r) / (1 - x)
+
+
+def eval_term_loop(poly, values) -> complex:
+    """Reference ``Polynomial.eval``: each term is its complex coefficient
+    times every power by ``**``, summed onto 0j; ``**`` raises OverflowError
+    where a power overflows."""
+    acc = 0j
+    for exps, c in poly.terms.items():
+        term = complex(c)
+        for v, e in zip(values, exps):
+            if e == 1:
+                term *= v
+            elif e > 1:
+                term *= v**e
+        acc += term
+    return acc
+
+
+def apply_term_loop(m, values):
+    """Reference ``RationalMap.apply`` at a finite point: component by
+    component, numerator and denominator by ``eval_term_loop``; INF on a
+    pole, Indeterminate on 0/0 and where the quotient is nan."""
+    from ivpp.core import INF, ExtendedComplex, Indeterminate, Point
+
+    out = []
+    for num, den in m.components:
+        nv, dv = eval_term_loop(num, values), eval_term_loop(den, values)
+        if dv == 0:
+            if nv == 0:
+                raise Indeterminate("0/0")
+            out.append(INF)
+            continue
+        w = nv / dv
+        if cmath.isnan(w):
+            raise Indeterminate("nan")
+        out.append(ExtendedComplex(w))
+    return Point(out)
 
 
 def boundary_cs_complex(n: int, k: int) -> np.ndarray:

@@ -329,6 +329,21 @@ NON_FINITE_LEVELS = [  # (argv, the refusal naming the flag)
 ]
 
 
+GRID = ["--window=-4,4,-4,4", "--res", "4x4", "-o", "/tmp/x.pgm"]
+UNREAD_FLAGS = [  # (argv, the flag that the map or mode never reads)
+    (["raster", "--mode", "period", "--period", "99999", *GRID], "--period"),
+    (["raster", "--mode", "period", "--period", "0", *GRID], "--period"),
+    (["raster", "--map", "f2d", "--stripe", "0.9", *GRID], "--stripe"),
+    (["raster", "--mode", "period", "--stripe", "0.25", *GRID], "--stripe"),
+    (["orbit", "--map", "f2d", "--start", "1,2", "--steps", "1", "--r", "1"], "--r"),
+    (["orbit", "--map", "lv-recurrence", "--start", "1", "--steps", "1", "--r", "1"], "--r"),
+    (["ivpp", "--map", "f2d", "--period", "5", "--s", "1"], "--s"),
+    (["decompose", "--map", "f2d", "--period", "5", "--r", "1"], "--r"),
+    (["decompose", "--map", "f3d", "--period", "2", "--method", "empirical"], "--method"),
+    (["boundaries", "--map", "lv-recurrence", "--period", "2", "--branch", "1"], "--branch"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -374,6 +389,7 @@ NON_FINITE_LEVELS = [  # (argv, the refusal naming the flag)
         ["decompose", "--map", "f3d", "--period", "2", "--r", "inf"],
         ["decompose", "--map", "f3d", "--period", "2", "--r", "nan"],
         *(argv for argv, _ in NON_FINITE_LEVELS),
+        *(argv for argv, _ in UNREAD_FLAGS),
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -382,6 +398,9 @@ def test_usage_errors_exit_2(argv):
     assert err.strip()
     if "--branch" in argv:
         assert "--branch" in err  # the refusal names the flag
+    unread = dict((tuple(a), flag) for a, flag in UNREAD_FLAGS).get(tuple(argv))
+    if unread is not None:
+        assert out == "" and err.startswith(f"error: {unread} ")
     refusal = dict((tuple(a), message) for a, message in NON_FINITE_LEVELS).get(tuple(argv))
     if refusal is not None:
         assert (out, err) == ("", f"error: {refusal}\n")
@@ -473,3 +492,31 @@ def test_user_map_decomposition_via_file(tmp_path):
     assert code == 0, err
     first = out.splitlines()[1].split()[1]
     assert float(first) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "given, absent",
+    [(["--map", "f3d", "--period", "2", "--stripe", "0.25"], ["--map", "f3d", "--period", "2"]), (["--period", "3"], [])],
+    ids=["stripe", "period"],
+)
+def test_an_absent_period_or_stripe_takes_its_old_default(tmp_path, given, absent):
+    grid = ["--window=-3,3,-5,5", "--res", "16x16", "-o"]
+    assert run_captured(["raster", *given, *grid, str(tmp_path / "a.pgm")])[0] == 0
+    assert run_captured(["raster", *absent, *grid, str(tmp_path / "b.pgm")])[0] == 0
+    assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+
+def test_an_overflowing_orbit_exits_1_without_a_traceback(tmp_path):
+    path = tmp_path / "square.rmap"
+    path.write_text("dim 2; x' = x^2 + y; y' = y;")
+    code, out, err = run_captured(["orbit", "--map", str(path), "--start", "1e200,1", "--steps", "1"])
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    code, out, err = run_captured(["orbit", "--map", str(path), "--start", "1e200,inf", "--steps", "1"])
+    assert code == 0, err
+    assert json.loads(out)["points"][1] == ["inf", "inf"]
+
+
+def test_a_nan_limit_exits_1():
+    argv = ["orbit", "--map", "f3d", "--start=-1e154,inf,1.6018347278853194e200+1e308j", "--steps", "1"]
+    code, out, err = run_captured(argv)
+    assert (code, out) == (1, "") and err.startswith("error: ")

@@ -12,12 +12,15 @@ from ivpp.core import (
     Indeterminate,
     InfiniteCoordinate,
     Point,
+    RationalMap,
     chordal,
 )
+from ivpp.dsl import parse_map
 from ivpp.maps import f2d, f3d, get_map
 from ivpp.lv3d import lv_period2_param
+from ivpp.poly import Polynomial
 
-from conftest import f2d_exact
+from conftest import apply_term_loop, eval_term_loop, f2d_exact, f3d_exact, reduced_exact
 
 
 # -- ExtendedComplex / chordal metric ------------------------------------------
@@ -166,8 +169,10 @@ def test_invariant_conservation_1000_points(name):
         vals = tuple(
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(m.dim)
         )
-        image = m._raw_image(vals)
-        if image is None:
+        if any(abs(den.eval(vals)) < 0.05 for _, den in m.components):
+            continue  # near a pole
+        image = m.eval_raw(vals)
+        if any(abs(w) > 1e3 for w in image):
             continue
         for _, poly in m.invariants:
             before, after = poly.eval(vals), poly.eval(image)
@@ -203,3 +208,162 @@ def test_dimension_mismatch_is_rejected():
         f2d().apply(Point([1, 2, 3]))
     with pytest.raises(ValueError):
         Point([1, 2, 3, 4])
+
+
+# -- single-point evaluation against the term loop and exact arithmetic ----------------
+
+
+def _complex_map():
+    x, y, one = Polynomial.var(0, 2), Polynomial.var(1, 2), Polynomial.const(Fraction(1), 2)
+    num_x = (x**2).scale(1j) + y.scale(2 - 3j) - one
+    num_y = x**3 + (x * y**2).scale(0.5 + 0.25j)
+    return RationalMap([(num_x, one - x * y), (num_y, y.scale(1 + 2j) - one)])
+
+
+POINT_MAPS = {
+    "f2d": f2d(),
+    "f3d": f3d(),
+    "lyness": parse_map("dim 2; x' = y; y' = (1+y)/x;"),
+    "powers": parse_map("dim 2; x' = (x^2 - y)/(1 - x); y' = (y^5 + x^3*y^2)/(1 + y^4);"),
+    "complex": _complex_map(),
+}
+
+
+def _part(rng: random.Random) -> float:
+    """A real or imaginary part: a signed zero, a small integer, a moderate
+    value, or any magnitude from subnormal to 1e308."""
+    kind = rng.random()
+    if kind < 0.15:
+        return rng.choice((0.0, -0.0))
+    if kind < 0.3:
+        return float(rng.choice((-2, -1, 1, 2)))
+    if kind < 0.6:
+        return rng.uniform(-3, 3)
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 308)
+
+
+def _coordinate(rng: random.Random) -> complex:
+    """A random coordinate; one in four is a real integer of -2..2, so that
+    poles and 0/0 come up."""
+    if rng.random() < 0.25:
+        return complex(rng.choice((-2, -1, 0, 1, 2)), rng.choice((0.0, -0.0)))
+    return complex(_part(rng), _part(rng))
+
+
+def _same(got: complex, want: complex) -> bool:
+    """Complex ``==``, with nan in the same parts."""
+    return all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in ((got.real, want.real), (got.imag, want.imag)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (Indeterminate, OverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", POINT_MAPS)
+def test_point_evaluation_is_the_term_loop(name):
+    """``Polynomial.eval``, ``apply`` and ``eval_raw`` on 2,000 random points
+    per map (10,000 in all) against the term loop.  They differ only where a
+    ``**`` of the loop raised OverflowError: the program's products give inf
+    there, so ``apply`` returns a point or raises Indeterminate."""
+    m = POINT_MAPS[name]
+    rng = random.Random(f"term-loop-{name}")
+    seen = set()
+    for _ in range(2000):
+        vals = tuple(_coordinate(rng) for _ in range(m.dim))
+        for poly in (p for pair in m.components for p in pair):
+            want = _outcome(eval_term_loop, poly, vals)
+            if want is not OverflowError:
+                assert _same(poly.eval(vals), want), (poly, vals)
+        want = _outcome(apply_term_loop, m, vals)
+        got = _outcome(m.apply, Point(vals))
+        seen.add(want if isinstance(want, type) else "inf" if not want.is_finite else "finite")
+        if want is OverflowError:
+            assert got is Indeterminate or isinstance(got, Point)
+            continue
+        assert got == want, vals
+        raw = _outcome(lambda: [(eval_term_loop(num, vals), eval_term_loop(den, vals)) for num, den in m.components])
+        if raw is not OverflowError:
+            want = [n / d if d != 0 else complex(math.inf if n != 0 else math.nan, 0) for n, d in raw]
+            assert all(_same(g, w) for g, w in zip(m.eval_raw(vals), want)), vals
+    assert {"finite", "inf", Indeterminate} <= seen  # poles, and 0/0 or nan
+    assert (OverflowError in seen) == (name in ("powers", "complex"))  # the maps with a power
+
+
+def test_an_overflowing_power_is_infinite():
+    m = parse_map("dim 2; x' = x^2 + y; y' = y;")
+    square = Polynomial.var(0, 2) ** 2
+    with pytest.raises(OverflowError):
+        eval_term_loop(square, (1e200 + 0j, 1 + 0j))
+    assert math.isinf(square.eval((1e200, 1)).real)
+    with pytest.raises(Indeterminate):  # inf + 0j over 1 + 0j is inf + nanj, as for an overflowing product
+        m.apply(Point([1e200, 1]))
+    assert m.apply(Point([1e200, INF])) == Point([INF, INF])  # the limit, with 1e200**2 as inf
+
+
+def test_a_nan_limit_at_infinity_is_indeterminate():
+    with pytest.raises(Indeterminate):
+        f3d().apply(Point([-1e154, INF, 1.6018347278853194e200 + 1e308j]))
+
+
+def _dyadic(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-64, 64), 2 ** rng.randint(0, 4))
+
+
+def _exact(name: str, r: Fraction):
+    """The exact one-step image of a built-in map, as a function of the coordinates."""
+    return {"f2d": f2d_exact, "f3d": f3d_exact, "f2d-reduced": lambda x: (reduced_exact(r, x),)}[name]
+
+
+def _close(got, want: Fraction) -> bool:
+    return got.is_finite and abs(got.value - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+
+
+@pytest.mark.parametrize("name", ["f2d", "f3d", "f2d-reduced"])
+def test_apply_matches_exact_arithmetic_at_rational_points(name):
+    rng = random.Random(f"exact-{name}")
+    r = Fraction(-3, 4)
+    m = get_map(name, r=r)
+    exact = _exact(name, r)
+    checked = 0
+    while checked < 300:
+        p = tuple(_dyadic(rng) for _ in range(m.dim))  # exact in float64
+        try:
+            want = exact(*p)
+        except ZeroDivisionError:
+            continue
+        got = m.apply(Point([float(v) for v in p]))
+        assert all(_close(g, w) for g, w in zip(got, want)), p
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "name, point, want",
+    [
+        ("f2d", (1, 2), (INF, 0)),  # x' = -1/0
+        ("f2d", (1, 1), Indeterminate),  # x' = 0/0
+        ("f3d", (Fraction(1, 2), 1, 2), (INF, 0, 1)),  # 1 - z + z*x = 0 under x*(1 - y + y*z) = 1
+        ("f3d", (0, 1, 1), Indeterminate),  # x' = 0/0
+        ("f2d-reduced", (1,), (INF,)),  # (1 - r)/0
+    ],
+)
+def test_apply_at_poles_and_on_the_indeterminacy_locus(name, point, want):
+    r = Fraction(-3, 4)
+    m = get_map(name, r=r)
+    if want is Indeterminate:
+        with pytest.raises(Indeterminate):
+            m.apply(Point([float(v) for v in point]))
+        return
+    assert m.apply(Point([float(v) for v in point])) == Point(want)
+    with pytest.raises(ZeroDivisionError):  # the exact image has a pole there too
+        _exact(name, r)(*map(Fraction, point))
+
+
+def test_reduced_map_at_the_level_one_is_indeterminate_at_its_pole():
+    m = get_map("f2d-reduced", r=1)
+    with pytest.raises(Indeterminate):
+        m.apply(Point([1.0]))
+    with pytest.raises(ZeroDivisionError):
+        reduced_exact(Fraction(1), Fraction(1))

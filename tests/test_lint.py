@@ -4,7 +4,9 @@ Every module of the package but ``__init__`` (which imports to re-export)
 must use each name it imports; an import left behind by a removal is the
 usual sign of dead code next to it.  And every function, class and method
 (dunders aside) must be named somewhere else in the package, in code or in
-prose: a helper that a change strands is named nowhere.
+prose: a helper that a change strands is named nowhere.  Likewise every
+helper, fixture and constant of ``tests/conftest.py`` must be named by a
+test file, so that no reference goes stale unused.
 """
 
 import ast
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ivpp"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ivpp"
 
 
 def _unused_imports(tree: ast.Module):
@@ -47,7 +50,6 @@ def test_the_unused_import_check_bites():
 
 # module:qualified name -> why it stays although the package never names it
 UNREFERENCED_ALLOWED = {
-    "core.py:RationalMap.eval_raw": "the benchmark counts its calls, so ROADMAP item 1, the benchmark change, removes it",
     "raster.py:TilingRaster.to_pgm_bytes": "the benchmark's tracer wraps it by name and refuses to install without it; "
     "ROADMAP item 1 retires it with eval_raw",
 }
@@ -89,3 +91,28 @@ def test_the_unreferenced_code_check_bites():
     assert _unreferenced(sources) == ["a.py:unused", "b.py:Other"]  # a word in a comment names spare
     sources["b.py"] = sources["b.py"].replace("# the box's spare is", "")
     assert _unreferenced(sources) == ["a.py:unused", "a.py:Box.spare", "b.py:Other", "b.py:Other.spare"]  # one per definition
+
+
+def _unnamed_helpers(conftest: str, test_texts) -> list:
+    """Top-level functions, classes and assigned names of ``conftest`` that
+    are no word of any of ``test_texts``."""
+    words = {word for text in test_texts for word in re.findall(r"[A-Za-z_]\w*", text)}
+    defined = []
+    for node in ast.parse(conftest).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [target.id for target in node.targets if isinstance(target, ast.Name)]
+    return [name for name in defined if name not in words]
+
+
+def test_every_conftest_helper_is_named_by_a_test_file():
+    texts = [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
+    assert len(texts) > 10  # the glob found the tests
+    assert _unnamed_helpers((TESTS / "conftest.py").read_text(), texts) == []
+
+
+def test_the_conftest_helper_check_bites():
+    conftest = "LIMIT = 3\n\n\ndef oracle():\n    return LIMIT\n\n\ndef spare():\n    pass\n"
+    assert _unnamed_helpers(conftest, ["from conftest import oracle\n"]) == ["LIMIT", "spare"]
+    assert _unnamed_helpers(conftest, ["oracle(LIMIT)", "# spare"]) == []
