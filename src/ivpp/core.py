@@ -168,40 +168,32 @@ class OrbitTrace:
     minimal_period: Optional[int]
 
 
-def _limit_ratio(num: Polynomial, den: Polynomial, inf_vars: Tuple[int, ...]):
-    """Iterated limit of num/den as the listed variables go to infinity.
+def _leading_ratio(num, den):
+    """The iterated limit of num/den as the infinite variables go to infinity,
+    from the leading group of each: (exponents in those variables,
+    coefficient at the point), or None where every group is 0.
 
     Returns a complex value or INF; raises Indeterminate when the iterated
     limit has no well-defined projective value.
     """
-    if num.is_zero:
-        if den.is_zero:
+    if num is None:
+        if den is None:
             raise Indeterminate("0/0 under the projective limit")
         return 0j
-    if den.is_zero:
+    if den is None:
         return INF
-    if not inf_vars:
-        nv = num.constant_value()
-        dv = den.constant_value()
-        if dv == 0:
-            if nv == 0:
-                raise Indeterminate("0/0 under the projective limit")
-            return INF
-        return complex(nv) / complex(dv)
-    v, rest = inf_vars[0], inf_vars[1:]
-    a, b = num.degree_in(v), den.degree_in(v)
-    lead_num = Polynomial(num.nvars, {_zero_at(e, v): c for e, c in num.terms.items() if e[v] == a})
-    lead_den = Polynomial(den.nvars, {_zero_at(e, v): c for e, c in den.terms.items() if e[v] == b})
-    if a == b:
-        return _limit_ratio(lead_num, lead_den, rest)
-    r = _limit_ratio(lead_num, lead_den, rest)
-    if a > b:
-        if r is INF or r != 0:
-            return INF
-        raise Indeterminate("0 * inf under the projective limit")
-    if r is INF:
-        raise Indeterminate("inf / inf under the projective limit")
-    return 0j
+    (a, nv), (b, dv) = num, den
+    w = nv / dv
+    for i, j in zip(reversed(a), reversed(b)):  # the last variable's limit is taken first
+        if i > j:
+            if w == 0:
+                raise Indeterminate("0 * inf under the projective limit")
+            w = INF
+        elif i < j:
+            if w is INF:
+                raise Indeterminate("inf / inf under the projective limit")
+            w = 0j
+    return w
 
 
 def _projective(w) -> ExtendedComplex:
@@ -209,12 +201,6 @@ def _projective(w) -> ExtendedComplex:
     if w is not INF and cmath.isnan(w):
         raise Indeterminate("evaluation produced NaN")
     return ExtendedComplex(w)
-
-
-def _zero_at(exps: Tuple[int, ...], i: int) -> Tuple[int, ...]:
-    out = list(exps)
-    out[i] = 0
-    return tuple(out)
 
 
 class RationalMap:
@@ -244,6 +230,7 @@ class RationalMap:
             if p.nvars != self.dim:
                 raise ValueError("invariant variable count must equal the dimension")
         self.name = name
+        self._limit_programs = {}  # infinite variables -> _limit_program's (program, layout)
         self._check_invariants()
 
     # -- construction-time invariance check ----------------------------------
@@ -292,12 +279,31 @@ class RationalMap:
                     raise Indeterminate("0/0: point on the indeterminacy locus")
                 out.append(INF if dv == 0 else _projective(nv / dv))
             return Point(out)
-        finite = {i: c.value for i, c in enumerate(p.coords) if c.is_finite}
-        inf_vars = tuple(i for i, c in enumerate(p.coords) if c.is_infinite)
-        return Point([
-            _projective(_limit_ratio(num.partial_eval(finite), den.partial_eval(finite), inf_vars))
-            for num, den in self.components
-        ])
+        program, layout = self._limit_program(tuple(i for i, c in enumerate(p.coords) if c.is_infinite))
+        values = program.scalar([0j if c.is_infinite else c.value for c in p.coords])[0]
+        leads = [next(((k, c) for k, c in zip(keys, values[start:]) if c != 0), None) for start, keys in layout]
+        return Point([_projective(_leading_ratio(num, den)) for num, den in zip(leads[::2], leads[1::2])])
+
+    def _limit_program(self, inf_vars: Tuple[int, ...]):
+        """(program, layout) of ``apply`` where the variables ``inf_vars`` are
+        infinite, built on the first such point.  Each numerator and
+        denominator, in turn, is split into groups by its exponents in those
+        variables, in lexicographically descending order; the program gives
+        every group's coefficient, a polynomial in the finite variables, and
+        the layout holds (first output, group exponents) per polynomial."""
+        built = self._limit_programs.get(inf_vars)
+        if built is None:
+            coefficients, layout = [], []
+            for poly in (p for pair in self.components for p in pair):
+                groups = {}
+                for exps, c in poly.terms.items():
+                    finite = tuple(0 if i in inf_vars else e for i, e in enumerate(exps))
+                    groups.setdefault(tuple(exps[i] for i in inf_vars), {})[finite] = c
+                keys = sorted(groups, reverse=True)
+                layout.append((len(coefficients), keys))
+                coefficients += [Polynomial(self.dim, groups[k]) for k in keys]
+            built = self._limit_programs[inf_vars] = (ArrayProgram(self.dim, coefficients), layout)
+        return built
 
     @cached_property
     def step_program(self) -> ArrayProgram:
@@ -320,19 +326,21 @@ class RationalMap:
 
     # -- orbits ---------------------------------------------------------------
 
+    def _orbit(self, p: Point, k: int):
+        """F(p), ..., F^k(p), one ``apply`` each; an Indeterminate is re-raised with its step index."""
+        for step in range(1, k + 1):
+            try:
+                p = self.apply(p)
+            except Indeterminate as exc:
+                raise Indeterminate(str(exc), step=step) from None
+            yield p
+
     def iterate(self, p: Point, k: int, tol: float = TOL_EQ) -> OrbitTrace:
         """Trace of k+1 points; Indeterminate is re-raised with its step index."""
         if k < 1:
             raise ValueError("k must be >= 1")
         check_tol(tol)
-        points = [p]
-        cur = p
-        for step in range(1, k + 1):
-            try:
-                cur = self.apply(cur)
-            except Indeterminate as exc:
-                raise Indeterminate(str(exc), step=step) from None
-            points.append(cur)
+        points = [p, *self._orbit(p, k)]
         minimal = None
         for m in range(1, k + 1):
             if points[m].chordal(points[0]) < tol:
@@ -342,13 +350,12 @@ class RationalMap:
         return OrbitTrace(tuple(points), closed, minimal)
 
     def detect_period(self, p: Point, n_max: int, tol: float = TOL_EQ) -> Optional[int]:
-        """Smallest n <= n_max with chordal(F^n(p), p) < tol, else None."""
+        """Smallest n <= n_max with chordal(F^n(p), p) < tol, else None;
+        Indeterminate is re-raised with its step index."""
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         check_tol(tol)
-        cur = p
-        for n in range(1, n_max + 1):
-            cur = self.apply(cur)
+        for n, cur in enumerate(self._orbit(p, n_max), 1):
             if cur.chordal(p) < tol:
                 return n
         return None

@@ -153,9 +153,8 @@ def _normalize(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, Polynomial
 
 
 class _Parser:
-    def __init__(self, text: str, nvars: int):
-        self.text = text
-        self.toks = _tokenize(text)
+    def __init__(self, toks: List[Token], nvars: int):
+        self.toks = toks
         self.pos = 0
         self.nvars = nvars
 
@@ -255,8 +254,7 @@ def parse_map(text: str) -> RationalMap:
     if not 1 <= nvars <= 3:
         raise SemanticError(f"dimension must be 1..3, got {nvars}", toks[1].offset)
 
-    parser = _Parser(text, nvars)
-    parser.pos = 2
+    parser = _Parser(toks[2:], nvars)
     parser.expect("SEMI", "';'")
 
     components: dict = {}
@@ -310,7 +308,13 @@ def parse_map(text: str) -> RationalMap:
 
 
 def format_map(m: RationalMap) -> str:
-    """Canonical source text; parse_map(format_map(m)) is structurally equal to m."""
+    """Canonical source text; parse_map(format_map(m)) is structurally equal to m.
+
+    Refuses a map with a non-real coefficient (ValueError): the language has
+    no complex literal."""
+    polys = [p for pair in m.components for p in pair] + [p for _, p in m.invariants]
+    if any(complex(c).imag != 0 for p in polys for c in p.terms.values()):
+        raise ValueError("a non-real coefficient has no source text: the map language has no complex literal")
     lines = [f"dim {m.dim};"]
     for i, (num, den) in enumerate(m.components):
         if den.is_constant and den.constant_value() == 1:

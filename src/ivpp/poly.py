@@ -2,8 +2,8 @@
 
 Coefficients are kept exact (``fractions.Fraction``) wherever they originate
 from source text or built-in map definitions; evaluation converts to complex
-on the fly.  Arithmetic also tolerates float/complex coefficients, which show
-up after partial substitution during projective limit evaluation.
+on the fly.  Arithmetic also tolerates float/complex coefficients, as in a
+polynomial scaled by a Python number.
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ class Polynomial:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
         return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def degree_in(self, index: int) -> int:
-        """Degree in one variable; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[index] for e in self.terms)
 
     def leading_coefficient(self):
         """Coefficient of the graded-lex largest monomial."""
@@ -158,25 +152,6 @@ class Polynomial:
         """Evaluate on broadcastable numpy arrays, one per variable; returns a new array."""
         return self.program(arrays)[0][0]
 
-    def partial_eval(self, values: Dict[int, complex]) -> "Polynomial":
-        """Substitute numeric values for a subset of variables.
-
-        The result keeps the same variable slots (substituted slots have
-        exponent zero everywhere) so exponent tuples stay aligned.
-        """
-        out: Dict[Exps, object] = {}
-        for exps, c in self.terms.items():
-            factor = complex(c)
-            new = list(exps)
-            for i, v in values.items():
-                e = exps[i]
-                if e:
-                    factor *= power(v, e)
-                new[i] = 0
-            key = tuple(new)
-            out[key] = out.get(key, 0) + factor
-        return Polynomial(self.nvars, out)
-
     # -- formatting ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -186,33 +161,24 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {format_polynomial(self)!r})"
 
 
-def _coeff_str(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    if isinstance(c, complex):
-        c = c.real if c.imag == 0 else c
-    return repr(c)
-
-
 def format_polynomial(p: Polynomial) -> str:
-    """Canonical text form: graded-lex descending, exact coefficients."""
+    """Canonical text form: graded-lex descending, exact coefficients.  A
+    complex coefficient with a zero imaginary part prints as its signed real
+    part, any other as its whole value, such as ``(0.5+0.25j)*x``."""
     if p.is_zero:
         return "0"
     parts = []
     for exps in sorted(p.terms, key=_monomial_key, reverse=True):
         c = p.terms[exps]
+        if isinstance(c, complex) and c.imag == 0:
+            c = c.real
+        sign, mag = ("+", c) if isinstance(c, complex) else ("-" if c < 0 else "+", abs(c))
         mono = "*".join(
             VAR_NAMES[i] if e == 1 else f"{VAR_NAMES[i]}^{e}"
             for i, e in enumerate(exps)
             if e
         )
-        if not mono:
-            body = _coeff_str(abs(c) if not isinstance(c, complex) else c)
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{_coeff_str(abs(c))}*{mono}"
-        sign = "-" if (not isinstance(c, complex) and c < 0) else "+"
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
         parts.append((sign, body))
     sign, body = parts[0]
     text = body if sign == "+" else f"-{body}"

@@ -20,7 +20,10 @@ PGM encoder that clips to int16, casts and concatenates the header.
 projective orbit, the rule the vector first-return loop must reproduce.
 ``eval_term_loop`` and ``apply_term_loop`` are the complex term loop that
 evaluated single points before the compiled program did, and its finite
-projective step.
+projective step;
+``apply_limit_ratio`` is the projective step at an infinite coordinate that
+substituted the finite coordinates into new polynomials and took the limit
+one variable at a time, before the leading groups were compiled.
 """
 
 import cmath
@@ -83,6 +86,66 @@ def apply_term_loop(m, values):
         w = nv / dv
         if cmath.isnan(w):
             raise Indeterminate("nan")
+        out.append(ExtendedComplex(w))
+    return Point(out)
+
+
+def apply_limit_ratio(m, point):
+    """Reference ``RationalMap.apply`` at a point with an infinite coordinate:
+    the finite coordinates substituted term by term into every numerator and
+    denominator (``partial_eval``), then the iterated limit taken one infinite
+    variable at a time, first to last, on the terms of highest degree in it
+    (``limit_ratio``); Indeterminate where the limit has no projective value
+    or is nan."""
+    from ivpp.core import INF, ExtendedComplex, Indeterminate, Point
+    from ivpp.poly import Polynomial, power
+
+    def partial_eval(poly, values):
+        out = {}
+        for exps, c in poly.terms.items():
+            factor = complex(c)
+            new = list(exps)
+            for i, v in values.items():
+                e = exps[i]
+                if e:
+                    factor *= power(v, e)
+                new[i] = 0
+            key = tuple(new)
+            out[key] = out.get(key, 0) + factor
+        return Polynomial(poly.nvars, out)
+
+    def leading(poly, v):
+        a = max(e[v] for e in poly.terms)
+        return a, Polynomial(poly.nvars, {e[:v] + (0,) + e[v + 1 :]: c for e, c in poly.terms.items() if e[v] == a})
+
+    def limit_ratio(num, den, inf_vars):
+        if num.is_zero:
+            if den.is_zero:
+                raise Indeterminate("0/0 under the projective limit")
+            return 0j
+        if den.is_zero:
+            return INF
+        if not inf_vars:
+            return complex(num.constant_value()) / complex(den.constant_value())
+        (a, lead_num), (b, lead_den) = leading(num, inf_vars[0]), leading(den, inf_vars[0])
+        r = limit_ratio(lead_num, lead_den, inf_vars[1:])
+        if a > b:
+            if r is INF or r != 0:
+                return INF
+            raise Indeterminate("0 * inf under the projective limit")
+        if a < b:
+            if r is INF:
+                raise Indeterminate("inf / inf under the projective limit")
+            return 0j
+        return r
+
+    finite = {i: c.value for i, c in enumerate(point.coords) if c.is_finite}
+    inf_vars = tuple(i for i, c in enumerate(point.coords) if c.is_infinite)
+    out = []
+    for num, den in m.components:
+        w = limit_ratio(partial_eval(num, finite), partial_eval(den, finite), inf_vars)
+        if w is not INF and cmath.isnan(w):
+            raise Indeterminate("evaluation produced NaN")
         out.append(ExtendedComplex(w))
     return Point(out)
 

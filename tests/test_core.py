@@ -20,7 +20,7 @@ from ivpp.maps import f2d, f3d, get_map
 from ivpp.lv3d import lv_period2_param
 from ivpp.poly import Polynomial
 
-from conftest import apply_term_loop, eval_term_loop, f2d_exact, f3d_exact, reduced_exact
+from conftest import apply_limit_ratio, apply_term_loop, eval_term_loop, f2d_exact, f3d_exact, reduced_exact
 
 
 # -- ExtendedComplex / chordal metric ------------------------------------------
@@ -135,6 +135,14 @@ def test_iterate_reports_the_indeterminate_step():
     with pytest.raises(Indeterminate) as err:
         f2d().iterate(Point([1, 1]), 4)
     assert err.value.step == 1
+
+
+def test_iterate_and_detect_period_report_a_later_indeterminate_step():
+    lyness = parse_map("dim 2; x' = y; y' = (1+y)/x;")  # (-1, 0) -> (0, -1) -> 0/0
+    for orbit in (lyness.iterate, lyness.detect_period):
+        with pytest.raises(Indeterminate) as err:
+            orbit(Point([-1, 0]), 4)
+        assert err.value.step == 2
 
 
 def test_detect_period_examples():
@@ -306,6 +314,86 @@ def test_an_overflowing_power_is_infinite():
 def test_a_nan_limit_at_infinity_is_indeterminate():
     with pytest.raises(Indeterminate):
         f3d().apply(Point([-1e154, INF, 1.6018347278853194e200 + 1e308j]))
+
+
+LIMIT_MAPS = {
+    **POINT_MAPS,
+    "f2d-reduced": get_map("f2d-reduced", r=-0.75),
+    "lv-recurrence": get_map("lv-recurrence"),
+}
+
+# what the limit reaches on each map's random points: a finite coordinate, an
+# infinite one, Indeterminate; a 1d map has the one point (inf,)
+LIMIT_OUTCOMES = {
+    "f2d": {"finite", "inf"},
+    "f3d": {"finite", "inf", Indeterminate},
+    "lyness": {"finite", "inf", Indeterminate},
+    "powers": {"finite", "inf", Indeterminate},
+    "complex": {"finite", "inf", Indeterminate},
+    "f2d-reduced": {"finite"},
+    "lv-recurrence": {"finite"},
+}
+
+
+def _limit_outcome(fn, *args):
+    """The point, or Indeterminate with its message, which ``ivpp orbit`` prints."""
+    try:
+        return fn(*args)
+    except Indeterminate as exc:
+        return Indeterminate, str(exc)
+
+
+def _infinite_point(rng: random.Random, dim: int, coordinate=_coordinate) -> Point:
+    """A point with a random nonempty set of infinite coordinates, the others drawn by ``coordinate``."""
+    pattern = [i for i in range(dim) if rng.random() < 0.5] or [rng.randrange(dim)]
+    return Point([INF if i in pattern else coordinate(rng) for i in range(dim)])
+
+
+@pytest.mark.parametrize("name", LIMIT_MAPS)
+def test_apply_at_infinity_is_the_limit_ratio(name):
+    """``apply`` at 1,500 random points per map (10,500 in all), each with a
+    random nonempty set of infinite coordinates, against the limit taken one
+    variable at a time: the same point (``==``, blind to the sign of a zero
+    part) or Indeterminate with the same message on both."""
+    m = LIMIT_MAPS[name]
+    rng = random.Random(f"limit-{name}")
+    seen = set()
+    for _ in range(1500):
+        p = _infinite_point(rng, m.dim)
+        want = _limit_outcome(apply_limit_ratio, m, p)
+        assert _limit_outcome(m.apply, p) == want, p
+        outcomes = [Indeterminate] if isinstance(want, tuple) else ["inf" if c.is_infinite else "finite" for c in want]
+        seen.update(outcomes)
+    assert seen == LIMIT_OUTCOMES[name]
+
+
+_TERMS_3D = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.sampled_from([1, -1, 2, Fraction(-3, 2)])),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_TERMS_3D, _TERMS_3D), min_size=3, max_size=3), st.integers(0, 2**32))
+def test_a_random_map_at_infinity_is_the_limit_ratio(components, seed):
+    """3d maps of up to five terms per polynomial at points whose finite
+    coordinates are small integers, so that leading groups cancel: every
+    pattern of infinite coordinates gives the limit's outcome."""
+    def poly(terms):
+        out = {}
+        for exps, c in terms:
+            out[exps] = out.get(exps, 0) + c
+        return Polynomial(3, out)
+
+    comps = [(poly(num), poly(den)) for num, den in components]
+    if any(den.is_zero for _, den in comps):
+        return
+    m = RationalMap(comps)
+    rng = random.Random(seed)
+    for _ in range(20):
+        p = _infinite_point(rng, 3, lambda rng: complex(rng.randint(-2, 2)))
+        assert _limit_outcome(m.apply, p) == _limit_outcome(apply_limit_ratio, m, p), p
 
 
 def _dyadic(rng: random.Random) -> Fraction:

@@ -12,6 +12,7 @@ from ivpp.dsl import (
     maps_equal,
     parse_map,
 )
+from ivpp.core import RationalMap
 from ivpp.maps import F2D_SOURCE, f2d, f3d, lv_recurrence_map
 from ivpp.poly import Polynomial
 
@@ -75,6 +76,30 @@ def test_semantic_errors(src, fragment):
 def test_roundtrip_builtins():
     for m in (f2d(), f3d(), lv_recurrence_map()):
         assert maps_equal(m, parse_map(format_map(m)))
+
+
+@pytest.mark.parametrize(
+    "coeff, text",
+    [(1j, "1j*x"), (0.5 + 0.25j, "(0.5+0.25j)*x"), (-2 + 0j, "-2.0*x"), (-1 + 0j, "-x"), (Fraction(-1, 2), "-1/2*x")],
+)
+def test_a_coefficient_prints_its_value_and_sign(coeff, text):
+    assert str(Polynomial.var(0, 2).scale(coeff)) == text
+
+
+def test_a_constant_term_prints_its_value_and_sign():
+    x = Polynomial.var(0, 2)
+    assert str(x + Polynomial.const(-2 + 0j, 2)) == "x - 2.0"
+    assert str(x + Polynomial.const(0.5 - 1j, 2)) == "x + (0.5-1j)"
+
+
+def test_format_map_refuses_a_non_real_coefficient():
+    """The map language has no complex literal; a real one round-trips."""
+    x, y, one = Polynomial.var(0, 2), Polynomial.var(1, 2), Polynomial.const(Fraction(1), 2)
+    with pytest.raises(ValueError, match="no complex literal"):
+        format_map(RationalMap([(x.scale(1j), one), (y, one)]))
+    m = RationalMap([(x.scale(-2 + 0j), one), (y, one)])
+    assert format_map(m) == "dim 2;\nx' = -2.0*x;\ny' = y;\n"
+    assert maps_equal(m, parse_map(format_map(m)))
 
 
 def test_nested_fraction_clears_to_a_polynomial():
