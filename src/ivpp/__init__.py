@@ -44,12 +44,10 @@ from .lv3d import (
 )
 from .maps import f2d, f2d_reduced, f3d, get_map, lv_recurrence_map
 from .mobius import (
-    EigenData,
     Mobius,
     ZeroInvariant,
     boundary_c,
     boundary_d,
-    eigen,
     period2_exclusion,
     power_matrix,
 )

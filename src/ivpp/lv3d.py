@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from typing import Tuple
 
 from .core import ExtendedComplex, Point
@@ -132,15 +131,3 @@ def lv_diagonalizer() -> Mobius:
     """
     return Mobius(1, 0, 1, -2)
 
-
-def verify_involution_intertwiner(T: Mobius) -> float:
-    """Max chordal error of T(f(x)) = -T(x) over 200 random points; raises nothing."""
-    rng = random.Random(77)
-    worst = 0.0
-    for _ in range(200):
-        x = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        lhs = T(lv_recurrence(x))
-        tx = T(x)
-        rhs = ExtendedComplex(None) if tx.is_infinite else ExtendedComplex(-tx.value)
-        worst = max(worst, lhs.chordal(rhs))
-    return worst

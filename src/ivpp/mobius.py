@@ -1,12 +1,13 @@
 """Invariant-level reduction of the 2d map to a Mobius action.
 
 On the level x*y = r the map acts on x alone as x -> (x - r)/(1 - x),
-the fractional-linear action of [[1, -r], [-1, 1]].  Its eigenvalues are
-1 +- sqrt(r); the eigenvalue ratio s = (1 + sqrt(r))/(1 - sqrt(r)) turns
-the action into the pure scale z -> s*z in the coordinate
-z = sqrt(r)*(1 - x)/(1 + x), so period n means s^n = 1 and the component
-boundaries come out in closed form (``boundary_c`` in x, ``boundary_d``
-in z).
+the fractional-linear action of M = [[1, -r], [-1, 1]].  Its eigenvalues
+are 1 +- sqrt(r); the eigenvalue ratio s = (1 + sqrt(r))/(1 - sqrt(r)) turns
+the action into the pure scale w -> s*w in the eigencoordinate
+(``scale_coordinate_map``), so period n means s^n = 1.  The component
+boundaries are the orbit of infinity: ``boundary_c`` gives them in x as
+real floats, and ``boundary_d`` is the composition z = ``x_to_z_map(r)`` of
+M^m(inf), the m-th ``power_matrix`` applied to infinity.
 
 Square roots use the principal branch, so sqrt of a negative real is
 positive imaginary; all level values of real branches are negative real,
@@ -19,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .core import INF, ExtendedComplex
 from .ivpp2d import tan_pi
@@ -39,19 +40,13 @@ class Mobius:
     d: complex
 
     def __post_init__(self):
-        if abs(self.det) <= 1e-12:
+        if abs(self.a * self.d - self.b * self.c) <= 1e-12:
             raise ValueError("matrix is singular (|det| <= 1e-12)")
-
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
 
     def __call__(self, x) -> ExtendedComplex:
         x = x if isinstance(x, ExtendedComplex) else ExtendedComplex(x)
         if x.is_infinite:
-            if self.c == 0:
-                return INF
-            return ExtendedComplex(self.a / self.c)
+            return INF if self.c == 0 else ExtendedComplex(self.a / self.c)
         z = x.value
         num = self.a * z + self.b
         den = self.c * z + self.d
@@ -69,36 +64,21 @@ def level_matrix(r: complex) -> Mobius:
     return Mobius(1, -r, -1, 1)
 
 
-@dataclass(frozen=True)
-class EigenData:
-    """Eigen-structure of the level matrix: lambda_pm = 1 +- sqrt(r)."""
-
-    sqrt_r: complex
-    lam_plus: complex
-    lam_minus: complex
-    s: ExtendedComplex  # lam_plus / lam_minus; infinity exactly at r = 1
-
-
-def eigen(r: complex) -> EigenData:
-    sr = cmath.sqrt(r)
-    lp, lm = 1 + sr, 1 - sr
-    s = INF if lm == 0 else ExtendedComplex(lp / lm)
-    return EigenData(sr, lp, lm, s)
-
-
 def power_matrix(r: complex, m: int) -> Mobius:
     """Closed form of the m-th matrix power, up to an overall scalar.
 
-    Entries: [[l+^m + l-^m, -sqrt(r)(l+^m - l-^m)],
-              [-(l+^m - l-^m)/sqrt(r), l+^m + l-^m]]; equals 2*M at m = 1.
+    With the eigenvalues l+- = 1 +- sqrt(r) the entries are
+    [[l+^m + l-^m, -sqrt(r)(l+^m - l-^m)], [-(l+^m - l-^m)/sqrt(r), l+^m + l-^m]];
+    equals 2*M at m = 1.  Its determinant is 4(1 - r)^m, so at r = 1 and
+    m >= 1 the matrix is singular and ``Mobius`` refuses it (ValueError).
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if r == 0:
         raise ZeroInvariant("closed-form power needs r != 0")
-    e = eigen(r)
-    p, q = e.lam_plus**m, e.lam_minus**m
-    return Mobius(p + q, -e.sqrt_r * (p - q), -(p - q) / e.sqrt_r, p + q)
+    sr = cmath.sqrt(r)
+    p, q = (1 + sr) ** m, (1 - sr) ** m
+    return Mobius(p + q, -sr * (p - q), -(p - q) / sr, p + q)
 
 
 def x_to_z_map(r: complex) -> Mobius:
@@ -148,23 +128,11 @@ def boundary_cs(n: int, k: int = 1) -> List[float]:
 
 
 def boundary_d(n: int, r: complex, m: int) -> ExtendedComplex:
-    """z-space boundary value for the m-th iterate on the level r.
-
-    -sqrt(r) * (sqrt(r)(l+^m + l-^m) + (l+^m - l-^m))
-             / (sqrt(r)(l+^m + l-^m) - (l+^m - l-^m))
-    """
+    """z-space boundary value for the m-th iterate on the level r: the z-chart
+    of M^m(inf), infinite where M^m(inf) = -1."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    if r == 0:
-        raise ZeroInvariant("the z-space boundary needs r != 0")
-    e = eigen(r)
-    p, q = e.lam_plus**m, e.lam_minus**m
-    num = e.sqrt_r * (p + q) + (p - q)
-    den = e.sqrt_r * (p + q) - (p - q)
-    scale = abs(e.sqrt_r * (p + q)) + abs(p - q)
-    if abs(den) <= 1e-9 * max(1.0, scale):
-        return INF
-    return ExtendedComplex(-e.sqrt_r * num / den)
+    return x_to_z_map(r)(power_matrix(r, m)(INF))
 
 
 def boundary_ds(n: int, r: complex) -> List[ExtendedComplex]:
@@ -173,15 +141,12 @@ def boundary_ds(n: int, r: complex) -> List[ExtendedComplex]:
 
 @dataclass(frozen=True)
 class ExclusionReport:
-    """Numerical certificate that s(r) = -1 has no finite solution.
+    """Certificate that s(r) = -1 has no finite solution: s(r) + 1 = 2/(1 - sqrt(r))
+    exactly, and |1 - sqrt(r)| over |r| <= R is largest, sqrt(1 + R), at r = -R,
+    so |s + 1| >= 2/sqrt(1 + R) there and decays only like 2/sqrt(|r|)."""
 
-    s(r) + 1 = 2/(1 - sqrt(r)) exactly, so |s + 1| stays positive on every
-    bounded region and decays only like 2/sqrt(|r|).
-    """
-
-    min_abs: Dict[float, float]  # radius R -> min |s(r) + 1| over |r| <= R
-    attained_r: Dict[float, complex]
-    identity_max_dev: float  # max | |s+1| - 2/|1 - sqrt(r)| | over the grid
+    min_abs: Dict[float, float]  # radius R -> 2/sqrt(1 + R), the min of |s(r) + 1| over |r| <= R
+    identity_max_dev: float  # max | |s(-R) + 1| - 2/sqrt(1 + R) | over the radii
 
     @property
     def all_positive(self) -> bool:
@@ -189,26 +154,19 @@ class ExclusionReport:
 
 
 def period2_exclusion(radii: Tuple[float, ...] = (10.0, 100.0, 1000.0)) -> ExclusionReport:
-    """Grid-minimize |s(r) + 1| over |r| <= R for each radius R."""
-    min_abs: Dict[float, float] = {}
-    attained: Dict[float, complex] = {}
-    dev = 0.0
-    for R in radii:
-        best = math.inf
-        best_r = 0j
-        n_rad, n_ang = 60, 96
-        for i in range(1, n_rad + 1):
-            rad = R * (i / n_rad) ** 2  # denser near the origin
-            for j in range(n_ang):
-                ang = 2 * math.pi * j / n_ang
-                r = cmath.rect(rad, ang)
-                sr = cmath.sqrt(r)
-                if sr == 1:
-                    continue
-                val = abs((1 + sr) / (1 - sr) + 1)
-                dev = max(dev, abs(val - 2 / abs(1 - sr)))
-                if val < best:
-                    best, best_r = val, r
-        min_abs[R] = best
-        attained[R] = best_r
-    return ExclusionReport(min_abs, attained, dev)
+    """The minimum of |s(r) + 1| over |r| <= R for each radius R, from the
+    identity, which is checked numerically where the minimum is attained."""
+    min_abs = {R: 2 / math.sqrt(1 + R) for R in radii}
+    s = {R: (1 + cmath.sqrt(-R)) / (1 - cmath.sqrt(-R)) for R in radii}  # s(r) at r = -R
+    return ExclusionReport(min_abs, max((abs(abs(s[R] + 1) - v) for R, v in min_abs.items()), default=0.0))
+
+
+def conjugacy_error(T: Mobius, f: Callable, s: complex, xs: Iterable) -> float:
+    """Largest chordal distance of T(f(x)) from s*T(x) over the points xs; near
+    0 when T conjugates f to the scale w -> s*w."""
+    worst = 0.0
+    for x in xs:
+        tx = T(x)
+        want = INF if tx.is_infinite else ExtendedComplex(s * tx.value)
+        worst = max(worst, T(f(x)).chordal(want))
+    return worst

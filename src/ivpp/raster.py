@@ -15,11 +15,11 @@ Two layers per raster:
                  through ``kernel.first_returns``, the period grid's loop.
                  The band is tested only on each column's candidate rows
                  (see ``_band``), so the pass costs O(band cells + output)
-                 rather than O(width * height).  A raster from ``raster``
-                 keeps the layer as its classified cells (flat indices and
-                 classes) and builds the dense (h, w) layer only when
-                 ``.component`` is read; its component PGM scatters those
-                 cells into the one byte body.
+                 rather than O(width * height).  Every raster keeps the
+                 layer as its classified cells (flat indices and classes;
+                 ``lv_raster``'s are its stripe cells) and builds the dense
+                 (h, w) layer only when ``.component`` is read; the
+                 component PGM scatters those cells into the one byte body.
 
 Cells are independent and the output is deterministic for fixed inputs.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,7 +59,7 @@ class TilingRaster:
     width: int
     height: int
     period_layer: Callable[[], np.ndarray] = field(repr=False)  # computes ``period``
-    labels: Union[np.ndarray, BandCells] = field(repr=False)  # the component layer, dense or as its cells
+    labels: BandCells = field(repr=False)  # the component layer as its classified cells
     meta: dict = field(default_factory=dict)
 
     @cached_property
@@ -69,10 +69,7 @@ class TilingRaster:
 
     @cached_property
     def component(self) -> np.ndarray:
-        """int16 (h, w) component layer, 0 = unclassified; built from the band cells on
-        first read and cached."""
-        if not isinstance(self.labels, BandCells):
-            return self.labels
+        """int16 (h, w) component layer, 0 = unclassified; scattered from the cells on first read."""
         layer = np.zeros((self.height, self.width), dtype=np.int16)
         layer.flat[self.labels.flat] = self.labels.classes
         return layer
@@ -81,12 +78,15 @@ class TilingRaster:
         return cell_centers(self.window, (self.width, self.height))
 
     def _body(self, layer: str) -> np.ndarray:
-        """The PGM body of a layer; a component layer kept as cells is scattered into it."""
-        if layer != "component" or not isinstance(self.labels, BandCells):
+        """The PGM body of a layer; the component layer's cells are scattered into it."""
+        if layer != "component":
             return _pgm_body(getattr(self, layer))
         body = np.zeros((self.height, self.width), dtype=np.uint8)
-        i, j = np.divmod(self.labels.flat, self.width)
-        body[self.height - 1 - i, j] = np.clip(self.labels.classes, 0, 255)  # top row first
+        at = self.labels.flat // self.width  # cell (i, j) goes to (h - 1 - i, j): top row first
+        at *= -2 * self.width  # in place: a temporary index array per step costs page faults
+        at += self.labels.flat
+        at += (self.height - 1) * self.width
+        body.reshape(-1)[at] = np.clip(self.labels.classes, 0, 255)
         return body
 
     def to_pgm_bytes(self, layer: str = "component") -> bytes:
@@ -309,20 +309,32 @@ def lv_raster(
         raise ValueError(f"stripe half-width must be in (0, 0.5], got {stripe_half_width}")
     w, h = resolution
     xs, rs = cell_centers(window, resolution)
-    component = np.zeros((h, w), dtype=np.int16)
     classes = lv_decompose_period2(0.0, sign).classify(xs).astype(np.int16)
     levels = np.round(rs)  # the nearest integer level of each row, half to even as round()
     near = ~(np.abs(rs - levels) > stripe_half_width) & (window[2] <= levels) & (levels <= window[3])
     rows = np.flatnonzero(near)
     level, which = np.unique(levels[rows], return_inverse=True)
     real = lv_discriminant(xs, level[:, np.newaxis]) >= 0  # one (levels x columns) grid
-    component[rows] = np.where(real & (xs != 0.0) & (xs != 1.0), classes, np.int16(0))[which]
+    grid = np.where(real & (xs != 0.0) & (xs != 1.0), classes, np.int16(0))
+    flat, labels = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int16)]
+    for k, line in enumerate(grid):  # each level's classified columns, on each of its rows
+        j = np.flatnonzero(line)
+        i = rows[which == k].astype(np.int32) * w
+        flat.append((i[:, np.newaxis] + j.astype(np.int32)).ravel())
+        labels.append(np.tile(line[j], i.size))
+    cells = BandCells(np.concatenate(flat), np.concatenate(labels))
+
+    def period_layer() -> np.ndarray:
+        layer = np.zeros((h, w), dtype=np.int16)
+        layer.flat[cells.flat] = 2  # every classified cell
+        return layer
+
     return TilingRaster(
         tuple(window),
         w,
         h,
-        lambda: np.where(component > 0, np.int16(2), np.int16(0)),
-        component,
+        period_layer,
+        cells,
         {
             "map": "f3d",
             "period_n": 2,

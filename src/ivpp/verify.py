@@ -6,6 +6,7 @@ test suite both call into here) and each check pins its stated tolerance.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import time
@@ -29,12 +30,11 @@ from .lv3d import (
     lv_diagonalizer,
     lv_period2_param,
     lv_recurrence,
-    verify_involution_intertwiner,
 )
 from .maps import f2d, f3d
 from .mobius import (
     boundary_ds,
-    eigen,
+    conjugacy_error,
     level_matrix,
     period2_exclusion,
     scale_coordinate_map,
@@ -176,12 +176,8 @@ def check_conjugacy() -> Tuple[bool, str]:
         if abs(r) < 0.2 or abs(r - 1) < 0.2:
             continue
         x = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        s = eigen(r).s
-        w = scale_coordinate_map(r)
-        lhs = w(level_matrix(r)(x))
-        zx = w(x)
-        rhs = INF if zx.is_infinite else ExtendedComplex(s.value * zx.value)
-        worst = max(worst, lhs.chordal(rhs))
+        sr = cmath.sqrt(r)  # one step scales the eigencoordinate by s = (1 + sr)/(1 - sr)
+        worst = max(worst, conjugacy_error(scale_coordinate_map(r), level_matrix(r), (1 + sr) / (1 - sr), [x]))
         count += 1
     return worst < 1e-9, f"max chordal error {worst:.2e} over 200 samples (eigencoordinate)"
 
@@ -261,15 +257,10 @@ def check_lv_suite() -> Tuple[bool, str]:
             return False, f"no 2-step closure at ({x}, {r}, {sign})"
     if worst_s > 1e-9:
         return False, f"level error {worst_s:.2e}"
-    worst_inv = 0.0
-    for _ in range(1000):
-        x = ExtendedComplex(complex(rng.uniform(-5, 5), rng.uniform(-5, 5)))
-        worst_inv = max(worst_inv, lv_recurrence(lv_recurrence(x)).chordal(x))
-    fixed_err = max(
-        lv_recurrence(0).chordal(ExtendedComplex(0)),
-        lv_recurrence(2).chordal(ExtendedComplex(2)),
-    )
-    intertwiner = verify_involution_intertwiner(lv_diagonalizer())
+    xs = [ExtendedComplex(complex(rng.uniform(-5, 5), rng.uniform(-5, 5))) for _ in range(1000)]
+    worst_inv = max(lv_recurrence(lv_recurrence(x)).chordal(x) for x in xs)
+    fixed_err = max(lv_recurrence(v).chordal(ExtendedComplex(v)) for v in (0, 2))
+    intertwiner = conjugacy_error(lv_diagonalizer(), lv_recurrence, -1, xs)  # T o f o T^-1 = (w -> -w)
     if worst_inv > 1e-10 or fixed_err > 1e-10 or intertwiner > 1e-10:
         return False, f"involution {worst_inv:.2e}, fixed {fixed_err:.2e}, diag {intertwiner:.2e}"
     base = None

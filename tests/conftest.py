@@ -12,7 +12,9 @@ at every step, before the bound-first return test.  ``pole_depths_eager``
 is the pole-depth scan that builds every curve with int8 sign products,
 and ``gamma_fraction`` the exact period polynomial in ``Fraction``
 arithmetic.  ``boundary_cs_complex`` is the paper's root-of-unity form of
-the cuts, which the library evaluates in real arithmetic.
+the cuts, which the library evaluates in real arithmetic, and
+``boundary_d_closed_form`` the z-space cut's own closed form, with its
+relative snap to infinity, before it was composed from the level matrix.
 ``band_mask_dense`` is the component rasters' band test on every cell of
 the grid, before the per-column candidate rows, and ``pgm_concat`` the
 PGM encoder that clips to int16, casts and concatenates the header.
@@ -156,6 +158,21 @@ def boundary_cs_complex(n: int, k: int) -> np.ndarray:
     s = np.exp(2j * np.pi * (k % n) / n)
     sj = np.exp(2j * np.pi * (np.arange(1, n) * k % n) / n)
     return (1 - s) * (1 + sj) / ((1 + s) * (1 - sj))
+
+
+def boundary_d_closed_form(r: complex, m: int):
+    """-sqrt(r)(sqrt(r)(l+^m + l-^m) + (l+^m - l-^m)) / (sqrt(r)(l+^m + l-^m) - (l+^m - l-^m)),
+    l+- = 1 +- sqrt(r), as an ``ExtendedComplex``; INF where the denominator is
+    within 1e-9 of zero relative to the scale of its terms."""
+    from ivpp.core import INF, ExtendedComplex
+
+    sr = cmath.sqrt(r)
+    p, q = (1 + sr) ** m, (1 - sr) ** m
+    num = sr * (p + q) + (p - q)
+    den = sr * (p + q) - (p - q)
+    if abs(den) <= 1e-9 * max(1.0, abs(sr * (p + q)) + abs(p - q)):
+        return INF
+    return ExtendedComplex(-sr * num / den)
 
 
 # a window whose cell centres are not round numbers, so every digit of %.17g shows

@@ -20,7 +20,7 @@ from ivpp.decompose import decompose
 from ivpp.denoms import cell_centers
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d
-from ivpp.raster import TilingRaster, pgm_bytes, raster, write_pgm
+from ivpp.raster import BandCells, TilingRaster, pgm_bytes, raster, write_pgm
 
 raster_module = importlib.import_module("ivpp.raster")  # the package attribute ivpp.raster is the function
 
@@ -281,7 +281,9 @@ def test_pgm_bytes_equal_the_concatenated_encoder(tmp_path, shape):
     assert type(blob) is bytes and blob == want
     write_pgm(tmp_path / "w.pgm", grid)
     assert (tmp_path / "w.pgm").read_bytes() == want
-    R = TilingRaster((0.0, 1.0, 0.0, 1.0), shape[1], shape[0], lambda: grid, grid)
+    flat = np.flatnonzero(grid)
+    cells = BandCells(flat.astype(np.int32), grid.ravel()[flat])  # the grid as its nonzero cells
+    R = TilingRaster((0.0, 1.0, 0.0, 1.0), shape[1], shape[0], lambda: grid, cells)
     for layer in ("component", "period"):
         R.to_pgm(tmp_path / f"{layer}.pgm", layer)
         assert (tmp_path / f"{layer}.pgm").read_bytes() == want
@@ -296,5 +298,6 @@ def test_pgm_writer_refuses_a_layer_that_is_not_2d(tmp_path, shape):
     with pytest.raises(ValueError, match="2-d layer"):
         write_pgm(path, grid)
     with pytest.raises(ValueError, match="2-d layer"):
-        TilingRaster((0.0, 1.0, 0.0, 1.0), 1, 1, lambda: grid, grid).to_pgm(path)
+        no_cells = BandCells(np.zeros(0, np.int32), np.zeros(0, np.int16))
+        TilingRaster((0.0, 1.0, 0.0, 1.0), 1, 1, lambda: grid, no_cells).to_pgm(path, "period")
     assert path.read_bytes() == b"kept"

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivpp.dsl import (
@@ -98,8 +99,41 @@ def test_format_map_refuses_a_non_real_coefficient():
     with pytest.raises(ValueError, match="no complex literal"):
         format_map(RationalMap([(x.scale(1j), one), (y, one)]))
     m = RationalMap([(x.scale(-2 + 0j), one), (y, one)])
-    assert format_map(m) == "dim 2;\nx' = -2.0*x;\ny' = y;\n"
+    assert format_map(m) == "dim 2;\nx' = -2*x;\ny' = y;\n"
     assert maps_equal(m, parse_map(format_map(m)))
+
+
+FINITE_NONZERO = st.floats(-1e300, 1e300).filter(bool)  # subnormals included; bounded so invariants stay finite
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=FINITE_NONZERO, b=FINITE_NONZERO, c=FINITE_NONZERO)
+@example(a=0.1, b=5e-324, c=1e300)
+@example(a=-1e300, b=1e-20, c=-0.1)
+@example(a=1 / 3, b=2.5, c=-5e-324)
+def test_format_map_prints_a_float_coefficient_exactly(a, b, c):
+    """A float prints as its exact Fraction, which parses back to the same value,
+    in a numerator, a denominator and an invariant; a complex one with a zero
+    imaginary part prints as its real part."""
+    x, y, one = Polynomial.var(0, 2), Polynomial.var(1, 2), Polynomial.const(Fraction(1), 2)
+    num = x.scale(a) + Polynomial.const(complex(b), 2)
+    maps = [
+        RationalMap([(num, y + Polynomial.const(c, 2)), (y, one)]),
+        RationalMap([(x, one), (y, one)], [("r", num)]),  # the identity conserves any invariant
+    ]
+    for m in maps:
+        text = format_map(m)
+        assert "." not in text and "e" not in text  # no float literal
+        back = parse_map(text)
+        assert maps_equal(m, back) and format_map(back) == text
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_format_map_refuses_a_coefficient_that_is_not_finite(c):
+    x, y, one = Polynomial.var(0, 2), Polynomial.var(1, 2), Polynomial.const(Fraction(1), 2)
+    for m in (RationalMap([(x.scale(c), one), (y, one)]), RationalMap([(x, one), (y, one)], [("r", x.scale(c))])):
+        with pytest.raises(ValueError, match="not finite"):
+            format_map(m)
 
 
 def test_nested_fraction_clears_to_a_polynomial():

@@ -6,7 +6,8 @@ usual sign of dead code next to it.  And every function, class and method
 (dunders aside) must be named somewhere else in the package, in code or in
 prose: a helper that a change strands is named nowhere.  Likewise every
 helper, fixture and constant of ``tests/conftest.py`` must be named by a
-test file, so that no reference goes stale unused.
+test file, so that no reference goes stale unused.  And README's Library
+layout table has exactly one row per module of the package.
 """
 
 import ast
@@ -116,3 +117,23 @@ def test_the_conftest_helper_check_bites():
     conftest = "LIMIT = 3\n\n\ndef oracle():\n    return LIMIT\n\n\ndef spare():\n    pass\n"
     assert _unnamed_helpers(conftest, ["from conftest import oracle\n"]) == ["LIMIT", "spare"]
     assert _unnamed_helpers(conftest, ["oracle(LIMIT)", "# spare"]) == []
+
+
+def _layout_modules(readme: str) -> list:
+    """The module named by every row of README's Library layout table, in order."""
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `ivpp\.(\w+)`", section, flags=re.M)
+
+
+def test_the_library_layout_has_one_row_per_module():
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__"))
+    assert len(modules) > 10  # the glob found the package
+    assert sorted(_layout_modules((TESTS.parent / "README.md").read_text())) == modules
+
+
+def test_the_library_layout_check_bites():
+    readme = (
+        "# t\n\n| `ivpp.x` | before |\n\n## Library layout\n\n| module | contents |\n|---|---|\n"
+        "| `ivpp.a` | one |\n| `ivpp.b` | `ivpp.c` in prose |\n| `ivpp.a` | twice |\n\n## Next\n\n| `ivpp.d` | after |\n"
+    )
+    assert _layout_modules(readme) == ["a", "b", "a"]

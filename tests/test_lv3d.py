@@ -16,9 +16,9 @@ from ivpp.lv3d import (
     lv_period2_param,
     lv_recurrence,
     lv_roots,
-    verify_involution_intertwiner,
 )
 from ivpp.maps import f3d, lv_recurrence_map
+from ivpp.mobius import Mobius, conjugacy_error
 
 
 # -- level conditions --------------------------------------------------------------
@@ -243,17 +243,23 @@ def test_the_mobius_and_the_dsl_recurrence_are_one_map():
         assert m.apply(Point([x])).coords == (image,)
 
 
+def _random_points(seed: int, count: int = 200):
+    rng = random.Random(seed)
+    return [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(count)]
+
+
 def test_diagonalizer_conjugates_to_the_sign_flip():
-    assert verify_involution_intertwiner(lv_diagonalizer()) < 1e-10
+    xs = _random_points(77) + [0.0, 1.0, 2.0, INF]
+    assert conjugacy_error(lv_diagonalizer(), lv_recurrence, -1, xs) < 1e-10
+    assert conjugacy_error(lv_diagonalizer(), lv_recurrence, 1, xs) > 0.1  # not the identity
     T = lv_diagonalizer()
     assert T(0).value == 0.0
     assert T(2).is_infinite
 
 
 def test_any_valid_intertwiner_is_accepted():
-    """The verification is about the property, not one canonical matrix:
+    """The check is about the property, not one canonical matrix:
     the canonical T followed by a scale by 2 (commutes with w -> -w)."""
-    from ivpp.mobius import Mobius
-
     T = Mobius(2, 0, 1, -2)  # 2 x/(x - 2)
-    assert verify_involution_intertwiner(T) < 1e-10
+    assert conjugacy_error(T, lv_recurrence, -1, _random_points(78)) < 1e-10
+    assert conjugacy_error(Mobius(1, 0, 1, -3), lv_recurrence, -1, _random_points(78)) > 0.1

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import boundary_d_closed_form
 from ivpp.core import INF, ExtendedComplex, Point
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d
@@ -14,7 +15,7 @@ from ivpp.mobius import (
     boundary_cs,
     boundary_d,
     boundary_ds,
-    eigen,
+    conjugacy_error,
     level_matrix,
     period2_exclusion,
     power_matrix,
@@ -79,34 +80,40 @@ def test_mobius_inverse_law():
         assert f.inverse()(f(x)).chordal(x) < 1e-9
 
 
-# -- eigen-structure ---------------------------------------------------------------
+# -- the eigenvalue ratio and the principal branch ----------------------------------
 
 
-def test_eigen_examples():
-    e = eigen(-3)
-    assert e.sqrt_r == pytest.approx(cmath.sqrt(-3 + 0j))
-    assert e.s.value == pytest.approx(cmath.exp(2j * math.pi / 3))
-    assert e.s.value**3 == pytest.approx(1.0)
-    assert eigen(-1).s.value == pytest.approx(1j)
-    assert eigen(0).s.value == pytest.approx(1.0)
-    assert eigen(1).s.is_infinite
-
-
-def test_eigen_invariants():
-    rng = random.Random(7)
-    for _ in range(100):
-        r = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        e = eigen(r)
-        assert e.lam_plus == pytest.approx(1 + e.sqrt_r, abs=1e-12)
-        assert e.lam_minus == pytest.approx(1 - e.sqrt_r, abs=1e-12)
-        if e.s.is_finite:
-            assert e.s.value * e.lam_minus == pytest.approx(e.lam_plus, abs=1e-12)
+def test_branch_scale_factor_is_the_primitive_root():
+    """On every branch of n = 3..6 one step is w -> s*w in the eigencoordinate with
+    s = exp(2*pi*i*m/n), and the n-th power of the level matrix is a scalar."""
+    rng = random.Random(17)
+    xs = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(50)] + [INF, 1.0, -1.0]
+    for n in (3, 4, 5, 6):
+        for b in branches(n):
+            s = cmath.exp(2j * math.pi * b.m / b.n)
+            assert conjugacy_error(scale_coordinate_map(b.rho), level_matrix(b.rho), s, xs) < 1e-12
+            assert conjugacy_error(scale_coordinate_map(b.rho), level_matrix(b.rho), s * 1j, xs) > 0.1
+            pm = power_matrix(b.rho, n)
+            assert abs(pm.b) + abs(pm.c) < 1e-9 * abs(pm.a)
 
 
 def test_principal_branch_signs():
-    assert eigen(-3).sqrt_r.imag > 0
-    assert eigen(-3).sqrt_r.real == 0
-    assert eigen(4).sqrt_r == pytest.approx(2)
+    """sqrt(r) is principal in both charts: positive imaginary on a negative level."""
+    for chart in (x_to_z_map, scale_coordinate_map):
+        assert chart(-3).b.imag > 0
+        assert chart(-3).b.real == 0
+        assert chart(-3).b == pytest.approx(math.sqrt(3) * 1j)
+        assert chart(4).b == pytest.approx(2)
+        assert chart(-3 - 1e-300j).b.imag < 0  # below the cut
+
+
+def test_the_level_matrix_is_singular_at_r_one():
+    """At r = 1 the eigenvalue 1 - sqrt(r) vanishes: M and every positive power
+    are singular, and so is every boundary but the m = 0 one."""
+    for make in (level_matrix, lambda r: power_matrix(r, 3), lambda r: boundary_d(5, r, 2)):
+        with pytest.raises(ValueError, match="singular"):
+            make(1)
+    assert boundary_d(5, 1, 0).value == -1
 
 
 # -- closed-form powers --------------------------------------------------------------
@@ -118,6 +125,12 @@ def test_power_matrix_m1_is_twice_the_level_matrix():
     assert pm.b == pytest.approx(6)
     assert pm.c == pytest.approx(-2)
     assert pm.d == pytest.approx(2)
+    rng = random.Random(19)
+    for _ in range(100):
+        r = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        pm, lm = power_matrix(r, 1), level_matrix(r)
+        for entry in "abcd":
+            assert getattr(pm, entry) == pytest.approx(2 * getattr(lm, entry), abs=1e-12)
 
 
 def test_power_matrix_m0_is_twice_identity():
@@ -249,6 +262,23 @@ def test_boundary_d_tabulated(n, r, m, expected):
         assert boundary_d(n, r, m).value == pytest.approx(expected, abs=1e-9)
 
 
+def test_boundary_d_equals_the_closed_form_on_every_branch_to_n40():
+    """The composed z-chart of M^m(inf) is the former closed form within 1e-14
+    chordal, infinite exactly where it was, on every branch of n = 3..40, m = 0..n."""
+    count = 0
+    for n in range(3, 41):
+        for b in branches(n):
+            infinite = []
+            for m in range(n + 1):
+                got, want = boundary_d(n, b.rho, m), boundary_d_closed_form(b.rho, m)
+                assert got.is_infinite == want.is_infinite, (n, b.m, m)
+                assert got.chordal(want) < 1e-14, (n, b.m, m)
+                infinite.append(got.is_infinite)
+                count += 1
+            assert infinite == [m == 1 for m in range(n + 1)]  # M(inf) = -1, the pole of the z-chart
+    assert count == 6798
+
+
 @pytest.mark.parametrize("n,k,r", [(3, 1, -3.0), (4, 1, -1.0), (5, 1, A_PLUS), (5, 2, A_MINUS), (6, 1, -1.0 / 3.0)])
 def test_boundary_d_is_x_to_z_of_the_reflected_boundary(n, k, r):
     """d_m = x_to_z_map(r)(c_{n-m}); as sets the two boundary formulas agree."""
@@ -272,29 +302,30 @@ def test_scale_coordinate_conjugates_to_a_pure_scale():
         if abs(r) < 0.2 or abs(r - 1) < 0.2:
             continue
         x = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        s = eigen(r).s.value
-        lhs = scale_coordinate_map(r)(level_matrix(r)(x))
-        w = scale_coordinate_map(r)(x)
-        rhs = INF if w.is_infinite else ExtendedComplex(s * w.value)
-        assert lhs.chordal(rhs) < 1e-9
+        sr = cmath.sqrt(r)
+        s = (1 + sr) / (1 - sr)
+        assert conjugacy_error(scale_coordinate_map(r), level_matrix(r), s, [x, INF]) < 1e-9
+
+
+def test_conjugacy_error_is_the_largest_chordal_distance():
+    """T(f(x)) against s*T(x), infinity included: the identity conjugates
+    x -> 2x to the scale by 2 exactly, and measures the scale by 3 as off by
+    the chordal distance of 2x from 3x, largest over the points."""
+    identity, double = Mobius(1, 0, 0, 1), Mobius(2, 0, 0, 1)
+    xs = [0.0, 1.0, -2.5, INF, 1j]
+    assert conjugacy_error(identity, double, 2, xs) == 0.0
+    want = max(ExtendedComplex(2 * x).chordal(ExtendedComplex(3 * x)) for x in (1.0, -2.5, 1j))
+    assert conjugacy_error(identity, double, 3, xs) == pytest.approx(want, rel=1e-15)
+    assert conjugacy_error(identity, double, 3, []) == 0.0
 
 
 def test_x_to_z_is_not_the_scaling_chart():
     """The tabulated-z chart moves boundaries correctly but is not the
     eigencoordinate: one step is not multiplication by s there."""
     r = -3.0
-    s = eigen(r).s.value
-    z0 = x_to_z_map(r)(2.0).value
-    z1 = x_to_z_map(r)(level_matrix(r)(2.0)).value
-    assert abs(z1 - s * z0) > 0.1
-
-
-def test_branch_scale_factor_is_the_primitive_root():
-    for n in (3, 4, 5, 6):
-        for b in branches(n):
-            s = eigen(b.rho).s.value
-            assert s == pytest.approx(cmath.exp(2j * math.pi * b.m / b.n), abs=1e-12)
-            assert s**n == pytest.approx(1.0, abs=1e-9)
+    s = cmath.exp(2j * math.pi / 3)
+    assert conjugacy_error(scale_coordinate_map(r), level_matrix(r), s, [2.0]) < 1e-12
+    assert conjugacy_error(x_to_z_map(r), level_matrix(r), s, [2.0]) > 0.1
 
 
 # -- period-2 exclusion -----------------------------------------------------------------------
@@ -312,21 +343,24 @@ def test_exclusion_identity_is_exact():
 
 
 def test_exclusion_grid_minimum_oracle():
-    """Independent small-grid minimization for R = 10."""
-    best = math.inf
-    for i in range(1, 40):
+    """Independent grid minimization for R = 10, the rim included: no grid point
+    goes below the reported minimum 2/sqrt(1 + R), and the rim's point r = -R
+    attains it."""
+    best, best_r = math.inf, None
+    for i in range(1, 41):
         for j in range(72):
             r = cmath.rect(10.0 * i / 40, 2 * math.pi * j / 72)
             sr = cmath.sqrt(r)
             if sr == 1:
                 continue
-            best = min(best, abs((1 + sr) / (1 - sr) + 1))
-    assert best > 0
+            value = abs((1 + sr) / (1 - sr) + 1)
+            if value < best:
+                best, best_r = value, r
     report = period2_exclusion((10.0,))
-    assert report.min_abs[10.0] > 0
-    assert report.min_abs[10.0] == pytest.approx(best, rel=0.2)
-    # theory: the minimum over |r| <= R is 2/sqrt(1+R)
-    assert report.min_abs[10.0] == pytest.approx(2 / math.sqrt(11), rel=0.05)
+    assert report.min_abs == {10.0: 2 / math.sqrt(11)}
+    assert best >= report.min_abs[10.0] * (1 - 1e-12)
+    assert best == pytest.approx(report.min_abs[10.0], rel=1e-12)
+    assert best_r == pytest.approx(-10.0, abs=1e-12)
 
 
 def test_exclusion_large_r_magnitude():
