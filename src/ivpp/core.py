@@ -247,7 +247,11 @@ class RationalMap:
                 continue  # near a pole, or a huge image
             for inv_name, p in self.invariants:
                 before, after = p.eval(vals), p.eval(image)
-                if abs(after - before) > TOL_INV * max(1.0, abs(before)):
+                try:
+                    drift, size = abs(after - before), abs(before)
+                except OverflowError:  # a finite value whose modulus is past the float range
+                    raise ValueError(f"declared invariant {inv_name!r} overflows the float range at {vals!r}") from None
+                if drift > TOL_INV * max(1.0, size):
                     raise ValueError(
                         f"declared invariant {inv_name!r} is not conserved: {before!r} -> {after!r} at {vals!r}"
                     )

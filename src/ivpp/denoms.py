@@ -4,9 +4,11 @@ Component boundaries of a period-n variety sit on the intersection of the
 variety with the locus where some iterate hits a pole; the k-th layer here
 marks, per grid cell, a sign change of a component denominator evaluated
 along the orbit at depth k (the orbit's first pole).  The orbits run in
-the kernel's row blocks, and each block keeps only two bool masks per
-denominator, its positive and its negative cells, never the float
-denominators themselves.  ``first_pole_depth`` comes from one scan; the
+the kernel's row blocks, shared between threads by ``kernel.run_blocks``,
+and each block keeps only two bool masks per denominator, its positive and
+its negative cells, never the float denominators themselves.  A block also
+steps the first row of the block below it, so that no block reads
+another's masks.  ``first_pole_depth`` comes from one scan; the
 per-(depth, component) curves are built by a second scan only when read.
 """
 
@@ -19,7 +21,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .core import RationalMap
-from .kernel import blocks, check_grid_map, denominators, step
+from .kernel import check_grid_map, denominators, run_blocks, step
 from .poly import Polynomial
 
 
@@ -77,20 +79,20 @@ def _scan(m: RationalMap, k_max: int, xs, ys, curves: Optional[List[DenominatorC
     masks ``pos = alive & (D > 0)`` and ``neg = alive & (D < 0)``.  A block
     has no ``alive`` mask while every iterate is finite; the first non-finite
     image creates it.  At k_max only the denominators are evaluated: no
-    image past the last depth is read.  Each block carries its last row's
-    masks per (depth, component) into the next, whose first row closes the
-    vertical test of the seam: a seam crossing at depth k marks the row above
-    it, which the block before already scanned, so its depth becomes the
-    least such k.
+    image past the last depth is read.  A cell's crossing reads only its
+    right and lower neighbours, so each block also steps the first row of
+    the next one, a halo row, for its last row's vertical test and writes
+    only its own rows: the blocks are independent, and ``run_blocks`` runs
+    them on any thread in any order.
     """
     w, h = xs.shape[0], ys.shape[0]
     first_pole = np.zeros((h, w), dtype=np.int16)
-    seam = {}  # (k, j) -> (pos, neg) of the previous block's last row
-    for lo, hi in blocks(w, h):
-        coords = np.meshgrid(xs, ys[lo:hi])
+
+    def block(lo: int, hi: int) -> None:
+        coords = np.meshgrid(xs, ys[lo : min(hi + 1, h)])  # and the halo row; the last block has none
         alive = None  # every iterate finite so far
         depth = first_pole[lo:hi]
-        above = first_pole[lo - 1] if lo else None  # the last row of the block before
+        rows = hi - lo
         for k in range(1, k_max + 1):
             if k < k_max:
                 # images of dead cells are fed back unmasked: the masks drop them by ``alive``
@@ -103,23 +105,16 @@ def _scan(m: RationalMap, k_max: int, xs, ys, curves: Optional[List[DenominatorC
                 if alive is not None:
                     pos &= alive
                     neg &= alive
-                p, n = pos.ravel(), neg.ravel()  # horizontal pairs on the flat block, row ends cut after
+                p, n = pos[:rows].ravel(), neg[:rows].ravel()  # horizontal pairs on the flat block, row ends cut after
                 cross = np.empty(depth.shape, dtype=bool)
                 np.bitwise_or(p[:-1] & n[1:], n[:-1] & p[1:], out=cross.ravel()[:-1])
                 cross[:, -1] = False
-                cross[:-1] |= (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
+                cross[: pos.shape[0] - 1] |= (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
                 step_cross |= cross
-                if above is not None:
-                    up_pos, up_neg = seam[k, j]
-                    seam_cross = (up_pos & neg[0]) | (up_neg & pos[0])
-                    above[seam_cross & ((above == 0) | (above > k))] = k
-                seam[k, j] = pos[-1].copy(), neg[-1].copy()
                 if curves is not None:
                     curve = curves[(k - 1) * len(den_vals) + j]
-                    np.subtract(pos, neg, out=curve.values[lo:hi], dtype=np.int8)
+                    np.subtract(pos[:rows], neg[:rows], out=curve.values[lo:hi], dtype=np.int8)
                     curve.crossing[lo:hi] = cross
-                    if above is not None:
-                        curve.crossing[lo - 1] |= seam_cross
             depth[step_cross & (depth == 0)] = k
             if k < k_max:
                 finite = np.isfinite(coords[0])
@@ -129,6 +124,8 @@ def _scan(m: RationalMap, k_max: int, xs, ys, curves: Optional[List[DenominatorC
                     alive &= finite
                 elif not finite.all():
                     alive = finite
+
+    run_blocks(block, w, h)
     return first_pole
 
 

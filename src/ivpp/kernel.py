@@ -23,26 +23,83 @@ the component pass on the snapped band columns.  Its return test,
 a cheap accept bound on the entries that pass it, and the exact chordal
 distance only on the few that neither decides.  Both grid layers run in
 the row blocks of ``blocks``, so their float temporaries are bounded by
-``BLOCK_CELLS`` cells whatever the grid's size.
+``BLOCK_CELLS`` cells per thread whatever the grid's size.  ``run_blocks``
+shares those blocks between the calling thread and ``WORKERS - 1`` helper
+threads; numpy releases the GIL inside its array loops, so at 2^16 cells a
+block the two threads overlap.  Each block writes only its own rows of a
+preallocated output, so the result does not depend on which thread ran
+which block.  ``np.errstate`` is per thread: every numpy call a block
+makes that can warn sets its own (``step``, ``denominators``,
+``return_start``, ``returns``).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import os
+import threading
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .core import RationalMap
 
 BACKEND = "python"
-BLOCK_CELLS = 1 << 15  # cells per row block of the grid layers
+BLOCK_CELLS = 1 << 16  # cells per row block of the grid layers
 N_MAX_LIMIT = int(np.iinfo(np.int16).max)  # the largest n_max: a first return k must fit int16
+
+
+# threads per grid layer: the CPUs this process may run on, capped at 2, the most measured to gain
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def blocks(w: int, h: int) -> List[Tuple[int, int]]:
     """Row ranges [lo, hi) covering h rows of width w, about BLOCK_CELLS cells each."""
     rows = max(1, BLOCK_CELLS // max(w, 1))
     return [(lo, min(lo + rows, h)) for lo in range(0, h, rows)]
+
+
+def run_blocks(fn: Callable[[int, int], None], w: int, h: int) -> None:
+    """Call ``fn(lo, hi)`` once for every row block of ``blocks(w, h)``.
+
+    The calling thread and up to ``WORKERS - 1`` helper threads (no more
+    than there are blocks) take the blocks in order from one iterator.
+    Once any of them raises, including a ``KeyboardInterrupt`` in the
+    caller, the others stop after their current block; every helper is
+    joined before the first exception is raised again, so no thread
+    outlives the call.  With one worker the blocks run in order on the
+    caller."""
+    todo = blocks(w, h)
+    pending = iter(todo)
+    lock = threading.Lock()
+    failed: List[BaseException] = []  # what the workers raised, in order
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    block = None if failed else next(pending, None)
+                if block is None:
+                    return
+                fn(*block)
+        except BaseException as exc:
+            failed.append(exc)
+
+    helpers: List[threading.Thread] = []
+    try:
+        for _ in range(min(WORKERS, len(todo)) - 1):
+            helpers.append(threading.Thread(target=work))
+            helpers[-1].start()
+        work()
+    except BaseException as exc:  # a helper that could not start, or an interrupt outside fn
+        failed.append(exc)
+    for t in helpers:
+        while t.is_alive():
+            try:
+                t.join()
+            except BaseException as exc:  # an interrupt while waiting: the helpers stop, wait on
+                failed.append(exc)
+    if failed:
+        raise failed[0]
 
 
 def step(m: RationalMap, coords: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
@@ -231,7 +288,10 @@ def period_grid(m: RationalMap, xs: np.ndarray, ys: np.ndarray, n_max: int, tol:
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((ys.shape[0], xs.shape[0]), dtype=np.int16)
-    for lo, hi in blocks(xs.shape[0], ys.shape[0]):
+
+    def block(lo: int, hi: int) -> None:
         starts = [c.ravel() for c in np.meshgrid(xs, ys[lo:hi])]
         out[lo:hi, :] = first_returns(m, starts, n_max, tol).reshape(hi - lo, xs.shape[0])
+
+    run_blocks(block, xs.shape[0], ys.shape[0])
     return out

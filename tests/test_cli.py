@@ -330,6 +330,7 @@ NON_FINITE_LEVELS = [  # (argv, the refusal naming the flag)
 
 
 GRID = ["--window=-4,4,-4,4", "--res", "4x4", "-o", "/tmp/x.pgm"]
+HUGE_INVARIANT = f"dim 2; x' = x; y' = y; inv r = {'9' * 308}*x + 1;"  # abs() of its values overflows
 UNREAD_FLAGS = [  # (argv, the flag that the map or mode never reads)
     (["raster", "--mode", "period", "--period", "99999", *GRID], "--period"),
     (["raster", "--mode", "period", "--period", "0", *GRID], "--period"),
@@ -390,9 +391,14 @@ UNREAD_FLAGS = [  # (argv, the flag that the map or mode never reads)
         ["decompose", "--map", "f3d", "--period", "2", "--r", "nan"],
         *(argv for argv, _ in NON_FINITE_LEVELS),
         *(argv for argv, _ in UNREAD_FLAGS),
+        ["parse", HUGE_INVARIANT],
     ],
 )
-def test_usage_errors_exit_2(argv):
+def test_usage_errors_exit_2(argv, tmp_path):
+    if argv[0] == "parse":  # the entry holds the text of the file to parse
+        src = tmp_path / "m.rmap"
+        src.write_text(argv[1])
+        argv = ["parse", str(src)]
     code, out, err = run_captured(argv)
     assert code == 2
     assert err.strip()
@@ -404,6 +410,8 @@ def test_usage_errors_exit_2(argv):
     refusal = dict((tuple(a), message) for a, message in NON_FINITE_LEVELS).get(tuple(argv))
     if refusal is not None:
         assert (out, err) == ("", f"error: {refusal}\n")
+    if argv[0] == "parse":
+        assert out == "" and err.startswith("error: declared invariant 'r' overflows") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -80,12 +80,14 @@ def _same_pole_depths(a, b):
         assert np.array_equal(c.values, d.values) and np.array_equal(c.crossing, d.crossing)
 
 
+@pytest.mark.parametrize("workers", [1, 3], ids=["one-thread", "three-threads"])
 @pytest.mark.parametrize("rows", [1, 3], ids=["one-row-blocks", "three-row-blocks"])
 @pytest.mark.parametrize("resolution", [(31, 23), (1, 23), (23, 1)])
-def test_pole_depths_in_blocks_equal_a_single_block(monkeypatch, rows, resolution):
+def test_pole_depths_in_blocks_equal_a_single_block(monkeypatch, workers, rows, resolution):
     whole = denominator_zero_curves(f2d(), 4, JITTERED_WINDOW, resolution)
     whole.curves  # the curves are scanned on first read: read them in a single block too
     assert kernel.blocks(*resolution) == [(0, resolution[1])]
+    monkeypatch.setattr(kernel, "WORKERS", workers)
     monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * resolution[0])  # 23 rows do not split into threes
     _same_pole_depths(denominator_zero_curves(f2d(), 4, JITTERED_WINDOW, resolution), whole)
 
@@ -99,20 +101,23 @@ POLE_MAPS = {
 
 def _same_as_eager(monkeypatch, rows, m, k_max, window, resolution):
     """The scan's depths, curves and layers, in blocks of ``rows`` rows (None:
-    the default), equal the eager single-block scan's; returns its depths."""
+    the default) on one thread and shared by three, equal the eager
+    single-block scan's; returns its depths."""
     depth, curves = pole_depths_eager(m, k_max, window, resolution)
     assert kernel.blocks(*resolution) == [(0, resolution[1])]
     if rows is not None:
         monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * resolution[0])
-    zs = denominator_zero_curves(m, k_max, window, resolution)
-    assert zs.first_pole_depth.dtype == np.int16 and np.array_equal(zs.first_pole_depth, depth)
-    assert [(c.depth, c.component) for c in zs.curves] == [(k, j) for k, j, _, _ in curves]
-    for c, (_, _, values, crossing) in zip(zs.curves, curves):
-        assert c.values.dtype == np.int8 and np.array_equal(c.values, values)
-        assert c.crossing.dtype == bool and np.array_equal(c.crossing, crossing)
-    for k in range(1, k_max + 1):
-        want = np.logical_or.reduce([cr for d, _, _, cr in curves if d == k])
-        assert np.array_equal(zs.layer(k), want)
+    for workers in (1, 3):
+        monkeypatch.setattr(kernel, "WORKERS", workers)
+        zs = denominator_zero_curves(m, k_max, window, resolution)
+        assert zs.first_pole_depth.dtype == np.int16 and np.array_equal(zs.first_pole_depth, depth)
+        assert [(c.depth, c.component) for c in zs.curves] == [(k, j) for k, j, _, _ in curves]
+        for c, (_, _, values, crossing) in zip(zs.curves, curves):
+            assert c.values.dtype == np.int8 and np.array_equal(c.values, values)
+            assert c.crossing.dtype == bool and np.array_equal(c.crossing, crossing)
+        for k in range(1, k_max + 1):
+            want = np.logical_or.reduce([cr for d, _, _, cr in curves if d == k])
+            assert np.array_equal(zs.layer(k), want)
     return depth
 
 
@@ -170,7 +175,9 @@ def test_the_scan_paths_equal_the_eager_reference(monkeypatch, name, grid, k_max
 @pytest.mark.parametrize("k_max", [1, 3, 6])
 def test_the_scan_evaluates_no_image_past_the_last_depth(monkeypatch, k_max):
     """Per row block, a whole step at every depth but the last, where only
-    the denominator part of the map's program runs."""
+    the denominator part of the map's program runs.  One thread, so that
+    the blocks' calls do not interleave."""
+    monkeypatch.setattr(kernel, "WORKERS", 1)
     calls = []
     for name in ("step", "denominators"):
         real = getattr(denoms_module, name)
@@ -229,14 +236,16 @@ def test_raster_refuses_a_complex_coefficient(branch):
         raster(m, (-4, 4, -4, 4), (40, 40), n_max=4, branch=branch)
 
 
+@pytest.mark.parametrize("workers", [1, 3], ids=["one-thread", "three-threads"])
 @pytest.mark.parametrize("rows", [1, 3, 5])
-def test_a_pole_line_on_a_block_seam(monkeypatch, rows):
+def test_a_pole_line_on_a_block_seam(monkeypatch, rows, workers):
     """y = 1 lies between rows 14 and 15 of this grid, and row 15 starts a block:
-    the previous block's carried last-row masks carry the sign change of
-    den_y = y - 1 across the seam."""
+    the block above it steps row 15 as its halo row, so it sees the sign
+    change of den_y = y - 1 across the seam."""
     window, res = (-2.0, 2.0, -2.0, 2.0), (17, 20)
     whole = denominator_zero_curves(f2d(), 3, window, res)
     whole.curves  # scanned on first read: read in a single block, before the split
+    monkeypatch.setattr(kernel, "WORKERS", workers)
     monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * res[0])
     assert 15 in [lo for lo, _ in kernel.blocks(*res)]
     blocked = denominator_zero_curves(f2d(), 3, window, res)

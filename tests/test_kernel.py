@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,17 +79,129 @@ def _seam_grid(w, h):
 BAND_TOL = 0.05  # wide enough that the layers show several periods, not one value
 
 
+@pytest.mark.parametrize("workers", [1, 3], ids=["one-thread", "three-threads"])
 @pytest.mark.parametrize("rows", [1, 3], ids=["one-row-blocks", "three-row-blocks"])
 @pytest.mark.parametrize("w, h", [(13, 17), (1, 23), (23, 1)])
 @pytest.mark.parametrize("name", ["f2d", "lyness"])
-def test_period_grid_in_blocks_equals_a_single_block(monkeypatch, rows, w, h, name):
+def test_period_grid_in_blocks_equals_a_single_block(monkeypatch, workers, rows, w, h, name):
+    """One default block, which these grids do not fill, gives the grid that
+    blocks of 1 or 3 rows give, on one thread or shared by three: more
+    threads than the host's CPUs, and fewer than the blocks but on the
+    1-high grid."""
     m = f2d() if name == "f2d" else LYNESS
     xs, ys = _seam_grid(w, h)
     whole = kernel.period_grid(m, xs, ys, 8, BAND_TOL)
     assert kernel.blocks(w, h) == [(0, h)]  # the default block holds these grids whole
+    monkeypatch.setattr(kernel, "WORKERS", workers)
+    assert np.array_equal(kernel.period_grid(m, xs, ys, 8, BAND_TOL), whole)
     monkeypatch.setattr(kernel, "BLOCK_CELLS", rows * w)  # 17 and 23 rows do not split into threes
     assert len(kernel.blocks(w, h)) == -(-h // rows)
     assert np.array_equal(kernel.period_grid(m, xs, ys, 8, BAND_TOL), whole)
+
+
+def _threads_after(before):
+    """``threading.active_count()`` now; then every thread not in ``before`` is
+    joined for at most 10 s, so a leaked thread fails the count instead of
+    hanging the run."""
+    count = threading.active_count()
+    for t in threading.enumerate():
+        if t not in before:
+            t.join(10)
+    return count
+
+
+def test_run_blocks_runs_every_block_once_under_fast_thread_switches(monkeypatch):
+    """Eight threads on 1-row blocks, switching every microsecond: each block
+    runs exactly once and the grid equals the serial one (well under 1 s)."""
+    m = f2d()
+    xs, ys = _seam_grid(37, 90)
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", 37)
+    monkeypatch.setattr(kernel, "WORKERS", 1)
+    serial = kernel.period_grid(m, xs, ys, 8, BAND_TOL)
+    monkeypatch.setattr(kernel, "WORKERS", 8)
+    ran = []
+    before = threading.enumerate()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.perf_counter()
+        kernel.run_blocks(lambda lo, hi: ran.append((lo, hi)), 37, 90)
+        threaded = kernel.period_grid(m, xs, ys, 8, BAND_TOL)
+        elapsed = time.perf_counter() - started
+    finally:
+        sys.setswitchinterval(interval)
+    assert _threads_after(before) == len(before)
+    assert sorted(ran) == kernel.blocks(37, 90) and len(ran) == 90
+    assert np.array_equal(threaded, serial)
+    assert elapsed < 30.0
+
+
+def test_an_error_in_a_helper_reaches_the_caller(monkeypatch):
+    """A helper's exception is raised in the caller as the same object, after
+    the caller's own block; nothing takes a block once it was raised, and
+    no thread is left running."""
+    monkeypatch.setattr(kernel, "WORKERS", 2)
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", 1)  # ten 1-row blocks of width 1
+    boom = ValueError("block failed")
+    caller_busy, raised = threading.Event(), threading.Event()
+    helper, ran = [], []
+
+    def block(lo, hi):
+        ran.append(lo)
+        if threading.current_thread() is threading.main_thread():
+            caller_busy.set()
+            assert raised.wait(10)
+            helper[0].join(10)  # the helper has recorded its error and left
+            return
+        assert caller_busy.wait(10)
+        helper.append(threading.current_thread())
+        raised.set()
+        raise boom
+
+    before = threading.enumerate()
+    with pytest.raises(ValueError) as info:
+        kernel.run_blocks(block, 1, 10)
+    assert info.value is boom
+    assert sorted(ran) == [0, 1]
+    assert _threads_after(before) == len(before)
+
+
+def test_an_interrupt_in_the_caller_waits_for_the_helper(monkeypatch):
+    """A KeyboardInterrupt on the calling thread is raised only once the
+    helper has finished its current block, and the helper takes no other."""
+    monkeypatch.setattr(kernel, "WORKERS", 2)
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", 1)  # ten 1-row blocks of width 1
+    busy, interrupted, done, ran = threading.Event(), threading.Event(), [], []
+
+    def block(lo, hi):
+        ran.append(lo)
+        if threading.current_thread() is threading.main_thread():
+            assert busy.wait(10)
+            interrupted.set()
+            raise KeyboardInterrupt
+        busy.set()
+        assert interrupted.wait(10)  # still in its block when the caller is interrupted
+        time.sleep(0.05)  # and after it recorded the interrupt
+        done.append(lo)
+
+    before = threading.enumerate()
+    with pytest.raises(KeyboardInterrupt):
+        kernel.run_blocks(block, 1, 10)
+    assert len(done) == 1 and sorted(ran) == [0, 1]
+    assert _threads_after(before) == len(before)
+
+
+def test_one_worker_runs_the_blocks_in_order_on_the_caller(monkeypatch):
+    monkeypatch.setattr(kernel, "WORKERS", 1)
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", 3)
+    ran = []
+    kernel.run_blocks(lambda lo, hi: ran.append((lo, hi, threading.get_ident())), 1, 8)
+    assert ran == [(lo, hi, threading.get_ident()) for lo, hi in kernel.blocks(1, 8)]
+
+
+def test_workers_are_the_usable_cpus_up_to_two():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert kernel.WORKERS == min(2, cpus)
 
 
 def test_period_grid_rejects_non_2d_maps():
