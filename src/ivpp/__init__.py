@@ -14,7 +14,6 @@ from .core import (
     OrbitTrace,
     Point,
     RationalMap,
-    chordal,
 )
 from .decompose import (
     ComponentDecomposition,
@@ -31,7 +30,6 @@ from .ivpp2d import (
     GammaPolynomial,
     IvppBranch,
     branches,
-    gamma_closed,
     gamma_poly,
 )
 from .lv3d import (

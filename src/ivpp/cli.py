@@ -9,6 +9,7 @@ fixed inputs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import io
 import math
@@ -30,7 +31,7 @@ from .decompose import (
 from .dsl import ParseDiagnostic, format_map, maps_equal, parse_map
 from .ivpp2d import PERIOD_MAX, branches, gamma_poly
 from .lv3d import lv_decompose_period2, lv_gamma
-from .maps import BUILTIN_NAMES, get_map
+from .maps import BUILTINS, get_map
 
 MAX_ORBIT_STEPS = 100_000
 
@@ -40,7 +41,7 @@ class UsageError(ValueError):
 
 
 def _load_map(spec: str, r=None) -> RationalMap:
-    if spec in BUILTIN_NAMES:
+    if spec in BUILTINS:
         return get_map(spec, r=r)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
@@ -124,6 +125,18 @@ def _pick_branch(n: int, selector: str):
     return bs[idx - 1]
 
 
+def _level_value(args, condition) -> complex:
+    """condition(), or Indeterminate naming the period and flags where it overflows into nan; inf prints."""
+    try:
+        value = condition()
+    except OverflowError:
+        value = complex(math.nan)
+    if cmath.isnan(value):
+        flags = "".join(f" --{f} {getattr(args, f)!r}" for f in ("r", "s") if getattr(args, f) is not None)
+        raise Indeterminate(f"period {args.period}: the level condition at{flags} overflows the float range")
+    return value
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -153,7 +166,7 @@ def _cmd_ivpp(args) -> int:
     if args.map == "f3d":
         if args.r is None or args.s is None:
             raise UsageError("f3d level conditions need --r and --s")
-        value = lv_gamma(args.period, complex(args.r), complex(args.s))
+        value = _level_value(args, lambda: lv_gamma(args.period, complex(args.r), complex(args.s)))
         doc = {"map": "f3d", "period": args.period, "gamma": value}
         _emit(serialize.dumps(doc), args.output)
         return 0
@@ -170,7 +183,7 @@ def _cmd_ivpp(args) -> int:
         "branches": [{"m": b.m, "rho": b.rho, "label": b.label} for b in branches(args.period)],
     }
     if args.r is not None:
-        doc["gamma_at_r"] = g.eval_monic(complex(args.r))
+        doc["gamma_at_r"] = _level_value(args, lambda: g.eval_monic(complex(args.r)))
     _emit(serialize.dumps(doc), args.output)
     return 0
 

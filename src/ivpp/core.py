@@ -112,10 +112,6 @@ class ExtendedComplex:
 INF = ExtendedComplex()
 
 
-def chordal(a, b) -> float:
-    return ExtendedComplex(a).chordal(b)
-
-
 class Point:
     """A point of C^d (d = 1, 2, 3) with projective coordinates."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -28,6 +27,7 @@ from .maps import f2d
 from .mobius import boundary_cs
 
 INF_F = math.inf
+CLASSIFY_TOL = 1e-9  # relative reach of a cut in ``classify_cuts``: an x this close sits on it
 
 
 class NoClosure(ValueError):
@@ -60,38 +60,28 @@ class ComponentDecomposition:
 
     def __post_init__(self):
         fin = self.finite_boundaries()
-        if list(fin) != sorted(fin):
-            raise ValueError("boundaries must be ascending")
         if self.boundaries[-1] != INF_F:
             raise ValueError("the boundary at infinity must be present (last)")
+        if not all(math.isfinite(b) for b in fin):
+            raise ValueError("every boundary but the last must be finite")
+        if list(fin) != sorted(fin):
+            raise ValueError("boundaries must be ascending")
         if self.convention not in ("left-closed", "right-closed"):
             raise ValueError(f"unknown convention {self.convention!r}")
-        if len(fin) != len(self.boundaries) - 1:
-            raise ValueError("every boundary but the last must be finite")
         n = self.n_components
         if sorted(self.sigma) != list(range(1, n + 1)):
             raise ValueError(f"sigma must map each of the {n} components to a different one of 1..{n}: {self.sigma}")
 
-    @cached_property
-    def _finite(self) -> Tuple[float, ...]:
-        return tuple(b for b in self.boundaries if math.isfinite(b))
-
     def finite_boundaries(self) -> Tuple[float, ...]:
-        return self._finite
+        return self.boundaries[:-1]
 
     @property
     def n_components(self) -> int:
         return len(self.boundaries)
 
-    def intervals(self) -> List[Tuple[float, float]]:
-        """(lo, hi) pairs covering the extended line; first lo and last hi are inf."""
-        fin = self.finite_boundaries()
-        ends = [-INF_F, *fin, INF_F]
-        return list(zip(ends[:-1], ends[1:]))
-
-    def classify(self, x, tol: float = 1e-9):
+    def classify(self, x):
         """1-based component index of x, a float or an array of them; see ``classify_cuts``."""
-        return classify_cuts(self._finite, x, self.convention, tol)
+        return classify_cuts(self.finite_boundaries(), x, self.convention)
 
     def to_json_dict(self) -> dict:
         fin = self.finite_boundaries()
@@ -112,20 +102,20 @@ class ComponentDecomposition:
         return doc
 
 
-def classify_cuts(cuts: Sequence[float], x, convention: str = "left-closed", tol: float = 1e-9):
+def classify_cuts(cuts: Sequence[float], x, convention: str = "left-closed"):
     """1-based component of x among the ascending finite ``cuts``: a Python
     int for a float x, an integer array of x's shape for an array.  Infinity
     lands in the last component, len(cuts) + 1; nan, which compares false
     with every cut, lands after them all when left-closed and before them
     all (component 1) when right-closed.
 
-    x within tol of a cut point counts as sitting on the cut, so the
-    half-open convention decides its side; this keeps the printed
-    boundary memberships stable against the ~1e-16 noise the closed
-    forms carry.  The cuts within tol of x are adjacent in the sorted
-    list, so x snaps to the lowest of them.  One searchsorted pass places
-    every x; only an x within tol of a cut next to it is placed again, and
-    only a chain of such cuts is walked down.
+    x within CLASSIFY_TOL * max(1, |cut|) of a cut point counts as sitting
+    on the cut, so the half-open convention decides its side; this keeps
+    the printed boundary memberships stable against the ~1e-16 noise the
+    closed forms carry.  The cuts within reach of x are adjacent in the
+    sorted list, so x snaps to the lowest of them.  One searchsorted pass
+    places every x; only an x within reach of a cut next to it is placed
+    again, and only a chain of such cuts is walked down.
     """
     c = np.asarray(cuts, dtype=float)
     arr = np.asarray(x, dtype=float)
@@ -133,12 +123,12 @@ def classify_cuts(cuts: Sequence[float], x, convention: str = "left-closed", tol
     side = "right" if convention == "left-closed" else "left"
     q = c.searchsorted(flat, side=side)  # x lies between ends[q] and ends[1:][q]
     ends = np.concatenate(([math.nan], c, [math.nan]))
-    reach = tol * np.maximum(1.0, np.abs(ends))  # the cuts are finite, so x - ends never warns
+    reach = CLASSIFY_TOL * np.maximum(1.0, np.abs(ends))  # the cuts are finite, so x - ends never warns
     lower = np.abs(flat - ends[q]) <= reach[q]
     near = lower | (np.abs(flat - ends[1:][q]) <= reach[1:][q])
     if np.count_nonzero(near):
         near = np.flatnonzero(near)
-        v, at = flat[near], q[near] + ~lower[near]  # ends[at]: the cut below x if within tol, else the one above
+        v, at = flat[near], q[near] + ~lower[near]  # ends[at]: the cut below x if within reach, else the one above
         while True:
             down = np.abs(v - ends[at - 1]) <= reach[at - 1]  # never past ends[0], which is nan
             if not np.count_nonzero(down):

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .core import RationalMap
 from .kernel import check_grid_map, denominators, run_blocks, step
-from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class DenominatorCurve:
 
 @dataclass(frozen=True)
 class DenominatorZeroSet:
-    k_max: int
-    window: Tuple[float, float, float, float]
-    resolution: Tuple[int, int]
-    denominators: Tuple[Polynomial, ...]  # the map's own (k = 1) denominators
     curve_layers: Callable[[], Tuple[DenominatorCurve, ...]] = field(repr=False)  # computes ``curves``
     first_pole_depth: np.ndarray  # int16 per cell: 0 = none within k_max
 
@@ -58,9 +54,14 @@ class DenominatorZeroSet:
 
 
 def cell_centers(window, resolution) -> Tuple[np.ndarray, np.ndarray]:
+    """The x and y centres of a (w, h) grid over the window: every grid layer's input check."""
     x0, x1, y0, y1 = window
     if not (np.isfinite(x1 - x0) and np.isfinite(y1 - y0)):
         raise ValueError("window bounds and widths must be finite")
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError(f"window must be increasing (x0 < x1, y0 < y1), got {tuple(window)}")
+    if len(resolution) != 2 or not all(isinstance(v, Integral) and type(v) is not bool and v > 0 for v in resolution):
+        raise ValueError(f"resolution must be two positive ints, got {tuple(resolution)}")
     w, h = resolution
     if w * h > 4096 * 4096:  # every grid command allocates from these centres
         raise ValueError("resolution capped at 4096 x 4096")
@@ -132,22 +133,16 @@ def _scan(m: RationalMap, k_max: int, xs, ys, curves: Optional[List[DenominatorC
 def denominator_zero_curves(
     m: RationalMap,
     k_max: int,
-    window: Optional[Tuple[float, float, float, float]] = None,
-    resolution: Optional[Tuple[int, int]] = None,
+    window: Tuple[float, float, float, float],
+    resolution: Tuple[int, int],
 ) -> DenominatorZeroSet:
-    """Numeric pole-depth layers for a 2d map (k_max <= 6: degree growth guard).
+    """Numeric pole-depth layers of a 2d map: ``first_pole_depth`` at once, ``curves`` on first read.
 
-    Without a window only the exact k = 1 denominators are reported, which
-    works for any dimension.  With one, ``first_pole_depth`` is scanned at
-    once and ``curves`` on first read.
-    """
+    The scan is linear in k; k_max <= 6 keeps the curve store that reading ``curves`` builds
+    small: an int8 and a bool full-size layer per depth and denominator, about 400 MB at the
+    4096 x 4096 cap for f2d."""
     if not 1 <= k_max <= 6:
         raise ValueError("k_max must be 1..6")
-    dens = tuple(den for _, den in m.components)
-    if window is None or resolution is None:
-        return DenominatorZeroSet(k_max, (0, 0, 0, 0), (0, 0), dens, lambda: (), np.zeros((0, 0), dtype=np.int16))
-    if m.dim != 2:
-        raise ValueError("the window scan supports 2d maps; use the exact k=1 list instead")
     check_grid_map(m)
     xs, ys = cell_centers(window, resolution)
     w, h = resolution
@@ -156,11 +151,9 @@ def denominator_zero_curves(
         curves = [
             DenominatorCurve(k, j, np.zeros((h, w), dtype=np.int8), np.zeros((h, w), dtype=bool))
             for k in range(1, k_max + 1)
-            for j in range(len(dens))
+            for j in range(len(m.components))
         ]
         _scan(m, k_max, xs, ys, curves)
         return tuple(curves)
 
-    return DenominatorZeroSet(
-        k_max, tuple(window), tuple(resolution), dens, curve_layers, _scan(m, k_max, xs, ys)
-    )
+    return DenominatorZeroSet(curve_layers, _scan(m, k_max, xs, ys))

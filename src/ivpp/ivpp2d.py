@@ -54,16 +54,6 @@ def tan_pi(p: int, q: int) -> float:
     return sign * math.tan(math.pi * p / q)
 
 
-def gamma_closed(n: int, m: int, r: complex) -> complex:
-    """The period-n level condition r + tan^2(pi*m/n), zero on the branch."""
-    _check_n(n)
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"m must be in 1..{n - 1}, got {m}")
-    if 2 * m == n:
-        raise DegenerateBranch(f"m/n = 1/2 is a tan pole (period-2 exclusion), got m={m}, n={n}")
-    return r + tan_pi(m, n) ** 2
-
-
 def admissible_m(n: int) -> List[int]:
     """Branch indices: m coprime to n, 1 <= m < n/2."""
     _check_n(n)
@@ -113,10 +103,6 @@ class GammaPolynomial:
     monic: Tuple[float, ...]  # ascending-degree coefficients, leading 1.0
     scaled: Tuple[int, ...]  # the same polynomial times ``scale``: integers, content 1
     scale: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.monic) - 1
 
     def eval_monic(self, r: complex) -> complex:
         acc = 0j

@@ -60,6 +60,8 @@ def f3d() -> RationalMap:
 
 def f2d_reduced(r) -> RationalMap:
     """Dimension-1 reduction of f2d on the level x*y = r (real rational r)."""
+    if r is None:
+        raise ValueError("f2d-reduced needs the invariant level r")
     rv = Fraction(r)
     return _parse(f"dim 1; x' = (x - ({rv}))/(1 - x);", f"f2d-reduced(r={rv})")
 
@@ -69,18 +71,15 @@ def lv_recurrence_map() -> RationalMap:
     return _parse(LV_RECURRENCE_SOURCE, "lv-recurrence")
 
 
-BUILTIN_NAMES = ("f2d", "f3d", "f2d-reduced", "lv-recurrence")
+BUILTINS = {  # CLI name -> the map at level r, which only f2d-reduced reads
+    "f2d": lambda r: f2d(),
+    "f3d": lambda r: f3d(),
+    "f2d-reduced": f2d_reduced,
+    "lv-recurrence": lambda r: lv_recurrence_map(),
+}
 
 
 def get_map(name: str, r=None) -> RationalMap:
-    if name == "f2d":
-        return f2d()
-    if name == "f3d":
-        return f3d()
-    if name == "f2d-reduced":
-        if r is None:
-            raise ValueError("f2d-reduced needs the invariant level r")
-        return f2d_reduced(r)
-    if name == "lv-recurrence":
-        return lv_recurrence_map()
-    raise KeyError(f"unknown built-in map {name!r} (have {', '.join(BUILTIN_NAMES)})")
+    if name not in BUILTINS:
+        raise KeyError(f"unknown built-in map {name!r} (have {', '.join(BUILTINS)})")
+    return BUILTINS[name](r)

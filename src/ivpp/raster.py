@@ -39,6 +39,7 @@ from .decompose import decompose
 from .denoms import cell_centers
 from .ivpp2d import IvppBranch
 from .lv3d import lv_decompose_period2, lv_discriminant
+from .maps import f2d
 
 RASTER_TOL = 1e-6  # default chordal tolerance of the raw period layer
 EXACT_TOL = 1e-9  # closure tolerance for snapped on-variety points
@@ -123,14 +124,9 @@ def _pgm_write(path: str, body: np.ndarray) -> None:
             fh.write(part)
 
 
-def pgm_bytes(grid: np.ndarray) -> bytes:
-    """Binary PGM (P5) of an (h, w) integer layer, in memory: header and body joined."""
-    return b"".join(_pgm_parts(_pgm_body(grid)))
-
-
 def write_pgm(path: str, grid: np.ndarray) -> None:
-    """Write the PGM of ``pgm_bytes`` to ``path`` from its one body buffer; a layer that
-    is not 2-d raises before the file is opened."""
+    """Write the binary PGM (P5) of an (h, w) integer layer to ``path`` from its one
+    body buffer; a layer that is not 2-d raises before the file is opened."""
     _pgm_write(path, _pgm_body(grid))
 
 
@@ -185,7 +181,7 @@ def raster(
     tol: float = RASTER_TOL,
     branch: Optional[IvppBranch] = None,
 ) -> TilingRaster:
-    """Period raster of a 2d map, plus component classes along one branch.
+    """Period raster of a 2d map, plus component classes along one branch of f2d only.
 
     A cell joins the component layer when the local level value x*y falls
     within ``BAND_CELLS`` cell-widths of the branch level rho and the
@@ -196,9 +192,11 @@ def raster(
     kept as its classified cells (``BandCells``).
     """
     kernel.check_grid_map(m)
-    w, h = resolution
+    if branch is not None and m.components != f2d().components:
+        raise ValueError("component rasters need the f2d branches")
     check_period_args(n_max, tol)
     xs, ys = cell_centers(window, resolution)
+    w, h = resolution
     flat = np.zeros(0, dtype=np.int32)
     classes = np.zeros(0, dtype=np.int16)
     meta = {
@@ -307,8 +305,8 @@ def lv_raster(
     """
     if not 0 < stripe_half_width <= 0.5:
         raise ValueError(f"stripe half-width must be in (0, 0.5], got {stripe_half_width}")
-    w, h = resolution
     xs, rs = cell_centers(window, resolution)
+    w, h = resolution
     classes = lv_decompose_period2(0.0, sign).classify(xs).astype(np.int16)
     levels = np.round(rs)  # the nearest integer level of each row, half to even as round()
     near = ~(np.abs(rs - levels) > stripe_half_width) & (window[2] <= levels) & (levels <= window[3])

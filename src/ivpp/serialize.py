@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-import numpy as np
-
-from .core import ExtendedComplex, Point
+from .core import ExtendedComplex
 
 
 def _num(v: float) -> str:
@@ -45,17 +43,11 @@ def encode(obj: Any) -> str:
         return f"[{_num(obj.real)}, {_num(obj.imag)}]"
     if isinstance(obj, ExtendedComplex):
         return '"inf"' if obj.is_infinite else encode(obj.value)
-    if isinstance(obj, Point):
-        return encode(list(obj.coords))
     if isinstance(obj, dict):
         items = ", ".join(f"{_escape(str(k))}: {encode(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(encode(v) for v in obj) + "]"
-    if isinstance(obj, np.integer):
-        return repr(int(obj))
-    if isinstance(obj, np.floating):
-        return _num(float(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -223,7 +223,7 @@ def band_mask_dense(window, resolution, rho, band_cells=1.5):
 
 
 def pgm_concat(grid) -> bytes:
-    """Reference PGM of ``pgm_bytes`` and ``write_pgm``: clip, cast, flip, then header + data."""
+    """Reference PGM of ``write_pgm``: clip, cast, flip, then header + data."""
     h, w = grid.shape
     data = np.clip(grid, 0, 255).astype(np.uint8)[::-1, :]
     return f"P5\n{w} {h}\n255\n".encode() + data.tobytes()

@@ -51,6 +51,30 @@ def test_ivpp_subcommand_lv_gamma():
     assert doc["gamma"] == [pytest.approx(0.0), pytest.approx(0.0)]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (  # lv_gamma's complex ** raises OverflowError
+            ["--map", "f3d", "--period", "4", "--r", "1e300", "--s", "1"],
+            "period 4: the level condition at --r 1e+300 --s 1.0 overflows the float range",
+        ),
+        (  # the monic form at r has a nan imaginary part
+            ["--period", "7", "--r", "1e300"],
+            "period 7: the level condition at --r 1e+300 overflows the float range",
+        ),
+    ],
+    ids=["f3d-power", "f2d-nan-part"],
+)
+def test_ivpp_subcommand_refuses_a_level_condition_that_overflows(argv, message):
+    assert run_captured(["ivpp", *argv]) == (1, "", f"error: {message}\n")
+
+
+def test_ivpp_subcommand_prints_an_infinite_level_condition():
+    code, out, err = run_captured(["ivpp", "--period", "5", "--r", "1e200"])
+    assert code == 0, err
+    assert json.loads(out)["gamma_at_r"] == ["inf", 0]
+
+
 def test_decompose_json_matches_the_printed_table():
     code, out, err = run_captured(["decompose", "--map", "f2d", "--period", "3"])
     assert code == 0, err

@@ -20,7 +20,7 @@ from ivpp.decompose import decompose
 from ivpp.denoms import cell_centers
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d
-from ivpp.raster import BandCells, TilingRaster, pgm_bytes, raster, write_pgm
+from ivpp.raster import BandCells, TilingRaster, raster, write_pgm
 
 raster_module = importlib.import_module("ivpp.raster")  # the package attribute ivpp.raster is the function
 
@@ -268,8 +268,8 @@ PGM_EDGES = np.array([-32768, -1, 0, 255, 256, 32767], dtype=np.int16)  # each s
 
 @pytest.mark.parametrize("shape", [(1, 1), (0, 4), (3, 7), (64, 33)])
 def test_pgm_bytes_equal_the_concatenated_encoder(tmp_path, shape):
-    """In memory, through ``write_pgm`` and through ``TilingRaster.to_pgm`` (both
-    layers), the PGM is the reference encoder's, byte for byte."""
+    """Through ``write_pgm`` and through ``TilingRaster.to_pgm`` (both layers),
+    the PGM is the reference encoder's, byte for byte."""
     rng = np.random.default_rng(shape[1])
     grid = rng.integers(-40, 400, size=shape).astype(np.int16)
     edges = rng.permutation(PGM_EDGES)[: grid.size]
@@ -277,8 +277,6 @@ def test_pgm_bytes_equal_the_concatenated_encoder(tmp_path, shape):
     if grid.size >= PGM_EDGES.size:
         assert set(PGM_EDGES.tolist()) <= set(grid.ravel().tolist())
     want = pgm_concat(grid)
-    blob = pgm_bytes(grid)
-    assert type(blob) is bytes and blob == want
     write_pgm(tmp_path / "w.pgm", grid)
     assert (tmp_path / "w.pgm").read_bytes() == want
     flat = np.flatnonzero(grid)

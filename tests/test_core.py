@@ -13,7 +13,6 @@ from ivpp.core import (
     InfiniteCoordinate,
     Point,
     RationalMap,
-    chordal,
 )
 from ivpp.dsl import parse_map
 from ivpp.maps import f2d, f3d, get_map
@@ -42,12 +41,12 @@ def test_inf_inputs_collapse_to_the_infinity_marker():
 
 
 def test_chordal_known_values():
-    assert chordal(0, INF) == pytest.approx(1.0)
-    assert chordal(1, -1) == pytest.approx(1.0)  # antipodal points
-    assert chordal(INF, INF) == 0.0
-    assert chordal(3, 3) == 0.0
+    assert ExtendedComplex(0).chordal(INF) == pytest.approx(1.0)
+    assert ExtendedComplex(1).chordal(-1) == pytest.approx(1.0)  # antipodal points
+    assert INF.chordal(INF) == 0.0
+    assert ExtendedComplex(3).chordal(3) == 0.0
     # huge finite values sit next to infinity
-    assert chordal(1e200, INF) < 1e-190
+    assert ExtendedComplex(1e200).chordal(INF) < 1e-190
 
 
 finite_values = st.complex_numbers(
@@ -58,7 +57,7 @@ finite_values = st.complex_numbers(
 @settings(max_examples=200, deadline=None)
 @given(finite_values, finite_values)
 def test_chordal_symmetry_and_range(a, b):
-    d1, d2 = chordal(a, b), chordal(b, a)
+    d1, d2 = ExtendedComplex(a).chordal(b), ExtendedComplex(b).chordal(a)
     assert d1 == pytest.approx(d2, abs=1e-15)
     assert 0.0 <= d1 <= 1.0 + 1e-12
 
@@ -66,7 +65,7 @@ def test_chordal_symmetry_and_range(a, b):
 @settings(max_examples=200, deadline=None)
 @given(finite_values.filter(lambda z: abs(z) > 1e-6), finite_values.filter(lambda z: abs(z) > 1e-6))
 def test_chordal_inversion_isometry(a, b):
-    assert chordal(a, b) == pytest.approx(chordal(1 / a, 1 / b), abs=1e-12)
+    assert ExtendedComplex(a).chordal(b) == pytest.approx(ExtendedComplex(1 / a).chordal(1 / b), abs=1e-12)
 
 
 # -- apply examples -------------------------------------------------------------

@@ -324,17 +324,6 @@ def test_every_boundary_but_the_last_must_be_finite():
         ComponentDecomposition(3, "m=1", "left-closed", (-math.inf, 1.0, math.inf), (2, 3, 1))
 
 
-def test_intervals_tile_the_extended_line():
-    for n in (3, 4, 5, 6):
-        d = decompose(branches(n)[0])
-        ivs = d.intervals()
-        assert len(ivs) == n
-        assert ivs[0][0] == -math.inf
-        assert ivs[-1][1] == math.inf
-        for (lo1, hi1), (lo2, hi2) in zip(ivs[:-1], ivs[1:]):
-            assert hi1 == lo2
-
-
 # -- classify ---------------------------------------------------------------------
 
 
@@ -350,8 +339,6 @@ def test_classify_examples():
 
 def test_classify_is_a_partition():
     """Every finite x lands in exactly one interval under either convention."""
-    import itertools
-
     d_left = decompose(branches(4)[0])
     from ivpp.lv3d import lv_decompose_period2
 
@@ -360,7 +347,8 @@ def test_classify_is_a_partition():
         for x in [-10.0, *d.finite_boundaries(), 0.3, 0.9999, 1.0001, 7.5]:
             idx = d.classify(x)
             assert 1 <= idx <= d.n_components
-            lo, hi = d.intervals()[idx - 1]
+            ends = [-math.inf, *d.finite_boundaries(), math.inf]
+            lo, hi = ends[idx - 1], ends[idx]
             if d.convention == "left-closed":
                 assert (lo == -math.inf or lo <= x + 1e-9) and x < hi + 1e-9
             else:

@@ -11,11 +11,11 @@ from ivpp.cli import run_captured
 from ivpp.core import RationalMap
 from ivpp.decompose import decompose
 from ivpp.denoms import cell_centers, denominator_zero_curves
-from ivpp.dsl import parse_map
+from ivpp.dsl import format_map, parse_map
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d, f3d
 from ivpp.poly import Polynomial
-from ivpp.raster import lv_raster, pgm_bytes, raster, write_csv
+from ivpp.raster import lv_raster, raster, write_csv, write_pgm
 
 raster_module = importlib.import_module("ivpp.raster")  # the package attribute ivpp.raster is the function
 denoms_module = importlib.import_module("ivpp.denoms")
@@ -25,23 +25,21 @@ denoms_module = importlib.import_module("ivpp.denoms")
 
 
 def test_k1_denominators_are_the_maps_own():
-    zs = denominator_zero_curves(f2d(), 1)
     # normalized denominators: x - 1 and y - 1 (same zero sets as 1-x, 1-y)
     from fractions import Fraction
 
     x = Polynomial.var(0, 2)
     y = Polynomial.var(1, 2)
     one = Polynomial.const(Fraction(1), 2)
-    assert zs.denominators == (x - one, y - one)
+    assert tuple(den for _, den in f2d().components) == (x - one, y - one)
 
 
 def test_f3d_k1_denominator_contains_the_printed_surface():
-    zs = denominator_zero_curves(f3d(), 1)
     # 1 - z + z*x (already monic in the graded-lex order, so kept as given)
     from fractions import Fraction
 
     terms = {(0, 0, 0): Fraction(1), (0, 0, 1): Fraction(-1), (1, 0, 1): Fraction(1)}
-    assert Polynomial(3, terms) in zs.denominators
+    assert Polynomial(3, terms) in [den for _, den in f3d().components]
 
 
 def test_k1_layer_marks_the_pole_lines():
@@ -56,9 +54,9 @@ def test_k1_layer_marks_the_pole_lines():
 
 
 def test_depth_guard_and_dimension_guard():
-    with pytest.raises(ValueError):
-        denominator_zero_curves(f2d(), 7)
-    with pytest.raises(ValueError, match="use the exact k=1 list instead"):
+    with pytest.raises(ValueError, match="k_max must be 1..6"):
+        denominator_zero_curves(f2d(), 7, (-1, 1, -1, 1), (10, 10))
+    with pytest.raises(ValueError, match="grid kernels support 2d maps"):
         denominator_zero_curves(f3d(), 2, (-1, 1, -1, 1), (10, 10))
 
 
@@ -74,7 +72,7 @@ def test_pole_depths_of_a_map_with_a_constant_denominator():
 
 def _same_pole_depths(a, b):
     assert np.array_equal(a.first_pole_depth, b.first_pole_depth)
-    assert all(np.array_equal(a.layer(k), b.layer(k)) for k in range(1, a.k_max + 1))
+    assert all(np.array_equal(a.layer(k), b.layer(k)) for k in range(1, a.curves[-1].depth + 1))
     assert [(c.depth, c.component) for c in a.curves] == [(c.depth, c.component) for c in b.curves]
     for c, d in zip(a.curves, b.curves):
         assert np.array_equal(c.values, d.values) and np.array_equal(c.crossing, d.crossing)
@@ -222,7 +220,6 @@ def test_a_complex_coefficient_is_refused():
     m = RationalMap([(y, one), (one + y, x + Polynomial.const(1j, 2))])
     with pytest.raises(ValueError, match="real coefficients"):
         denominator_zero_curves(m, 2, (-1, 1, -1, 1), (5, 5))
-    assert denominator_zero_curves(m, 2).denominators == (one, x + Polynomial.const(1j, 2))
 
 
 @pytest.mark.parametrize("branch", [None, branches(3)[0]], ids=["period", "component"])
@@ -422,9 +419,10 @@ def test_raster_csv(tmp_path, small_period3_raster):
     assert len(lines) == 1 + 200 * 200
 
 
-def test_pgm_bytes_clip_and_flip():
+def test_pgm_bytes_clip_and_flip(tmp_path):
     grid = np.array([[-1, 0, 300], [5, 255, 256]], dtype=np.int16)  # row 0 = smallest y
-    assert pgm_bytes(grid) == b"P5\n3 2\n255\n" + bytes([5, 255, 255, 0, 0, 255])
+    write_pgm(tmp_path / "g.pgm", grid)
+    assert (tmp_path / "g.pgm").read_bytes() == b"P5\n3 2\n255\n" + bytes([5, 255, 255, 0, 0, 255])
 
 
 LAYER_VALUES = np.array([-1, 0, 7, 12, 327, 32767, -32768], dtype=np.int16)
@@ -581,6 +579,48 @@ def test_resolution_guard():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # one 5000-cell row of float64 is 40 kB, the grid 200 MB
+
+
+GRID_ENTRY_POINTS = {
+    "raster": lambda window, res: raster(f2d(), window, res, n_max=2, branch=branches(3)[0]),
+    "denoms": lambda window, res: denominator_zero_curves(f2d(), 2, window, res),
+    "lv_raster": lv_raster,
+}
+
+
+@pytest.mark.parametrize("entry", GRID_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "window, resolution, message",
+    [
+        ((-1, 1, -1, 1), (0, 5), "resolution must be two positive ints"),  # a ZeroDivisionError before
+        ((-1, 1, -1, 1), (-3, -5), "resolution must be two positive ints"),  # empty layers before
+        ((-1, 1, -1, 1), (2.5, 3), "resolution must be two positive ints"),  # 3 columns spaced for 2.5
+        ((-1, 1, -1, 1), (True, 3), "resolution must be two positive ints"),
+        ((-1, 1, -1, 1), (3, 4, 5), "resolution must be two positive ints"),
+        ((1, -1, -1, 1), (4, 4), "window must be increasing"),
+        ((-1, 1, 1, 1), (4, 4), "window must be increasing"),
+    ],
+    ids=["zero-width", "negative", "fractional", "bool", "three-values", "x-decreasing", "y-empty"],
+)
+def test_every_grid_entry_point_refuses_a_bad_window_or_resolution(entry, window, resolution, message):
+    """``cell_centers``, which every grid layer calls first, holds the contract."""
+    with pytest.raises(ValueError, match=message):
+        GRID_ENTRY_POINTS[entry](window, resolution)
+
+
+def test_cell_centers_take_numpy_ints():
+    xs, ys = cell_centers((-1, 1, -1, 1), (np.int64(4), np.int32(2)))
+    assert xs.tolist() == [-0.75, -0.25, 0.25, 0.75] and ys.tolist() == [-0.5, 0.5]
+
+
+def test_a_branch_raster_refuses_a_map_other_than_f2d():
+    """The band, snap and classes come from f2d's branch, so another map's
+    closure test would classify cells of no variety of its own."""
+    lyness = parse_map((Path(__file__).parents[1] / "perfbench" / "lyness.rmap").read_text())
+    with pytest.raises(ValueError, match="component rasters need the f2d branches"):
+        raster(lyness, (-4, 4, -4, 4), (200, 200), n_max=8, branch=branches(5)[0])
+    f2d_copy = parse_map(format_map(f2d()))  # the same map under no name
+    assert raster(f2d_copy, (-4, 4, -4, 4), (40, 40), n_max=4, branch=branches(3)[0]).labels.flat.size > 0
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"n_max": 0}, {"n_max": 40000}])

@@ -19,7 +19,7 @@ from conftest import (
     period_rows_dense,
     period_rows_exact,
 )
-from ivpp.core import Point, RationalMap, chordal
+from ivpp.core import ExtendedComplex, Point, RationalMap
 from ivpp.dsl import parse_map
 from ivpp.lv3d import lv_discriminant, lv_period2_param
 from ivpp.maps import f2d, f2d_reduced, f3d, lv_recurrence_map
@@ -295,12 +295,7 @@ def test_python_chordal_helper_matches_core():
     for a in vals:
         for b in vals:
             got = float(kernel._chord_grid(np.asarray([a]), kernel._homogeneous(np.asarray([b])))[0])
-            aa = np.inf if np.isinf(a) else float(a)
-            bb = np.inf if np.isinf(b) else float(b)
-            want = chordal(
-                float("inf") if np.isinf(aa) else aa,
-                float("inf") if np.isinf(bb) else bb,
-            )
+            want = ExtendedComplex(float(a)).chordal(float(b))
             assert got == pytest.approx(want, abs=1e-12)
 
 

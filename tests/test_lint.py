@@ -1,24 +1,29 @@
 """Source checks that need only the standard library.
 
-Every module of the package but ``__init__`` (which imports to re-export)
-must use each name it imports; an import left behind by a removal is the
-usual sign of dead code next to it.  And every function, class and method
-(dunders aside) must be named somewhere else in the package, in code or in
-prose: a helper that a change strands is named nowhere.  Likewise every
-helper, fixture and constant of ``tests/conftest.py`` must be named by a
-test file, so that no reference goes stale unused.  And README's Library
-layout table has exactly one row per module of the package.
+Every module of the package but ``__init__`` (which imports to re-export),
+and every test file, must use each name it imports; an import left behind
+by a removal is the usual sign of dead code next to it.  And every
+function, class and method (dunders aside) must be called from the
+package's own code, or named by the benchmark, whose tracer wraps methods
+by name: a helper that only tests, prose or a re-export name is dead.
+Likewise every helper, fixture and constant of ``tests/conftest.py`` must
+be named by a test file, so that no reference goes stale unused.  README's
+Library layout table has exactly one row per module of the package, and
+every backticked ``module.name`` and ``Class.member`` in README names
+something the package defines.
 """
 
 import ast
+import io
 import re
-from collections import Counter
+import tokenize
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "ivpp"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "ivpp"
 
 
 def _unused_imports(tree: ast.Module):
@@ -36,62 +41,97 @@ def _unused_imports(tree: ast.Module):
 
 
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_FILES, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES]
+)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 def test_the_unused_import_check_bites():
-    assert len(MODULES) > 10  # the glob found the package
+    assert len(MODULES) > 10 and len(TEST_FILES) > 10  # the globs found the package and the tests
     sample = "import os\nimport numpy as np\nfrom typing import List, Tuple\nx: List[int] = np.zeros(1)\n"
     assert _unused_imports(ast.parse(sample)) == [(1, "os"), (3, "Tuple")]
+    in_a_test = "def test_x():\n    import itertools\n\n    assert True\n"
+    assert _unused_imports(ast.parse(in_a_test)) == [(2, "itertools")]  # a local import counts too
 
 
-# module:qualified name -> why it stays although the package never names it
+# module:qualified name -> why it stays although no code of the package calls it
 UNREFERENCED_ALLOWED = {
-    "raster.py:TilingRaster.to_pgm_bytes": "the benchmark's tracer wraps it by name and refuses to install without it; "
-    "ROADMAP item 1 retires it with eval_raw",
+    "mobius.py:Mobius.inverse": "README's z -> x chart, x_to_z_map(r).inverse(); verified by tests/test_mobius.py",
 }
 
 
-def _unreferenced(sources):
+def _calls(sources) -> dict:
+    """name -> the (module, line) of each NAME token of it in ``sources``
+    (module file name -> text), skipping ``__init__.py``, which only
+    re-exports, and the names that ``def`` and ``class`` bind.  Strings and
+    comments hold no NAME token."""
+    calls = {}
+    for module, text in sources.items():
+        if module == "__init__.py":
+            continue
+        prev = None
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                if prev not in ("def", "class"):
+                    calls.setdefault(tok.string, []).append((module, tok.start[0]))
+                prev = tok.string
+            elif tok.type not in (tokenize.NL, tokenize.COMMENT):
+                prev = None
+    return calls
+
+
+def _unreferenced(sources, outside=()):
     """``module:name`` of every top-level function and class, and every
-    non-dunder method, of ``sources`` (module file name -> text) whose name
-    is no word of the texts apart from its own definitions."""
-    words = Counter(word for text in sources.values() for word in re.findall(r"[A-Za-z_]\w*", text))
+    non-dunder method, of ``sources`` that no code of theirs calls outside its
+    own definition (see ``_calls``) and that is no word of the ``outside`` texts."""
+    words = {word for text in outside for word in re.findall(r"[A-Za-z_]\w*", text)}
+    calls = _calls(sources)
     defined = []
     for module, text in sources.items():
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((module, node.name, node.name))
+                defined.append((module, node.name, node))
             if isinstance(node, ast.ClassDef):
                 defined += [
-                    (module, f"{node.name}.{sub.name}", sub.name)
+                    (module, f"{node.name}.{sub.name}", sub)
                     for sub in node.body
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (sub.name.startswith("__") and sub.name.endswith("__"))
                 ]
-    definitions = Counter(name for _, _, name in defined)
-    return [f"{module}:{qual}" for module, qual, name in defined if words[name] <= definitions[name]]
+    return [
+        f"{module}:{qual}"
+        for module, qual, node in defined
+        if node.name not in words
+        and all(m == module and node.lineno <= line <= node.end_lineno for m, line in calls.get(node.name, []))
+    ]
 
 
-def test_every_function_class_and_method_is_named_elsewhere():
+def test_every_function_class_and_method_is_called_by_the_package():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert sorted(_unreferenced(sources)) == sorted(UNREFERENCED_ALLOWED)
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert len(sources) > 10 and bench  # the globs found the package and the benchmark
+    assert sorted(_unreferenced(sources, bench)) == sorted(UNREFERENCED_ALLOWED)
 
 
 def test_the_unreferenced_code_check_bites():
     sources = {
-        "a.py": "def used():\n    pass\n\n\ndef unused():\n    pass\n\n\nclass Box:\n"
+        "a.py": "def used():\n    pass\n\n\ndef unused():\n    return unused()\n\n\nclass Box:\n"
         "    def __init__(self):\n        pass\n\n    def open(self):\n        return used()\n\n"
         "    def spare(self):\n        pass\n",
-        "b.py": "from a import Box  # the box's spare is\n\nBox().open()\n\n\nclass Other:\n    def spare(self):\n        pass\n",
+        "b.py": "from a import Box\n\nBox().open()\n\n\nclass Other:\n    def spare(self):\n        pass\n",
     }
-    assert _unreferenced(sources) == ["a.py:unused", "b.py:Other"]  # a word in a comment names spare
-    sources["b.py"] = sources["b.py"].replace("# the box's spare is", "")
-    assert _unreferenced(sources) == ["a.py:unused", "a.py:Box.spare", "b.py:Other", "b.py:Other.spare"]  # one per definition
+    everything = ["a.py:unused", "a.py:Box.spare", "b.py:Other", "b.py:Other.spare"]
+    assert _unreferenced(sources) == everything  # a def, or a call in its own body, is no call
+    for named in ('"""Prose: unused and spare."""\n', "# unused and spare\n"):
+        assert _unreferenced({**sources, "c.py": named + "Other\n"}) == everything[:2] + everything[3:]
+    assert _unreferenced({**sources, "__init__.py": "from .a import unused\nunused\n"}) == everything
+    assert _unreferenced(sources, ["tracer.wrap(Other, 'spare')"]) == ["a.py:unused"]
+    assert _unreferenced({**sources, "c.py": "Box().spare()\n"}) == ["a.py:unused", "b.py:Other"]
 
 
 def _unnamed_helpers(conftest: str, test_texts) -> list:
@@ -137,3 +177,56 @@ def test_the_library_layout_check_bites():
         "| `ivpp.a` | one |\n| `ivpp.b` | `ivpp.c` in prose |\n| `ivpp.a` | twice |\n\n## Next\n\n| `ivpp.d` | after |\n"
     )
     assert _layout_modules(readme) == ["a", "b", "a"]
+
+
+def _bound_names(body) -> set:
+    """Names a module or class body binds: defs, classes, assignments and imports."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return names
+
+
+def _stale_readme_names(readme: str, sources) -> list:
+    """Every backticked ``module.name`` and ``Class.member`` of ``readme`` whose
+    head is a module (``ivpp`` the package) or a class of ``sources`` (module
+    file name -> text) and whose tail that module or class does not bind."""
+    scopes = {}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        scopes.setdefault("ivpp" if module == "__init__.py" else module[:-3], set()).update(_bound_names(tree.body))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                scopes.setdefault(node.name, set()).update(_bound_names(node.body))
+    scopes["ivpp"] |= {module[:-3] for module in sources}
+    stale = []
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        for head, tail in re.findall(r"(?<![\w.])([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span):
+            if head in scopes and tail not in scopes[head]:
+                stale.append(f"{head}.{tail}")
+    return stale
+
+
+def test_every_backticked_package_name_in_the_readme_resolves():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readme = (ROOT / "README.md").read_text()
+    assert len(re.findall(r"`(?:kernel|raster)\.\w+", readme)) > 5  # the README still names the package this way
+    assert _stale_readme_names(readme, sources) == []
+
+
+def test_the_readme_name_check_bites():
+    sources = {
+        "__init__.py": "from .box import Box\n",
+        "box.py": "import math\n\nLIMIT = 3\n\n\nclass Box:\n    size: int = 1\n\n    def open(self):\n        pass\n",
+    }
+    readme = (
+        "`box.LIMIT`, `box.math`, `Box.size`, `Box.open()` and `ivpp.box` resolve; `np.zeros`, `x.y`, "
+        "`BENCH_x.json` and `a.box.gone` are not the package's; `box.gone − 1`, `Box.shut()` and `ivpp.lid` are stale"
+    )
+    assert _stale_readme_names(readme, sources) == ["box.gone", "Box.shut", "ivpp.lid"]
