@@ -46,7 +46,6 @@ from .mobius import (
     ZeroInvariant,
     boundary_c,
     boundary_d,
-    period2_exclusion,
     power_matrix,
 )
 from .raster import TilingRaster, lv_raster, raster

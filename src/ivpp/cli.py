@@ -9,7 +9,6 @@ fixed inputs.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import io
 import math
@@ -125,16 +124,12 @@ def _pick_branch(n: int, selector: str):
     return bs[idx - 1]
 
 
-def _level_value(args, condition) -> complex:
-    """condition(), or Indeterminate naming the period and flags where it overflows into nan; inf prints."""
-    try:
-        value = condition()
-    except OverflowError:
-        value = complex(math.nan)
-    if cmath.isnan(value):
+def _level_value(args, value: float) -> complex:
+    """value as a complex, or Indeterminate naming the period and flags where it overflowed into nan; inf prints."""
+    if math.isnan(value):
         flags = "".join(f" --{f} {getattr(args, f)!r}" for f in ("r", "s") if getattr(args, f) is not None)
         raise Indeterminate(f"period {args.period}: the level condition at{flags} overflows the float range")
-    return value
+    return complex(value)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -166,7 +161,7 @@ def _cmd_ivpp(args) -> int:
     if args.map == "f3d":
         if args.r is None or args.s is None:
             raise UsageError("f3d level conditions need --r and --s")
-        value = _level_value(args, lambda: lv_gamma(args.period, complex(args.r), complex(args.s)))
+        value = _level_value(args, lv_gamma(args.period, args.r, args.s))
         doc = {"map": "f3d", "period": args.period, "gamma": value}
         _emit(serialize.dumps(doc), args.output)
         return 0
@@ -183,7 +178,7 @@ def _cmd_ivpp(args) -> int:
         "branches": [{"m": b.m, "rho": b.rho, "label": b.label} for b in branches(args.period)],
     }
     if args.r is not None:
-        doc["gamma_at_r"] = _level_value(args, lambda: g.eval_monic(complex(args.r)))
+        doc["gamma_at_r"] = _level_value(args, g.eval_monic(args.r))
     _emit(serialize.dumps(doc), args.output)
     return 0
 

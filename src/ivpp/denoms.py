@@ -45,13 +45,6 @@ class DenominatorZeroSet:
         """The curves in (depth, component) order, computed on first read and cached."""
         return self.curve_layers()
 
-    def layer(self, k: int) -> np.ndarray:
-        mask = np.zeros(self.first_pole_depth.shape, dtype=bool)
-        for c in self.curves:
-            if c.depth == k:
-                mask |= c.crossing
-        return mask
-
 
 def cell_centers(window, resolution) -> Tuple[np.ndarray, np.ndarray]:
     """The x and y centres of a (w, h) grid over the window: every grid layer's input check."""

@@ -17,7 +17,6 @@ are cleared but never factored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
@@ -147,9 +146,9 @@ def _normalize(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, Polynomial
     """Monic denominator; constant denominators are absorbed into the numerator."""
     if den.is_constant:
         c = den.constant_value()
-        return num.scale(Fraction(1) / Fraction(c)), Polynomial.const(Fraction(1), num.nvars)
+        return num.scale(Fraction(1) / c), Polynomial.const(Fraction(1), num.nvars)
     lead = den.leading_coefficient()
-    inv = Fraction(1) / Fraction(lead)
+    inv = Fraction(1) / lead
     return num.scale(inv), den.scale(inv)
 
 
@@ -308,36 +307,17 @@ def parse_map(text: str) -> RationalMap:
         raise SemanticError(str(exc)) from None
 
 
-def _exact(p: Polynomial) -> Polynomial:
-    """``p`` with each float coefficient (a complex one's real part) as its exact ``Fraction``,
-    which parses back to the same value; a non-real, inf or nan one raises ValueError."""
-    terms = {}
-    for exps, c in p.terms.items():
-        if isinstance(c, (float, complex)):
-            if c.imag != 0:
-                raise ValueError("a non-real coefficient has no source text: the map language has no complex literal")
-            if not math.isfinite(c.real):
-                raise ValueError(f"the coefficient {c} has no source text: it is not finite")
-            c = Fraction(c.real)
-        terms[exps] = c
-    return Polynomial(p.nvars, terms)
-
-
 def format_map(m: RationalMap) -> str:
-    """Canonical source text; parse_map(format_map(m)) is structurally equal to m.
-
-    A float coefficient prints exactly, as its ``Fraction``; a non-real,
-    infinite or nan one is refused (ValueError)."""
+    """Canonical source text; parse_map(format_map(m)) is structurally equal to m."""
     lines = [f"dim {m.dim};"]
     for i, (num, den) in enumerate(m.components):
-        num, den = _exact(num), _exact(den)
         if den.is_constant and den.constant_value() == 1:
             rhs = format_polynomial(num)
         else:
             rhs = f"({format_polynomial(num)})/({format_polynomial(den)})"
         lines.append(f"{VARS[i]}' = {rhs};")
     for name, p in m.invariants:
-        lines.append(f"inv {name} = {format_polynomial(_exact(p))};")
+        lines.append(f"inv {name} = {format_polynomial(p)};")
     return "\n".join(lines) + "\n"
 
 

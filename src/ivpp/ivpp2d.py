@@ -104,8 +104,8 @@ class GammaPolynomial:
     scaled: Tuple[int, ...]  # the same polynomial times ``scale``: integers, content 1
     scale: int
 
-    def eval_monic(self, r: complex) -> complex:
-        acc = 0j
+    def eval_monic(self, r: float) -> float:
+        acc = 0.0
         for c in reversed(self.monic):
             acc = acc * r + c
         return acc

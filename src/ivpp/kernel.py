@@ -274,12 +274,10 @@ def first_returns(m: RationalMap, coords: Sequence[np.ndarray], n_max: int, tol:
 
 
 def check_grid_map(m: RationalMap) -> None:
-    """Refuse a map the grid layers cannot scan: not 2d, or with a complex
-    coefficient (numpy would order its complex denominators by real part)."""
+    """Refuse a map the grid layers cannot scan: one that is not 2d.  Its
+    coefficients are real, as every ``Polynomial``'s are."""
     if m.dim != 2:
         raise ValueError("grid kernels support 2d maps")
-    if any(complex(c).imag != 0 for pair in m.components for p in pair for c in p.terms.values()):
-        raise ValueError("grid kernels need real coefficients")
 
 
 def period_grid(m: RationalMap, xs: np.ndarray, ys: np.ndarray, n_max: int, tol: float) -> np.ndarray:

@@ -41,14 +41,15 @@ class UnsupportedPeriod(ValueError):
 SIGNS = {"+": 1, "-": -1}
 
 
-def lv_gamma(n: int, r: complex, s: complex) -> complex:
-    """The period-n level condition of the 3d map for n = 2, 3, 4."""
+def lv_gamma(n: int, r: float, s: float) -> float:
+    """The period-n level condition of the 3d map for n = 2, 3, 4, in
+    products, which overflow to +-inf where ``**`` would raise."""
     if n == 2:
         return s + 1
     if n == 3:
-        return (s - r) ** 2 + (r + 1) * (s + 1)
+        return (s - r) * (s - r) + (r + 1) * (s + 1)
     if n == 4:
-        return (s - r) ** 3 + s * (r + 1) ** 3
+        return (s - r) * (s - r) * (s - r) + s * ((r + 1) * (r + 1) * (r + 1))
     raise UnsupportedPeriod(f"no printed level condition for period {n}")
 
 
@@ -65,28 +66,27 @@ def lv_discriminant(x: float, r: float) -> float:
     )
 
 
-def lv_roots(x: float, r: float) -> Tuple[complex, complex, bool]:
-    """The two quadratic roots (a_plus, a_minus) and a real-branch flag.
+def lv_roots(x: float, r: float) -> Tuple[complex, complex]:
+    """The two quadratic roots (a_plus, a_minus).
 
     The square root takes the non-negative real branch when D >= 0;
-    negative discriminants give a conjugate pair (flag False).
+    negative discriminants give a conjugate pair.
     """
     if x in (0, 1):
         raise DegenerateParameter(f"parametrization pole at x = {x}")
     d = lv_discriminant(x, r)
-    real = d >= 0
-    sq = math.sqrt(d) if real else cmath.sqrt(complex(d))
+    sq = math.sqrt(d) if d >= 0 else cmath.sqrt(complex(d))
     base = x * x - 2 * x + r * x - r
     a_plus = (base + sq) / (2 * x)
     a_minus = (base - sq) / (2 * x)
-    return a_plus, a_minus, real
+    return a_plus, a_minus
 
 
 def lv_period2_param(x: float, r: float, sign: str = "+") -> Point:
     """Point (x, a/(x-1), a'/(x-1)) on the period-2 level: x*y*z = r, s = -1."""
     if sign not in SIGNS:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    a_plus, a_minus, _ = lv_roots(x, r)
+    a_plus, a_minus = lv_roots(x, r)
     a, b = (a_plus, a_minus) if SIGNS[sign] > 0 else (a_minus, a_plus)
     return Point([x, a / (x - 1), b / (x - 1)])
 

@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Iterable, List
 
 from .core import INF, ExtendedComplex
 from .ivpp2d import tan_pi
@@ -127,38 +127,17 @@ def boundary_cs(n: int, k: int = 1) -> List[float]:
     return [boundary_c(n, m, k) for m in range(n + 1)]
 
 
-def boundary_d(n: int, r: complex, m: int) -> ExtendedComplex:
+def boundary_d(r: complex, m: int) -> ExtendedComplex:
     """z-space boundary value for the m-th iterate on the level r: the z-chart
     of M^m(inf), infinite where M^m(inf) = -1."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
     return x_to_z_map(r)(power_matrix(r, m)(INF))
 
 
 def boundary_ds(n: int, r: complex) -> List[ExtendedComplex]:
-    return [boundary_d(n, r, m) for m in range(n + 1)]
-
-
-@dataclass(frozen=True)
-class ExclusionReport:
-    """Certificate that s(r) = -1 has no finite solution: s(r) + 1 = 2/(1 - sqrt(r))
-    exactly, and |1 - sqrt(r)| over |r| <= R is largest, sqrt(1 + R), at r = -R,
-    so |s + 1| >= 2/sqrt(1 + R) there and decays only like 2/sqrt(|r|)."""
-
-    min_abs: Dict[float, float]  # radius R -> 2/sqrt(1 + R), the min of |s(r) + 1| over |r| <= R
-    identity_max_dev: float  # max | |s(-R) + 1| - 2/sqrt(1 + R) | over the radii
-
-    @property
-    def all_positive(self) -> bool:
-        return all(v > 0 for v in self.min_abs.values())
-
-
-def period2_exclusion(radii: Tuple[float, ...] = (10.0, 100.0, 1000.0)) -> ExclusionReport:
-    """The minimum of |s(r) + 1| over |r| <= R for each radius R, from the
-    identity, which is checked numerically where the minimum is attained."""
-    min_abs = {R: 2 / math.sqrt(1 + R) for R in radii}
-    s = {R: (1 + cmath.sqrt(-R)) / (1 - cmath.sqrt(-R)) for R in radii}  # s(r) at r = -R
-    return ExclusionReport(min_abs, max((abs(abs(s[R] + 1) - v) for R, v in min_abs.items()), default=0.0))
+    """The z-space boundaries of period n >= 3, m = 0..n."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    return [boundary_d(r, m) for m in range(n + 1)]
 
 
 def conjugacy_error(T: Mobius, f: Callable, s: complex, xs: Iterable) -> float:

@@ -1,13 +1,15 @@
 """Sparse multivariate polynomials in up to three variables.
 
-Coefficients are kept exact (``fractions.Fraction``) wherever they originate
-from source text or built-in map definitions; evaluation converts to complex
-on the fly.  Arithmetic also tolerates float/complex coefficients, as in a
-polynomial scaled by a Python number.
+Coefficients are exact rationals from construction: an int or
+``fractions.Fraction`` is kept, any other finite real (a float, a numpy
+scalar) is stored as its exact ``Fraction``, and anything else is refused;
+evaluation converts to float or complex on the fly.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
@@ -21,6 +23,16 @@ Exps = Tuple[int, ...]
 def _monomial_key(exps: Exps):
     # graded lexicographic: total degree first, then exponent tuple
     return (sum(exps), exps)
+
+
+def _coefficient(c):
+    """c as an exact rational: an int or Fraction as it is, any other finite
+    real as its ``Fraction``; a complex, infinite, nan or non-number c raises."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if not isinstance(c, numbers.Real) or not math.isfinite(c):
+        raise ValueError(f"coefficient {c!r} is not a finite real number")
+    return Fraction(int(c) if isinstance(c, numbers.Integral) else float(c))
 
 
 class Polynomial:
@@ -38,16 +50,13 @@ class Polynomial:
                 raise ValueError(f"exponent tuple {exps} has wrong length")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            c = _coefficient(c)
             if c != 0:
                 clean[tuple(exps)] = c
         self.terms = clean
         self._program = None
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
 
     @classmethod
     def const(cls, value, nvars: int) -> "Polynomial":
@@ -107,8 +116,6 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     def scale(self, factor) -> "Polynomial":
-        if factor == 0:
-            return Polynomial.zero(self.nvars)
         return Polynomial(self.nvars, {e: c * factor for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
@@ -162,17 +169,13 @@ class Polynomial:
 
 
 def format_polynomial(p: Polynomial) -> str:
-    """Canonical text form: graded-lex descending, exact coefficients.  A
-    complex coefficient with a zero imaginary part prints as its signed real
-    part, any other as its whole value, such as ``(0.5+0.25j)*x``."""
+    """Canonical text form: graded-lex descending, exact coefficients."""
     if p.is_zero:
         return "0"
     parts = []
     for exps in sorted(p.terms, key=_monomial_key, reverse=True):
         c = p.terms[exps]
-        if isinstance(c, complex) and c.imag == 0:
-            c = c.real
-        sign, mag = ("+", c) if isinstance(c, complex) else ("-" if c < 0 else "+", abs(c))
+        sign, mag = "-" if c < 0 else "+", abs(c)
         mono = "*".join(
             VAR_NAMES[i] if e == 1 else f"{VAR_NAMES[i]}^{e}"
             for i, e in enumerate(exps)
@@ -221,8 +224,8 @@ class ArrayProgram:
     its denominator unless that is exactly 1 (``x / 1.0`` is ``x``).
 
     The program forms each power and each product of its terms once and
-    shares it across all its polynomials.  When every coefficient is real and
-    the arrays are float64 of one shape, the *folded* variant also
+    shares it across all its polynomials.  When the arrays are float64 of one
+    shape, the *folded* variant also
 
     - forms a term of coefficient -1 as its product m, and adds it as
       ``acc - m``: ``a + (-1.0 * m)`` and ``a - m`` are the same float64
@@ -242,14 +245,12 @@ class ArrayProgram:
     value, nothing is copied, and powers are ``power``'s products.
     """
 
-    __slots__ = ("nvars", "polys", "quotients", "real", "_runs")
+    __slots__ = ("nvars", "polys", "quotients", "_runs")
 
     def __init__(self, nvars: int, polys, quotients=()):
         self.nvars = nvars
         self.polys = tuple(polys)
         self.quotients = tuple(quotients)
-        every = self.polys + tuple(p for pair in self.quotients for p in pair)
-        self.real = all(complex(c).imag == 0 for p in every for c in p.terms.values())
         self._runs = {}  # (folded, scalar) -> the compiled function
 
     def _run(self, folded: bool, scalar: bool = False):
@@ -262,7 +263,7 @@ class ArrayProgram:
 
     def __call__(self, arrays):
         a0 = arrays[0]
-        folded = self.real and all(getattr(a, "dtype", None) is _F64 and a.shape == a0.shape for a in arrays)
+        folded = all(getattr(a, "dtype", None) is _F64 and a.shape == a0.shape for a in arrays)
         return self._run(folded)(*arrays)
 
     def scalar(self, values):
@@ -314,8 +315,7 @@ class _Program:
     def poly(self, poly: Polynomial) -> int:
         terms = []  # (sign, value or constant name)
         for exps, c in poly.terms.items():
-            c = complex(c)
-            k = None if c == 1 else c.real if c.imag == 0 else c
+            k = None if c == 1 else float(c)
             factors = [i if e == 1 else self._power(i, e) for i, e in enumerate(exps) if e]
             sign = 1
             if self.folded and k == -1 and factors:

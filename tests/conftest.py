@@ -100,9 +100,10 @@ def apply_limit_ratio(m, point):
     (``limit_ratio``); Indeterminate where the limit has no projective value
     or is nan."""
     from ivpp.core import INF, ExtendedComplex, Indeterminate, Point
-    from ivpp.poly import Polynomial, power
+    from ivpp.poly import power
 
     def partial_eval(poly, values):
+        """Exponents -> complex coefficient, nonzero, of ``poly`` at the finite ``values``."""
         out = {}
         for exps, c in poly.terms.items():
             factor = complex(c)
@@ -114,21 +115,21 @@ def apply_limit_ratio(m, point):
                 new[i] = 0
             key = tuple(new)
             out[key] = out.get(key, 0) + factor
-        return Polynomial(poly.nvars, out)
+        return {e: c for e, c in out.items() if c != 0}
 
-    def leading(poly, v):
-        a = max(e[v] for e in poly.terms)
-        return a, Polynomial(poly.nvars, {e[:v] + (0,) + e[v + 1 :]: c for e, c in poly.terms.items() if e[v] == a})
+    def leading(terms, v):
+        a = max(e[v] for e in terms)
+        return a, {e[:v] + (0,) + e[v + 1 :]: c for e, c in terms.items() if e[v] == a}
 
     def limit_ratio(num, den, inf_vars):
-        if num.is_zero:
-            if den.is_zero:
+        if not num:
+            if not den:
                 raise Indeterminate("0/0 under the projective limit")
             return 0j
-        if den.is_zero:
+        if not den:
             return INF
-        if not inf_vars:
-            return complex(num.constant_value()) / complex(den.constant_value())
+        if not inf_vars:  # every variable substituted: one constant term each
+            return next(iter(num.values())) / next(iter(den.values()))
         (a, lead_num), (b, lead_den) = leading(num, inf_vars[0]), leading(den, inf_vars[0])
         r = limit_ratio(lead_num, lead_den, inf_vars[1:])
         if a > b:
@@ -258,8 +259,7 @@ def eval_grid_term_loop(poly, arrays):
     every power, 1 and first powers included, summed in order."""
     acc = None
     for exps, c in poly.terms.items():
-        c = complex(c)
-        term = c.real if c.imag == 0 else c
+        term = float(c)
         for arr, e in zip(arrays, exps):
             if e:
                 term = term * arr**e

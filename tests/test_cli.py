@@ -51,28 +51,28 @@ def test_ivpp_subcommand_lv_gamma():
     assert doc["gamma"] == [pytest.approx(0.0), pytest.approx(0.0)]
 
 
+def test_ivpp_subcommand_refuses_a_level_condition_that_overflows():
+    """(s - r)^3 + s(r + 1)^3 at r = 1e300, s = 1 is -inf + inf: the one nan."""
+    argv = ["ivpp", "--map", "f3d", "--period", "4", "--r", "1e300", "--s", "1"]
+    message = "period 4: the level condition at --r 1e+300 --s 1.0 overflows the float range"
+    assert run_captured(argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, key, value",
     [
-        (  # lv_gamma's complex ** raises OverflowError
-            ["--map", "f3d", "--period", "4", "--r", "1e300", "--s", "1"],
-            "period 4: the level condition at --r 1e+300 --s 1.0 overflows the float range",
-        ),
-        (  # the monic form at r has a nan imaginary part
-            ["--period", "7", "--r", "1e300"],
-            "period 7: the level condition at --r 1e+300 overflows the float range",
-        ),
+        (["--period", "5", "--r", "1e200"], "gamma_at_r", "inf"),
+        (["--period", "7", "--r", "1e300"], "gamma_at_r", "inf"),
+        (["--period", "751", "--r", "-3"], "gamma_at_r", "inf"),  # Horner overflows midway and stays infinite
+        (["--period", "1027", "--r", "-3"], "gamma_at_r", "-inf"),
+        (["--map", "f3d", "--period", "3", "--r", "1e300", "--s", "1"], "gamma", "inf"),
     ],
-    ids=["f3d-power", "f2d-nan-part"],
+    ids=["f2d-5", "f2d-7", "f2d-751", "f2d-1027", "f3d-3"],
 )
-def test_ivpp_subcommand_refuses_a_level_condition_that_overflows(argv, message):
-    assert run_captured(["ivpp", *argv]) == (1, "", f"error: {message}\n")
-
-
-def test_ivpp_subcommand_prints_an_infinite_level_condition():
-    code, out, err = run_captured(["ivpp", "--period", "5", "--r", "1e200"])
+def test_ivpp_subcommand_prints_an_infinite_level_condition(argv, key, value):
+    code, out, err = run_captured(["ivpp", *argv])
     assert code == 0, err
-    assert json.loads(out)["gamma_at_r"] == ["inf", 0]
+    assert json.loads(out)[key] == [value, 0]
 
 
 def test_decompose_json_matches_the_printed_table():

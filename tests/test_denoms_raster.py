@@ -24,6 +24,15 @@ denoms_module = importlib.import_module("ivpp.denoms")
 # -- denominator zero sets -------------------------------------------------------
 
 
+def _crossings_at(zs, k):
+    """The union of the sign changes of the depth-k curves of ``zs``."""
+    mask = np.zeros(zs.first_pole_depth.shape, dtype=bool)
+    for c in zs.curves:
+        if c.depth == k:
+            mask |= c.crossing
+    return mask
+
+
 def test_k1_denominators_are_the_maps_own():
     # normalized denominators: x - 1 and y - 1 (same zero sets as 1-x, 1-y)
     from fractions import Fraction
@@ -44,7 +53,7 @@ def test_f3d_k1_denominator_contains_the_printed_surface():
 
 def test_k1_layer_marks_the_pole_lines():
     zs = denominator_zero_curves(f2d(), 2, (-2, 2, -2, 2), (80, 80))
-    layer1 = zs.layer(1)
+    layer1 = _crossings_at(zs, 1)
     xs = -2 + 4 * (np.arange(80) + 0.5) / 80
     col = int(np.argmin(np.abs(xs - 1.0)))
     row = col
@@ -67,12 +76,12 @@ def test_pole_depths_of_a_map_with_a_constant_denominator():
     assert [(c.values.shape, c.values.dtype) for c in const] == [((20, 20), np.int8)] * 2
     assert (const[0].values == 1).all()  # the sign of den_x on every cell
     assert not any(c.crossing.any() for c in const)
-    assert zs.layer(1)[:, 9].all()  # the pole line x = 0 runs between columns 9 and 10
+    assert _crossings_at(zs, 1)[:, 9].all()  # the pole line x = 0 runs between columns 9 and 10
 
 
 def _same_pole_depths(a, b):
     assert np.array_equal(a.first_pole_depth, b.first_pole_depth)
-    assert all(np.array_equal(a.layer(k), b.layer(k)) for k in range(1, a.curves[-1].depth + 1))
+    assert all(np.array_equal(_crossings_at(a, k), _crossings_at(b, k)) for k in range(1, a.curves[-1].depth + 1))
     assert [(c.depth, c.component) for c in a.curves] == [(c.depth, c.component) for c in b.curves]
     for c, d in zip(a.curves, b.curves):
         assert np.array_equal(c.values, d.values) and np.array_equal(c.crossing, d.crossing)
@@ -115,7 +124,7 @@ def _same_as_eager(monkeypatch, rows, m, k_max, window, resolution):
             assert c.crossing.dtype == bool and np.array_equal(c.crossing, crossing)
         for k in range(1, k_max + 1):
             want = np.logical_or.reduce([cr for d, _, _, cr in curves if d == k])
-            assert np.array_equal(zs.layer(k), want)
+            assert np.array_equal(_crossings_at(zs, k), want)
     return depth
 
 
@@ -210,27 +219,6 @@ def test_curves_are_built_on_first_read_and_cached(monkeypatch):
     assert isinstance(curves, tuple) and len(curves) == 6
     assert zs.curves is curves
     assert scans == [4, 5]  # one curve scan, on the first read
-
-
-def test_a_complex_coefficient_is_refused():
-    """y' = (1 + y)/(x + i) has no real pole; numpy would order its complex
-    denominators by real part and mark the column at x = 0 as depth 1."""
-    x, y = Polynomial.var(0, 2), Polynomial.var(1, 2)
-    one = Polynomial.const(1, 2)
-    m = RationalMap([(y, one), (one + y, x + Polynomial.const(1j, 2))])
-    with pytest.raises(ValueError, match="real coefficients"):
-        denominator_zero_curves(m, 2, (-1, 1, -1, 1), (5, 5))
-
-
-@pytest.mark.parametrize("branch", [None, branches(3)[0]], ids=["period", "component"])
-def test_raster_refuses_a_complex_coefficient(branch):
-    """x' = i x, y' = y: the component pass refuses it up front, as the period
-    kernel does, instead of classifying no cell."""
-    x, y = Polynomial.var(0, 2), Polynomial.var(1, 2)
-    one = Polynomial.const(1, 2)
-    m = RationalMap([(x.scale(1j), one), (y, one)])
-    with pytest.raises(ValueError, match="real coefficients"):
-        raster(m, (-4, 4, -4, 4), (40, 40), n_max=4, branch=branch)
 
 
 @pytest.mark.parametrize("workers", [1, 3], ids=["one-thread", "three-threads"])

@@ -4,8 +4,9 @@ Every module of the package but ``__init__`` (which imports to re-export),
 and every test file, must use each name it imports; an import left behind
 by a removal is the usual sign of dead code next to it.  And every
 function, class and method (dunders aside) must be called from the
-package's own code, or named by the benchmark, whose tracer wraps methods
-by name: a helper that only tests, prose or a re-export name is dead.
+package's own code, a method through a ``.``, or named by the benchmark's
+code, whose tracer wraps methods by name: a helper that only tests, prose,
+a same-named local or a re-export name is dead.
 Likewise every helper, fixture and constant of ``tests/conftest.py`` must
 be named by a test file, so that no reference goes stale unused.  README's
 Library layout table has exactly one row per module of the package, and
@@ -66,9 +67,10 @@ UNREFERENCED_ALLOWED = {
 
 
 def _calls(sources) -> dict:
-    """name -> the (module, line) of each NAME token of it in ``sources``
-    (module file name -> text), skipping ``__init__.py``, which only
-    re-exports, and the names that ``def`` and ``class`` bind.  Strings and
+    """name -> the (module, line, dotted) of each NAME token of it in
+    ``sources`` (module file name -> text), skipping ``__init__.py``, which
+    only re-exports, and the names that ``def`` and ``class`` bind; dotted
+    where the token follows a ``.``, as an attribute does.  Strings and
     comments hold no NAME token."""
     calls = {}
     for module, text in sources.items():
@@ -76,20 +78,32 @@ def _calls(sources) -> dict:
             continue
         prev = None
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type == tokenize.NAME:
-                if prev not in ("def", "class"):
-                    calls.setdefault(tok.string, []).append((module, tok.start[0]))
+            if tok.type == tokenize.NAME and prev not in ("def", "class"):
+                calls.setdefault(tok.string, []).append((module, tok.start[0], prev == "."))
+            if tok.type not in (tokenize.NL, tokenize.COMMENT):
                 prev = tok.string
-            elif tok.type not in (tokenize.NL, tokenize.COMMENT):
-                prev = None
     return calls
+
+
+def _words(texts) -> set:
+    """The NAME tokens of ``texts``, and their string literals that are exactly
+    one identifier, such as the method names a tracer wraps."""
+    words = set()
+    for text in texts:
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                words.add(tok.string)
+            elif tok.type == tokenize.STRING and re.fullmatch(r"(['\"])[A-Za-z_]\w*\1", tok.string):
+                words.add(tok.string[1:-1])
+    return words
 
 
 def _unreferenced(sources, outside=()):
     """``module:name`` of every top-level function and class, and every
     non-dunder method, of ``sources`` that no code of theirs calls outside its
-    own definition (see ``_calls``) and that is no word of the ``outside`` texts."""
-    words = {word for text in outside for word in re.findall(r"[A-Za-z_]\w*", text)}
+    own definition (see ``_calls``; a method only through a ``.``) and that
+    is none of the ``_words`` of the ``outside`` texts."""
+    words = _words(outside)
     calls = _calls(sources)
     defined = []
     for module, text in sources.items():
@@ -107,7 +121,11 @@ def _unreferenced(sources, outside=()):
         f"{module}:{qual}"
         for module, qual, node in defined
         if node.name not in words
-        and all(m == module and node.lineno <= line <= node.end_lineno for m, line in calls.get(node.name, []))
+        and all(
+            m == module and node.lineno <= line <= node.end_lineno
+            for m, line, dotted in calls.get(node.name, [])
+            if dotted or "." not in qual
+        )
     ]
 
 
@@ -132,6 +150,10 @@ def test_the_unreferenced_code_check_bites():
     assert _unreferenced({**sources, "__init__.py": "from .a import unused\nunused\n"}) == everything
     assert _unreferenced(sources, ["tracer.wrap(Other, 'spare')"]) == ["a.py:unused"]
     assert _unreferenced({**sources, "c.py": "Box().spare()\n"}) == ["a.py:unused", "b.py:Other"]
+    local = "spare = unused = 1\nprint(spare + unused)\n"  # names a function, calls no method
+    assert _unreferenced({**sources, "c.py": local}) == everything[1:]
+    prose = ['"""Wraps each spare layer."""\n', "# unused and spare\n", "print('the spare one', \"spare()\")\n"]
+    assert _unreferenced(sources, prose) == everything  # benchmark prose is no call either
 
 
 def _unnamed_helpers(conftest: str, test_texts) -> list:

@@ -44,7 +44,7 @@ def test_roots_are_consistent_with_the_quadratic():
         r = rng.uniform(-5, 5)
         if min(abs(x), abs(x - 1)) < 0.05:
             continue
-        ap, am, _ = lv_roots(x, r)
+        ap, am = lv_roots(x, r)
         assert ap * am == pytest.approx(r * (x - 1) ** 2 / x, rel=1e-9, abs=1e-9)
         assert ap + am == pytest.approx((x * x - 2 * x + r * x - r) / x, rel=1e-9, abs=1e-9)
 
@@ -88,7 +88,7 @@ def test_param_swap_at_minus1_2():
     # and the image's last two coordinates are the swapped root pair at X
     from ivpp.lv3d import lv_roots
 
-    ap, am, _ = lv_roots(0.5, 2.0)
+    ap, am = lv_roots(0.5, 2.0)
     assert img[1].value == pytest.approx(am / (0.5 - 1))
     assert img[2].value == pytest.approx(ap / (0.5 - 1))
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import boundary_d_closed_form
+from ivpp import verify
 from ivpp.core import INF, ExtendedComplex, Point
 from ivpp.ivpp2d import branches
 from ivpp.maps import f2d
@@ -17,7 +18,6 @@ from ivpp.mobius import (
     boundary_ds,
     conjugacy_error,
     level_matrix,
-    period2_exclusion,
     power_matrix,
     scale_coordinate_map,
     x_to_z_map,
@@ -110,10 +110,10 @@ def test_principal_branch_signs():
 def test_the_level_matrix_is_singular_at_r_one():
     """At r = 1 the eigenvalue 1 - sqrt(r) vanishes: M and every positive power
     are singular, and so is every boundary but the m = 0 one."""
-    for make in (level_matrix, lambda r: power_matrix(r, 3), lambda r: boundary_d(5, r, 2)):
+    for make in (level_matrix, lambda r: power_matrix(r, 3), lambda r: boundary_d(r, 2)):
         with pytest.raises(ValueError, match="singular"):
             make(1)
-    assert boundary_d(5, 1, 0).value == -1
+    assert boundary_d(1, 0).value == -1
 
 
 # -- closed-form powers --------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_boundary_d_tabulated(n, r, m, expected):
     if m is None:
         assert any(d.is_infinite for d in boundary_ds(n, r))
     else:
-        assert boundary_d(n, r, m).value == pytest.approx(expected, abs=1e-9)
+        assert boundary_d(r, m).value == pytest.approx(expected, abs=1e-9)
 
 
 def test_boundary_d_equals_the_closed_form_on_every_branch_to_n40():
@@ -270,7 +270,7 @@ def test_boundary_d_equals_the_closed_form_on_every_branch_to_n40():
         for b in branches(n):
             infinite = []
             for m in range(n + 1):
-                got, want = boundary_d(n, b.rho, m), boundary_d_closed_form(b.rho, m)
+                got, want = boundary_d(b.rho, m), boundary_d_closed_form(b.rho, m)
                 assert got.is_infinite == want.is_infinite, (n, b.m, m)
                 assert got.chordal(want) < 1e-14, (n, b.m, m)
                 infinite.append(got.is_infinite)
@@ -344,8 +344,8 @@ def test_exclusion_identity_is_exact():
 
 def test_exclusion_grid_minimum_oracle():
     """Independent grid minimization for R = 10, the rim included: no grid point
-    goes below the reported minimum 2/sqrt(1 + R), and the rim's point r = -R
-    attains it."""
+    goes below the minimum 2/sqrt(1 + R) that verify check 9 prints, and the
+    rim's point r = -R attains it."""
     best, best_r = math.inf, None
     for i in range(1, 41):
         for j in range(72):
@@ -356,10 +356,8 @@ def test_exclusion_grid_minimum_oracle():
             value = abs((1 + sr) / (1 - sr) + 1)
             if value < best:
                 best, best_r = value, r
-    report = period2_exclusion((10.0,))
-    assert report.min_abs == {10.0: 2 / math.sqrt(11)}
-    assert best >= report.min_abs[10.0] * (1 - 1e-12)
-    assert best == pytest.approx(report.min_abs[10.0], rel=1e-12)
+    assert best >= 2 / math.sqrt(11) * (1 - 1e-12)
+    assert best == pytest.approx(2 / math.sqrt(11), rel=1e-12)
     assert best_r == pytest.approx(-10.0, abs=1e-12)
 
 
@@ -368,8 +366,8 @@ def test_exclusion_large_r_magnitude():
     assert abs((1 + sr) / (1 - sr) + 1) == pytest.approx(2.002e-3, rel=1e-3)
 
 
-def test_exclusion_report_shape():
-    report = period2_exclusion((10.0, 100.0))
-    assert report.all_positive
-    assert report.identity_max_dev < 1e-9
-    assert report.min_abs[100.0] < report.min_abs[10.0]
+def test_the_exclusion_check_prints_the_minimum_per_radius():
+    assert verify.check_period2_exclusion() == (
+        True,
+        "min |s+1| R=10: 0.603, R=100: 0.199, R=1000: 0.0632; CLI refuses period 2",
+    )
