@@ -12,6 +12,7 @@ import argparse
 import functools
 import io
 import math
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from typing import List, Optional, Tuple
@@ -27,10 +28,12 @@ from .decompose import (
     compare_boundaries,
     decompose,
 )
+from .denoms import cell_centers, denominator_zero_curves
 from .dsl import ParseDiagnostic, format_map, maps_equal, parse_map
 from .ivpp2d import PERIOD_MAX, branches, gamma_poly
 from .lv3d import lv_decompose_period2, lv_gamma
 from .maps import BUILTINS, get_map
+from .raster import check_period_args, lv_raster, output, raster, write_csv, write_pgm
 
 MAX_ORBIT_STEPS = 100_000
 
@@ -79,7 +82,7 @@ def _parse_start(text: str, dim: int) -> Point:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with output(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -244,8 +247,6 @@ def _cmd_boundaries(args) -> int:
 
 
 def _cmd_raster(args) -> int:
-    from .raster import check_period_args, lv_raster, raster
-
     window = _parse_window(args.window)
     res = _parse_resolution(args.resolution)
     if args.map == "f3d":
@@ -275,9 +276,6 @@ def _cmd_raster(args) -> int:
 
 
 def _cmd_denoms(args) -> int:
-    from .denoms import cell_centers, denominator_zero_curves
-    from .raster import write_csv, write_pgm
-
     m = _load_map(args.map)
     window = _parse_window(args.window)
     res = _parse_resolution(args.resolution)
@@ -399,6 +397,8 @@ def run(argv: List[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "csv", None) and os.path.realpath(args.csv) == os.path.realpath(args.output):
+            raise UsageError(f"-o and --csv name the same file {args.output!r}")  # one would overwrite the other
         return args.fn(args)
     except COMPUTE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -26,6 +26,9 @@ Cells are independent and the output is deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -118,15 +121,32 @@ def _pgm_parts(body: np.ndarray) -> Tuple[bytes, np.ndarray]:
     return f"P5\n{w} {h}\n255\n".encode(), body
 
 
+@contextmanager
+def output(path: str, mode: str):
+    """The one opener of every file ivpp writes, binary ("wb") or UTF-8 text ("w"):
+    in place, without O_TRUNC, and on leaving, by return or any exception, flushed
+    and then cut at the written position (a regular file only), even if the flush
+    fails.  Symlinks, mode, owner and hard links behave as with ``open(path, "w")``."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8", closefd=False) as fh:
+            yield fh
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null or a pipe
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
+            os.close(fd)
+
+
 def _pgm_write(path: str, body: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        for part in _pgm_parts(body):
-            fh.write(part)
+    with output(path, "wb") as fh:
+        fh.writelines(_pgm_parts(body))
 
 
 def write_pgm(path: str, grid: np.ndarray) -> None:
-    """Write the binary PGM (P5) of an (h, w) integer layer to ``path`` from its one
-    body buffer; a layer that is not 2-d raises before the file is opened."""
+    """Write the binary PGM (P5) of an (h, w) integer layer to ``path`` through ``output``,
+    from one body buffer; a layer that is not 2-d raises before the file is opened."""
     _pgm_write(path, _pgm_body(grid))
 
 
@@ -134,18 +154,18 @@ def write_csv(path: str, header: str, xs, ys, layers) -> None:
     """One line per cell, rows from the smallest y: x and y (%.17g), then each integer layer.
 
     Each layer must have the shape (len(ys), len(xs)); a ValueError is raised
-    before the file is opened otherwise.  A row is written by its runs,
-    stretches of consecutive cells with the same values in every layer: the
-    run over columns [a, b) ending in t = "y,v1,...\\n" is one join of the
-    x texts of its columns with t between them, plus t.  Every x is formatted
-    once, and every line end once per row and value tuple, so memory is
-    O(width) whatever the values."""
+    before the file is opened otherwise.  The file is written through ``output``,
+    in place and then cut to the written length.  A row is written by its runs,
+    stretches of consecutive cells with the same values in every layer: the run
+    over columns [a, b) ending in t = "y,v1,...\\n" is one join of the x texts of
+    its columns with t between them, plus t.  Every x is formatted once, and
+    every line end once per row and value tuple: memory is O(width)."""
     w, h = len(xs), len(ys)
     for layer in layers:
         if np.shape(layer) != (h, w):
             raise ValueError(f"layer of shape {np.shape(layer)} does not fit the {h}x{w} grid")
     xcol = [f"{x:.17g}," for x in xs.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path, "w") as fh:
         fh.write(header + "\n")
         for i, y in enumerate(f"{y:.17g}" for y in ys.tolist()):
             row = [layer[i] for layer in layers]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -369,6 +373,12 @@ UNREAD_FLAGS = [  # (argv, the flag that the map or mode never reads)
 ]
 
 
+SAME_FILE = [  # -o and --csv naming one file, refused before any work
+    ["raster", "--mode", "period", "--window=-1,1,-1,1", "--res", "8x8", "-o", "/tmp/x.pgm", "--csv", "/tmp/x.pgm"],
+    ["denoms", "--window=-1,1,-1,1", "--res", "8x8", "-o", "/tmp/x.pgm", "--csv", "/tmp/../tmp//x.pgm"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -416,6 +426,7 @@ UNREAD_FLAGS = [  # (argv, the flag that the map or mode never reads)
         *(argv for argv, _ in NON_FINITE_LEVELS),
         *(argv for argv, _ in UNREAD_FLAGS),
         ["parse", HUGE_INVARIANT],
+        *SAME_FILE,
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path):
@@ -436,6 +447,8 @@ def test_usage_errors_exit_2(argv, tmp_path):
         assert (out, err) == ("", f"error: {refusal}\n")
     if argv[0] == "parse":
         assert out == "" and err.startswith("error: declared invariant 'r' overflows") and err.count("\n") == 1
+    if argv in SAME_FILE:
+        assert (out, err) == ("", "error: -o and --csv name the same file '/tmp/x.pgm'\n")
 
 
 @pytest.mark.parametrize(
@@ -552,3 +565,69 @@ def test_a_nan_limit_exits_1():
     argv = ["orbit", "--map", "f3d", "--start=-1e154,inf,1.6018347278853194e200+1e308j", "--steps", "1"]
     code, out, err = run_captured(argv)
     assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+# -- how outputs are written -------------------------------------------------------
+
+OUTPUT_COMMANDS = {  # command -> (its argv before the output flags, the output flags)
+    "raster": (["raster", "--period", "3", "--window=-4,4,-4,4", "--res", "24x16"], ["-o", "r.pgm", "--csv", "r.csv"]),
+    "denoms": (["denoms", "--k-max", "3", "--window=-4,4,-4,4", "--res", "24x16"], ["-o", "d.pgm", "--csv", "d.csv"]),
+    "decompose": (["decompose", "--period", "5"], ["-o", "d.json"]),
+}
+
+
+def _at(flags, folder, null=None):
+    """The output flags with each file name put in ``folder``, and the one named ``null`` sent to /dev/null."""
+    return [f if f.startswith("-") else os.devnull if f == null else str(folder / f) for f in flags]
+
+
+@pytest.mark.parametrize("over", ["longer", "shorter"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_an_output_written_over_an_existing_file_equals_a_fresh_one(tmp_path, command, over):
+    """Every file is written in place and cut to what was written: no old tail stays."""
+    argv, flags = OUTPUT_COMMANDS[command]
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    fresh.mkdir()
+    old.mkdir()
+    assert run_captured(argv + _at(flags, fresh)) == (0, "", "")
+    for name in flags[1::2]:
+        size = (fresh / name).stat().st_size
+        (old / name).write_bytes(b"\xff" * (2 * size + 7 if over == "longer" else size // 2))
+    assert run_captured(argv + _at(flags, old)) == (0, "", "")
+    for name in flags[1::2]:
+        assert (old / name).read_bytes() == (fresh / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_an_output_to_dev_null_exits_0(tmp_path, command):
+    argv, flags = OUTPUT_COMMANDS[command]
+    for null in flags[1::2]:  # each output in turn, the others to files
+        assert run_captured(argv + _at(flags, tmp_path, null)) == (0, "", "")
+
+
+FLUSH_FAILS = """
+import resource, signal, sys
+from ivpp.raster import output
+
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG instead
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+try:
+    with output(sys.argv[1], "w") as fh:
+        fh.write("a" * 5000)  # buffered: the first write to the file is the flush on leaving
+except OSError as exc:
+    print(exc.errno)
+"""
+
+
+def test_a_failed_flush_still_cuts_the_file(tmp_path):
+    """The flush on leaving writes 4096 of 5000 bytes and fails: the file is cut there, with no old tail."""
+    import errno
+
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 50_000)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", FLUSH_FAILS, str(path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{errno.EFBIG}\n", "")
+    assert path.read_bytes() == b"a" * 4096

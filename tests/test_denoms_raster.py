@@ -1,5 +1,8 @@
 import importlib
+import os
+import stat
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +480,66 @@ def test_csv_writer_refuses_a_layer_that_does_not_fit_the_grid(tmp_path, shape):
     with pytest.raises(ValueError, match="does not fit"):
         write_csv(str(path), "x,y,a,b", xs, ys, (np.zeros((3, 7), np.int16), np.zeros(shape, np.int16)))
     assert path.read_text() == "kept"
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_exception_partway_through_a_csv_leaves_the_rows_written_before_it(tmp_path, monkeypatch, error):
+    """The file's write raises on the third row, over a longer existing file: the
+    header and the first two rows stay, and nothing of the old file."""
+    xs, ys = cell_centers(JITTERED_WINDOW, (7, 5))
+    layer = np.arange(35, dtype=np.int16).reshape(5, 7)
+    fresh, path = tmp_path / "fresh.csv", tmp_path / "out.csv"
+    write_csv(str(fresh), "x,y,a", xs, ys, (layer,))
+    path.write_bytes(b"\xff" * 2 * fresh.stat().st_size)
+    output = raster_module.output
+
+    @contextmanager
+    def failing(name, mode):
+        with output(name, mode) as fh:
+            write, rows = fh.write, []
+
+            def write_row(text):
+                rows.append(text)
+                if len(rows) == 4:  # the header, then rows 0, 1 and 2
+                    raise error("the third row")
+                return write(text)
+
+            fh.write = write_row
+            yield fh
+
+    monkeypatch.setattr(raster_module, "output", failing)
+    with pytest.raises(error, match="the third row"):
+        write_csv(str(path), "x,y,a", xs, ys, (layer,))
+    assert path.read_text().splitlines() == fresh.read_text().splitlines()[: 1 + 2 * 7]
+    assert path.read_bytes().endswith(b"\n")
+
+
+def test_a_symlinked_output_writes_its_target_and_stays_a_symlink(tmp_path):
+    grid = np.arange(12, dtype=np.int16).reshape(3, 4)
+    target, link, fresh = tmp_path / "target.pgm", tmp_path / "link.pgm", tmp_path / "fresh.pgm"
+    target.write_bytes(b"\xff" * 100)
+    link.symlink_to(target)
+    write_pgm(str(link), grid)
+    write_pgm(str(fresh), grid)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_an_output_keeps_an_existing_mode_and_creates_a_new_file_as_open_does(tmp_path):
+    xs, ys = cell_centers(JITTERED_WINDOW, (3, 2))
+    layer = np.zeros((2, 3), np.int16)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old text, longer than the new one" * 10)
+    kept.chmod(0o604)
+    write_csv(str(kept), "x,y,a", xs, ys, (layer,))
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    with open(tmp_path / "by_open.csv", "w"):
+        pass
+    write_csv(str(tmp_path / "new.csv"), "x,y,a", xs, ys, (layer,))
+    umask = os.umask(0)
+    os.umask(umask)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("by_open.csv", "new.csv")}
+    assert modes == {0o666 & ~umask}
 
 
 def test_csv_writer_memory_is_bounded_by_the_width(tmp_path):

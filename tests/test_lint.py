@@ -7,6 +7,8 @@ function, class and method (dunders aside) must be called from the
 package's own code, a method through a ``.``, or named by the benchmark's
 code, whose tracer wraps methods by name: a helper that only tests, prose,
 a same-named local or a re-export name is dead.
+The package writes files one way: no module but ``raster.output`` calls
+``open`` with a mode that may write.
 Likewise every helper, fixture and constant of ``tests/conftest.py`` must
 be named by a test file, so that no reference goes stale unused.  README's
 Library layout table has exactly one row per module of the package, and
@@ -58,6 +60,45 @@ def test_the_unused_import_check_bites():
     assert _unused_imports(ast.parse(sample)) == [(1, "os"), (3, "Tuple")]
     in_a_test = "def test_x():\n    import itertools\n\n    assert True\n"
     assert _unused_imports(ast.parse(in_a_test)) == [(2, "itertools")]  # a local import counts too
+
+
+def _write_opens(tree: ast.Module, helper: str = "") -> list:
+    """Line of every call of ``open`` (a name or an attribute, ``os.open`` too)
+    outside the function named ``helper`` whose mode, its second argument or
+    ``mode=``, is not a string literal free of w, a, x and +."""
+    lines = []
+
+    def visit(node, inside):
+        inside = inside or isinstance(node, ast.FunctionDef) and node.name == helper
+        func = node.func if isinstance(node, ast.Call) and not inside else None
+        if getattr(func, "id", getattr(func, "attr", "")) == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            literal = (isinstance(m, ast.Constant) and isinstance(m.value, str) for m in modes)
+            if not all(literal) or any(set(m.value) & set("wax+") for m in modes):
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return lines
+
+
+def test_only_the_output_helper_opens_a_file_for_writing():
+    found = {p.name: _write_opens(ast.parse(p.read_text()), "output" if p.name == "raster.py" else "") for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    tree = ast.parse((SRC / "raster.py").read_text())
+    helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "output")
+    lines = _write_opens(tree)
+    assert lines and all(helper.lineno <= line <= helper.end_lineno for line in lines)  # the exemption is the helper
+
+
+def test_the_write_open_check_bites():
+    sample = (
+        'open(p, "w")\nopen(p, "r")\nopen(p)\nio.open(p, mode="ab")\nopen(p, "r+b")\nos.open(p, os.O_WRONLY)\n'
+        'open(p, mode)\n\n\ndef output(p, mode):\n    return open(p, mode)\n'
+    )
+    assert _write_opens(ast.parse(sample), "output") == [1, 4, 5, 6, 7]
+    assert _write_opens(ast.parse(sample)) == [1, 4, 5, 6, 7, 11]
 
 
 # module:qualified name -> why it stays although no code of the package calls it
