@@ -397,8 +397,11 @@ def run(argv: List[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "csv", None) and os.path.realpath(args.csv) == os.path.realpath(args.output):
-            raise UsageError(f"-o and --csv name the same file {args.output!r}")  # one would overwrite the other
+        csv = getattr(args, "csv", None)
+        if csv:  # -o's file again, which one would overwrite: by identity where both exist, else by name
+            exist = os.path.exists(csv) and os.path.exists(args.output)
+            if os.path.samefile(csv, args.output) if exist else os.path.realpath(csv) == os.path.realpath(args.output):
+                raise UsageError(f"-o and --csv name the same file {args.output!r}")
         return args.fn(args)
     except COMPUTE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from .poly import ArrayProgram, Polynomial
 
 TOL_EQ = 1e-9  # default comparison tolerance (chordal)
-TOL_INV = 1e-10  # relative tolerance for invariant conservation
-CHECK_POINTS = 100  # random points on which a declared invariant must be conserved
-
-_CHECK_SEED = 0x1F2D3C
 
 
 def check_tol(tol: float) -> None:
@@ -202,8 +198,7 @@ def _projective(w) -> ExtendedComplex:
 class RationalMap:
     """A d-dimensional map with component-wise polynomial num/den pairs.
 
-    Declared invariants are checked at construction on random finite
-    non-pole points (relative tolerance ``TOL_INV``).
+    Declared invariants are checked exactly at construction.
     """
 
     def __init__(
@@ -232,29 +227,30 @@ class RationalMap:
     # -- construction-time invariance check ----------------------------------
 
     def _check_invariants(self) -> None:
-        if not self.invariants:
-            return
-        rng = random.Random(_CHECK_SEED)
-        checked = 0
-        for _ in range(50 * CHECK_POINTS):
-            vals = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(self.dim))
-            image = [nv / dv if abs(dv) >= 0.05 else math.inf for nv, dv in self._fractions(vals)]
-            if any(abs(w) > 1e3 for w in image):
-                continue  # near a pole, or a huge image
-            for inv_name, p in self.invariants:
-                before, after = p.eval(vals), p.eval(image)
-                try:
-                    drift, size = abs(after - before), abs(before)
-                except OverflowError:  # a finite value whose modulus is past the float range
-                    raise ValueError(f"declared invariant {inv_name!r} overflows the float range at {vals!r}") from None
-                if drift > TOL_INV * max(1.0, size):
-                    raise ValueError(
-                        f"declared invariant {inv_name!r} is not conserved: {before!r} -> {after!r} at {vals!r}"
-                    )
-            checked += 1
-            if checked == CHECK_POINTS:
-                return
-        raise ValueError("could not sample enough non-pole points")
+        """Refuse a declared invariant p = Σ c_α x^α that the map does not conserve:
+        with F_i = N_i/D_i and d_i the degree of p in x_i, p is conserved iff
+        Σ c_α ∏ N_i^{α_i} D_i^{d_i−α_i} = p·∏ D_i^{d_i}, summed one variable at a time,
+        the last first, in ints: each N_i, D_i pair and p scaled by an integer."""
+        def integral(polys):  # polys times the least positive integer that makes every coefficient an int
+            scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+            return [Polynomial(p.nvars, {e: int(c * scale) for e, c in p.terms.items()}) for p in polys]
+
+        one = Polynomial.const(1, self.dim)
+        components = [integral(pair) for pair in self.components]
+        for inv_name, p in self.invariants:
+            (p,) = integral([p])
+            inner, rhs = {exps: one.scale(c) for exps, c in p.terms.items()}, p
+            for i in reversed(range(self.dim)):
+                (num, den), d = components[i], max((exps[i] for exps in inner), default=0)
+                nums, dens = ([one, *accumulate([f] * d, Polynomial.__mul__)] for f in (num, den))
+                factor = {a: nums[a] * dens[d - a] for a in {exps[i] for exps in inner}}
+                rhs, outer = rhs * dens[d], {}
+                for exps, q in inner.items():
+                    q = factor[exps[i]] * q
+                    outer[exps[:i]] = outer[exps[:i]] + q if exps[:i] in outer else q
+                inner = outer
+            if inner.get((), Polynomial(self.dim)) != rhs:
+                raise ValueError(f"declared invariant {inv_name!r} is not conserved by the map")
 
     # -- evaluation ----------------------------------------------------------
 

@@ -358,7 +358,6 @@ NON_FINITE_LEVELS = [  # (argv, the refusal naming the flag)
 
 
 GRID = ["--window=-4,4,-4,4", "--res", "4x4", "-o", "/tmp/x.pgm"]
-HUGE_INVARIANT = f"dim 2; x' = x; y' = y; inv r = {'9' * 308}*x + 1;"  # abs() of its values overflows
 UNREAD_FLAGS = [  # (argv, the flag that the map or mode never reads)
     (["raster", "--mode", "period", "--period", "99999", *GRID], "--period"),
     (["raster", "--mode", "period", "--period", "0", *GRID], "--period"),
@@ -425,15 +424,10 @@ SAME_FILE = [  # -o and --csv naming one file, refused before any work
         ["decompose", "--map", "f3d", "--period", "2", "--r", "nan"],
         *(argv for argv, _ in NON_FINITE_LEVELS),
         *(argv for argv, _ in UNREAD_FLAGS),
-        ["parse", HUGE_INVARIANT],
         *SAME_FILE,
     ],
 )
-def test_usage_errors_exit_2(argv, tmp_path):
-    if argv[0] == "parse":  # the entry holds the text of the file to parse
-        src = tmp_path / "m.rmap"
-        src.write_text(argv[1])
-        argv = ["parse", str(src)]
+def test_usage_errors_exit_2(argv):
     code, out, err = run_captured(argv)
     assert code == 2
     assert err.strip()
@@ -445,10 +439,25 @@ def test_usage_errors_exit_2(argv, tmp_path):
     refusal = dict((tuple(a), message) for a, message in NON_FINITE_LEVELS).get(tuple(argv))
     if refusal is not None:
         assert (out, err) == ("", f"error: {refusal}\n")
-    if argv[0] == "parse":
-        assert out == "" and err.startswith("error: declared invariant 'r' overflows") and err.count("\n") == 1
     if argv in SAME_FILE:
         assert (out, err) == ("", "error: -o and --csv name the same file '/tmp/x.pgm'\n")
+
+
+def test_two_hard_links_of_one_file_are_refused_as_one_file(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.write_bytes(b"kept")
+    os.link(first, second)
+    argv = ["denoms", "--window=-1,1,-1,1", "--res", "8x8", "-o", str(first), "--csv", str(second)]
+    assert run_captured(argv) == (2, "", f"error: -o and --csv name the same file {str(first)!r}\n")
+    assert first.read_bytes() == b"kept"
+
+
+def test_a_huge_exactly_conserved_invariant_is_accepted_and_printed_back(tmp_path):
+    """The identity conserves every invariant, however large its
+    coefficients: the exact check has no float range to overflow."""
+    src = tmp_path / "m.rmap"
+    src.write_text(f"dim 2; x' = x; y' = y; inv r = {'9' * 308}*x + 1;")
+    assert run_captured(["parse", str(src)]) == (0, f"dim 2;\nx' = x;\ny' = y;\ninv r = {'9' * 308}*x + 1;\n", "")
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivpp.cli import run_captured
 from ivpp.core import (
     INF,
     ExtendedComplex,
@@ -192,6 +194,44 @@ def test_declared_invariant_is_checked_at_construction():
 
     with pytest.raises(SemanticError):
         parse_map("dim 2; x' = x*(1-y)/(1-x); y' = y*(1-x)/(1-y); inv bad = x+y;")
+
+
+def test_an_invariant_false_by_less_than_any_float_tolerance_is_refused_by_ivpp_parse(tmp_path):
+    """x*y + x/10^12 changes by (x' - x)/10^12 per step, within the 1e-10
+    relative drift a float check allows; the exact check refuses it."""
+    src = tmp_path / "m.rmap"
+    src.write_text("dim 2; x' = x*(1-y)/(1-x); y' = y*(1-x)/(1-y); inv r = x*y + 1/1000000000000*x;")
+    assert run_captured(["parse", str(src)]) == (2, "", "error: declared invariant 'r' is not conserved by the map\n")
+
+
+def _mutants(p: Polynomial):
+    """p with one coefficient plus 1, for each coefficient, then with one term dropped, for each term."""
+    for exps, c in p.terms.items():
+        yield Polynomial(p.nvars, {**p.terms, exps: c + 1})
+    for exps in p.terms:
+        yield Polynomial(p.nvars, {e: c for e, c in p.terms.items() if e != exps})
+
+
+@pytest.mark.parametrize("name, refused", [("f2d", 0), ("f3d", 12)])
+def test_a_mutated_invariant_is_accepted_iff_it_lies_in_the_span_of_1_and_the_invariants(name, refused):
+    m = get_map(name)
+    span = [Polynomial.const(1, m.dim)] + [p for _, p in m.invariants]
+    monomials = sorted({e for p in span for e in p.terms})  # a mutant adds no monomial
+
+    def rank(polys):
+        return np.linalg.matrix_rank(np.array([[float(p.terms.get(e, 0)) for e in monomials] for p in polys]))
+
+    outcomes = []
+    for _, p in m.invariants:
+        for mutant in _mutants(p):
+            try:
+                RationalMap(m.components, [("q", mutant)])
+                outcomes.append(True)
+            except ValueError as exc:
+                assert str(exc) == "declared invariant 'q' is not conserved by the map"
+                outcomes.append(False)
+            assert outcomes[-1] == (rank(span + [mutant]) == rank(span)), mutant
+    assert outcomes.count(False) == refused
 
 
 # -- projective consistency --------------------------------------------------------

@@ -4,9 +4,10 @@ Every module of the package but ``__init__`` (which imports to re-export),
 and every test file, must use each name it imports; an import left behind
 by a removal is the usual sign of dead code next to it.  And every
 function, class and method (dunders aside) must be called from the
-package's own code, a method through a ``.``, or named by the benchmark's
-code, whose tracer wraps methods by name: a helper that only tests, prose,
-a same-named local or a re-export name is dead.
+package's own code, a method through a ``.``, and every module constant
+(an ``UPPER_CASE`` or ``_UPPER_CASE`` name) read there, or named by the
+benchmark's code, whose tracer wraps methods by name: a helper or constant
+that only tests, prose, a same-named local or a re-export name is dead.
 The package writes files one way: no module but ``raster.output`` calls
 ``open`` with a mode that may write.
 Likewise every helper, fixture and constant of ``tests/conftest.py`` must
@@ -140,31 +141,40 @@ def _words(texts) -> set:
 
 
 def _unreferenced(sources, outside=()):
-    """``module:name`` of every top-level function and class, and every
-    non-dunder method, of ``sources`` that no code of theirs calls outside its
-    own definition (see ``_calls``; a method only through a ``.``) and that
-    is none of the ``_words`` of the ``outside`` texts."""
+    """``module:name`` of every top-level function, class and ``UPPER_CASE``
+    or ``_UPPER_CASE`` constant, and every non-dunder method, of ``sources``
+    that no code of theirs calls or reads outside its own definition or
+    binding (see ``_calls``; a method only through a ``.``) and that is none
+    of the ``_words`` of the ``outside`` texts."""
     words = _words(outside)
     calls = _calls(sources)
-    defined = []
+    defined = []  # (module, qualified name, name, first line, last line)
     for module, text in sources.items():
         for node in ast.parse(text).body:
+            span = (node.lineno, node.end_lineno)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((module, node.name, node))
+                defined.append((module, node.name, node.name, *span))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [
+                    (module, t.id, t.id, *span)
+                    for t in targets
+                    if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+                ]
             if isinstance(node, ast.ClassDef):
                 defined += [
-                    (module, f"{node.name}.{sub.name}", sub)
+                    (module, f"{node.name}.{sub.name}", sub.name, sub.lineno, sub.end_lineno)
                     for sub in node.body
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (sub.name.startswith("__") and sub.name.endswith("__"))
                 ]
     return [
         f"{module}:{qual}"
-        for module, qual, node in defined
-        if node.name not in words
+        for module, qual, name, first, last in defined
+        if name not in words
         and all(
-            m == module and node.lineno <= line <= node.end_lineno
-            for m, line, dotted in calls.get(node.name, [])
+            m == module and first <= line <= last
+            for m, line, dotted in calls.get(name, [])
             if dotted or "." not in qual
         )
     ]
@@ -195,6 +205,17 @@ def test_the_unreferenced_code_check_bites():
     assert _unreferenced({**sources, "c.py": local}) == everything[1:]
     prose = ['"""Wraps each spare layer."""\n', "# unused and spare\n", "print('the spare one', \"spare()\")\n"]
     assert _unreferenced(sources, prose) == everything  # benchmark prose is no call either
+
+
+def test_the_unreferenced_constant_check_bites():
+    sources = {
+        "a.py": "LIMIT = 3\n_SEED = 7\nSPARE: int = 1\nLOOP = (\n    len('LOOP'),\n    LOOP,\n)\nlower = 2\n\n\n"
+        "def f():\n    return LIMIT\n",
+        "b.py": "import a\n\nprint(a.f(), a._SEED)\n",
+    }
+    assert _unreferenced(sources) == ["a.py:SPARE", "a.py:LOOP"]  # a name in its own binding reads nothing
+    assert _unreferenced(sources, ["run(SPARE)"]) == ["a.py:LOOP"]  # the benchmark reads it
+    assert _unreferenced({**sources, "__init__.py": "from .a import SPARE\nSPARE\n"}) == ["a.py:SPARE", "a.py:LOOP"]
 
 
 def _unnamed_helpers(conftest: str, test_texts) -> list:
