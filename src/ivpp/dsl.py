@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .core import RationalMap
 from .poly import Polynomial, format_polynomial
@@ -239,8 +239,24 @@ class _Parser:
         self.fail(f"expected a value, found {t.text or 'end of input'!r}", ("number", "variable", "("))
 
 
+class MapSource(NamedTuple):
+    """Parsed map source before a ``RationalMap`` is built from it: nothing checked."""
+
+    components: Tuple[Tuple[Polynomial, Polynomial], ...]
+    invariants: Tuple[Tuple[str, Polynomial], ...]
+
+
 def parse_map(text: str) -> RationalMap:
     """Parse map source into a RationalMap (invariance-checked)."""
+    source = parse_source(text)
+    try:
+        return RationalMap(*source)
+    except ValueError as exc:
+        raise SemanticError(str(exc)) from None
+
+
+def parse_source(text: str) -> MapSource:
+    """Parse map source into its normalized components and invariants."""
     toks = _tokenize(text)
     if not toks or toks[0].kind == "EOF":
         raise ParseDiagnostic(0, 1, 1, "empty input", ("dim",))
@@ -300,11 +316,7 @@ def parse_map(text: str) -> RationalMap:
     missing = [VARS[i] for i in range(nvars) if i not in components]
     if missing:
         raise SemanticError(f"missing component(s): {', '.join(missing)}")
-    ordered = [components[i] for i in range(nvars)]
-    try:
-        return RationalMap(ordered, invariants)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from None
+    return MapSource(tuple(components[i] for i in range(nvars)), tuple(invariants))
 
 
 def format_map(m: RationalMap) -> str:
@@ -321,10 +333,6 @@ def format_map(m: RationalMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def maps_equal(a: RationalMap, b: RationalMap) -> bool:
-    """Structural equality of normalized maps (components and invariants)."""
-    return (
-        a.dim == b.dim
-        and tuple(a.components) == tuple(b.components)
-        and tuple(a.invariants) == tuple(b.invariants)
-    )
+def maps_equal(a, b) -> bool:
+    """Structural equality of normalized maps or ``MapSource``s (components and invariants)."""
+    return tuple(a.components) == tuple(b.components) and tuple(a.invariants) == tuple(b.invariants)

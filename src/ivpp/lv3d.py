@@ -54,16 +54,10 @@ def lv_gamma(n: int, r: float, s: float) -> float:
 
 
 def lv_discriminant(x: float, r: float) -> float:
-    return (
-        r * r
-        - 2 * r * r * x
-        + 2 * r * x * x
-        + r * r * x * x
-        - 2 * r * x**3
-        + 4 * x * x
-        - 4 * x**3
-        + x**4
-    )
+    """D = (r(1 - x) + x^2)^2 + 4x^2(1 - x), the quartic as a square plus a product:
+    at a huge r it overflows to +inf, where its expanded terms gave inf - inf."""
+    q = r * (1 - x) + x * x
+    return q * q + 4 * x * x * (1 - x)
 
 
 def lv_roots(x: float, r: float) -> Tuple[complex, complex]:

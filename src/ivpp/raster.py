@@ -16,10 +16,12 @@ Two layers per raster:
                  The band is tested only on each column's candidate rows
                  (see ``_band``), so the pass costs O(band cells + output)
                  rather than O(width * height).  Every raster keeps the
-                 layer as its classified cells (flat indices and classes;
-                 ``lv_raster``'s are its stripe cells) and builds the dense
-                 (h, w) layer only when ``.component`` is read; the
-                 component PGM scatters those cells into the one byte body.
+                 layer as an index into it and the classes it takes there
+                 (a branch raster's classified rows and columns, a stripe
+                 raster's stripe rows and their level lines), and writes
+                 them, ``layer[index] = classes``, into the dense (h, w)
+                 layer only when ``.component`` is read and into the one
+                 byte body of the component PGM.
 
 Cells are independent and the output is deterministic for fixed inputs.
 """
@@ -31,10 +33,9 @@ import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel
 from .core import RationalMap, check_tol
@@ -49,21 +50,14 @@ EXACT_TOL = 1e-9  # closure tolerance for snapped on-variety points
 BAND_CELLS = 1.5  # half-width of the component band, in cell widths
 
 
-class BandCells(NamedTuple):
-    """A component layer as its classified cells: C-order flat indices into the
-    (h, w) layer, each cell once, and their nonzero classes."""
-
-    flat: np.ndarray  # int32
-    classes: np.ndarray  # int16
-
-
 @dataclass
 class TilingRaster:
     window: Tuple[float, float, float, float]
     width: int
     height: int
     period_layer: Callable[[], np.ndarray] = field(repr=False)  # computes ``period``
-    labels: BandCells = field(repr=False)  # the component layer as its classified cells
+    index: Tuple[np.ndarray, ...] = field(repr=False)  # where the component layer is classified
+    classes: np.ndarray = field(repr=False)  # int16 classes there: layer[index] = classes
     meta: dict = field(default_factory=dict)
 
     @cached_property
@@ -73,24 +67,20 @@ class TilingRaster:
 
     @cached_property
     def component(self) -> np.ndarray:
-        """int16 (h, w) component layer, 0 = unclassified; scattered from the cells on first read."""
+        """int16 (h, w) component layer, 0 = unclassified; written from its index on first read."""
         layer = np.zeros((self.height, self.width), dtype=np.int16)
-        layer.flat[self.labels.flat] = self.labels.classes
+        layer[self.index] = self.classes
         return layer
 
     def cells(self) -> Tuple[np.ndarray, np.ndarray]:
         return cell_centers(self.window, (self.width, self.height))
 
     def _body(self, layer: str) -> np.ndarray:
-        """The PGM body of a layer; the component layer's cells are scattered into it."""
+        """The PGM body of a layer; the component layer is written into it from its index."""
         if layer != "component":
             return _pgm_body(getattr(self, layer))
         body = np.zeros((self.height, self.width), dtype=np.uint8)
-        at = self.labels.flat // self.width  # cell (i, j) goes to (h - 1 - i, j): top row first
-        at *= -2 * self.width  # in place: a temporary index array per step costs page faults
-        at += self.labels.flat
-        at += (self.height - 1) * self.width
-        body.reshape(-1)[at] = np.clip(self.labels.classes, 0, 255)
+        body[::-1][self.index] = np.clip(self.classes, 0, 255)  # top row first
         return body
 
     def to_pgm_bytes(self, layer: str = "component") -> bytes:
@@ -209,7 +199,7 @@ def raster(
     class is the component of x in the branch's analytic ``decompose``.
     The period layer is deferred until ``.period`` is read; on branch
     rasters it reads n on every classified cell.  The component layer is
-    kept as its classified cells (``BandCells``).
+    kept as the rows and columns of its classified cells and their classes.
     """
     kernel.check_grid_map(m)
     if branch is not None and m.components != f2d().components:
@@ -217,7 +207,7 @@ def raster(
     check_period_args(n_max, tol)
     xs, ys = cell_centers(window, resolution)
     w, h = resolution
-    flat = np.zeros(0, dtype=np.int32)
+    index = (np.zeros(0, dtype=np.intp),) * 2
     classes = np.zeros(0, dtype=np.int16)
     meta = {
         "map": m.name or "user",
@@ -229,15 +219,13 @@ def raster(
     def period_layer() -> np.ndarray:
         raw = kernel.period_grid(m, xs, ys, n_max, tol)
         if branch is not None:
-            raw.flat[flat] = branch.n  # every classified cell
+            raw[index] = branch.n  # every classified cell
         return raw
 
     if branch is not None:
         decomp = decompose(branch)
         cell = max((window[1] - window[0]) / w, (window[3] - window[2]) / h)
-        blocks = _band(xs, ys, window, branch.rho, BAND_CELLS * cell, cell)  # none if the band misses the window
-        band = np.concatenate([np.zeros(0, dtype=np.int32), *blocks])
-        column = band % w
+        rows, column = _band(xs, ys, window, branch.rho, BAND_CELLS * cell, cell)
         has_band = np.zeros(w, dtype=bool)
         has_band[column] = True
         columns = np.flatnonzero(has_band)
@@ -246,68 +234,70 @@ def raster(
         column_class[columns[closes]] = decomp.classify(xs[columns[closes]])
         classes = column_class[column]
         keep = classes != 0
-        flat, classes = band[keep], classes[keep]
+        index, classes = (rows[keep], column[keep]), classes[keep]
         meta.update(
             {
                 "period_n": branch.n,
                 "branch": branch.label,
                 "band_cells": BAND_CELLS,
                 "snap_checks": int(columns.size),
-                "classified": int(flat.size),
+                "classified": int(classes.size),
             }
         )
 
-    return TilingRaster(tuple(window), w, h, period_layer, BandCells(flat, classes), meta)
+    return TilingRaster(tuple(window), w, h, period_layer, index, classes, meta)
 
 
-def _band(xs, ys, window, rho: float, c: float, cell: float) -> List[np.ndarray]:
-    """Flat indices (int32 arrays, one per tested block of about BLOCK_CELLS
-    cells) of the cells with |x*y - rho| <= c*(|x| + |y| + 1) and
-    |x| > cell (the parametrization pole at x = 0).
+def _band(xs, ys, window, rho: float, c: float, cell: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows and columns (intp) of the cells with |x*y - rho| <= c*(|x| + |y| + 1)
+    and |x| > cell (the parametrization pole at x = 0), each cell once.
 
     With y = rho/x + d the test gives |d| <= c(|x| + |rho/x| + 1)/(|x| - c)
     when |x| > c, so a column is tested only on the rows of that range,
     widened by a relative 1e-9 and two rows for rounding; a column with
     |x| <= 2c, or whose range is not finite, is tested on all h rows.  The
-    columns whose row counts have one bit length are tested together, each
-    on the group's largest count of consecutive rows from its own first row,
-    so a block tests fewer than twice the candidate cells.
+    columns' candidate rows are laid end to end and tested about BLOCK_CELLS
+    at a time, each block expanded from the first row and row count of the
+    columns it meets.  Far out the test overflows to inf, which it compares.
     """
-    w, h = xs.size, ys.size
+    h = ys.size
     y0, y1 = window[2], window[3]
     dy = (y1 - y0) / h
     ax = np.abs(xs)
+    rows, columns = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     with np.errstate(all="ignore"):
         r = rho / xs
         half = c * (ax + np.abs(r) + 1.0) / (ax - c)
         half += 1e-9 * (half + np.abs(r) + abs(y0) + abs(y1))
         a, b = (r - half - y0) / dy - 0.5, (r + half - y0) / dy - 0.5
         lo, hi = np.floor(np.minimum(a, b)) - 2, np.ceil(np.maximum(a, b)) + 3
-    full = (ax <= 2 * c) | ~np.isfinite(lo) | ~np.isfinite(hi)
-    lo = np.clip(np.where(full, 0, lo), 0, h).astype(np.intp)
-    count = np.clip(np.where(full, h, hi), 0, h).astype(np.intp) - lo
-    cols = np.flatnonzero((ax > cell) & (count > 0))
-    size = np.frexp(count[cols])[1]  # the bit length of each column's row count
-    out = []
-    for bits in np.unique(size):
-        group = cols[size == bits]
-        rows = int(count[group].max())
-        first = np.minimum(lo[group], h - rows)  # rows first .. first + rows - 1 cover lo .. lo + count - 1
-        runs = sliding_window_view(ys, rows)  # runs[i] = ys[i : i + rows], a view
-        for c0, c1 in kernel.blocks(rows, group.size):  # whole columns, or one column in row slabs
-            X, aX = xs[group[c0:c1], np.newaxis], ax[group[c0:c1], np.newaxis]
-            for k0, k1 in kernel.blocks(c1 - c0, rows):
-                Y = runs[first[c0:c1], k0:k1]  # (columns, rows) copy of each column's rows
-                gap = X * Y  # |X*Y - rho| <= c*(|X| + |Y| + 1), in place; + and * commute bit for bit
-                gap -= rho
-                np.abs(gap, out=gap)
-                reach = np.abs(Y, out=Y)
-                reach += aX
-                reach += 1.0
-                reach *= c
-                j, k = np.divmod(np.flatnonzero(gap <= reach), k1 - k0)
-                out.append(((first[c0 + j] + k0 + k) * w + group[c0 + j]).astype(np.int32))
-    return out
+        full = (ax <= 2 * c) | ~np.isfinite(lo) | ~np.isfinite(hi)
+        lo = np.clip(np.where(full, 0, lo), 0, h).astype(np.intp)
+        count = np.clip(np.where(full, h, hi), 0, h).astype(np.intp) - lo
+        cols = np.flatnonzero((ax > cell) & (count > 0))
+        count = count[cols]
+        ends = np.cumsum(count)  # candidate t of column k, starts[k] <= t < ends[k], is row t + shift[k]
+        starts = ends - count
+        shift = lo[cols] - starts
+        total = int(count.sum())
+        for t0 in range(0, total, kernel.BLOCK_CELLS):
+            t1 = min(t0 + kernel.BLOCK_CELLS, total)
+            k0, k1 = np.searchsorted(ends, t0, "right"), np.searchsorted(starts, t1)
+            n = np.minimum(ends[k0:k1], t1) - np.maximum(starts[k0:k1], t0)
+            row = np.repeat(shift[k0:k1], n)
+            row += np.arange(t0, t1)
+            X, Y = np.repeat(xs[cols[k0:k1]], n), ys[row]
+            gap = X * Y  # |X*Y - rho| <= c*(|X| + |Y| + 1), in place; + and * commute bit for bit
+            gap -= rho
+            np.abs(gap, out=gap)
+            reach = np.abs(Y, out=Y)
+            reach += np.abs(X, out=X)
+            reach += 1.0
+            reach *= c
+            keep = gap <= reach
+            rows.append(row[keep])
+            columns.append(np.repeat(cols[k0:k1], n)[keep])
+    return np.concatenate(rows), np.concatenate(columns)
 
 
 def lv_raster(
@@ -332,19 +322,14 @@ def lv_raster(
     near = ~(np.abs(rs - levels) > stripe_half_width) & (window[2] <= levels) & (levels <= window[3])
     rows = np.flatnonzero(near)
     level, which = np.unique(levels[rows], return_inverse=True)
-    real = lv_discriminant(xs, level[:, np.newaxis]) >= 0  # one (levels x columns) grid
+    with np.errstate(all="ignore"):  # far out D overflows to +inf, which is real
+        real = lv_discriminant(xs, level[:, np.newaxis]) >= 0  # one (levels x columns) grid
     grid = np.where(real & (xs != 0.0) & (xs != 1.0), classes, np.int16(0))
-    flat, labels = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int16)]
-    for k, line in enumerate(grid):  # each level's classified columns, on each of its rows
-        j = np.flatnonzero(line)
-        i = rows[which == k].astype(np.int32) * w
-        flat.append((i[:, np.newaxis] + j.astype(np.int32)).ravel())
-        labels.append(np.tile(line[j], i.size))
-    cells = BandCells(np.concatenate(flat), np.concatenate(labels))
+    lines = grid[which]  # each stripe row is its level's line
 
     def period_layer() -> np.ndarray:
         layer = np.zeros((h, w), dtype=np.int16)
-        layer.flat[cells.flat] = 2  # every classified cell
+        layer[rows] = np.where(lines != 0, 2, 0)  # every classified cell
         return layer
 
     return TilingRaster(
@@ -352,7 +337,8 @@ def lv_raster(
         w,
         h,
         period_layer,
-        cells,
+        (rows,),
+        lines,
         {
             "map": "f3d",
             "period_n": 2,

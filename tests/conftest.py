@@ -18,6 +18,8 @@ relative snap to infinity, before it was composed from the level matrix.
 ``band_mask_dense`` is the component rasters' band test on every cell of
 the grid, before the per-column candidate rows, and ``pgm_concat`` the
 PGM encoder that clips to int16, casts and concatenates the header.
+``stripe_layer_per_level`` is the f3d stripe layer as its flat cells were
+built level by level, with the discriminant in its expanded terms.
 ``snapped_period_is`` is the component pass's decision made on the scalar
 projective orbit, the rule the vector first-return loop must reproduce.
 ``eval_term_loop`` and ``apply_term_loop`` are the complex term loop that
@@ -221,6 +223,31 @@ def band_mask_dense(window, resolution, rho, band_cells=1.5):
             band = band_cells * cell * (np.abs(X) + np.abs(Y) + 1.0)
             out[lo : lo + 256] = (np.abs(X * Y - rho) <= band) & (np.abs(X) > cell)
     return out
+
+
+def stripe_layer_per_level(window, resolution, sign="+", stripe_half_width=0.25):
+    """Reference component layer of ``lv_raster``: for each level, the flat indices
+    of its classified columns on each of its stripe rows and their classes, put
+    into an int16 (h, w) zero layer; D in its eight expanded terms."""
+    from ivpp.denoms import cell_centers
+    from ivpp.lv3d import lv_decompose_period2
+
+    xs, rs = cell_centers(window, resolution)
+    w, h = resolution
+    classes = lv_decompose_period2(0.0, sign).classify(xs).astype(np.int16)
+    levels = np.round(rs)
+    near = ~(np.abs(rs - levels) > stripe_half_width) & (window[2] <= levels) & (levels <= window[3])
+    rows = np.flatnonzero(near)
+    level, which = np.unique(levels[rows], return_inverse=True)
+    x, r = xs, level[:, np.newaxis]
+    d = r * r - 2 * r * r * x + 2 * r * x * x + r * r * x * x - 2 * r * x**3 + 4 * x * x - 4 * x**3 + x**4
+    grid = np.where((d >= 0) & (xs != 0.0) & (xs != 1.0), classes, np.int16(0))
+    layer = np.zeros(h * w, dtype=np.int16)
+    for k, line in enumerate(grid):
+        j = np.flatnonzero(line)
+        i = rows[which == k] * w
+        layer[(i[:, np.newaxis] + j).ravel()] = np.tile(line[j], i.size)
+    return layer.reshape(h, w)
 
 
 def pgm_concat(grid) -> bytes:

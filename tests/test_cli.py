@@ -226,6 +226,29 @@ def test_parse_reports_diagnostics(tmp_path):
     assert "expected" in err
 
 
+def test_parse_checks_each_invariant_once(tmp_path, monkeypatch):
+    """The round trip compares the re-parsed text's components and invariants
+    without building a second map: one exact check per ``ivpp parse``, and a
+    printed text that parses to another map still exits 1."""
+    from ivpp import cli
+    from ivpp.core import RationalMap
+    from ivpp.dsl import format_map
+    from ivpp.maps import f3d
+
+    printed = format_map(f3d())
+    src = tmp_path / "m.rmap"
+    src.write_text(printed + "inv q = ((1-x)*(1-y)*(1-z))^3;\n")
+    checked = []
+    check = RationalMap._check_invariants
+    monkeypatch.setattr(RationalMap, "_check_invariants", lambda m: (checked.append(m.invariants), check(m)))
+    code, out, err = run_captured(["parse", str(src)])
+    assert (code, err) == (0, "") and [[name for name, _ in invs] for invs in checked] == [["r", "s", "q"]]
+    assert out.startswith(printed) and out[len(printed) :].startswith("inv q = ")
+    assert out.count("\n") == printed.count("\n") + 1
+    monkeypatch.setattr(cli, "format_map", lambda m: format_map(m).replace("inv q = ", "inv q = 2*"))
+    assert run_captured(["parse", str(src)]) == (1, "", "round-trip mismatch\n")
+
+
 def test_raster_writes_deterministic_pgm(tmp_path):
     args = [
         "raster",

@@ -671,7 +671,7 @@ def test_a_branch_raster_refuses_a_map_other_than_f2d():
     with pytest.raises(ValueError, match="component rasters need the f2d branches"):
         raster(lyness, (-4, 4, -4, 4), (200, 200), n_max=8, branch=branches(5)[0])
     f2d_copy = parse_map(format_map(f2d()))  # the same map under no name
-    assert raster(f2d_copy, (-4, 4, -4, 4), (40, 40), n_max=4, branch=branches(3)[0]).labels.flat.size > 0
+    assert raster(f2d_copy, (-4, 4, -4, 4), (40, 40), n_max=4, branch=branches(3)[0]).classes.size > 0
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"n_max": 0}, {"n_max": 40000}])
