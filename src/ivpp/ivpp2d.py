@@ -9,7 +9,6 @@ parametrization x -> (x, rho/x).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import List, Tuple
@@ -105,6 +104,9 @@ class GammaPolynomial:
     scale: int
 
     def eval_monic(self, r: float) -> float:
+        """The monic form at r by Horner's rule; a form with an inf coefficient is refused."""
+        if math.inf in self.monic:
+            raise ValueError(f"period {self.n}: gamma has monic coefficients past the float range and is not evaluated")
         acc = 0.0
         for c in reversed(self.monic):
             acc = acc * r + c
@@ -137,16 +139,6 @@ def _divide(num: List[int], den: List[int]) -> List[int]:
     return out
 
 
-def _log10_coefficient_bound(n: int) -> float:
-    """Float lower bound on log10 of the largest monic coefficient of gamma_n.
-
-    The coefficients are the elementary symmetric functions of the positive
-    tan^2(pi*m/n), so their degree + 1 values sum to prod(1 + tan^2(pi*m/n)).
-    """
-    ts = [tan_pi(m, n) ** 2 for m in admissible_m(n)]
-    return math.fsum(math.log10(1.0 + t) for t in ts) - math.log10(len(ts) + 1)
-
-
 def _gamma_integer(n: int) -> List[int]:
     """Ascending coefficients of gamma_n times its leading one: integers, content 1.
 
@@ -166,21 +158,21 @@ def _gamma_integer(n: int) -> List[int]:
     return gammas[n]
 
 
+def _quotient(a: int, b: int) -> float:
+    """a / b correctly rounded, or inf where it is past the float range (a, b > 0)."""
+    try:
+        return a / b  # int true division rounds correctly
+    except OverflowError:
+        return math.inf
+
+
 def gamma_poly(n: int) -> GammaPolynomial:
     """Monic period-n polynomial in r, plus its integer form, computed exactly.
 
-    A period whose coefficient bound is past the float range by more than
-    one decade is refused before the exact product, which takes seconds
-    for n with many divisors (n = 4096).
+    Every coefficient is positive; a monic one past the float range is inf,
+    while ``scaled`` and ``scale`` stay exact.
     """
     _check_n(n)
-    overflow = f"period {n}: gamma coefficients exceed the float range"
-    if _log10_coefficient_bound(n) > math.log10(sys.float_info.max) + 1.0:
-        raise ValueError(overflow)
     scaled = _gamma_integer(n)
     scale = scaled[-1]  # the monic form's common denominator, since the content is 1
-    try:
-        monic = tuple(c / scale for c in scaled)  # int true division rounds correctly
-    except OverflowError:
-        raise ValueError(overflow) from None
-    return GammaPolynomial(n, monic, tuple(scaled), scale)
+    return GammaPolynomial(n, tuple(_quotient(c, scale) for c in scaled), tuple(scaled), scale)

@@ -24,6 +24,8 @@ import cmath
 import math
 from typing import Tuple
 
+import numpy as np
+
 from .core import ExtendedComplex, Point
 from .decompose import ComponentDecomposition, pushed_sigma
 from .maps import lv_recurrence_map
@@ -55,9 +57,17 @@ def lv_gamma(n: int, r: float, s: float) -> float:
 
 def lv_discriminant(x: float, r: float) -> float:
     """D = (r(1 - x) + x^2)^2 + 4x^2(1 - x), the quartic as a square plus a product:
-    at a huge r it overflows to +inf, where its expanded terms gave inf - inf."""
+    at a huge r it overflows to +inf, where its expanded terms gave inf - inf.  Where
+    its parts still read inf - inf (past x = 1.3e154), D is taken in powers of 1/x."""
     q = r * (1 - x) + x * x
-    return q * q + 4 * x * x * (1 - x)
+    d = q * q + 4 * x * x * (1 - x)
+    far = np.isnan(d) & (x != 0)  # a part overflowed, and inf - inf followed; at x = 0 only a nan r
+    if np.any(far):  # there D = x^4 ((1 + r u)^2 + 4u), u = (1 - x)/x^2, which overflows last
+        with np.errstate(all="ignore"):
+            u = (1 / x) * (1 / x - 1)
+            d_far = (x * x) * (x * x) * ((1 + r * u) * (1 + r * u) + 4 * u)
+        d = np.where(far, d_far, d) if np.ndim(d) else d_far
+    return d
 
 
 def lv_roots(x: float, r: float) -> Tuple[complex, complex]:

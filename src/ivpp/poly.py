@@ -121,14 +121,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")
-        result = Polynomial.const(Fraction(1), self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, one=Polynomial.const(Fraction(1), self.nvars))
 
     def __eq__(self, other) -> bool:
         return (
@@ -196,7 +189,7 @@ _F64 = np.dtype(np.float64)
 
 
 def power(base, e: int, mul=lambda a, b: a * b, one=1 + 0j):
-    """base**e, e >= 1, by the products CPython's complex ``**`` forms for e <= 100:
+    """base**e, e >= 0, by the products CPython's complex ``**`` forms for e <= 100:
     ``one`` times base**(2**k) for each set bit k, low bit first, the powers by
     squaring.  On complex numbers this is the value of ``**``, and inf or nan
     where ``**`` raises OverflowError.  ``mul`` lets a program record it."""

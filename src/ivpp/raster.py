@@ -80,7 +80,8 @@ class TilingRaster:
         if layer != "component":
             return _pgm_body(getattr(self, layer))
         body = np.zeros((self.height, self.width), dtype=np.uint8)
-        body[::-1][self.index] = np.clip(self.classes, 0, 255)  # top row first
+        clipped = np.empty(self.classes.shape, dtype=np.uint8)  # no wider copy of the classes
+        body[::-1][self.index] = np.clip(self.classes, 0, 255, out=clipped, casting="unsafe")  # top row first
         return body
 
     def to_pgm_bytes(self, layer: str = "component") -> bytes:

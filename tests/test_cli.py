@@ -79,6 +79,25 @@ def test_ivpp_subcommand_prints_an_infinite_level_condition(argv, key, value):
     assert json.loads(out)[key] == [value, 0]
 
 
+@pytest.mark.parametrize("n, infinite", [(1031, 24), (2048, 0)])
+def test_ivpp_subcommand_prints_the_exact_integer_form_at_large_periods(n, infinite):
+    """Monic coefficients past the float range print as "inf"; scaled and scale stay exact."""
+    from ivpp.ivpp2d import _gamma_integer
+
+    code, out, err = run_captured(["ivpp", "--period", str(n)])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["scaled"] == _gamma_integer(n) and doc["scale"] == doc["scaled"][-1]
+    assert doc["monic"].count("inf") == infinite and len(doc["monic"]) == len(doc["scaled"])
+
+
+def test_ivpp_subcommand_refuses_r_where_a_monic_coefficient_is_inf():
+    """At 1031 and r = 0 the value is exactly 1031, but Horner's rule on the float form
+    would give nan: the refusal is a usage error, not an overflow of the value."""
+    message = "period 1031: gamma has monic coefficients past the float range and is not evaluated"
+    assert run_captured(["ivpp", "--period", "1031", "--r", "0"]) == (2, "", f"error: {message}\n")
+
+
 def test_decompose_json_matches_the_printed_table():
     code, out, err = run_captured(["decompose", "--map", "f2d", "--period", "3"])
     assert code == 0, err
@@ -424,13 +443,13 @@ SAME_FILE = [  # -o and --csv naming one file, refused before any work
         ["denoms", "--window=-1,1,-1,1", "--res", "5000x5000", "-o", "/tmp/x.pgm"],
         ["raster", "--map", "f3d", "--period", "2", "--window=-1,1,-1,1", "--res", "5000x5000",
          "-o", "/tmp/x.pgm"],
-        ["ivpp", "--map", "f2d", "--period", "1031"],
+        ["ivpp", "--map", "f2d", "--period", "1031", "--r", "0"],
         ["ivpp", "--period", "1000000"],
         ["decompose", "--period", "4097"],
         ["boundaries", "--period", "1000000"],
         ["boundaries", "--map", "lv-recurrence", "--period", "0"],
         ["boundaries", "--map", "lv-recurrence", "--period", "-3"],
-        ["ivpp", "--period", "4096"],
+        ["ivpp", "--period", "1033", "--r=-0.5"],
         ["orbit", "--start", "1,2", "--steps", "3", "--tol", "nan"],
         ["orbit", "--start", "1,2", "--steps", "3", "--tol", "-1"],
         ["raster", "--mode", "period", "--window=-4,4,-4,4", "--res", "4x4", "--tol", "inf", "-o", "/tmp/x.pgm"],

@@ -12,7 +12,6 @@ from conftest import gamma_fraction
 from ivpp.ivpp2d import (
     DegenerateBranch,
     _gamma_integer,
-    _log10_coefficient_bound,
     branches,
     gamma_poly,
 )
@@ -87,23 +86,39 @@ def test_gamma_poly_against_sympy_minimal_polynomials(n):
         assert [int(c) for c in reversed(exact.all_coeffs())] == list(g.scaled)
 
 
-def test_gamma_poly_refuses_periods_whose_coefficients_overflow_a_float():
-    with pytest.raises(ValueError, match="period 1031"):
-        gamma_poly(1031)
+def _monic_or_inf(c, scale):
+    try:
+        return c / scale
+    except OverflowError:
+        return math.inf
 
 
-def test_the_coefficient_bound_refuses_only_what_the_exact_path_refuses():
-    """n = 1031 lies under the bound's threshold and overflows on the exact path;
-    every period the bound refuses on 1020..1060 overflows there too."""
-    threshold = math.log10(sys.float_info.max) + 1.0
-    refused = [n for n in range(1020, 1061) if _log10_coefficient_bound(n) > threshold]
-    assert refused == [1039, 1049, 1051]
-    assert _log10_coefficient_bound(1031) < threshold and _log10_coefficient_bound(2048) < threshold
-    for n in refused:
+def test_gamma_poly_prints_inf_where_a_monic_coefficient_overflows_a_float():
+    """From n = 1031 on, some monic coefficients are past the float range: those,
+    and only those, are inf, while the integer form stays exact."""
+    g = gamma_poly(1031)
+    assert g.scaled == tuple(_gamma_integer(1031)) and g.scale == g.scaled[-1]
+    assert g.monic == tuple(_monic_or_inf(c, g.scale) for c in g.scaled)
+    assert sum(map(math.isinf, g.monic)) == 24 and len(g.monic) == 516
+    assert all(c > 0 for c in g.monic)
+    for n in (1039, 1049, 1051):
         scaled = _gamma_integer(n)
         assert Fraction(max(scaled), scaled[-1]) > sys.float_info.max  # the largest monic coefficient
-        with pytest.raises(ValueError, match=f"period {n}: gamma coefficients exceed the float range"):
-            gamma_poly(n)
+        g_n = gamma_poly(n)
+        assert g_n.scaled == tuple(scaled) and math.inf in g_n.monic
+    with pytest.raises(ValueError, match="^period 1031: .*float range"):
+        g.eval_monic(0.0)
+
+
+@pytest.mark.parametrize("p", [1031, 1033, 1039])
+def test_prime_gamma_against_the_tangent_product_and_sum(p):
+    """For a prime p the roots are -tan^2(pi m/p), m = 1..(p-1)/2, whose squared
+    tangents have product p and sum p(p-1)/2: the constant and the next-to-leading
+    coefficient of the monic form."""
+    g = gamma_poly(p)
+    assert len(g.scaled) == (p + 1) // 2
+    assert g.scaled[0] == p * g.scale
+    assert 2 * g.scaled[-2] == p * (p - 1) * g.scale
 
 
 @pytest.mark.parametrize("ns", [range(3, 201), [210, 1024, 2048]], ids=["3-200", "210-1024-2048"])

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ def test_param_exact_oracle():
     s = (1 - vals[0]) * (1 - vals[1]) * (1 - vals[2])
     assert prod == pytest.approx(2.0 + 0j, abs=1e-12)
     assert s == pytest.approx(-1.0 + 0j, abs=1e-12)
+
+
+def test_discriminant_where_the_square_plus_product_reads_inf_minus_inf():
+    """Past x = 1.3e154 x*x overflows, and at huge r and x r*(1 - x) does: the
+    square-plus-product form reads inf - inf.  There the quartic in powers of 1/x
+    is infinite with the sign of the exact D: +inf, as D ~ x^4, but -inf at
+    x = r = 1e300, where D ~ -4x^3.  Everywhere else the value is that form's,
+    bit for bit, for arrays and floats alike."""
+    xs = np.array([-1e300, -2e200, -1e154, -3.0, 0.0, 0.5, 1.0, 2.0, 1e154, 1.3e154, 1e155, 1e200, 1e300])
+    rs = np.array([[-1e300], [-3.0], [0.0], [2.0], [1e300], [np.nan]])
+    with np.errstate(all="ignore"):
+        q = rs * (1 - xs) + xs * xs
+        plain = q * q + 4 * xs * xs * (1 - xs)
+        grid = lv_discriminant(xs, rs)
+    far = np.isnan(plain) & ~np.isnan(rs)
+    assert far.sum() == 27 and np.all(np.isinf(grid[far]))
+    for i, j in zip(*np.nonzero(far)):
+        x, r = Fraction(xs[j]), Fraction(rs[i, 0])
+        assert (grid[i, j] > 0) == ((r * (1 - x) + x * x) ** 2 + 4 * x * x * (1 - x) > 0)
+    assert np.array_equal(grid[~far].view(np.int64), plain[~far].view(np.int64))
+    for (i, j), d in np.ndenumerate(grid):
+        one = lv_discriminant(float(xs[j]), float(rs[i, 0]))
+        assert isinstance(one, float) and np.array_equal(np.float64(one).view(np.int64), d.view(np.int64))
 
 
 # -- period exactness -------------------------------------------------------------------
