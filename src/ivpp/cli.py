@@ -127,14 +127,6 @@ def _pick_branch(n: int, selector: str):
     return bs[idx - 1]
 
 
-def _level_value(args, value: float) -> complex:
-    """value as a complex, or Indeterminate naming the period and flags where it overflowed into nan; inf prints."""
-    if math.isnan(value):
-        flags = "".join(f" --{f} {getattr(args, f)!r}" for f in ("r", "s") if getattr(args, f) is not None)
-        raise Indeterminate(f"period {args.period}: the level condition at{flags} overflows the float range")
-    return complex(value)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -164,8 +156,7 @@ def _cmd_ivpp(args) -> int:
     if args.map == "f3d":
         if args.r is None or args.s is None:
             raise UsageError("f3d level conditions need --r and --s")
-        value = _level_value(args, lv_gamma(args.period, args.r, args.s))
-        doc = {"map": "f3d", "period": args.period, "gamma": value}
+        doc = {"map": "f3d", "period": args.period, "gamma": complex(lv_gamma(args.period, args.r, args.s))}
         _emit(serialize.dumps(doc), args.output)
         return 0
     if args.map != "f2d":
@@ -181,7 +172,7 @@ def _cmd_ivpp(args) -> int:
         "branches": [{"m": b.m, "rho": b.rho, "label": b.label} for b in branches(args.period)],
     }
     if args.r is not None:
-        doc["gamma_at_r"] = _level_value(args, g.eval_monic(args.r))
+        doc["gamma_at_r"] = complex(g.at(args.r))
     _emit(serialize.dumps(doc), args.output)
     return 0
 

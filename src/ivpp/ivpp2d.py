@@ -99,18 +99,21 @@ class GammaPolynomial:
     """Product of (r + tan^2(pi*m/n)) over the admissible m, in two forms."""
 
     n: int
-    monic: Tuple[float, ...]  # ascending-degree coefficients, leading 1.0
+    monic: Tuple[float, ...]  # ascending-degree coefficients, leading 1.0; printed, never evaluated
     scaled: Tuple[int, ...]  # the same polynomial times ``scale``: integers, content 1
     scale: int
 
-    def eval_monic(self, r: float) -> float:
-        """The monic form at r by Horner's rule; a form with an inf coefficient is refused."""
-        if math.inf in self.monic:
-            raise ValueError(f"period {self.n}: gamma has monic coefficients past the float range and is not evaluated")
-        acc = 0.0
-        for c in reversed(self.monic):
-            acc = acc * r + c
-        return acc
+    def at(self, r: float) -> float:
+        """gamma_n at a finite real r = p/2^e, exactly: Horner's rule in integers over
+        the denominator scale * 2^(e*degree), rounded once by ``quotient``.  The float
+        range bounds the integers' size: |p| < 2^1024 and e <= 1074."""
+        if not math.isfinite(r):
+            raise ValueError(f"r must be finite, got {r}")
+        p, q = float(r).as_integer_ratio()
+        e, num = q.bit_length() - 1, self.scaled[-1]  # a float's denominator is a power of two
+        for k, c in enumerate(reversed(self.scaled[:-1]), 1):
+            num = num * p + (c << e * k)
+        return quotient(num, self.scale << e * (len(self.scaled) - 1))
 
 
 def _all_m_poly(n: int) -> List[int]:
@@ -158,12 +161,13 @@ def _gamma_integer(n: int) -> List[int]:
     return gammas[n]
 
 
-def _quotient(a: int, b: int) -> float:
-    """a / b correctly rounded, or inf where it is past the float range (a, b > 0)."""
+def quotient(a: int, b: int) -> float:
+    """a / b correctly rounded (b > 0), or inf with the sign of a where it is past
+    the float range: the one rounding of an exact value to a float."""
     try:
         return a / b  # int true division rounds correctly
     except OverflowError:
-        return math.inf
+        return math.inf if a > 0 else -math.inf
 
 
 def gamma_poly(n: int) -> GammaPolynomial:
@@ -175,4 +179,4 @@ def gamma_poly(n: int) -> GammaPolynomial:
     _check_n(n)
     scaled = _gamma_integer(n)
     scale = scaled[-1]  # the monic form's common denominator, since the content is 1
-    return GammaPolynomial(n, tuple(_quotient(c, scale) for c in scaled), tuple(scaled), scale)
+    return GammaPolynomial(n, tuple(quotient(c, scale) for c in scaled), tuple(scaled), scale)

@@ -20,14 +20,15 @@ push of the recurrence (``pushed_sigma``), the same at every r.
 
 from __future__ import annotations
 
-import cmath
 import math
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
 from .core import ExtendedComplex, Point
 from .decompose import ComponentDecomposition, pushed_sigma
+from .ivpp2d import quotient
 from .maps import lv_recurrence_map
 from .mobius import Mobius
 
@@ -44,15 +45,15 @@ SIGNS = {"+": 1, "-": -1}
 
 
 def lv_gamma(n: int, r: float, s: float) -> float:
-    """The period-n level condition of the 3d map for n = 2, 3, 4, in
-    products, which overflow to +-inf where ``**`` would raise."""
-    if n == 2:
-        return s + 1
-    if n == 3:
-        return (s - r) * (s - r) + (r + 1) * (s + 1)
-    if n == 4:
-        return (s - r) * (s - r) * (s - r) + s * ((r + 1) * (r + 1) * (r + 1))
-    raise UnsupportedPeriod(f"no printed level condition for period {n}")
+    """The period-n level condition of the 3d map for n = 2, 3, 4 at finite r and
+    s: its exact value at their exact rationals, rounded once by ``quotient``."""
+    if n not in (2, 3, 4):
+        raise UnsupportedPeriod(f"no printed level condition for period {n}")
+    if not (math.isfinite(r) and math.isfinite(s)):
+        raise ValueError(f"r and s must be finite, got {r} and {s}")
+    r, s = Fraction(r), Fraction(s)
+    conditions = (s + 1, (s - r) ** 2 + (r + 1) * (s + 1), (s - r) ** 3 + s * (r + 1) ** 3)  # n = 2, 3, 4
+    return quotient(*conditions[n - 2].as_integer_ratio())
 
 
 def lv_discriminant(x: float, r: float) -> float:
@@ -71,27 +72,35 @@ def lv_discriminant(x: float, r: float) -> float:
 
 
 def lv_roots(x: float, r: float) -> Tuple[complex, complex]:
-    """The two quadratic roots (a_plus, a_minus).
+    """The roots a_pm = (base +- sqrt(D))/(2x) = h +- sign(x) g, a conjugate pair where D < 0.
 
-    The square root takes the non-negative real branch when D >= 0;
-    negative discriminants give a conjugate pair.
+    h = (x - 2 + r(x - 1)/x)/2 is half their sum and P = r(x - 1)^2/x their product,
+    and g^2 = h^2 - P is taken over c^2, c = |h| + sqrt|P|: nothing overflows before
+    the roots do.  Of real roots, the larger in modulus is h + g with the sign of h,
+    and the other is P over it, with no cancellation.
     """
     if x in (0, 1):
         raise DegenerateParameter(f"parametrization pole at x = {x}")
-    d = lv_discriminant(x, r)
-    sq = math.sqrt(d) if d >= 0 else cmath.sqrt(complex(d))
-    base = x * x - 2 * x + r * x - r
-    a_plus = (base + sq) / (2 * x)
-    a_minus = (base - sq) / (2 * x)
-    return a_plus, a_minus
+    h = (x - 2 + r * ((x - 1) / x)) / 2
+    w = math.sqrt(abs(r)) * (abs(x - 1) / math.sqrt(abs(x)))  # sqrt|P|
+    sign = math.copysign(1.0, r * x)  # of P
+    if h == w == 0:
+        return 0.0, 0.0  # r = 0 at x = 2: a double root at 0
+    c = abs(h) + w
+    k = (h / c) ** 2 - sign * (w / c) ** 2
+    if k < 0:
+        gap = math.copysign(c * math.sqrt(-k), x) * 1j
+        return h + gap, h - gap
+    big = h + math.copysign(c * math.sqrt(k), h)
+    small = sign * w * (w / big)
+    return (big, small) if (big > h) == (x > 0) else (small, big)
 
 
 def lv_period2_param(x: float, r: float, sign: str = "+") -> Point:
     """Point (x, a/(x-1), a'/(x-1)) on the period-2 level: x*y*z = r, s = -1."""
     if sign not in SIGNS:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    a_plus, a_minus = lv_roots(x, r)
-    a, b = (a_plus, a_minus) if SIGNS[sign] > 0 else (a_minus, a_plus)
+    a, b = lv_roots(x, r)[:: SIGNS[sign]]  # (a_plus, a_minus) on the + sheet, swapped on the -
     return Point([x, a / (x - 1), b / (x - 1)])
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, List
 
@@ -32,7 +33,7 @@ class ZeroInvariant(ValueError):
 
 @dataclass(frozen=True)
 class Mobius:
-    """Fractional-linear map (a*x + b)/(c*x + d), nonsingular."""
+    """Fractional-linear map (a*x + b)/(c*x + d), nonsingular: ad - bc != 0 exactly, for the entries as stored."""
 
     a: complex
     b: complex
@@ -40,8 +41,11 @@ class Mobius:
     d: complex
 
     def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c) <= 1e-12:
-            raise ValueError("matrix is singular (|det| <= 1e-12)")
+        parts = [v for z in (self.a, self.b, self.c, self.d) for v in (z.real, z.imag)]
+        if all(map(math.isfinite, parts)):  # an overflowed entry has no exact determinant, and is kept
+            ar, ai, br, bi, cr, ci, dr, di = map(Fraction, parts)
+            if ar * dr - ai * di == br * cr - bi * ci and ar * di + ai * dr == br * ci + bi * cr:
+                raise ValueError("matrix is singular (det = 0)")
 
     def __call__(self, x) -> ExtendedComplex:
         x = x if isinstance(x, ExtendedComplex) else ExtendedComplex(x)

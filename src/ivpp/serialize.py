@@ -2,7 +2,7 @@
 
 Floats are written with 17 significant digits (exact double round-trip);
 the projective infinity is written as the strings "inf"/"-inf".  Complex
-values serialize as [re, im] pairs.
+values serialize as [re, im] pairs.  Strings escape what JSON must escape.
 """
 
 from __future__ import annotations
@@ -21,8 +21,14 @@ def _num(v: float) -> str:
     return format(v, ".17g")
 
 
+# the control characters JSON must escape, as json.dumps(s, ensure_ascii=False) writes them
+_CONTROL = {i: f"\\u{i:04x}" for i in range(0x20)} | {8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"}
+
+
 def _escape(s: str) -> str:
     out = s.replace("\\", "\\\\").replace('"', '\\"')
+    if not out.isprintable():  # every control character is unprintable
+        out = out.translate(_CONTROL)
     return f'"{out}"'
 
 

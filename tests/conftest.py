@@ -10,9 +10,10 @@ which the fast ones must give identical answers; ``period_rows_exact`` is
 the period loop that takes the exact chordal distance of every open cell
 at every step, before the bound-first return test.  ``pole_depths_eager``
 is the pole-depth scan that builds every curve with int8 sign products,
-and ``gamma_fraction`` the exact period polynomial in ``Fraction``
-arithmetic.  ``boundary_cs_complex`` is the paper's root-of-unity form of
-the cuts, which the library evaluates in real arithmetic, and
+``gamma_fraction`` the exact period polynomial in ``Fraction`` arithmetic,
+and ``horner_rounded`` a polynomial's exact value at a float, rounded
+once.  ``boundary_cs_complex`` is the paper's root-of-unity form of the
+cuts, which the library evaluates in real arithmetic, and
 ``boundary_d_closed_form`` the z-space cut's own closed form, with its
 relative snap to infinity, before it was composed from the level matrix.
 ``band_mask_dense`` is the component rasters' band test on every cell of
@@ -420,6 +421,19 @@ def gamma_fraction(n):
                     q = divide(q, g)
             gammas[d] = q
     return gammas[n]
+
+
+def horner_rounded(coeffs, r, scale=1):
+    """sum coeffs[k] r^k / scale, ascending, by Horner's rule in Fraction at the
+    exact r, rounded by ``float()``, or +-inf with its sign where that raises."""
+    r, value = Fraction(r), Fraction(0)
+    for c in reversed(coeffs):
+        value = value * r + c
+    value /= scale
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import JITTERED_WINDOW, csv_per_cell
+from conftest import JITTERED_WINDOW, csv_per_cell, horner_rounded
 from ivpp.cli import run_captured
 from ivpp.denoms import cell_centers, denominator_zero_curves
 from ivpp.ivpp2d import branches
@@ -25,6 +26,17 @@ def test_orbit_json_closed_period3():
     assert doc["minimal_period"] == 3
     assert len(doc["points"]) == 4
     assert doc["points"][1][0] == [pytest.approx(-5.0), pytest.approx(0.0)]
+
+
+def test_orbit_escapes_control_characters_in_the_map_name(tmp_path):
+    """A map path with a tab, a newline and U+0001 prints as JSON escapes, so the output parses."""
+    from ivpp.maps import F2D_SOURCE
+
+    path = tmp_path / "a\tb\nc\x01.rmap"
+    path.write_text(F2D_SOURCE)
+    code, out, err = run_captured(["orbit", "--map", str(path), "--start", "1,2", "--steps", "2"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["map"] == str(path) and '"map": ' + json.dumps(str(path), ensure_ascii=False) in out
 
 
 def test_orbit_reduced_map_needs_r():
@@ -55,23 +67,16 @@ def test_ivpp_subcommand_lv_gamma():
     assert doc["gamma"] == [pytest.approx(0.0), pytest.approx(0.0)]
 
 
-def test_ivpp_subcommand_refuses_a_level_condition_that_overflows():
-    """(s - r)^3 + s(r + 1)^3 at r = 1e300, s = 1 is -inf + inf: the one nan."""
-    argv = ["ivpp", "--map", "f3d", "--period", "4", "--r", "1e300", "--s", "1"]
-    message = "period 4: the level condition at --r 1e+300 --s 1.0 overflows the float range"
-    assert run_captured(argv) == (1, "", f"error: {message}\n")
-
-
 @pytest.mark.parametrize(
     "argv, key, value",
     [
         (["--period", "5", "--r", "1e200"], "gamma_at_r", "inf"),
         (["--period", "7", "--r", "1e300"], "gamma_at_r", "inf"),
-        (["--period", "751", "--r", "-3"], "gamma_at_r", "inf"),  # Horner overflows midway and stays infinite
-        (["--period", "1027", "--r", "-3"], "gamma_at_r", "-inf"),
+        (["--period", "7", "--r=-1e300"], "gamma_at_r", "-inf"),
         (["--map", "f3d", "--period", "3", "--r", "1e300", "--s", "1"], "gamma", "inf"),
+        (["--map", "f3d", "--period", "4", "--r", "1e300", "--s", "1"], "gamma", "inf"),  # 2 + 6r^2
     ],
-    ids=["f2d-5", "f2d-7", "f2d-751", "f2d-1027", "f3d-3"],
+    ids=["f2d-5", "f2d-7", "f2d-7-negative", "f3d-3", "f3d-4"],
 )
 def test_ivpp_subcommand_prints_an_infinite_level_condition(argv, key, value):
     code, out, err = run_captured(["ivpp", *argv])
@@ -81,21 +86,62 @@ def test_ivpp_subcommand_prints_an_infinite_level_condition(argv, key, value):
 
 @pytest.mark.parametrize("n, infinite", [(1031, 24), (2048, 0)])
 def test_ivpp_subcommand_prints_the_exact_integer_form_at_large_periods(n, infinite):
-    """Monic coefficients past the float range print as "inf"; scaled and scale stay exact."""
+    """Monic coefficients past the float range print as "inf"; scaled and scale stay
+    exact, and so does the value at the first branch level, where gamma nearly vanishes."""
     from ivpp.ivpp2d import _gamma_integer
 
-    code, out, err = run_captured(["ivpp", "--period", str(n)])
+    rho = branches(n)[0].rho
+    code, out, err = run_captured(["ivpp", "--period", str(n), f"--r={rho!r}"])
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["scaled"] == _gamma_integer(n) and doc["scale"] == doc["scaled"][-1]
     assert doc["monic"].count("inf") == infinite and len(doc["monic"]) == len(doc["scaled"])
+    assert doc["gamma_at_r"] == [horner_rounded(doc["scaled"], rho, doc["scale"]), 0]
 
 
-def test_ivpp_subcommand_refuses_r_where_a_monic_coefficient_is_inf():
-    """At 1031 and r = 0 the value is exactly 1031, but Horner's rule on the float form
-    would give nan: the refusal is a usage error, not an overflow of the value."""
-    message = "period 1031: gamma has monic coefficients past the float range and is not evaluated"
-    assert run_captured(["ivpp", "--period", "1031", "--r", "0"]) == (2, "", f"error: {message}\n")
+EXACT_LEVELS = [0.0, 0.5, -0.5, -1.0, -2.0, -3.0, 2.0, 1e300, -1e300]
+
+
+def _printed(v):
+    """A float as ivpp's JSON reads back: infinities are the strings "inf" and "-inf"."""
+    return ("inf" if v > 0 else "-inf") if math.isinf(v) else v
+
+
+@pytest.mark.parametrize(
+    "n, r, value",
+    [
+        (113, -1.0, 72057594037927936),  # 2^56; Horner on the rounded monic form gave -9964946566059416
+        (131, -3.0, -1.361129467683754e39),
+        (700, -3.0, 1.7668470647783843e72),
+        (751, -3.0, 5.922386521532856e225),
+        (1027, -3.0, 5.80865979874134e281),
+        (1031, 0.0, 1031),  # the monic form has 24 inf coefficients here
+        (1033, -0.5, 1.1726433186326855e91),
+        *((1031, r, None) for r in EXACT_LEVELS[1:-2] + [b.rho for b in branches(1031)[::257]]),
+    ],
+)
+def test_ivpp_subcommand_prints_gamma_at_r_exactly(n, r, value):
+    """The value at r is the exact one, rounded once, at every accepted period."""
+    code, out, err = run_captured(["ivpp", "--period", str(n), f"--r={r!r}"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["gamma_at_r"] == [_printed(horner_rounded(doc["scaled"], r, doc["scale"])), 0]
+    assert value is None or doc["gamma_at_r"] == [value, 0]
+
+
+def _f3d_conditions(r):
+    """The f3d level conditions of n = 2, 3, 4 expanded in s, ascending."""
+    return {2: [1, 1], 3: [r * r + r + 1, 1 - r, 1], 4: [-(r**3), 3 * r * r + (r + 1) ** 3, -3 * r, 1]}
+
+
+def test_ivpp_subcommand_prints_the_f3d_level_conditions_exactly():
+    """Each printed condition is its exact value at the exact r and s, rounded once."""
+    for r in EXACT_LEVELS:
+        for n, coeffs in _f3d_conditions(Fraction(r)).items():
+            for s in EXACT_LEVELS:
+                code, out, err = run_captured(["ivpp", "--map", "f3d", "--period", str(n), f"--r={r!r}", f"--s={s!r}"])
+                assert (code, err) == (0, ""), (n, r, s)
+                assert json.loads(out)["gamma"] == [_printed(horner_rounded(coeffs, s)), 0], (n, r, s)
 
 
 def test_decompose_json_matches_the_printed_table():
@@ -443,13 +489,11 @@ SAME_FILE = [  # -o and --csv naming one file, refused before any work
         ["denoms", "--window=-1,1,-1,1", "--res", "5000x5000", "-o", "/tmp/x.pgm"],
         ["raster", "--map", "f3d", "--period", "2", "--window=-1,1,-1,1", "--res", "5000x5000",
          "-o", "/tmp/x.pgm"],
-        ["ivpp", "--map", "f2d", "--period", "1031", "--r", "0"],
         ["ivpp", "--period", "1000000"],
         ["decompose", "--period", "4097"],
         ["boundaries", "--period", "1000000"],
         ["boundaries", "--map", "lv-recurrence", "--period", "0"],
         ["boundaries", "--map", "lv-recurrence", "--period", "-3"],
-        ["ivpp", "--period", "1033", "--r=-0.5"],
         ["orbit", "--start", "1,2", "--steps", "3", "--tol", "nan"],
         ["orbit", "--start", "1,2", "--steps", "3", "--tol", "-1"],
         ["raster", "--mode", "period", "--window=-4,4,-4,4", "--res", "4x4", "--tol", "inf", "-o", "/tmp/x.pgm"],

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 import sympy
 
-from conftest import gamma_fraction
+from conftest import gamma_fraction, horner_rounded
 from ivpp.ivpp2d import (
     DegenerateBranch,
     _gamma_integer,
@@ -106,8 +106,7 @@ def test_gamma_poly_prints_inf_where_a_monic_coefficient_overflows_a_float():
         assert Fraction(max(scaled), scaled[-1]) > sys.float_info.max  # the largest monic coefficient
         g_n = gamma_poly(n)
         assert g_n.scaled == tuple(scaled) and math.inf in g_n.monic
-    with pytest.raises(ValueError, match="^period 1031: .*float range"):
-        g.eval_monic(0.0)
+    assert g.at(0.0) == 1031  # the exact value: no inf coefficient is read
 
 
 @pytest.mark.parametrize("p", [1031, 1033, 1039])
@@ -179,7 +178,30 @@ def test_root_agreement():
     for n in (3, 4, 5, 6):
         g = gamma_poly(n)
         for b in branches(n):
-            assert abs(g.eval_monic(b.rho)) < 1e-12 * max(1.0, abs(b.rho)) * 10
+            assert abs(g.at(b.rho)) < 1e-12 * max(1.0, abs(b.rho)) * 10
+
+
+LEVELS = [0.0, 0.5, -0.5, -1.0, -2.0, -3.0, 2.0, 1e30, -1e30]
+
+
+def test_gamma_at_refuses_a_non_finite_r():
+    for r in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^r must be finite"):
+            gamma_poly(5).at(r)
+
+
+def test_gamma_at_r_is_the_exact_value_rounded_once():
+    """For n = 3..300, gamma_n at each of LEVELS and at the first and the last
+    branch level, and for n <= 100 also at every branch level and at +-1e300, is
+    the Fraction reference rounded once, +-inf only past the float range.  (The
+    cost of +-1e300 grows as the degree squared, so larger n take +-1e30.)
+    Horner's rule on the rounded monic form was wrong from n = 113 on."""
+    assert gamma_poly(113).at(-1.0) == 2**56
+    for n in range(3, 301):
+        g, bs = gamma_poly(n), branches(n)
+        extra = [1e300, -1e300, *(b.rho for b in bs)] if n <= 100 else [bs[0].rho, bs[-1].rho]
+        for r in LEVELS + extra:
+            assert g.at(r) == horner_rounded(g.scaled, r, g.scale), (n, r)
 
 
 def test_period_exactness_50_samples_per_branch():

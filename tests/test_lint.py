@@ -9,7 +9,8 @@ package's own code, a method through a ``.``, and every module constant
 benchmark's code, whose tracer wraps methods by name: a helper or constant
 that only tests, prose, a same-named local or a re-export name is dead.
 The package writes files one way: no module but ``raster.output`` calls
-``open`` with a mode that may write.
+``open`` with a mode that may write.  And it rounds an exact value to a
+float one way: no ``except OverflowError`` outside ``ivpp2d.quotient``.
 Likewise every helper, fixture and constant of ``tests/conftest.py`` must
 be named by a test file, so that no reference goes stale unused.  README's
 Library layout table has exactly one row per module of the package, and
@@ -100,6 +101,45 @@ def test_the_write_open_check_bites():
     )
     assert _write_opens(ast.parse(sample), "output") == [1, 4, 5, 6, 7]
     assert _write_opens(ast.parse(sample)) == [1, 4, 5, 6, 7, 11]
+
+
+def _overflow_handlers(tree: ast.Module, helper: str = "") -> list:
+    """Line of every ``except`` clause that names OverflowError or its base
+    ArithmeticError, alone or in a tuple, outside the function named ``helper``."""
+    lines = []
+
+    def visit(node, inside):
+        inside = inside or isinstance(node, ast.FunctionDef) and node.name == helper
+        if isinstance(node, ast.ExceptHandler) and not inside and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(t, "id", getattr(t, "attr", "")) in ("OverflowError", "ArithmeticError") for t in types):
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return lines
+
+
+def test_only_the_rounding_helper_catches_an_overflow():
+    """An exact value meets the float range in one place, ``ivpp2d.quotient``."""
+    helpers = {"ivpp2d.py": "quotient"}
+    found = {p.name: _overflow_handlers(ast.parse(p.read_text()), helpers.get(p.name, "")) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    tree = ast.parse((SRC / "ivpp2d.py").read_text())
+    helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "quotient")
+    lines = _overflow_handlers(tree)
+    assert lines and all(helper.lineno <= line <= helper.end_lineno for line in lines)  # the exemption is the helper
+
+
+def test_the_overflow_handler_check_bites():
+    sample = (
+        "try:\n    f()\nexcept OverflowError:\n    pass\nexcept (ValueError, builtins.ArithmeticError):\n    pass\n"
+        "except ValueError:\n    pass\nexcept:\n    pass\n\n\ndef quotient():\n    try:\n        f()\n"
+        "    except OverflowError:\n        pass\n"
+    )
+    assert _overflow_handlers(ast.parse(sample), "quotient") == [3, 5]
+    assert _overflow_handlers(ast.parse(sample)) == [3, 5, 16]
 
 
 # module:qualified name -> why it stays although no code of the package calls it

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,6 +33,31 @@ def test_lv_gamma_printed_conditions():
     assert lv_gamma(3, 2.0, 1.0) == pytest.approx((1 - 2) ** 2 + 3 * 2)
     with pytest.raises(UnsupportedPeriod):
         lv_gamma(5, 0.0, 0.0)
+    for bad in ((math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="^r and s must be finite"):
+            lv_gamma(3, *bad)
+    assert lv_gamma(4, 1e300, 1.0) == math.inf  # (1 - r)^3 + (1 + r)^3 = 2 + 6r^2, past the float range
+
+
+def _reference_roots(x, r):
+    """(base +- sqrt(D))/(2x) at 1000 digits, D = base^2 - 4xr(x - 1)^2: enough for every
+    cancellation up to |x| = 1e200."""
+    with mpmath.workdps(1000):
+        x, r = mpmath.mpf(x), mpmath.mpf(r)
+        base = x * x - 2 * x + r * x - r
+        sq = mpmath.sqrt(mpmath.mpc(base * base - 4 * x * r * (x - 1) ** 2))
+        return (base + sq) / (2 * x), (base - sq) / (2 * x)
+
+
+@pytest.mark.parametrize("x", [10.0, 2.0, 1e8, 1e16, 1e30, 1e200, -1e200, 1e-200, 0.5, -0.5])
+def test_roots_are_the_exact_ones_rounded_at_every_finite_x(x):
+    """Each root is within a few ulp of the exact one, the smaller too, and both stay
+    finite where x^2 overflows: (x - 2 + r(x - 1)/x)/2 +- the half-gap, and the smaller
+    root as the product over the larger.  (2, 3) is on the complex branch."""
+    got = lv_roots(x, 3.0)
+    for root, want in zip(got, _reference_roots(x, 3.0)):
+        assert abs(mpmath.mpc(root) - want) <= 1e-15 * abs(want), (root, want)
+        assert math.isfinite(abs(complex(root)))
 
 
 # -- the branch parametrization -------------------------------------------------------
@@ -63,7 +89,7 @@ def test_param_satisfies_both_levels():
             rv, sv = m.invariant_values(p)
             assert rv == pytest.approx(r, abs=1e-9)
             assert sv == pytest.approx(-1, abs=1e-9)
-            assert abs(lv_gamma(2, rv, sv)) < 1e-9
+            assert abs(lv_gamma(2, rv.real, sv.real)) < 1e-9  # a real level: sv is -1 within 1e-9 above
 
 
 def test_param_closure_at_2_3_both_signs():

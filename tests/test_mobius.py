@@ -64,8 +64,18 @@ def test_reduction_consistency_with_the_full_map():
 
 
 def test_mobius_rejects_singular_matrices():
+    """Singular means ad - bc = 0 for the entries as stored, taken exactly: a small
+    determinant is no refusal, although ad - bc in floats reads 0 for power_matrix(0.5, 45)."""
     with pytest.raises(ValueError):
         Mobius(1, 2, 2, 4)
+    for f in (x_to_z_map(1e-25), Mobius(1e-7, 0, 0, 1e-7), Mobius(1 + 1e-16j, 1, 1, 1)):
+        assert f.inverse()(f(2.0)).chordal(ExtendedComplex(2.0)) < 1e-9
+    stepped = INF
+    for _ in range(45):
+        stepped = level_matrix(0.5)(stepped)
+    assert power_matrix(0.5, 45)(INF).chordal(stepped) < 1e-12
+    with pytest.raises(ValueError, match="singular"):
+        Mobius(1j, 2, 1, -2j)  # ad - bc = 2 - 2
 
 
 def test_mobius_inverse_law():
