@@ -304,9 +304,11 @@ def _cmd_verify(args) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parse_args keeps no state between calls."""
+    """The parser, built once per process; parse_args keeps no state between calls.
+    Its ``commands`` attribute maps each command's name to its own parser."""
     top = argparse.ArgumentParser(prog="ivpp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    top.commands = sub.choices
 
     def add_common(p, with_map=True):
         if with_map:
@@ -381,10 +383,25 @@ USAGE_ERRORS = (ParseDiagnostic, ValueError, OSError)
 COMPUTE_ERRORS = (NotACycle, NoClosure, Indeterminate)
 
 
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, in one argparse pass where argv
+    starts with a command: that command's own parser reads the rest, which
+    is what the top-level parser hands it, and leftover arguments are
+    refused by the top-level parser, as it refuses them.  Anything else (no
+    argv, -h, an unknown word) goes through the top-level parser."""
+    top = _build_parser()
+    command = top.commands.get(argv[0]) if argv else None
+    if command is None:
+        return top.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        top.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def run(argv: List[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

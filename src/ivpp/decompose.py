@@ -178,24 +178,33 @@ def _to_0_inf_1(z0: float, zinf: float, z1: float) -> Tuple[float, float, float,
     return z1 - zinf, -z0 * (z1 - zinf), z1 - z0, -zinf * (z1 - z0)
 
 
+# the three probes, the same x for every level, made once; param reads them and never writes
+_PROBES = SCAN_WINDOW[0] + (SCAN_WINDOW[1] - SCAN_WINDOW[0]) * np.array([0.137, 0.411, 0.739])
+_PROBES.setflags(write=False)
+_ALL_OPEN = np.ones(_PROBES.shape, dtype=bool)  # the closure check's open mask: every probe
+_ALL_OPEN.setflags(write=False)
+_FROM_PROBES = _to_0_inf_1(*_PROBES[[0, 2, 1]].tolist())  # S: probes 0, 2, 1 to 0, inf, 1, the widest range
+
+
 def boundaries_empirical(m: RationalMap, param: Callable[[np.ndarray], Sequence[np.ndarray]], n: int) -> List[float]:
     """The cuts of a period-n level read off the map itself, ascending, infinity last.
 
-    Contract: ``param`` maps a float64 array of x to m's real coordinate
-    arrays, one per variable, all nan where it has a pole; it is a chart of
-    the level, and on an IVPP level (m^n = id) m acts on that chart as a
-    fractional-linear map M: x -> (ax + b)/(cx + d) of period n.  Its
-    fundamental domains are the components, so the cuts are the orbit of
-    the chart's pole, cut_j = M^j(inf).
+    Contract: ``param`` maps a float64 array of x, which it must not write
+    into, to m's real coordinate arrays, one per variable, all nan where it
+    has a pole; it is a chart of the level, and on an IVPP level (m^n = id)
+    m acts on that chart as a fractional-linear map M: x -> (ax + b)/(cx + d)
+    of period n.  Its fundamental domains are the components, so the cuts
+    are the orbit of the chart's pole, cut_j = M^j(inf).
 
-    n must be at least 1 (ValueError).  Three probes from SCAN_WINDOW take
-    n steps through ``kernel.step``, and the level must close on one of
-    them, or NoClosure.  Their first images fit M by cross ratios: the
-    Möbius map that sends the probes to 0, inf, 1, then the inverse of the
-    one that sends their images there.  The orbit of infinity runs in plain
-    floats for at most n - 1 steps and stops where it comes back to
-    infinity within the closure's chordal tolerance (a level whose minimal
-    period divides n).  No closed form is read.
+    n must be at least 1 (ValueError).  Three probes from SCAN_WINDOW,
+    made once, take one step through ``kernel.step`` and the other n - 1 in
+    one k-step call, and the level must close on one of them, or NoClosure.
+    Their first images fit M by cross ratios: the Möbius map that sends the
+    probes to 0, inf, 1 (made once too), then the inverse of the one that
+    sends their images there.  The orbit of infinity runs in plain floats
+    for at most n - 1 steps and stops where it comes back to infinity
+    within the closure's chordal tolerance (a level whose minimal period
+    divides n).  No closed form is read.
 
     On f2d every branch of n = 3..178 agrees with the closed form within
     BOUNDARY_TOL (worst 3.9e-10 on n = 3..60); the first miss is n = 179,
@@ -204,25 +213,23 @@ def boundaries_empirical(m: RationalMap, param: Callable[[np.ndarray], Sequence[
     """
     if n < 1:
         raise ValueError(f"period must be >= 1, got {n}")
-    lo, hi = SCAN_WINDOW
 
     # closure pre-check on a few generic interior points, n steps of the flow;
     # a probe on a pole of param starts nan and never returns
-    probes = lo + (hi - lo) * np.array([0.137, 0.411, 0.739])
-    start = param(probes)
+    start = param(_PROBES)
     _, cur = step(m, start)
-    image_x = cur[0]
-    for _ in range(n - 1):
-        _, cur = step(m, cur)
-    closed = returns(cur, return_start(start), TOL_EQ, np.ones(probes.shape, dtype=bool))
+    images = cur[0].tolist()  # the fit reads the first images, the closure only the n-th
+    if n > 1:
+        _, cur = step(m, cur, n - 1)
+    closed = returns(cur, return_start(start), TOL_EQ, _ALL_OPEN)
     if not closed.any():
         raise NoClosure(f"sampled points do not return after {n} steps")
-    if not np.isfinite(image_x).all():
+    if not all(map(math.isfinite, images)):
         raise NoClosure("a probe leaves the chart in one step, so the level recurrence cannot be fitted")
 
-    # M = T^-1 S, where S sends probes 0, 2, 1 and T their images to 0, inf, 1 (the order of the widest range)
-    sa, sb, sc, sd = _to_0_inf_1(*probes[[0, 2, 1]].tolist())
-    ta, tb, tc, td = _to_0_inf_1(*image_x[[0, 2, 1]].tolist())
+    # M = T^-1 S, where S sends probes 0, 2, 1 and T their images to 0, inf, 1
+    sa, sb, sc, sd = _FROM_PROBES
+    ta, tb, tc, td = _to_0_inf_1(images[0], images[2], images[1])
     a, b, c, d = td * sa - tb * sc, td * sb - tb * sd, ta * sc - tc * sa, ta * sd - tc * sb
 
     cuts, x = [], INF_F

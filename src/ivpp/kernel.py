@@ -102,13 +102,27 @@ def run_blocks(fn: Callable[[int, int], None], w: int, h: int) -> None:
         raise failed[0]
 
 
-def step(m: RationalMap, coords: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """(denominators, images) of m at arrays of one shape, one per variable,
-    each a list with one array per component, run by ``m.step_program``.
-    Every array is new, never an input.  A denominator that is exactly 1
-    is not divided by (x / 1.0 is x in IEEE)."""
+def step(m: RationalMap, coords: Sequence[np.ndarray], k: int = 1) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """(denominators, images) of the k-th step of m from arrays of one shape,
+    one per variable, each a list with one array per component, run by
+    ``m.step_program``.  Every array is new, never an input.  A denominator
+    that is exactly 1 is not divided by (x / 1.0 is x in IEEE).
+
+    k >= 1 steps give bit for bit what k calls of one step give: all run in
+    one ``np.errstate``, and the rest by the variant a single call on the
+    first step's images picks.  Where that is the folded one, its images are
+    float64 of one shape again, so each single call picks it too; otherwise
+    it is the plain one, which gives the folded one's bits."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    prog = m.step_program
     with np.errstate(all="ignore"):
-        return m.step_program(coords)
+        dens, images = prog(coords)
+        if k > 1:
+            run = prog.variant(images)
+            for _ in range(k - 1):
+                dens, images = run(*images)
+    return dens, images
 
 
 def denominators(m: RationalMap, coords: Sequence[np.ndarray]) -> List[np.ndarray]:

@@ -77,11 +77,22 @@ def lv_roots(x: float, r: float) -> Tuple[complex, complex]:
     h = (x - 2 + r(x - 1)/x)/2 is half their sum and P = r(x - 1)^2/x their product,
     and g^2 = h^2 - P is taken over c^2, c = |h| + sqrt|P|: nothing overflows before
     the roots do.  Of real roots, the larger in modulus is h + g with the sign of h,
-    and the other is P over it, with no cancellation.
+    and the other is P over it, with no cancellation.  Where r(x - 1)/x is past
+    the float range (a subnormal x, or a huge r), so is the larger root or
+    nearly, and the smaller, near x - 1, is taken from the quadratic divided by
+    r(x - 1)/x: only a root past the float range is ever inf.
     """
     if x in (0, 1):
         raise DegenerateParameter(f"parametrization pole at x = {x}")
-    h = (x - 2 + r * ((x - 1) / x)) / 2
+    q = (x - 1) / x
+    t = r * q if math.isfinite(q) else (x - 1) * (r / x)  # at a subnormal x only q overflows
+    h = (x - 2 + t) / 2
+    if math.isinf(h):  # t = r(x - 1)/x is past the float range: a^2/t - (1 + (x - 2)/t) a + x - 1 = 0
+        u = 1 / t  # |u| < 6e-309, so b and root are 1 within 1e-8
+        b = 1 + (x - 2) * u
+        root = math.sqrt(b * b - 4 * u * (x - 1))
+        big, small = t * ((b + root) / 2), 2 * (x - 1) / (b + root)  # big is +-inf unless t is finite
+        return (big, small) if (h > 0) == (x > 0) else (small, big)
     w = math.sqrt(abs(r)) * (abs(x - 1) / math.sqrt(abs(x)))  # sqrt|P|
     sign = math.copysign(1.0, r * x)  # of P
     if h == w == 0:

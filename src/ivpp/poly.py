@@ -255,9 +255,13 @@ class ArrayProgram:
         return run
 
     def __call__(self, arrays):
+        return self.variant(arrays)(*arrays)
+
+    def variant(self, arrays):
+        """The compiled function a call on these arrays runs: the folded one
+        where they are float64 of one shape, and then its outputs are too."""
         a0 = arrays[0]
-        folded = all(getattr(a, "dtype", None) is _F64 and a.shape == a0.shape for a in arrays)
-        return self._run(folded)(*arrays)
+        return self._run(all(getattr(a, "dtype", None) is _F64 and a.shape == a0.shape for a in arrays))
 
     def scalar(self, values):
         """(values, quotients) at one point, each value taken as a Python complex."""

@@ -155,15 +155,28 @@ def check_sigma_tables() -> Tuple[bool, str]:
     return True, "all printed cycle diagrams reproduced"
 
 
+LEVEL_MARGIN = 1e-12  # relative step to either side of a branch level in ``check_gamma_polynomials``
+
+
 def check_gamma_polynomials() -> Tuple[bool, str]:
-    worst = 0.0
+    """The printed integer forms, and gamma_n vanishing at each branch level:
+    ``at``, exact but for one rounding, has opposite signs just below and just
+    above each of the phi(n)/2 levels rho = -tan^2(pi m/n), a relative
+    LEVEL_MARGIN away, so its degree phi(n)/2 roots are those levels."""
+    levels, least = 0, math.inf
     for n, scaled in EXPECTED_GAMMA_SCALED.items():
         g = gamma_poly(n)
         if g.scaled != scaled:
             return False, f"n={n}: scaled form {g.scaled}, want {scaled}"
-        for c_monic, c_int in zip(g.monic, scaled):
-            worst = max(worst, abs(c_monic - c_int / g.scale))
-    return worst < 1e-9, f"max coefficient error {worst:.2e}"
+        for b in branches(n):
+            below, above = g.at(b.rho * (1 + LEVEL_MARGIN)), g.at(b.rho * (1 - LEVEL_MARGIN))  # rho < 0
+            if not (below < 0 < above or above < 0 < below):
+                return False, f"n={n} m={b.m}: gamma {below:.3e} below and {above:.3e} above rho={b.rho!r}"
+            levels, least = levels + 1, min(least, abs(below), abs(above))
+    return True, (
+        f"scaled forms exact; gamma changes sign across all {levels} branch levels "
+        f"at +-{LEVEL_MARGIN:g} relative (least |gamma| there {least:.2e})"
+    )
 
 
 def check_conjugacy() -> Tuple[bool, str]:

@@ -113,3 +113,45 @@ def test_benchmark_tiles_commands_all_pass():
     results = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
     assert len(results) == 10
     assert {key: reason for key, reason in results.items() if reason != "ok"} == {}
+
+
+TRACED_EMPIRICAL_SCRIPT = """
+import json, sys
+sys.path.insert(0, 'perfbench')
+import layertrace
+from ivpp import cli
+from ivpp.ivpp2d import branches
+tracer = layertrace.install()
+tracer.enabled = True
+code, _, err = cli.run_captured(['decompose', '--period', '7', '--branch', '2', '--method', 'empirical'])
+tracer.enabled = False
+doc = {'code': code, 'err': err, 'm': branches(7)[1].m}
+doc['empirical'] = [[list(key), [repr(c) for c in cuts]] for key, cuts in tracer.empirical.items()]
+print(json.dumps(doc))
+"""
+
+
+def test_the_tracer_holds_the_cuts_of_a_traced_empirical_decompose():
+    """The benchmark's ``decompose.boundary_recall`` reads the cuts that the
+    tracer takes from ``boundaries_empirical``'s param (its second argument,
+    the bound ``branch.coords``).  One empirical decompose run under the
+    tracer must leave that branch's cuts there, the analytic ones within
+    1e-7, so the recall cannot fall to 0 unseen."""
+    import math
+
+    from ivpp.decompose import boundaries_analytic
+    from ivpp.ivpp2d import branches
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_EMPIRICAL_SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert (got["code"], got["err"]) == (0, "")
+    [(key, cuts)] = got["empirical"]
+    assert key == [7, got["m"]]
+    want = boundaries_analytic(branches(7)[1])
+    cuts = [float(c) for c in cuts]
+    assert len(cuts) == len(want) == 7 and math.isinf(cuts[-1])
+    assert all(abs(c - w) < 1e-7 for c, w in zip(cuts[:-1], want[:-1]))

@@ -726,3 +726,72 @@ def test_a_failed_flush_still_cuts_the_file(tmp_path):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{errno.EFBIG}\n", "")
     assert path.read_bytes() == b"a" * 4096
+
+
+def _readme_cli_examples():
+    """The argv of every ``ivpp`` line in README's CLI block, its comment cut off."""
+    import shlex
+
+    block = (Path(__file__).parents[1] / "README.md").read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("ivpp ")]
+
+
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["raster", "-h"],
+    ["nosuch"],
+    ["decompose", "--period", "3", "--bogus"],
+    ["decompose", "--period", "x"],
+    ["raster", "--res", "8x8", "-o", "r.pgm"],  # no --window
+    ["decompose", "--per", "3"],  # an abbreviation
+    ["decompose", "--period", "3", "extra", "--bogus"],
+    ["decompose", "--", "--period", "3"],
+    ["--", "decompose", "--period", "3"],
+]
+
+
+def _run_in(directory, monkeypatch, argv, parse=None):
+    """(exit code, stdout, stderr, the files written by name and bytes) of argv run in directory."""
+    from ivpp import cli
+
+    directory.mkdir()
+    (directory / "mymap.rmap").write_text("dim 2;\nx' = y;\ny' = (1+y)/x;\n")
+    monkeypatch.chdir(directory)
+    with monkeypatch.context() as patch:
+        if parse is not None:
+            patch.setattr(cli, "_parse", parse)
+        result = run_captured(argv)
+    return result, {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples() + PARSE_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_one_parse_pass_answers_as_the_top_level_parser(tmp_path, monkeypatch, argv):
+    """A command's argv, parsed by that command's own parser, gives the same
+    exit code, stdout, stderr and output files as parsing through the
+    top-level parser: on every README CLI example, help, usage errors that
+    either parser reports, leftover arguments and an abbreviated flag."""
+    from ivpp import cli
+
+    want = _run_in(tmp_path / "reference", monkeypatch, argv, lambda argv: cli._build_parser().parse_args(argv))
+    assert _run_in(tmp_path / "one-pass", monkeypatch, argv) == want
+
+
+def test_a_command_takes_one_parse_pass(monkeypatch):
+    """parse_known_args runs once for a command's argv (the top-level parser
+    ran it, then the command's parser again), and still twice where the
+    top-level parser reads the argv."""
+    import argparse
+
+    real, passes = argparse.ArgumentParser.parse_known_args, []
+
+    def counting(self, *args, **kwargs):
+        passes.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run_captured(["decompose", "--period", "3"])[0] == 0
+    assert passes == ["ivpp decompose"]
+    passes.clear()
+    assert run_captured(["nosuch"])[0] == 2
+    assert passes == ["ivpp"]

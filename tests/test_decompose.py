@@ -127,6 +127,43 @@ def test_empirical_on_the_1d_recurrence(n):
     assert math.isinf(got[1])
 
 
+@pytest.mark.parametrize("n", [3, 7, 16, 60])
+def test_the_empirical_route_takes_three_step_calls_whatever_n(monkeypatch, n):
+    """The first images for the fit, the other n - 1 steps of the closure in
+    one k-step call, and the push of the interior samples for sigma: three
+    ``kernel.step`` calls per branch, with the same decomposition as n - 1
+    single steps of the closure give."""
+    import importlib
+
+    decompose_module = importlib.import_module("ivpp.decompose")  # ivpp.decompose is the function
+    real, calls = kernel.step, []
+
+    def counting_step(m, coords, k=1):
+        calls.append(k)
+        return real(m, coords, k)
+
+    def single_steps(m, coords, k=1):
+        for _ in range(k):
+            dens, coords = real(m, coords)
+        return dens, coords
+
+    b = branches(n)[-1]
+    monkeypatch.setattr(decompose_module, "step", single_steps)
+    want = decompose(b, method="empirical")
+    monkeypatch.setattr(decompose_module, "step", counting_step)
+    assert decompose(b, method="empirical") == want
+    assert calls == [1, n - 1, 1]
+
+
+def test_empirical_at_period_one_closes_on_the_first_images():
+    """n = 1: the first images are also the closure's; the identity closes, with no cut but infinity."""
+    from ivpp.core import RationalMap
+    from ivpp.poly import Polynomial
+
+    x, one = Polynomial.var(0, 1), Polynomial.const(1, 1)
+    assert boundaries_empirical(RationalMap([(x, one)]), lambda x: (x,), 1) == [math.inf]
+
+
 def test_empirical_refuses_a_probe_on_a_pole():
     """x -> (p x + 1)/(x - p) is an involution with its pole on the middle
     probe p: the other two probes close, but no recurrence is fitted

@@ -224,3 +224,23 @@ def test_parametrization_preserves_the_level():
             for x in (-2.3, 0.7, 1.9):
                 p = b.point(x)
                 assert p[0].value * p[1].value == pytest.approx(b.rho, abs=1e-12)
+
+
+@pytest.mark.parametrize("shift", [1e-9, 1e-11])
+def test_acceptance_check_4_fails_on_a_level_moved_off_its_root(monkeypatch, shift):
+    """Check 4 reads gamma_n's sign on either side of each branch level: with
+    one level of n = 5 moved by a relative 1e-9 or 1e-11, gamma_n has one
+    sign on both sides of it, and the check fails."""
+    import dataclasses
+
+    from ivpp import verify
+
+    assert verify.check_gamma_polynomials()[0]
+    real = verify.branches
+
+    def moved(n):
+        return [dataclasses.replace(b, rho=b.rho * (1 + shift)) if (n, b.m) == (5, 2) else b for b in real(n)]
+
+    monkeypatch.setattr(verify, "branches", moved)
+    passed, detail = verify.check_gamma_polynomials()
+    assert not passed and detail.startswith("n=5 m=2: gamma ")

@@ -779,3 +779,59 @@ def test_a_denominator_of_one_is_not_divided_by():
     assert_same_bits(np.asarray(dens[0]), np.ones_like(xs))
     with np.errstate(all="ignore"):
         assert_same_bits(ny, eval_grid_term_loop(LYNESS.components[1][0], (xs, ys)) / xs)
+
+
+LYNESS_LOCAL = parse_map("dim 2; x' = y; y' = (1 + y)/x;")  # the Lyness map, period 5 on every level
+K_STEP_MAPS = {"f2d": f2d(), "f3d": f3d(), "lyness": LYNESS_LOCAL}
+
+
+def _broadcast_starts(nvars):
+    """float64 starts of different shapes, so the first steps cannot take the folded program."""
+    vals = np.asarray(SPECIAL + EDGES)
+    return [vals.reshape((-1,) + (1,) * i) for i in range(nvars)]
+
+
+@pytest.mark.parametrize("starts", ["real", "complex", "broadcast"])
+@pytest.mark.parametrize("name", list(K_STEP_MAPS))
+def test_k_steps_are_bitwise_k_single_steps(name, starts):
+    """``step(m, c, k)`` gives the k-th step's denominators and images bit for
+    bit as k calls of one step give them, nan sign bits and infinities
+    included, for k = 1..8: on float64 starts that hit poles, 0/0 and
+    overflow, on complex starts, and on broadcast float64 starts, where the
+    first steps take the plain program.  Every array is new."""
+    m = K_STEP_MAPS[name]
+    coords = {"real": _grid, "complex": _complex_grid, "broadcast": _broadcast_starts}[starts](m.dim)
+    want, cur = [], coords
+    for _ in range(8):
+        dens, cur = kernel.step(m, cur)
+        want.append(dens + cur)
+    for k in range(1, 9):
+        dens, images = kernel.step(m, coords, k)
+        assert len(dens) == len(images) == m.dim
+        for got, expected in zip(dens + images, want[k - 1]):
+            assert_same_bits(got, expected)
+        assert not any(np.shares_memory(a, c) for a in dens + images for c in coords)
+    seen = [a for w in want for a in w]
+    assert any(np.isnan(a).any() for a in seen) and any(np.isinf(a).any() for a in seen)  # the starts reach both
+
+
+def test_k_steps_keep_the_callers_error_state():
+    """The k steps run under their own np.errstate: the caller's settings are
+    the same afterwards, and no RuntimeWarning escapes, though the steps
+    divide by zero, overflow and form 0/0."""
+    import warnings
+
+    coords = _grid(2)
+    with np.errstate(all="warn"):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1, 2, 8):
+                kernel.step(f2d(), coords, k)
+        assert np.geterr() == before
+
+
+def test_k_steps_refuse_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            kernel.step(f2d(), _grid(2), k)

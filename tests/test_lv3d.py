@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -41,7 +42,7 @@ def test_lv_gamma_printed_conditions():
 
 def _reference_roots(x, r):
     """(base +- sqrt(D))/(2x) at 1000 digits, D = base^2 - 4xr(x - 1)^2: enough for every
-    cancellation up to |x| = 1e200."""
+    cancellation up to |x| = 1e200, and down to x = 5e-324 at |r| <= 1e300 (1e-623 relative)."""
     with mpmath.workdps(1000):
         x, r = mpmath.mpf(x), mpmath.mpf(r)
         base = x * x - 2 * x + r * x - r
@@ -58,6 +59,33 @@ def test_roots_are_the_exact_ones_rounded_at_every_finite_x(x):
     for root, want in zip(got, _reference_roots(x, 3.0)):
         assert abs(mpmath.mpc(root) - want) <= 1e-15 * abs(want), (root, want)
         assert math.isfinite(abs(complex(root)))
+
+
+SUBNORMAL_X = [1e-310, -1e-310, 5e-324, -5e-324]
+OVERFLOW_X_R = [(x, r) for x in SUBNORMAL_X for r in (3.0, -3.0, 1e-5, 1e-310, 1e300)] + [
+    (0.1, 1.7e308),  # r(x - 1)/x overflows at a normal x too
+    (-1.0, -1e308),
+    (-100.0, 1.79e308),
+    (2.0**-54, -1.7e308),
+]
+
+
+@pytest.mark.parametrize("x, r", OVERFLOW_X_R)
+def test_only_a_root_past_the_float_range_is_infinite(x, r):
+    """Where (x - 1)/x or r(x - 1)/x is past the float range, each root is
+    the exact one rounded within a few ulps (absolute 2^-1074 where it is
+    subnormal), and only a root past the float range is +-inf, with its
+    sign: at a subnormal x and r = 3 the larger is about -3/x and the
+    smaller about -1."""
+    with mpmath.workdps(1000):
+        want = _reference_roots(x, r)
+        for root, exact in zip(lv_roots(x, r), want):
+            assert exact.imag == 0
+            if abs(exact.real) > mpmath.mpf(sys.float_info.max):
+                assert root == math.copysign(math.inf, exact.real), (root, exact)
+            else:
+                tol = 1e-15 * abs(exact.real) + mpmath.mpf(2) ** -1074
+                assert abs(mpmath.mpf(root) - exact.real) <= tol, (root, exact)
 
 
 # -- the branch parametrization -------------------------------------------------------
