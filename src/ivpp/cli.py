@@ -18,7 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from typing import List, Optional, Tuple
 
 from . import serialize
-from .core import Indeterminate, Point, RationalMap
+from .core import TOL_EQ, Indeterminate, Point, RationalMap
 from .decompose import (
     BOUNDARY_TOL,
     NoClosure,
@@ -33,7 +33,7 @@ from .dsl import ParseDiagnostic, format_map, maps_equal, parse_map, parse_sourc
 from .ivpp2d import PERIOD_MAX, branches, gamma_poly
 from .lv3d import lv_decompose_period2, lv_gamma
 from .maps import BUILTINS, get_map
-from .raster import check_period_args, lv_raster, output, raster, write_csv, write_pgm
+from .raster import RASTER_TOL, check_period_args, lv_raster, output, raster, write_csv, write_pgm
 
 MAX_ORBIT_STEPS = 100_000
 
@@ -179,6 +179,7 @@ def _cmd_ivpp(args) -> int:
 
 def _cmd_decompose(args) -> int:
     _check_period(args.period)
+    _check_finite(args, "r")
     if args.map == "f3d":
         if args.period != 2:
             raise UsageError("the 3d map is decomposed at period 2 only")
@@ -319,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--start", required=True, help="comma-separated coordinates")
     p.add_argument("--steps", type=int, required=True, help=f"1..{MAX_ORBIT_STEPS}")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=TOL_EQ)
     p.add_argument("--r", type=float, default=None, help="level for f2d-reduced")
     p.set_defaults(fn=_cmd_orbit)
 
@@ -351,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True, help="x0,x1,y0,y1")
     p.add_argument("--res", dest="resolution", required=True, help="WxH")
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=RASTER_TOL)
     p.add_argument("--mode", choices=("component", "period"), default="component")
     p.add_argument("--stripe", type=float, default=None, help="half-width of 3d level stripes, default 0.25")
     p.add_argument("--csv", default=None)

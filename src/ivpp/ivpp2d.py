@@ -16,6 +16,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import Point
+from .poly import quotient
 
 
 PERIOD_MAX = 4096  # the largest period the CLI accepts; decompose --period 4000 takes under 1 s
@@ -159,15 +160,6 @@ def _gamma_integer(n: int) -> List[int]:
                     q = _divide(q, g)
             gammas[d] = q
     return gammas[n]
-
-
-def quotient(a: int, b: int) -> float:
-    """a / b correctly rounded (b > 0), or inf with the sign of a where it is past
-    the float range: the one rounding of an exact value to a float."""
-    try:
-        return a / b  # int true division rounds correctly
-    except OverflowError:
-        return math.inf if a > 0 else -math.inf
 
 
 def gamma_poly(n: int) -> GammaPolynomial:

@@ -28,9 +28,9 @@ import numpy as np
 
 from .core import ExtendedComplex, Point
 from .decompose import ComponentDecomposition, pushed_sigma
-from .ivpp2d import quotient
 from .maps import lv_recurrence_map
 from .mobius import Mobius
+from .poly import quotient
 
 
 class DegenerateParameter(ValueError):
@@ -72,39 +72,31 @@ def lv_discriminant(x: float, r: float) -> float:
 
 
 def lv_roots(x: float, r: float) -> Tuple[complex, complex]:
-    """The roots a_pm = (base +- sqrt(D))/(2x) = h +- sign(x) g, a conjugate pair where D < 0.
+    """The roots a_pm = (base +- sqrt(D))/(2x) = h +- sign(x) g at finite x and r,
+    each their exact value rounded once by ``quotient``; a conjugate pair where D < 0.
 
-    h = (x - 2 + r(x - 1)/x)/2 is half their sum and P = r(x - 1)^2/x their product,
-    and g^2 = h^2 - P is taken over c^2, c = |h| + sqrt|P|: nothing overflows before
-    the roots do.  Of real roots, the larger in modulus is h + g with the sign of h,
-    and the other is P over it, with no cancellation.  Where r(x - 1)/x is past
-    the float range (a subnormal x, or a huge r), so is the larger root or
-    nearly, and the smaller, near x - 1, is taken from the quadratic divided by
-    r(x - 1)/x: only a root past the float range is ever inf.
+    h = (x - 2 + r(x - 1)/x)/2 is half their sum and P = r(x - 1)^2/x their
+    product, both exact in ``Fraction``, and the half-gap g = sqrt|h^2 - P| is
+    carried by ``math.isqrt`` to 133 bits, 80 past a float's, exactly where it is
+    rational.  Of real roots, the larger in modulus is h + g with the sign of h,
+    and the other is P over it, with no cancellation.
     """
     if x in (0, 1):
         raise DegenerateParameter(f"parametrization pole at x = {x}")
-    q = (x - 1) / x
-    t = r * q if math.isfinite(q) else (x - 1) * (r / x)  # at a subnormal x only q overflows
-    h = (x - 2 + t) / 2
-    if math.isinf(h):  # t = r(x - 1)/x is past the float range: a^2/t - (1 + (x - 2)/t) a + x - 1 = 0
-        u = 1 / t  # |u| < 6e-309, so b and root are 1 within 1e-8
-        b = 1 + (x - 2) * u
-        root = math.sqrt(b * b - 4 * u * (x - 1))
-        big, small = t * ((b + root) / 2), 2 * (x - 1) / (b + root)  # big is +-inf unless t is finite
-        return (big, small) if (h > 0) == (x > 0) else (small, big)
-    w = math.sqrt(abs(r)) * (abs(x - 1) / math.sqrt(abs(x)))  # sqrt|P|
-    sign = math.copysign(1.0, r * x)  # of P
-    if h == w == 0:
-        return 0.0, 0.0  # r = 0 at x = 2: a double root at 0
-    c = abs(h) + w
-    k = (h / c) ** 2 - sign * (w / c) ** 2
-    if k < 0:
-        gap = math.copysign(c * math.sqrt(-k), x) * 1j
-        return h + gap, h - gap
-    big = h + math.copysign(c * math.sqrt(k), h)
-    small = sign * w * (w / big)
-    return (big, small) if (big > h) == (x > 0) else (small, big)
+    x, r = Fraction(x), Fraction(r)
+    h = (x - 2 + r * (x - 1) / x) / 2
+    P = r * (x - 1) ** 2 / x
+    d = h * h - P
+    m = abs(d.numerator * d.denominator)  # |d| = m / den^2, in lowest terms: g is rational iff m is a square
+    k = max(0, 134 - m.bit_length() // 2)  # isqrt(m << 2k) has at least 133 bits
+    g = Fraction(math.isqrt(m << 2 * k), d.denominator << k)
+    if d < 0:
+        re, im = quotient(*h.as_integer_ratio()), math.copysign(quotient(*g.as_integer_ratio()), x)
+        return complex(re, im), complex(re, -im)
+    big = h + g if h >= 0 else h - g
+    small = P / (big or 1)  # big is 0 only where P is too
+    big, small = (quotient(*v.as_integer_ratio()) for v in (big, small))
+    return (big, small) if (h >= 0) == (x > 0) else (small, big)
 
 
 def lv_period2_param(x: float, r: float, sign: str = "+") -> Point:

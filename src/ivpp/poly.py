@@ -3,7 +3,7 @@
 Coefficients are exact rationals from construction: an int or
 ``fractions.Fraction`` is kept, any other finite real (a float, a numpy
 scalar) is stored as its exact ``Fraction``, and anything else is refused;
-evaluation converts to float or complex on the fly.
+evaluation rounds each once by ``quotient``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,15 @@ Exps = Tuple[int, ...]
 def _monomial_key(exps: Exps):
     # graded lexicographic: total degree first, then exponent tuple
     return (sum(exps), exps)
+
+
+def quotient(a: int, b: int) -> float:
+    """a / b correctly rounded (b > 0), or inf with the sign of a where it is past
+    the float range: the one rounding of an exact value to a float."""
+    try:
+        return a / b  # int true division rounds correctly
+    except OverflowError:
+        return math.inf if a > 0 else -math.inf
 
 
 def _coefficient(c):
@@ -210,11 +219,12 @@ class ArrayProgram:
     A call returns (values, quotients): a new array per polynomial of
     ``polys`` and per (num, den) pair of ``quotients``, never an input
     array.  Every entry is bitwise what the plain term loop gives: each term
-    is its coefficient times its powers in variable order, a coefficient of
-    exactly 1 and a first power skipped (``1.0 * x**1`` is ``x``), the terms
-    are summed in their order, a constant term as ``c + v``, a constant or
-    zero polynomial is an array full of its value, and a quotient divides by
-    its denominator unless that is exactly 1 (``x / 1.0`` is ``x``).
+    is its coefficient, rounded by ``quotient`` (+-inf past the float range),
+    times its powers in variable order, a coefficient of exactly 1 and a
+    first power skipped (``1.0 * x**1`` is ``x``), the terms are summed in
+    their order, a constant term as ``c + v``, a constant or zero polynomial
+    is an array full of its value, and a quotient divides by its denominator
+    unless that is exactly 1 (``x / 1.0`` is ``x``).
 
     The program forms each power and each product of its terms once and
     shares it across all its polynomials.  When the arrays are float64 of one
@@ -312,7 +322,7 @@ class _Program:
     def poly(self, poly: Polynomial) -> int:
         terms = []  # (sign, value or constant name)
         for exps, c in poly.terms.items():
-            k = None if c == 1 else float(c)
+            k = None if c == 1 else quotient(*c.as_integer_ratio())
             factors = [i if e == 1 else self._power(i, e) for i, e in enumerate(exps) if e]
             sign = 1
             if self.folded and k == -1 and factors:

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import JITTERED_WINDOW, csv_per_cell, horner_rounded
@@ -442,6 +443,8 @@ NON_FINITE_LEVELS = [  # (argv, the refusal naming the flag)
     (["ivpp", "--map", "f2d", "--period", "5", "--r=-inf"], "--r must be finite, got -inf"),
     (["orbit", "--map", "f2d-reduced", "--start", "0", "--steps", "4", "--r", "inf"], "--r must be finite, got inf"),
     (["orbit", "--map", "f2d-reduced", "--start", "0", "--steps", "4", "--r", "nan"], "--r must be finite, got nan"),
+    (["decompose", "--map", "f3d", "--period", "2", "--r", "inf"], "--r must be finite, got inf"),
+    (["decompose", "--map", "f3d", "--period", "2", "--r", "nan"], "--r must be finite, got nan"),
 ]
 
 
@@ -506,8 +509,6 @@ SAME_FILE = [  # -o and --csv naming one file, refused before any work
             )
         ),
         ["decompose", "--map", "f3d", "--period", "2", "--branch", "x"],
-        ["decompose", "--map", "f3d", "--period", "2", "--r", "inf"],
-        ["decompose", "--map", "f3d", "--period", "2", "--r", "nan"],
         *(argv for argv, _ in NON_FINITE_LEVELS),
         *(argv for argv, _ in UNREAD_FLAGS),
         *SAME_FILE,
@@ -654,6 +655,66 @@ def test_an_overflowing_orbit_exits_1_without_a_traceback(tmp_path):
     code, out, err = run_captured(["orbit", "--map", str(path), "--start", "1e200,inf", "--steps", "1"])
     assert code == 0, err
     assert json.loads(out)["points"][1] == ["inf", "inf"]
+
+
+HUGE = "9" * 309  # past the float range, which ends at 1.8e308
+HUGE_MAPS = {  # name -> (source, {command: (exit code, stderr)} where not (0, ""))
+    "times": (f"dim 1; x' = {HUGE}*x;", {"orbit": (1, "error: evaluation produced NaN\n")}),
+    "minus": (f"dim 1; x' = -{HUGE}*x;", {"orbit": (1, "error: evaluation produced NaN\n")}),
+    "over": (f"dim 1; x' = x/({HUGE} + x);", {}),
+    "plane": (f"dim 2; x' = {HUGE}*x; y' = y;", {"orbit": (1, "error: evaluation produced NaN\n")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_MAPS))
+def test_a_coefficient_past_the_float_range_is_infinite_in_every_command(tmp_path, name):
+    """A coefficient past the float range parses and prints exactly, and every
+    command that evaluates the map runs with it as +-inf: an exit code and at
+    most one error line, never a traceback.  inf * (0.5+0j) has a nan
+    imaginary part, so the N*x orbits read nan; the 1d orbits do not return."""
+    source, failing = HUGE_MAPS[name]
+    path = tmp_path / f"{name}.rmap"
+    path.write_text(source)
+    dim = 2 if name == "plane" else 1
+    grid = ["--window=-1,1,-1,1", "--res", "8x8", "-o"]
+    commands = {"orbit": ["--start", ",".join(["0.5"] * dim), "--steps", "2"]}
+    if dim == 1:
+        commands["boundaries"] = ["--period", "3"]
+        failing = {"boundaries": (1, "error: sampled points do not return after 3 steps\n"), **failing}
+    else:
+        commands["raster"] = [*grid, str(tmp_path / "raster.pgm"), "--mode", "period"]
+        commands["denoms"] = [*grid, str(tmp_path / "denoms.pgm")]
+    for command, argv in commands.items():
+        code, out, err = run_captured([command, "--map", str(path), *argv])
+        assert (code, err) == failing.get(command, (0, "")), (command, err)
+        assert not (code and out)  # a refused run prints nothing
+    assert [p.name for p in sorted(tmp_path.glob("*.pgm"))] == ([] if dim == 1 else ["denoms.pgm", "raster.pgm"])
+    code, out, err = run_captured(["parse", str(path)])
+    assert (code, err) == (0, "") and HUGE in out
+
+
+def test_a_program_rounds_a_huge_coefficient_to_inf():
+    """kernel.step and Polynomial.eval of x' = N*x, N past the float range,
+    multiply by inf: on floats inf, nan at 0, -inf; on complex inf+nanj."""
+    from ivpp.dsl import parse_map
+    from ivpp.kernel import step
+
+    m = parse_map(f"dim 1; x' = {HUGE}*x;")
+    dens, (image,) = step(m, [np.array([0.5, 0.0, -2.0])])
+    assert image[0] == math.inf and math.isnan(image[1]) and image[2] == -math.inf
+    assert dens[0].tolist() == [1.0, 1.0, 1.0]
+    value = m.components[0][0].eval([0.5])
+    assert value.real == math.inf and math.isnan(value.imag)
+
+
+def test_the_tolerance_defaults_are_the_library_constants():
+    from ivpp.cli import _build_parser
+    from ivpp.core import TOL_EQ
+    from ivpp.raster import RASTER_TOL
+
+    commands = _build_parser().commands
+    assert commands["orbit"].get_default("tol") is TOL_EQ  # the constant itself, not a copy of its value
+    assert commands["raster"].get_default("tol") is RASTER_TOL
 
 
 def test_a_nan_limit_exits_1():

@@ -10,7 +10,7 @@ benchmark's code, whose tracer wraps methods by name: a helper or constant
 that only tests, prose, a same-named local or a re-export name is dead.
 The package writes files one way: no module but ``raster.output`` calls
 ``open`` with a mode that may write.  And it rounds an exact value to a
-float one way: no ``except OverflowError`` outside ``ivpp2d.quotient``.
+float one way: no ``except OverflowError`` outside ``poly.quotient``.
 Likewise every helper, fixture and constant of ``tests/conftest.py`` must
 be named by a test file, so that no reference goes stale unused.  README's
 Library layout table has exactly one row per module of the package, and
@@ -122,11 +122,11 @@ def _overflow_handlers(tree: ast.Module, helper: str = "") -> list:
 
 
 def test_only_the_rounding_helper_catches_an_overflow():
-    """An exact value meets the float range in one place, ``ivpp2d.quotient``."""
-    helpers = {"ivpp2d.py": "quotient"}
+    """An exact value meets the float range in one place, ``poly.quotient``."""
+    helpers = {"poly.py": "quotient"}
     found = {p.name: _overflow_handlers(ast.parse(p.read_text()), helpers.get(p.name, "")) for p in MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
-    tree = ast.parse((SRC / "ivpp2d.py").read_text())
+    tree = ast.parse((SRC / "poly.py").read_text())
     helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "quotient")
     lines = _overflow_handlers(tree)
     assert lines and all(helper.lineno <= line <= helper.end_lineno for line in lines)  # the exemption is the helper

@@ -88,6 +88,48 @@ def test_only_a_root_past_the_float_range_is_infinite(x, r):
                 assert abs(mpmath.mpf(root) - exact.real) <= tol, (root, exact)
 
 
+def _correctly_rounded(v):
+    """The float nearest the mpf v, ties to even: +-inf from the midpoint
+    2^1024 - 2^970 above the largest float on, and subnormals rounded once."""
+    exact = Fraction(int(mpmath.sign(v) * v.man)) * Fraction(2) ** int(v.exp) if v else Fraction(0)  # man is |v|'s
+    if abs(exact) >= 2**1024 - 2**970:
+        return math.inf if exact > 0 else -math.inf
+    return exact.numerator / exact.denominator  # int true division rounds once
+
+
+def _rounded_roots(x, r):
+    """(a+, a-) correctly rounded, from 1000 digits without cancellation: h and P
+    are half the sum and the product, g = sqrt|h^2 - P|; real roots are the larger
+    in modulus h + g with the sign of h and the smaller P over it, a+ = h + sign(x) g."""
+    with mpmath.workdps(1000):
+        x, r = mpmath.mpf(x), mpmath.mpf(r)
+        h = (x - 2 + r * (x - 1) / x) / 2
+        P = r * (x - 1) ** 2 / x
+        g = mpmath.sqrt(abs(h * h - P))
+        if h * h < P:
+            re, im = _correctly_rounded(h), math.copysign(_correctly_rounded(g), x)
+            return complex(re, im), complex(re, -im)
+        big = h + g if h >= 0 else h - g
+        big, small = _correctly_rounded(big), _correctly_rounded(P / big)
+        return (big, small) if (h >= 0) == (x > 0) else (small, big)
+
+
+def _rounding_sample():
+    rng = random.Random(35)
+    uniform = [(rng.uniform(-5, 5), rng.uniform(-10, 10)) for _ in range(1000)]
+    spread = [  # log-uniform magnitudes from 1e-300 to 1e300, either sign
+        tuple(rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300) for _ in range(2)) for _ in range(1000)
+    ]
+    return uniform + spread + [(x, 3.0) for x in SUBNORMAL_X] + OVERFLOW_X_R
+
+
+def test_both_roots_are_rounded_once():
+    """Each root is its exact value correctly rounded, +-inf past the float range:
+    uniform (x, r), log-uniform magnitudes up to 1e+-300, and every subnormal-x and overflow case."""
+    misses = [(x, r) for x, r in _rounding_sample() if lv_roots(x, r) != _rounded_roots(x, r)]
+    assert misses == []
+
+
 # -- the branch parametrization -------------------------------------------------------
 
 
