@@ -57,20 +57,14 @@ def _parse_window(text: str) -> Tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError("window must be x0,x1,y0,y1")
-    x0, x1, y0, y1 = (float(p) for p in parts)
-    if not (x0 < x1 and y0 < y1):
-        raise UsageError("window must be nonempty")
-    return (x0, x1, y0, y1)
+    return tuple(float(p) for p in parts)
 
 
 def _parse_resolution(text: str) -> Tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise UsageError("resolution must be WxH")
-    w, h = int(parts[0]), int(parts[1])
-    if w <= 0 or h <= 0:
-        raise UsageError("resolution must be positive")
-    return (w, h)
+    return (int(parts[0]), int(parts[1]))
 
 
 def _parse_start(text: str, dim: int) -> Point:
@@ -311,9 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     top.commands = sub.choices
 
-    def add_common(p, with_map=True):
-        if with_map:
-            p.add_argument("--map", default="f2d", help="built-in name or a .rmap file")
+    def add_common(p):
+        p.add_argument("--map", default="f2d", help="built-in name or a .rmap file")
         p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("orbit", help="iterate a map and print the trace as JSON")

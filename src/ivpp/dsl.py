@@ -17,6 +17,7 @@ are cleared but never factored.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
@@ -59,61 +60,25 @@ class Token:
     column: int
 
 
-_SINGLE = {
-    "'": "PRIME",
-    "=": "EQ",
-    ";": "SEMI",
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "/": "SLASH",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-}
+_TOKEN = re.compile(
+    r"(?P<NUMBER>\d+\.?\d*|\.\d+)|(?P<IDENT>[^\W\d]\w*)|(?P<PRIME>')|(?P<EQ>=)|(?P<SEMI>;)"
+    r"|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<STAR>\*)|(?P<SLASH>/)|(?P<CARET>\^)|(?P<LPAREN>\()|(?P<RPAREN>\))"
+    r"|(?P<NEWLINE>\n)|(?P<SKIP>[^\S\n]+)|(?P<ERROR>.)"
+)  # \d is a decimal digit of any script; another numeric character (², ½) starts a name
 
 
 def _tokenize(text: str) -> List[Token]:
     toks: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            toks.append(Token("NUMBER", text[i:j], i, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], i, line, col))
-            col += j - i
-            i = j
-            continue
-        kind = _SINGLE.get(ch)
-        if kind is None:
-            raise ParseDiagnostic(i, line, col, f"unexpected character {ch!r}")
-        toks.append(Token(kind, ch, i, line, col))
-        i += 1
-        col += 1
-    toks.append(Token("EOF", "", max(0, n - 1), line, col))
+    line, start = 1, 0  # the line number and the offset where it starts
+    for m in _TOKEN.finditer(text):
+        kind, i = m.lastgroup, m.start()
+        if kind == "NEWLINE":
+            line, start = line + 1, i + 1
+        elif kind == "ERROR":
+            raise ParseDiagnostic(i, line, i - start + 1, f"unexpected character {m[0]!r}")
+        elif kind != "SKIP":
+            toks.append(Token(kind, m[0], i, line, i - start + 1))
+    toks.append(Token("EOF", "", max(0, len(text) - 1), line, len(text) - start + 1))
     return toks
 
 

@@ -81,6 +81,8 @@ def lv_roots(x: float, r: float) -> Tuple[complex, complex]:
     rational.  Of real roots, the larger in modulus is h + g with the sign of h,
     and the other is P over it, with no cancellation.
     """
+    if not (math.isfinite(x) and math.isfinite(r)):
+        raise ValueError(f"x and r must be finite, got {x} and {r}")
     if x in (0, 1):
         raise DegenerateParameter(f"parametrization pole at x = {x}")
     x, r = Fraction(x), Fraction(r)

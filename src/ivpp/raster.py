@@ -38,7 +38,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import kernel
-from .core import RationalMap, check_tol
+from .core import TOL_EQ, RationalMap, check_tol
 from .decompose import decompose
 from .denoms import cell_centers
 from .ivpp2d import IvppBranch
@@ -46,7 +46,6 @@ from .lv3d import lv_decompose_period2, lv_discriminant
 from .maps import f2d
 
 RASTER_TOL = 1e-6  # default chordal tolerance of the raw period layer
-EXACT_TOL = 1e-9  # closure tolerance for snapped on-variety points
 BAND_CELLS = 1.5  # half-width of the component band, in cell widths
 
 
@@ -230,7 +229,7 @@ def raster(
         has_band = np.zeros(w, dtype=bool)
         has_band[column] = True
         columns = np.flatnonzero(has_band)
-        closes = kernel.first_returns(m, branch.coords(xs[columns]), branch.n, EXACT_TOL) == branch.n
+        closes = kernel.first_returns(m, branch.coords(xs[columns]), branch.n, TOL_EQ) == branch.n
         column_class = np.zeros(w, dtype=np.int16)
         column_class[columns[closes]] = decomp.classify(xs[columns[closes]])
         classes = column_class[column]

@@ -469,6 +469,17 @@ SAME_FILE = [  # -o and --csv naming one file, refused before any work
 ]
 
 
+BAD_GRIDS = [  # (argv, the refusal of cell_centers, the one check of every grid's window and resolution)
+    ([*command, window, "--res", res, "-o", "/tmp/x.pgm"], message)
+    for command in (["raster", "--mode", "period"], ["raster"], ["raster", "--map", "f3d", "--period", "2"], ["denoms"])
+    for window, res, message in (
+        ("--window=1,-1,-1,1", "4x4", "window must be increasing (x0 < x1, y0 < y1), got (1.0, -1.0, -1.0, 1.0)"),
+        ("--window=-1,1,1,1", "4x4", "window must be increasing (x0 < x1, y0 < y1), got (-1.0, 1.0, 1.0, 1.0)"),
+        ("--window=-1,1,-1,1", "0x4", "resolution must be two positive ints, got (0, 4)"),
+    )
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -512,6 +523,7 @@ SAME_FILE = [  # -o and --csv naming one file, refused before any work
         *(argv for argv, _ in NON_FINITE_LEVELS),
         *(argv for argv, _ in UNREAD_FLAGS),
         *SAME_FILE,
+        *(argv for argv, _ in BAD_GRIDS),
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -528,6 +540,9 @@ def test_usage_errors_exit_2(argv):
         assert (out, err) == ("", f"error: {refusal}\n")
     if argv in SAME_FILE:
         assert (out, err) == ("", "error: -o and --csv name the same file '/tmp/x.pgm'\n")
+    refusal = dict((tuple(a), message) for a, message in BAD_GRIDS).get(tuple(argv))
+    if refusal is not None:
+        assert (out, err) == ("", f"error: {refusal}\n")
 
 
 def test_two_hard_links_of_one_file_are_refused_as_one_file(tmp_path):
@@ -610,6 +625,13 @@ def test_raster_refuses_out_of_contract_input(tmp_path, extra):
     code, _, err = run_captured(argv + extra)
     assert code == 2
     assert err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in BAD_GRIDS])
+def test_a_refused_grid_writes_no_file(tmp_path, argv):
+    out = tmp_path / "g.pgm"
+    assert run_captured([str(out) if a == "/tmp/x.pgm" else a for a in argv])[0] == 2
     assert not out.exists()
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import band_mask_dense, pgm_concat, stripe_layer_per_level
 from ivpp import kernel
 from ivpp.cli import run_captured
+from ivpp.core import TOL_EQ
 from ivpp.decompose import decompose
 from ivpp.denoms import cell_centers
 from ivpp.ivpp2d import branches
@@ -216,7 +217,7 @@ def dense_reference(m, window, resolution, branch, n_max=8):
     cell = max((window[1] - window[0]) / w, (window[3] - window[2]) / h)
     band = raster_module._band(xs, ys, window, branch.rho, raster_module.BAND_CELLS * cell, cell)
     columns = np.unique(band[1])
-    closes = kernel.first_returns(m, branch.coords(xs[columns]), branch.n, raster_module.EXACT_TOL) == branch.n
+    closes = kernel.first_returns(m, branch.coords(xs[columns]), branch.n, TOL_EQ) == branch.n
     column_class = np.zeros(w, dtype=np.int16)
     column_class[columns[closes]] = decompose(branch).classify(xs[columns[closes]])
     component = np.zeros((h, w), dtype=np.int16)

@@ -11,7 +11,7 @@ import pytest
 from conftest import JITTERED_WINDOW, POLE_WINDOW, csv_per_cell, pole_depths_eager, snapped_period_is
 from ivpp import kernel
 from ivpp.cli import run_captured
-from ivpp.core import RationalMap
+from ivpp.core import TOL_EQ, RationalMap
 from ivpp.decompose import decompose
 from ivpp.denoms import cell_centers, denominator_zero_curves
 from ivpp.dsl import format_map, parse_map
@@ -785,7 +785,7 @@ def test_vector_snapped_check_keeps_the_first_return():
     xs = np.linspace(-3.1, 2.9, 41)
     for n, want in ((5, True), (10, False)):
         b = branches(n)[0]
-        closes = kernel.first_returns(lyness, b.coords(xs), n, raster_module.EXACT_TOL) == n
+        closes = kernel.first_returns(lyness, b.coords(xs), n, TOL_EQ) == n
         assert closes.tolist() == [snapped_period_is(lyness, b, x) for x in xs.tolist()]
         assert np.count_nonzero(closes) > 30 if want else not closes.any()
 

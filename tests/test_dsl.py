@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ivpp.dsl import (
     ParseDiagnostic,
     SemanticError,
+    _tokenize,
     format_map,
     maps_equal,
     parse_map,
@@ -230,3 +231,88 @@ def test_roundtrip_generated_polynomials(term_specs):
 
 def test_builtin_source_constant_matches():
     assert maps_equal(parse_map(F2D_SOURCE), f2d())
+
+
+LEXER_EDGES = [  # (text, its tokens as (kind, text, offset, line, column), or its diagnostic (offset, line, column, message))
+    ("1.2.3", [("NUMBER", "1.2", 0, 1, 1), ("NUMBER", ".3", 3, 1, 4), ("EOF", "", 4, 1, 6)]),
+    (".5", [("NUMBER", ".5", 0, 1, 1), ("EOF", "", 1, 1, 3)]),
+    ("5.", [("NUMBER", "5.", 0, 1, 1), ("EOF", "", 1, 1, 3)]),
+    ("..", (0, 1, 1, "unexpected character '.'")),
+    ("x'", [("IDENT", "x", 0, 1, 1), ("PRIME", "'", 1, 1, 2), ("EOF", "", 1, 1, 3)]),
+    ("a_1", [("IDENT", "a_1", 0, 1, 1), ("EOF", "", 2, 1, 4)]),
+    ("é", [("IDENT", "é", 0, 1, 1), ("EOF", "", 0, 1, 2)]),
+    ("ß2", [("IDENT", "ß2", 0, 1, 1), ("EOF", "", 1, 1, 3)]),
+    ("٢*x", [("NUMBER", "٢", 0, 1, 1), ("STAR", "*", 1, 1, 2), ("IDENT", "x", 2, 1, 3), ("EOF", "", 2, 1, 4)]),
+    ("#", (0, 1, 1, "unexpected character '#'")),
+    ("x\ty", [("IDENT", "x", 0, 1, 1), ("IDENT", "y", 2, 1, 3), ("EOF", "", 2, 1, 4)]),
+    ("x\r\ny", [("IDENT", "x", 0, 1, 1), ("IDENT", "y", 3, 2, 1), ("EOF", "", 3, 2, 2)]),
+    ("x\x0by", [("IDENT", "x", 0, 1, 1), ("IDENT", "y", 2, 1, 3), ("EOF", "", 2, 1, 4)]),
+    ("x\x0cy", [("IDENT", "x", 0, 1, 1), ("IDENT", "y", 2, 1, 3), ("EOF", "", 2, 1, 4)]),
+    ("x\x1cy", [("IDENT", "x", 0, 1, 1), ("IDENT", "y", 2, 1, 3), ("EOF", "", 2, 1, 4)]),
+    ("x\n", [("IDENT", "x", 0, 1, 1), ("EOF", "", 1, 2, 1)]),  # a trailing newline moves EOF to the next line
+    ("", [("EOF", "", 0, 1, 1)]),
+    (" \t\n ", [("EOF", "", 3, 2, 2)]),
+]
+
+
+def _lexed(text):
+    try:
+        return [(t.kind, t.text, t.offset, t.line, t.column) for t in _tokenize(text)]
+    except ParseDiagnostic as d:
+        return (d.offset, d.line, d.column, d.message)
+
+
+@pytest.mark.parametrize("text, want", LEXER_EDGES)
+def test_the_lexer_edge_cases(text, want):
+    assert _lexed(text) == want
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        ("dim 1; x' = ²;", "1:13: unknown name '²' (expected x, y, z, number, ()"),
+        ("dim 1; x' = 2²;", "1:14: expected ';', found '²' (expected ';')"),
+        ("dim 1; x' = x²;", "1:13: unknown name 'x²' (expected x, y, z, number, ()"),
+        ("dim ²;", "1:5: dim needs an integer 1..3 (expected integer)"),
+        ("dim 1; x' = ½;", "1:13: unknown name '½' (expected x, y, z, number, ()"),
+        ("dim 1; x' = Ⅻ;", "1:13: unknown name 'Ⅻ' (expected x, y, z, number, ()"),
+    ],
+)
+def test_a_numeric_character_that_is_not_a_decimal_digit_is_a_name(src, want):
+    """Categories No and Nl (², ½, Ⅻ) start or continue a name, which the
+    parser refuses with its position; only a decimal digit is a number."""
+    with pytest.raises(ParseDiagnostic) as err:
+        parse_map(src)
+    assert str(err.value) == want
+
+
+PARSER_KINDS = {"NUMBER", "IDENT", "PRIME", "EQ", "SEMI", "PLUS", "MINUS", "STAR", "SLASH", "CARET", "LPAREN", "RPAREN"}
+LEXER_TEXT = st.text(st.sampled_from([*"xyz dimnv0123456789._'=;+-*/^()#", "\n", "\t", "\r", "\x0b", "\x1c", "é", "ß", "٢", "λ"]))
+
+
+def _position(text, offset):
+    """(line, column) of an offset: lines split at \\n only, columns count code points from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LEXER_TEXT)
+def test_tokens_and_whitespace_rebuild_the_input_at_their_positions(text):
+    """Up to a refused character, which is where its diagnostic says: the
+    tokens and the whitespace between them are the input, at increasing
+    offsets with the (line, column) each offset gives, of a kind the parser reads."""
+    try:
+        toks = _tokenize(text)
+    except ParseDiagnostic as d:
+        assert (d.line, d.column) == _position(text, d.offset) and not text[d.offset].isspace()
+        text = text[: d.offset]
+        toks = _tokenize(text)
+    *body, eof = toks
+    end = 0
+    for t in body:
+        assert t.offset >= end and not text[end : t.offset].strip() and text.startswith(t.text, t.offset)
+        assert t.text and (t.line, t.column) == _position(text, t.offset) and t.kind in PARSER_KINDS
+        end = t.offset + len(t.text)
+    assert not text[end:].strip()
+    assert (eof.kind, eof.text, eof.offset) == ("EOF", "", max(0, len(text) - 1))
+    assert (eof.line, eof.column) == _position(text, len(text))

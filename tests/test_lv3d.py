@@ -202,6 +202,16 @@ def test_param_degenerate_x():
             lv_decompose_period2(2.0, alias)
 
 
+@pytest.mark.parametrize("x, r", [(math.inf, 3.0), (-math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)])
+def test_a_non_finite_x_or_r_is_refused_by_name(x, r):
+    """Refused by name before the exact conversion, as lv_gamma refuses r and s."""
+    message = f"^x and r must be finite, got {x} and {r}$"
+    with pytest.raises(ValueError, match=message):
+        lv_roots(x, r)
+    with pytest.raises(ValueError, match=message):
+        lv_period2_param(x, r, "+")
+
+
 def test_param_exact_oracle():
     """Exact substitution oracle at a rational sample."""
     from fractions import Fraction
